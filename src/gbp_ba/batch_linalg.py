@@ -41,9 +41,10 @@ def cholesky_masked(mats: np.ndarray, pivot_rtol: float = PIVOT_RTOL):
 
 
 def solve_cholesky(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (L L') x = rhs for (N, d, d) factors and (N, d, k) right-hand sides."""
+    """Solve (L L') x = rhs for (N, d, d) factors and (N, d, k) right-hand
+    sides, in the common float type of the two."""
     n, d, _ = lower.shape
-    y = np.zeros_like(rhs, dtype=float)
+    y = np.zeros(rhs.shape, np.result_type(lower, rhs, 1.0))
     for i in range(d):
         acc = rhs[:, i] - np.einsum("nj,njk->nk", lower[:, i, :i], y[:, :i])
         y[:, i] = acc / lower[:, i, i][:, None]

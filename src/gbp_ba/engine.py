@@ -1,27 +1,26 @@
 """Synchronous GBP iteration over the bundle-adjustment graph.
 
-One call to `iterate` runs exactly one bulk-synchronous round of four
+One call to `iterate` runs exactly one bulk-synchronous round of three
 barrier-separated phases:
 
   A. every factor checks the distance between the stacked adjacent belief
      means and its linearisation point and relinearises when allowed
      (distance > beta and at least `relin_cooldown` iterations since the
      last relinearisation);
-  B. every factor computes its message to each side by conditioning its
-     9-dim parameters on the stored variable-to-factor input of the other
-     side and marginalising via Schur complement; the information vector is
-     damped against the previously sent message except inside the undamped
-     window after a relinearisation;
+  B. every factor derives its variable-to-factor inputs, each the adjacent
+     variable's belief minus the factor's own last message to it (zero in
+     the round the factor was added in), then computes its message to each
+     side by conditioning its 9-dim parameters on the other side's input
+     and marginalising via Schur complement; the information vector is
+     damped against the previously sent message except inside the
+     undamped window after a relinearisation;
   C. every variable's belief is rebuilt as prior + sum of incoming messages
      (summed in ascending factor-id order) and its state moves to the belief
-     mean when the belief is invertible;
-  D. every variable-to-factor input is recovered as belief minus the stored
-     factor-to-variable message.
+     mean when the belief is invertible.
 
 Within a phase all reads target the pre-phase snapshot, so results do not
-depend on intra-phase execution order; `workers` splits phase work into
-contiguous chunks whose per-element computations are identical, making
-traces bitwise invariant in the worker count.
+depend on intra-phase execution order.  Every phase keeps the graph's float
+dtype.
 """
 
 from __future__ import annotations
@@ -111,13 +110,6 @@ class SolveReport:
     reports: list = field(default_factory=list)
 
 
-def _chunks(n: int, workers: int):
-    if workers <= 1 or n <= workers:
-        return [slice(0, n)]
-    size = -(-n // workers)
-    return [slice(i, min(i + size, n)) for i in range(0, n, size)]
-
-
 def pairwise_message(
     factor: InfoGaussian,
     target_dims,
@@ -130,7 +122,8 @@ def pairwise_message(
     Folds `incoming` (the other side's variable-to-factor input) into the
     eliminated block, Schur-marginalises onto `target_dims`, then damps the
     information vector against `prev`: eta <- (1-d) eta_new + d eta_prev.
-    The information matrix is never damped.
+    The information matrix is never damped.  This scalar path is the
+    reference the batched message phase is tested against.
     """
     target = np.atleast_1d(np.asarray(target_dims, dtype=int)) \
         if not isinstance(target_dims, slice) else np.arange(factor.dim)[target_dims]
@@ -153,53 +146,55 @@ def _update_prior_scales(graph: FactorGraph, schedule: ScheduleParams, t: int) -
     window = schedule.prior_weaken_iters
     if window <= 0:
         return 1.0
-    age_kf = np.minimum(t - graph.kf_birth, window)
-    age_lm = np.minimum(t - graph.lm_birth, window)
-    graph.kf_prior_scale = PRIOR_TARGET_RATIO ** (age_kf / window)
-    graph.lm_prior_scale = PRIOR_TARGET_RATIO ** (age_lm / window)
+    for birth, scale in ((graph.kf_birth, graph.kf_prior_scale), (graph.lm_birth, graph.lm_prior_scale)):
+        scale[:] = PRIOR_TARGET_RATIO ** (np.minimum(t - birth, window) / window)
     return float(PRIOR_TARGET_RATIO ** (min(t, window) / window))
 
 
-def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int, workers: int):
+def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
     nf = graph.n_measurement_factors
     if nf == 0:
         return 0, 0
-    eligible = np.zeros(nf, dtype=bool)
-    if schedule.beta is not None:
-        for sl in _chunks(nf, workers):
-            stacked = np.concatenate(
-                [graph.kf_state[graph.f_kf[sl]], graph.lm_state[graph.f_lm[sl]]], axis=1
-            )
-            dist = np.linalg.norm(stacked - graph.f_lin[sl], axis=1)
-            eligible[sl] = (dist > schedule.beta) & (
-                graph.f_iters_since_relin[sl] >= schedule.relin_cooldown
-            )
-    idx = np.flatnonzero(eligible)
     relinearized = np.zeros(nf, dtype=bool)
     aborted = 0
-    if idx.size:
-        points = np.concatenate(
-            [graph.kf_state[graph.f_kf[idx]], graph.lm_state[graph.f_lm[idx]]], axis=1
+    if schedule.beta is not None:
+        stacked = np.concatenate([graph.kf_state[graph.f_kf], graph.lm_state[graph.f_lm]], axis=1)
+        dist = np.linalg.norm(stacked - graph.f_lin, axis=1)
+        idx = np.flatnonzero(
+            (dist > schedule.beta) & (graph.f_iters_since_relin >= schedule.relin_cooldown)
         )
-        ok = graph.linearize_factors(idx, points)
-        relinearized[idx[ok]] = True
-        aborted = int((~ok).sum())
-        if aborted:
-            graph.notes["relin_behind_camera"] += aborted
+        if idx.size:
+            ok = graph.linearize_factors(idx, stacked[idx])
+            relinearized[idx[ok]] = True
+            aborted = int((~ok).sum())
+            if aborted:
+                graph.notes["relin_behind_camera"] += aborted
     graph.f_iters_since_relin = np.where(relinearized, 0, graph.f_iters_since_relin + 1)
     graph.f_last_relin = np.where(relinearized, t, graph.f_last_relin)
     return int(relinearized.sum()), aborted
 
 
-def _side_messages(graph: FactorGraph, sl: slice, keep: slice, elim: slice, in_eta, in_lam):
-    """New undamped messages onto the `keep` block for factors in `sl`."""
-    lam = graph.f_lam[sl]
-    eta = graph.f_eta[sl]
-    cond = lam[:, elim, elim] + in_lam[sl]
+def _inputs(belief_eta, belief_lam, ids, msg_eta, msg_lam, first_round):
+    """Variable-to-factor inputs: the belief of each factor's variable minus
+    the factor's own last message to it, zero in the factor's first round."""
+    in_eta = belief_eta[ids]
+    in_eta -= msg_eta
+    in_lam = belief_lam[ids]
+    in_lam -= msg_lam
+    if first_round.any():
+        in_eta[first_round] = 0.0
+        in_lam[first_round] = 0.0
+    return in_eta, in_lam
+
+
+def _side_messages(graph: FactorGraph, keep: slice, elim: slice, in_eta, in_lam):
+    """New undamped messages onto the `keep` block, conditioned on the
+    inputs to the `elim` block."""
+    lam = graph.f_lam
+    eta = graph.f_eta
+    cond = lam[:, elim, elim] + in_lam
     cond = 0.5 * (cond + np.swapaxes(cond, 1, 2))
-    rhs = np.concatenate(
-        [lam[:, elim, keep], (eta[:, elim] + in_eta[sl])[:, :, None]], axis=2
-    )
+    rhs = np.concatenate([lam[:, elim, keep], (eta[:, elim] + in_eta)[:, :, None]], axis=2)
     solved, ok = solve_spd_masked(cond, rhs)
     cross = lam[:, keep, elim]
     lam_new = lam[:, keep, keep] - cross @ solved[:, :, :-1]
@@ -208,72 +203,63 @@ def _side_messages(graph: FactorGraph, sl: slice, keep: slice, elim: slice, in_e
     return eta_new, lam_new, ok
 
 
-def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, workers: int):
-    nf = graph.n_measurement_factors
-    if nf == 0:
+def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int):
+    if graph.n_measurement_factors == 0:
         return 0, 0.0
+    damp = np.where(
+        (t - graph.f_last_relin) < schedule.undamped_window, 0.0, schedule.damping
+    ).astype(graph.dtype)[:, None]
+    first_round = graph.f_birth == t
     kf_sl, lm_sl = slice(0, KF_DIM), slice(KF_DIM, 9)
-    new_kf_eta = np.empty_like(graph.f_msg_kf_eta)
-    new_kf_lam = np.empty_like(graph.f_msg_kf_lam)
-    new_lm_eta = np.empty_like(graph.f_msg_lm_eta)
-    new_lm_lam = np.empty_like(graph.f_msg_lm_lam)
+    kf_msg = (graph.f_msg_kf_eta, graph.f_msg_kf_lam)
+    lm_msg = (graph.f_msg_lm_eta, graph.f_msg_lm_lam)
     n_singular = 0
     max_delta = 0.0
-    for sl in _chunks(nf, workers):
-        damp = np.where(
-            (t - graph.f_last_relin[sl]) < schedule.undamped_window, 0.0, schedule.damping
+    out = []
+    for keep, elim, (prev_eta, prev_lam), elim_inputs in (
+        (kf_sl, lm_sl, kf_msg, (graph.lm_belief_eta, graph.lm_belief_lam, graph.f_lm, *lm_msg)),
+        (lm_sl, kf_sl, lm_msg, (graph.kf_belief_eta, graph.kf_belief_lam, graph.f_kf, *kf_msg)),
+    ):
+        in_eta, in_lam = _inputs(*elim_inputs, first_round)
+        eta_new, lam_new, ok = _side_messages(graph, keep, elim, in_eta, in_lam)
+        eta_out = (1.0 - damp) * eta_new + damp * prev_eta
+        eta_out = np.where(ok[:, None], eta_out, prev_eta)
+        lam_out = np.where(ok[:, None, None], lam_new, prev_lam)
+        out.append((eta_out, lam_out))
+        n_singular += int((~ok).sum())
+        max_delta = max(
+            max_delta,
+            float(np.max(np.abs(eta_out - prev_eta))),
+            float(np.max(np.abs(lam_out - prev_lam))),
         )
-        for keep, elim, in_eta, in_lam, prev_eta, prev_lam, out_eta, out_lam in (
-            (kf_sl, lm_sl, graph.f_in_lm_eta, graph.f_in_lm_lam,
-             graph.f_msg_kf_eta, graph.f_msg_kf_lam, new_kf_eta, new_kf_lam),
-            (lm_sl, kf_sl, graph.f_in_kf_eta, graph.f_in_kf_lam,
-             graph.f_msg_lm_eta, graph.f_msg_lm_lam, new_lm_eta, new_lm_lam),
-        ):
-            eta_new, lam_new, ok = _side_messages(graph, sl, keep, elim, in_eta, in_lam)
-            eta_out = (1.0 - damp)[:, None] * eta_new + damp[:, None] * prev_eta[sl]
-            eta_out = np.where(ok[:, None], eta_out, prev_eta[sl])
-            lam_out = np.where(ok[:, None, None], lam_new, prev_lam[sl])
-            out_eta[sl] = eta_out
-            out_lam[sl] = lam_out
-            n_singular += int((~ok).sum())
-            if eta_out.size:
-                max_delta = max(
-                    max_delta,
-                    float(np.max(np.abs(eta_out - prev_eta[sl]))),
-                    float(np.max(np.abs(lam_out - prev_lam[sl]))),
-                )
-    graph.f_msg_kf_eta, graph.f_msg_kf_lam = new_kf_eta, new_kf_lam
-    graph.f_msg_lm_eta, graph.f_msg_lm_lam = new_lm_eta, new_lm_lam
+    (graph.f_msg_kf_eta, graph.f_msg_kf_lam), (graph.f_msg_lm_eta, graph.f_msg_lm_lam) = out
     if n_singular:
         graph.notes["singular_message"] += n_singular
     return n_singular, max_delta
 
 
-def _phase_beliefs(graph: FactorGraph, workers: int) -> int:
+def _phase_beliefs(graph: FactorGraph) -> int:
     frozen = 0
     for kind in ("keyframe", "landmark"):
-        prior_eta, prior_diag = graph.prior_information(kind)
-        n, dim = prior_eta.shape
-        eta = prior_eta.copy()
-        lam = np.zeros((n, dim, dim))
+        eta, prior_diag = graph.prior_information(kind)
+        n, dim = eta.shape
+        lam = np.zeros((n, dim, dim), eta.dtype)
         rng = np.arange(dim)
         lam[:, rng, rng] = prior_diag
-        if graph.n_measurement_factors:
-            if kind == "keyframe":
-                np.add.at(eta, graph.f_kf, graph.f_msg_kf_eta)
-                np.add.at(lam, graph.f_kf, graph.f_msg_kf_lam)
-            else:
-                np.add.at(eta, graph.f_lm, graph.f_msg_lm_eta)
-                np.add.at(lam, graph.f_lm, graph.f_msg_lm_lam)
-        states = graph.kf_state if kind == "keyframe" else graph.lm_state
-        new_states = states.copy()
-        for sl in _chunks(n, workers):
-            mean, ok = solve_spd_masked(lam[sl], eta[sl][:, :, None])
-            mean = mean[:, :, 0]
-            if kind == "keyframe":
-                mean[:, :3] = canonicalize_axis_angle(mean[:, :3])
-            new_states[sl] = np.where(ok[:, None], mean, states[sl])
-            frozen += int((~ok).sum())
+        if kind == "keyframe":
+            np.add.at(eta, graph.f_kf, graph.f_msg_kf_eta)
+            np.add.at(lam, graph.f_kf, graph.f_msg_kf_lam)
+            states = graph.kf_state
+        else:
+            np.add.at(eta, graph.f_lm, graph.f_msg_lm_eta)
+            np.add.at(lam, graph.f_lm, graph.f_msg_lm_lam)
+            states = graph.lm_state
+        mean, ok = solve_spd_masked(lam, eta[:, :, None])
+        mean = mean[:, :, 0]
+        if kind == "keyframe":
+            mean[:, :3] = canonicalize_axis_angle(mean[:, :3])
+        new_states = np.where(ok[:, None], mean, states)
+        frozen += int((~ok).sum())
         if kind == "keyframe":
             graph.kf_belief_eta, graph.kf_belief_lam, graph.kf_state = eta, lam, new_states
         else:
@@ -283,25 +269,15 @@ def _phase_beliefs(graph: FactorGraph, workers: int) -> int:
     return frozen
 
 
-def _phase_recover_inputs(graph: FactorGraph, workers: int) -> None:
-    nf = graph.n_measurement_factors
-    for sl in _chunks(nf, workers):
-        graph.f_in_kf_eta[sl] = graph.kf_belief_eta[graph.f_kf[sl]] - graph.f_msg_kf_eta[sl]
-        graph.f_in_kf_lam[sl] = graph.kf_belief_lam[graph.f_kf[sl]] - graph.f_msg_kf_lam[sl]
-        graph.f_in_lm_eta[sl] = graph.lm_belief_eta[graph.f_lm[sl]] - graph.f_msg_lm_eta[sl]
-        graph.f_in_lm_lam[sl] = graph.lm_belief_lam[graph.f_lm[sl]] - graph.f_msg_lm_lam[sl]
-
-
-def iterate(graph: FactorGraph, schedule: ScheduleParams | None = None, workers: int = 1) -> IterationReport:
-    """One bulk-synchronous GBP round (phases A-D); advances the prior
+def iterate(graph: FactorGraph, schedule: ScheduleParams | None = None) -> IterationReport:
+    """One bulk-synchronous GBP round (phases A-C); advances the prior
     weakening and the iteration counter and reports per-phase diagnostics."""
     schedule = schedule if schedule is not None else ScheduleParams()
     t = graph.iteration
     prior_scale = _update_prior_scales(graph, schedule, t)
-    n_relin, n_aborted = _phase_relinearize(graph, schedule, t, workers)
-    n_singular, max_delta = _phase_messages(graph, schedule, t, workers)
-    n_frozen = _phase_beliefs(graph, workers)
-    _phase_recover_inputs(graph, workers)
+    n_relin, n_aborted = _phase_relinearize(graph, schedule, t)
+    n_singular, max_delta = _phase_messages(graph, schedule, t)
+    n_frozen = _phase_beliefs(graph)
     graph.iteration = t + 1
     return IterationReport(
         iteration=graph.iteration,
@@ -316,15 +292,14 @@ def iterate(graph: FactorGraph, schedule: ScheduleParams | None = None, workers:
     )
 
 
-def run(graph: FactorGraph, schedule: ScheduleParams | None = None, n: int = 1, workers: int = 1):
+def run(graph: FactorGraph, schedule: ScheduleParams | None = None, n: int = 1):
     """`n` iterations with no stopping checks; returns the reports."""
-    return [iterate(graph, schedule, workers) for _ in range(n)]
+    return [iterate(graph, schedule) for _ in range(n)]
 
 
 def solve(
     graph: FactorGraph,
     schedule: ScheduleParams | None = None,
-    workers: int = 1,
     callback=None,
 ) -> SolveReport:
     """Iterate until the average reprojection error drops below the target
@@ -343,7 +318,7 @@ def solve(
         reason = "are_target"
     else:
         for _ in range(schedule.max_iters):
-            report = iterate(graph, schedule, workers)
+            report = iterate(graph, schedule)
             reports.append(report)
             are_trace.append(report.are)
             energy_trace.append(report.energy)

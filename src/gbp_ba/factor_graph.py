@@ -5,9 +5,17 @@ landmarks (3-dim positions).  Each variable carries a belief and an
 automatically generated diagonal prior; each measurement factor connects
 exactly one keyframe and one landmark and stores its linearisation point,
 its 9-dim information-form parameters, and the last message sent to each
-side.  Storage is columnar (stacked numpy arrays indexed by id) so the
-engine can vectorise across factors; `keyframe()`, `landmark()` and
-`factor()` return snapshot views for inspection.
+side.  Variable-to-factor messages are not stored: the engine derives each
+one as the variable's belief minus the factor's own last message.
+
+Storage is columnar: stacked numpy arrays indexed by id, so the engine can
+vectorise across factors.  One schema per node type lists every array with
+its trailing shape, kind and fill value: `VARIABLE_FIELDS`, shared by
+keyframes (`kf_*`) and landmarks (`lm_*`), and `FACTOR_FIELDS` for the
+measurement factors (`f_*`).  Construction, growth, `copy` and `astype`
+follow the schema, and every float array has the graph's one float `dtype`.
+`keyframe()`, `landmark()` and `factor()` return snapshot views for
+inspection.
 
 Priors are born at the same per-coordinate scale as the summed adjacent
 measurement information and are weakened geometrically to 1/100 of that
@@ -22,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import camera
 from .camera import DEPTH_EPSILON, Intrinsics, jacobian_many, project_many
 from .dataset_io import ProblemSpec
 from .info_gaussian import InfoGaussian
@@ -74,6 +81,66 @@ class FactorView:
     linearization_valid: bool
 
 
+@dataclass(frozen=True)
+class Field:
+    """One per-node array of the columnar layout.
+
+    `shape` is the trailing shape, where "d" stands for the variable
+    dimension; `kind` is "float" (the graph's float dtype), "int" or "bool";
+    new rows get `fill` unless their values are supplied.
+    """
+
+    name: str
+    shape: tuple
+    kind: str
+    fill: float = 0
+
+
+# A new variable starts with a flagged unit fallback prior at full strength,
+# pinned at its state, until adjacent measurements regenerate the prior.
+VARIABLE_FIELDS = (
+    Field("state", ("d",), "float"),
+    Field("belief_eta", ("d",), "float"),
+    Field("belief_lam", ("d", "d"), "float"),
+    Field("prior_diag0", ("d",), "float", 1.0),
+    Field("prior_mean", ("d",), "float"),
+    Field("prior_scale", (), "float", 1.0),
+    Field("prior_fallback", (), "bool", True),
+    Field("birth", (), "int"),  # the iteration the variable was added in
+)
+
+# A new factor has zero information until it is linearised and zero
+# messages until its first round has run.
+FACTOR_FIELDS = (
+    Field("kf", (), "int"),
+    Field("lm", (), "int"),
+    Field("z", (2,), "float"),
+    Field("sigma", (), "float"),
+    Field("nsigma", (), "float"),
+    Field("lin", (9,), "float"),
+    Field("eta", (9,), "float"),
+    Field("lam", (9, 9), "float"),
+    Field("h0", (2,), "float", np.nan),
+    Field("weight", (), "float", 1.0),
+    Field("valid", (), "bool", False),
+    Field("iters_since_relin", (), "int"),
+    Field("last_relin", (), "int"),
+    Field("birth", (), "int"),  # the iteration it was added in: its inputs are zero then
+    Field("msg_kf_eta", (KF_DIM,), "float"),
+    Field("msg_kf_lam", (KF_DIM, KF_DIM), "float"),
+    Field("msg_lm_eta", (LM_DIM,), "float"),
+    Field("msg_lm_lam", (LM_DIM, LM_DIM), "float"),
+)
+
+# attribute prefix -> (fields, variable dimension)
+TABLES = {
+    "kf_": (VARIABLE_FIELDS, KF_DIM),
+    "lm_": (VARIABLE_FIELDS, LM_DIM),
+    "f_": (FACTOR_FIELDS, None),
+}
+PREFIX = {"keyframe": "kf_", "landmark": "lm_"}
+
+
 def _diag_gaussian(diag: np.ndarray, mean: np.ndarray) -> InfoGaussian:
     return InfoGaussian(diag * mean, np.diag(diag))
 
@@ -84,45 +151,35 @@ class FactorGraph:
         self.huber_nsigma = float(huber_nsigma) if huber_nsigma else np.inf
         self.iteration = 0
         self.notes: Counter = Counter()
+        self.dtype = np.dtype(np.float64)
+        for prefix in TABLES:
+            self._grow(prefix, 0)
 
-        self.kf_state = np.zeros((0, KF_DIM))
-        self.lm_state = np.zeros((0, LM_DIM))
-        self.kf_belief_eta = np.zeros((0, KF_DIM))
-        self.kf_belief_lam = np.zeros((0, KF_DIM, KF_DIM))
-        self.lm_belief_eta = np.zeros((0, LM_DIM))
-        self.lm_belief_lam = np.zeros((0, LM_DIM, LM_DIM))
-        self.kf_prior_diag0 = np.zeros((0, KF_DIM))
-        self.kf_prior_mean = np.zeros((0, KF_DIM))
-        self.kf_prior_scale = np.zeros(0)
-        self.kf_prior_fallback = np.zeros(0, dtype=bool)
-        self.kf_birth = np.zeros(0, dtype=int)
-        self.lm_prior_diag0 = np.zeros((0, LM_DIM))
-        self.lm_prior_mean = np.zeros((0, LM_DIM))
-        self.lm_prior_scale = np.zeros(0)
-        self.lm_prior_fallback = np.zeros(0, dtype=bool)
-        self.lm_birth = np.zeros(0, dtype=int)
+    # ----------------------------------------------------------------- schema
 
-        self.f_kf = np.zeros(0, dtype=int)
-        self.f_lm = np.zeros(0, dtype=int)
-        self.f_z = np.zeros((0, 2))
-        self.f_sigma = np.zeros(0)
-        self.f_nsigma = np.zeros(0)
-        self.f_lin = np.zeros((0, 9))
-        self.f_eta = np.zeros((0, 9))
-        self.f_lam = np.zeros((0, 9, 9))
-        self.f_h0 = np.zeros((0, 2))
-        self.f_weight = np.zeros(0)
-        self.f_valid = np.zeros(0, dtype=bool)
-        self.f_iters_since_relin = np.zeros(0, dtype=int)
-        self.f_last_relin = np.zeros(0, dtype=int)
-        self.f_msg_kf_eta = np.zeros((0, KF_DIM))
-        self.f_msg_kf_lam = np.zeros((0, KF_DIM, KF_DIM))
-        self.f_msg_lm_eta = np.zeros((0, LM_DIM))
-        self.f_msg_lm_lam = np.zeros((0, LM_DIM, LM_DIM))
-        self.f_in_kf_eta = np.zeros((0, KF_DIM))
-        self.f_in_kf_lam = np.zeros((0, KF_DIM, KF_DIM))
-        self.f_in_lm_eta = np.zeros((0, LM_DIM))
-        self.f_in_lm_lam = np.zeros((0, LM_DIM, LM_DIM))
+    def _kind_dtype(self, kind: str):
+        return {"float": self.dtype, "int": int, "bool": bool}[kind]
+
+    def _grow(self, prefix: str, n: int, **given) -> None:
+        """Append `n` rows to every array of the `prefix` table: the `given`
+        values broadcast over the rows, else each field's fill.  `birth`
+        defaults to the current iteration."""
+        fields, dim = TABLES[prefix]
+        given.setdefault("birth", self.iteration)
+        for f in fields:
+            shape = (n,) + tuple(dim if s == "d" else s for s in f.shape)
+            # zero-filled blocks stay untouched pages until first written,
+            # which keeps build's peak memory down for the message arrays
+            block = np.zeros(shape, self._kind_dtype(f.kind))
+            if f.name in given or f.fill:
+                block[...] = given.get(f.name, f.fill)
+            old = getattr(self, prefix + f.name, None)
+            if old is not None and len(old):
+                block = np.concatenate([old, block])
+            setattr(self, prefix + f.name, block)
+
+    def _var(self, kind: str, name: str) -> np.ndarray:
+        return getattr(self, PREFIX[kind] + name)
 
     # ------------------------------------------------------------------ sizes
 
@@ -156,26 +213,18 @@ class FactorGraph:
         return self._variable_view("landmark", j)
 
     def _variable_view(self, kind: str, idx: int) -> VariableView:
-        if kind == "keyframe":
-            state, be, bl = self.kf_state[idx], self.kf_belief_eta[idx], self.kf_belief_lam[idx]
-            diag0, mean = self.kf_prior_diag0[idx], self.kf_prior_mean[idx]
-            scale, fb = self.kf_prior_scale[idx], self.kf_prior_fallback[idx]
-            dim = KF_DIM
-        else:
-            state, be, bl = self.lm_state[idx], self.lm_belief_eta[idx], self.lm_belief_lam[idx]
-            diag0, mean = self.lm_prior_diag0[idx], self.lm_prior_mean[idx]
-            scale, fb = self.lm_prior_scale[idx], self.lm_prior_fallback[idx]
-            dim = LM_DIM
+        diag0, mean = self._var(kind, "prior_diag0")[idx], self._var(kind, "prior_mean")[idx]
+        lam = self._var(kind, "belief_lam")[idx]
         return VariableView(
             id=idx,
             kind=kind,
-            dim=dim,
-            state=state.copy(),
-            belief=InfoGaussian(be.copy(), 0.5 * (bl + bl.T)),
-            prior=_diag_gaussian(scale * diag0, mean),
+            dim=TABLES[PREFIX[kind]][1],
+            state=self._var(kind, "state")[idx].copy(),
+            belief=InfoGaussian(self._var(kind, "belief_eta")[idx].copy(), 0.5 * (lam + lam.T)),
+            prior=_diag_gaussian(self._var(kind, "prior_scale")[idx] * diag0, mean),
             prior_initial=_diag_gaussian(diag0, mean),
             prior_target=_diag_gaussian(PRIOR_TARGET_RATIO * diag0, mean),
-            prior_is_fallback=bool(fb),
+            prior_is_fallback=bool(self._var(kind, "prior_fallback")[idx]),
         )
 
     def factor(self, m: int) -> FactorView:
@@ -237,11 +286,8 @@ class FactorGraph:
 
     def prior_information(self, kind: str):
         """Current (eta, diag) arrays of the weakened priors."""
-        if kind == "keyframe":
-            diag = self.kf_prior_scale[:, None] * self.kf_prior_diag0
-            return diag * self.kf_prior_mean, diag
-        diag = self.lm_prior_scale[:, None] * self.lm_prior_diag0
-        return diag * self.lm_prior_mean, diag
+        diag = self._var(kind, "prior_scale")[:, None] * self._var(kind, "prior_diag0")
+        return diag * self._var(kind, "prior_mean"), diag
 
     def refresh_priors(self, kf_ids: np.ndarray, lm_ids: np.ndarray) -> None:
         """Regenerate priors for the given variables from their adjacent
@@ -251,21 +297,31 @@ class FactorGraph:
         if kf_ids.size == 0 and lm_ids.size == 0:
             return
         touched = np.isin(self.f_kf, kf_ids) | np.isin(self.f_lm, lm_ids)
-        contrib_kf, contrib_lm = self._measurement_information_diag(np.flatnonzero(touched))
-        for i in kf_ids:
-            self.kf_prior_diag0[i] = _floor_prior_row(contrib_kf[i], self.notes)
-            self.kf_prior_fallback[i] = not np.any(contrib_kf[i] > 0)
-            self.kf_prior_mean[i] = self.kf_state[i]
-            self.kf_prior_scale[i] = 1.0
-            self.kf_belief_eta[i] = self.kf_prior_diag0[i] * self.kf_prior_mean[i]
-            self.kf_belief_lam[i] = np.diag(self.kf_prior_diag0[i])
-        for j in lm_ids:
-            self.lm_prior_diag0[j] = _floor_prior_row(contrib_lm[j], self.notes)
-            self.lm_prior_fallback[j] = not np.any(contrib_lm[j] > 0)
-            self.lm_prior_mean[j] = self.lm_state[j]
-            self.lm_prior_scale[j] = 1.0
-            self.lm_belief_eta[j] = self.lm_prior_diag0[j] * self.lm_prior_mean[j]
-            self.lm_belief_lam[j] = np.diag(self.lm_prior_diag0[j])
+        contrib = self._measurement_information_diag(np.flatnonzero(touched))
+        for kind, ids, c in zip(PREFIX, (kf_ids, lm_ids), contrib):
+            self._set_priors(kind, ids, c[ids])
+
+    def _set_priors(self, kind: str, ids: np.ndarray, contrib: np.ndarray) -> None:
+        """Initial priors of variables `ids` from the rows `contrib` of their
+        summed measurement information diagonal: floored at PRIOR_FLOOR_RTOL
+        of the row's largest entry, or a flagged unit fallback where the row
+        has no positive entry."""
+        fallback = ~np.any(contrib > 0, axis=1)
+        self.notes["fallback_prior"] += int(fallback.sum())
+        floored = np.maximum(contrib, PRIOR_FLOOR_RTOL * contrib.max(axis=1, keepdims=True))
+        self._var(kind, "prior_diag0")[ids] = np.where(fallback[:, None], 1.0, floored)
+        self._var(kind, "prior_fallback")[ids] = fallback
+        self._pin_priors(kind, ids)
+
+    def _pin_priors(self, kind: str, ids) -> None:
+        """Pin the priors of variables `ids` at their current states at full
+        strength, and reset their beliefs to those priors."""
+        diag0 = self._var(kind, "prior_diag0")[ids]
+        mean = self._var(kind, "state")[ids]
+        self._var(kind, "prior_mean")[ids] = mean
+        self._var(kind, "prior_scale")[ids] = 1.0
+        self._var(kind, "belief_eta")[ids] = diag0 * mean
+        self._var(kind, "belief_lam")[ids] = diag0[:, :, None] * np.eye(diag0.shape[1])
 
     def _measurement_information_diag(self, idx: np.ndarray):
         """Per-variable diagonal of the summed, unweighted J' Sigma_M^-1 J of
@@ -311,13 +367,9 @@ class FactorGraph:
         """The objective: prior Mahalanobis terms plus Huber-modified
         measurement terms, at current states and current prior strengths."""
         total = 0.0
-        for kind in ("keyframe", "landmark"):
-            if kind == "keyframe":
-                delta = self.kf_state - self.kf_prior_mean
-                diag = self.kf_prior_scale[:, None] * self.kf_prior_diag0
-            else:
-                delta = self.lm_state - self.lm_prior_mean
-                diag = self.lm_prior_scale[:, None] * self.lm_prior_diag0
+        for kind in PREFIX:
+            _, diag = self.prior_information(kind)
+            delta = self._var(kind, "state") - self._var(kind, "prior_mean")
             total += float(np.sum(diag * delta**2))
         if self.n_measurement_factors:
             residual, depth = self.residuals()
@@ -348,28 +400,17 @@ class FactorGraph:
             if self.n_keyframes == 0:
                 raise BuildError("no keyframe to copy the initial pose from")
             state = self.kf_state[-1]
-        state = np.asarray(state, float).reshape(KF_DIM)
-        self.kf_state = np.vstack([self.kf_state, state[None, :]])
-        self.kf_prior_diag0 = np.vstack([self.kf_prior_diag0, np.ones((1, KF_DIM))])
-        self.kf_prior_mean = np.vstack([self.kf_prior_mean, state[None, :]])
-        self.kf_prior_scale = np.append(self.kf_prior_scale, 1.0)
-        self.kf_prior_fallback = np.append(self.kf_prior_fallback, True)
-        self.kf_birth = np.append(self.kf_birth, self.iteration)
-        self.kf_belief_eta = np.vstack([self.kf_belief_eta, (np.ones(KF_DIM) * state)[None, :]])
-        self.kf_belief_lam = np.concatenate([self.kf_belief_lam, np.eye(KF_DIM)[None]], axis=0)
-        return self.n_keyframes - 1
+        return self._add_variable("keyframe", state)
 
     def add_landmark(self, position: np.ndarray) -> int:
-        position = np.asarray(position, float).reshape(LM_DIM)
-        self.lm_state = np.vstack([self.lm_state, position[None, :]])
-        self.lm_prior_diag0 = np.vstack([self.lm_prior_diag0, np.ones((1, LM_DIM))])
-        self.lm_prior_mean = np.vstack([self.lm_prior_mean, position[None, :]])
-        self.lm_prior_scale = np.append(self.lm_prior_scale, 1.0)
-        self.lm_prior_fallback = np.append(self.lm_prior_fallback, True)
-        self.lm_birth = np.append(self.lm_birth, self.iteration)
-        self.lm_belief_eta = np.vstack([self.lm_belief_eta, (np.ones(LM_DIM) * position)[None, :]])
-        self.lm_belief_lam = np.concatenate([self.lm_belief_lam, np.eye(LM_DIM)[None]], axis=0)
-        return self.n_landmarks - 1
+        return self._add_variable("landmark", position)
+
+    def _add_variable(self, kind: str, state: np.ndarray) -> int:
+        prefix = PREFIX[kind]
+        self._grow(prefix, 1, state=np.reshape(state, (1, TABLES[prefix][1])))
+        idx = self._var(kind, "state").shape[0] - 1
+        self._pin_priors(kind, [idx])
+        return idx
 
     def add_measurement(self, kf_id: int, lm_id: int, z: np.ndarray, sigma: float = 1.0) -> int:
         return self.add_measurements([kf_id], [lm_id], np.asarray(z, float).reshape(1, 2), [sigma])
@@ -397,36 +438,11 @@ class FactorGraph:
             seen.add(pair)
 
         start = self.n_measurement_factors
-        n = kf_ids.shape[0]
-        self.f_kf = np.append(self.f_kf, kf_ids)
-        self.f_lm = np.append(self.f_lm, lm_ids)
-        self.f_z = np.vstack([self.f_z, zs])
-        self.f_sigma = np.append(self.f_sigma, sigmas)
-        self.f_nsigma = np.append(self.f_nsigma, np.full(n, self.huber_nsigma))
-        self.f_lin = np.vstack(
-            [self.f_lin, np.concatenate([self.kf_state[kf_ids], self.lm_state[lm_ids]], axis=1)]
-        )
-        self.f_eta = np.vstack([self.f_eta, np.zeros((n, 9))])
-        self.f_lam = np.concatenate([self.f_lam, np.zeros((n, 9, 9))], axis=0)
-        self.f_h0 = np.vstack([self.f_h0, np.full((n, 2), np.nan)])
-        self.f_weight = np.append(self.f_weight, np.ones(n))
-        self.f_valid = np.append(self.f_valid, np.zeros(n, dtype=bool))
-        self.f_iters_since_relin = np.append(self.f_iters_since_relin, np.zeros(n, dtype=int))
-        self.f_last_relin = np.append(self.f_last_relin, np.zeros(n, dtype=int))
-        self.f_msg_kf_eta = np.vstack([self.f_msg_kf_eta, np.zeros((n, KF_DIM))])
-        self.f_msg_kf_lam = np.concatenate([self.f_msg_kf_lam, np.zeros((n, KF_DIM, KF_DIM))], axis=0)
-        self.f_msg_lm_eta = np.vstack([self.f_msg_lm_eta, np.zeros((n, LM_DIM))])
-        self.f_msg_lm_lam = np.concatenate([self.f_msg_lm_lam, np.zeros((n, LM_DIM, LM_DIM))], axis=0)
-        self.f_in_kf_eta = np.vstack([self.f_in_kf_eta, np.zeros((n, KF_DIM))])
-        self.f_in_kf_lam = np.concatenate([self.f_in_kf_lam, np.zeros((n, KF_DIM, KF_DIM))], axis=0)
-        self.f_in_lm_eta = np.vstack([self.f_in_lm_eta, np.zeros((n, LM_DIM))])
-        self.f_in_lm_lam = np.concatenate([self.f_in_lm_lam, np.zeros((n, LM_DIM, LM_DIM))], axis=0)
-
-        new_idx = np.arange(start, start + n)
+        self._add_factors(kf_ids, lm_ids, zs, sigmas)
+        new_idx = np.arange(start, self.n_measurement_factors)
         ok = self.linearize_factors(new_idx, self.f_lin[new_idx])
         if not np.all(ok):
             self.notes["linearize_behind_camera"] += int((~ok).sum())
-        self.f_last_relin[new_idx] = self.iteration
 
         young_kf = np.flatnonzero(self.kf_birth == self.iteration)
         young_lm = np.flatnonzero(self.lm_birth == self.iteration)
@@ -435,24 +451,31 @@ class FactorGraph:
         )
         return self.n_measurement_factors - 1
 
+    def _add_factors(self, kf_ids, lm_ids, zs, sigmas) -> None:
+        """Append unlinearised factors whose linearisation points are the
+        current states of their variables."""
+        lin = np.concatenate([self.kf_state[kf_ids], self.lm_state[lm_ids]], axis=1)
+        self._grow(
+            "f_", len(kf_ids), kf=kf_ids, lm=lm_ids, z=zs, sigma=sigmas,
+            nsigma=self.huber_nsigma, lin=lin, last_relin=self.iteration,
+        )
+
     # ------------------------------------------------------------- utilities
 
     def copy(self) -> "FactorGraph":
+        return self.astype(self.dtype)
+
+    def astype(self, dtype) -> "FactorGraph":
+        """Copy with every float array in `dtype` (e.g. float32, the paper's
+        on-chip precision, for studying reduced-precision behaviour)."""
         out = FactorGraph(self.intrinsics, self.huber_nsigma)
         out.iteration = self.iteration
         out.notes = Counter(self.notes)
-        for name, value in vars(self).items():
-            if isinstance(value, np.ndarray):
-                setattr(out, name, value.copy())
-        return out
-
-    def astype(self, dtype) -> "FactorGraph":
-        """Copy with all float arrays cast to `dtype` (e.g. float32 for
-        studying reduced-precision behaviour; excluded from acceptance)."""
-        out = self.copy()
-        for name, value in vars(out).items():
-            if isinstance(value, np.ndarray) and np.issubdtype(value.dtype, np.floating):
-                setattr(out, name, value.astype(dtype))
+        out.dtype = np.dtype(dtype)
+        for prefix, (fields, _) in TABLES.items():
+            for f in fields:
+                name = prefix + f.name
+                setattr(out, name, getattr(self, name).astype(out._kind_dtype(f.kind)))
         return out
 
     def to_problem(self) -> ProblemSpec:
@@ -526,14 +549,6 @@ def huber_energy(mahal, nsigma):
     return float(out[0]) if scalar_in else out
 
 
-def _floor_prior_row(row: np.ndarray, notes: Counter) -> np.ndarray:
-    top = row.max() if row.size else 0.0
-    if top <= 0.0:
-        notes["fallback_prior"] += 1
-        return np.ones_like(row)
-    return np.maximum(row, PRIOR_FLOOR_RTOL * top)
-
-
 def generate_priors(graph: FactorGraph) -> None:
     """Set every variable's initial prior from its adjacent measurements.
 
@@ -543,28 +558,9 @@ def generate_priors(graph: FactorGraph) -> None:
     back to a unit isotropic prior and are flagged.  Beliefs are reset to the
     initial-strength priors.
     """
-    contrib_kf, contrib_lm = graph._measurement_information_diag(
-        np.arange(graph.n_measurement_factors)
-    )
-    graph.kf_prior_fallback = ~np.any(contrib_kf > 0, axis=1)
-    graph.lm_prior_fallback = ~np.any(contrib_lm > 0, axis=1)
-    graph.notes["fallback_prior"] += int(graph.kf_prior_fallback.sum() + graph.lm_prior_fallback.sum())
-    graph.kf_prior_diag0 = np.stack(
-        [_floor_prior_row(r, Counter()) for r in contrib_kf]
-    ) if graph.n_keyframes else contrib_kf
-    graph.lm_prior_diag0 = np.stack(
-        [_floor_prior_row(r, Counter()) for r in contrib_lm]
-    ) if graph.n_landmarks else contrib_lm
-    graph.kf_prior_mean = graph.kf_state.copy()
-    graph.lm_prior_mean = graph.lm_state.copy()
-    graph.kf_prior_scale = np.ones(graph.n_keyframes)
-    graph.lm_prior_scale = np.ones(graph.n_landmarks)
-    graph.kf_belief_eta = graph.kf_prior_diag0 * graph.kf_prior_mean
-    graph.kf_belief_lam = np.stack([np.diag(d) for d in graph.kf_prior_diag0]) \
-        if graph.n_keyframes else np.zeros((0, KF_DIM, KF_DIM))
-    graph.lm_belief_eta = graph.lm_prior_diag0 * graph.lm_prior_mean
-    graph.lm_belief_lam = np.stack([np.diag(d) for d in graph.lm_prior_diag0]) \
-        if graph.n_landmarks else np.zeros((0, LM_DIM, LM_DIM))
+    contrib = graph._measurement_information_diag(np.arange(graph.n_measurement_factors))
+    for kind, c in zip(PREFIX, contrib):
+        graph._set_priors(kind, np.arange(c.shape[0]), c)
 
 
 def build(problem: ProblemSpec, huber_nsigma: float = DEFAULT_HUBER_NSIGMA) -> FactorGraph:
@@ -576,54 +572,16 @@ def build(problem: ProblemSpec, huber_nsigma: float = DEFAULT_HUBER_NSIGMA) -> F
     """
     problem.validate()
     graph = FactorGraph(problem.intrinsics, huber_nsigma)
-    graph.kf_state = problem.kf_init.copy()
-    graph.lm_state = problem.lm_init.copy()
-    nk, nl = graph.n_keyframes, graph.n_landmarks
-    graph.kf_belief_eta = np.zeros((nk, KF_DIM))
-    graph.kf_belief_lam = np.zeros((nk, KF_DIM, KF_DIM))
-    graph.lm_belief_eta = np.zeros((nl, LM_DIM))
-    graph.lm_belief_lam = np.zeros((nl, LM_DIM, LM_DIM))
-    graph.kf_prior_diag0 = np.ones((nk, KF_DIM))
-    graph.kf_prior_mean = problem.kf_init.copy()
-    graph.kf_prior_scale = np.ones(nk)
-    graph.kf_prior_fallback = np.zeros(nk, dtype=bool)
-    graph.kf_birth = np.zeros(nk, dtype=int)
-    graph.lm_prior_diag0 = np.ones((nl, LM_DIM))
-    graph.lm_prior_mean = problem.lm_init.copy()
-    graph.lm_prior_scale = np.ones(nl)
-    graph.lm_prior_fallback = np.zeros(nl, dtype=bool)
-    graph.lm_birth = np.zeros(nl, dtype=int)
+    graph._grow("kf_", problem.n_keyframes, state=problem.kf_init)
+    graph._grow("lm_", problem.n_landmarks, state=problem.lm_init)
 
     m = problem.n_measurements
-    observed = np.zeros(nl, dtype=bool)
+    observed = np.zeros(problem.n_landmarks, dtype=bool)
     observed[problem.meas_lm] = True
     if not np.all(observed) and m:
         graph.notes["unobserved_landmarks"] += int((~observed).sum())
 
-    graph.f_kf = problem.meas_kf.copy()
-    graph.f_lm = problem.meas_lm.copy()
-    graph.f_z = problem.meas_uv.copy()
-    graph.f_sigma = problem.meas_sigma.copy()
-    graph.f_nsigma = np.full(m, graph.huber_nsigma)
-    graph.f_lin = np.concatenate(
-        [graph.kf_state[graph.f_kf], graph.lm_state[graph.f_lm]], axis=1
-    ) if m else np.zeros((0, 9))
-    graph.f_eta = np.zeros((m, 9))
-    graph.f_lam = np.zeros((m, 9, 9))
-    graph.f_h0 = np.full((m, 2), np.nan)
-    graph.f_weight = np.ones(m)
-    graph.f_valid = np.zeros(m, dtype=bool)
-    graph.f_iters_since_relin = np.zeros(m, dtype=int)
-    graph.f_last_relin = np.zeros(m, dtype=int)
-    graph.f_msg_kf_eta = np.zeros((m, KF_DIM))
-    graph.f_msg_kf_lam = np.zeros((m, KF_DIM, KF_DIM))
-    graph.f_msg_lm_eta = np.zeros((m, LM_DIM))
-    graph.f_msg_lm_lam = np.zeros((m, LM_DIM, LM_DIM))
-    graph.f_in_kf_eta = np.zeros((m, KF_DIM))
-    graph.f_in_kf_lam = np.zeros((m, KF_DIM, KF_DIM))
-    graph.f_in_lm_eta = np.zeros((m, LM_DIM))
-    graph.f_in_lm_lam = np.zeros((m, LM_DIM, LM_DIM))
-
+    graph._add_factors(problem.meas_kf, problem.meas_lm, problem.meas_uv, problem.meas_sigma)
     duplicates = m - len(set(zip(graph.f_kf.tolist(), graph.f_lm.tolist())))
     if duplicates:
         graph.notes["duplicate_measurement"] += duplicates

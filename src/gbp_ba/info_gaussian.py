@@ -8,8 +8,7 @@ freedom), and multiplying densities is plain addition of parameters.  Every
 message, belief, prior and linearised factor in this package is an
 InfoGaussian.
 
-All operations are pure functions; InfoGaussian values are immutable and safe
-to share between concurrent workers.
+All operations are pure functions and InfoGaussian values are immutable.
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ from gbp_ba import (
     solve,
     synthesize,
 )
-from gbp_ba.camera import jacobian_many
+from gbp_ba.camera import jacobian_many, project_many
 from gbp_ba.dense_oracle import stack_states
-from gbp_ba.factor_graph import huber_energy
+from gbp_ba.factor_graph import TABLES, huber_energy
 
 
 def one_factor_problem(z=(0.0, 0.0), sigma=1.0):
@@ -327,6 +327,23 @@ class TestIncrementalMutation:
         assert not np.allclose(graph.kf_state, clone.kf_state)
 
 
+def float_dtypes(graph):
+    return {
+        name: value.dtype
+        for name, value in vars(graph).items()
+        if isinstance(value, np.ndarray) and np.issubdtype(value.dtype, np.floating)
+    }
+
+
+def grow(graph):
+    """Add a keyframe and a landmark seen by it and by keyframe 0."""
+    kf = graph.add_keyframe()
+    lm = graph.add_landmark(graph.lm_state[0] + [0.05, 0.0, 0.0])
+    kf_ids, lm_ids = np.array([kf, kf, 0]), np.array([0, lm, lm])
+    uv, _ = project_many(graph.kf_state[kf_ids], graph.lm_state[lm_ids], graph.intrinsics)
+    graph.add_measurements(kf_ids, lm_ids, uv, np.ones(3))
+
+
 def test_float32_mode():
     graph = build(synthesize(3, 20, seed=17, pixel_sigma=0.5)).astype(np.float32)
     assert graph.kf_state.dtype == np.float32
@@ -335,3 +352,43 @@ def test_float32_mode():
     run(graph, ScheduleParams(), n=5)
     assert graph.kf_belief_eta.dtype == np.float32
     assert np.isfinite(graph.average_reprojection_error())
+    # growing and solving on keeps every float array in float32
+    grow(graph)
+    run(graph, ScheduleParams(), n=5)
+    upcast = {name: dt for name, dt in float_dtypes(graph).items() if dt != np.float32}
+    assert not upcast
+    assert np.isfinite(graph.average_reprojection_error())
+
+
+class TestSchema:
+    """Every array follows the schema tables, whatever made the graph."""
+
+    def check(self, graph):
+        arrays = {k: v for k, v in vars(graph).items() if isinstance(v, np.ndarray)}
+        schema = {prefix + f.name for prefix, (fields, _) in TABLES.items() for f in fields}
+        assert set(arrays) == schema
+        rows = {"f_": graph.n_measurement_factors, "kf_": graph.n_keyframes, "lm_": graph.n_landmarks}
+        for name, value in arrays.items():
+            assert value.shape[0] == rows[name[: name.index("_") + 1]], name
+        assert set(float_dtypes(graph).values()) == {graph.dtype}
+
+    def test_build_add_copy_astype(self):
+        from gbp_ba.engine import run
+
+        graph = build(synthesize(3, 20, seed=18, pixel_sigma=0.5))
+        self.check(graph)
+        run(graph, ScheduleParams(), n=3)
+        graph.add_keyframe()
+        self.check(graph)
+        graph.add_landmark(np.array([0.0, 0.0, 1.2]))
+        self.check(graph)
+        grow(graph)
+        self.check(graph)
+        for clone in (graph.copy(), graph.astype(np.float32)):
+            self.check(clone)
+            for name, value in vars(graph).items():
+                if isinstance(value, np.ndarray):
+                    copied = getattr(clone, name)
+                    assert not np.shares_memory(value, copied), name
+                    np.testing.assert_array_equal(copied, value.astype(copied.dtype), err_msg=name)
+        assert graph.astype(np.float32).dtype == np.float32
