@@ -98,18 +98,13 @@ def assemble(graph: FactorGraph) -> DenseSystem:
         rows_k = (KF_DIM * graph.f_kf[valid])[:, None] + np.arange(KF_DIM)
         rows_l = (KF_DIM * n_kf + LM_DIM * graph.f_lm[valid])[:, None] + np.arange(LM_DIM)
         rows = np.concatenate([rows_k, rows_l], axis=1)  # (F, 9)
-        np.add.at(eta, rows, graph.f_eta[valid])
-        np.add.at(lam, (rows[:, :, None], rows[:, None, :]), graph.f_lam[valid])
-        # per-factor constant: target' (w Sigma^-1) target with
-        # target = J lin + z - h(lin), reusing the stored weight
-        jac = jacobian_many(graph.f_lin[valid, :KF_DIM], graph.f_lin[valid, KF_DIM:], graph.intrinsics)
-        target = (
-            np.einsum("fij,fj->fi", jac, graph.f_lin[valid])
-            + graph.f_z[valid]
-            - graph.f_h0[valid]
-        )
-        inv_noise = graph.f_weight[valid] / graph.f_sigma[valid] ** 2
-        const += float(np.sum(inv_noise * np.sum(target**2, axis=1)))
+        factor_eta, factor_lam = graph.factor_information(valid)
+        np.add.at(eta, rows, factor_eta)
+        np.add.at(lam, (rows[:, :, None], rows[:, None, :]), factor_lam)
+        # per-factor constant: w t't with the stored target
+        # t = J lin + z - h(lin)
+        target = graph.f_target[valid]
+        const += float(np.sum(graph.factor_precision(valid) * np.sum(target**2, axis=1)))
     return DenseSystem(eta=eta, lam=0.5 * (lam + lam.T), const=const, n_kf=n_kf, n_lm=n_lm)
 
 

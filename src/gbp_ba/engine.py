@@ -10,13 +10,22 @@ barrier-separated phases:
   B. every factor derives its variable-to-factor inputs, each the adjacent
      variable's belief minus the factor's own last message to it (zero in
      the round the factor was added in), then computes its message to each
-     side by conditioning its 9-dim parameters on the other side's input
-     and marginalising via Schur complement; the information vector is
-     damped against the previously sent message except inside the
-     undamped window after a relinearisation;
+     side by conditioning its information on the other side's input and
+     marginalising via Schur complement.  The factor's information is the
+     rank-2 w J'J of its 2x9 Jacobian, so the kernel works on J: one small
+     solve per side with three right-hand columns and a 2x2 inner matrix
+     (see `_side_messages`), with every array component-major so each step
+     is one vector operation over a block of `BLOCK_ROWS` factors.  Where
+     the conditioned block is not positive definite the previous message
+     is kept.  The information vector is damped against the previously
+     sent message except inside the undamped window after a
+     relinearisation;
   C. every variable's belief is rebuilt as prior + sum of incoming messages
-     (summed in ascending factor-id order) and its state moves to the belief
-     mean when the belief is invertible.
+     (summed in ascending factor-id order by `scatter_sum`) and its state
+     moves to the belief mean when the belief is invertible.
+
+`iterate` then evaluates the ARE and the energy from one shared projection
+and reports the wall time of each phase in `IterationReport.phase_ms`.
 
 Within a phase all reads target the pre-phase snapshot, so results do not
 depend on intra-phase execution order.  Every phase keeps the graph's float
@@ -25,11 +34,12 @@ dtype.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch_linalg import solve_spd_masked
+from .batch_linalg import BLOCK_ROWS, component_major, scatter_sum, solve_spd_masked
 from .camera import canonicalize_axis_angle
 from .factor_graph import (
     KF_DIM,
@@ -84,8 +94,15 @@ class ScheduleParams:
                 raise ValueError(f"{name} must be >= 0")
 
 
+PHASES = ("relinearize", "messages", "beliefs", "evaluate")
+
+
 @dataclass
 class IterationReport:
+    """Diagnostics of one round.  `phase_ms` holds the wall milliseconds of
+    each of `PHASES`: A (with the prior weakening), B, C, and the ARE and
+    energy evaluation."""
+
     iteration: int
     are: float
     energy: float
@@ -95,6 +112,7 @@ class IterationReport:
     n_frozen_states: int
     max_message_delta: float
     prior_scale: float
+    phase_ms: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -175,63 +193,117 @@ def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
 
 
 def _inputs(belief_eta, belief_lam, ids, msg_eta, msg_lam, first_round):
-    """Variable-to-factor inputs: the belief of each factor's variable minus
-    the factor's own last message to it, zero in the factor's first round."""
-    in_eta = belief_eta[ids]
-    in_eta -= msg_eta
-    in_lam = belief_lam[ids]
-    in_lam -= msg_lam
+    """Variable-to-factor inputs of a block of factors, component-major
+    ((d, B) and (d, d, B)): the belief of each factor's variable (given
+    component-major) minus the factor's own last message to it, zero in the
+    factor's first round."""
+    in_eta = np.take(belief_eta, ids, axis=-1)
+    in_eta -= component_major(msg_eta)
+    in_lam = np.take(belief_lam, ids, axis=-1)
+    in_lam -= component_major(msg_lam)
     if first_round.any():
-        in_eta[first_round] = 0.0
-        in_lam[first_round] = 0.0
+        in_eta[..., first_round] = 0.0
+        in_lam[..., first_round] = 0.0
     return in_eta, in_lam
 
 
-def _side_messages(graph: FactorGraph, keep: slice, elim: slice, in_eta, in_lam):
+def _side_messages(jac, w, target, keep: slice, elim: slice, in_eta, in_lam):
     """New undamped messages onto the `keep` block, conditioned on the
-    inputs to the `elim` block."""
-    lam = graph.f_lam
-    eta = graph.f_eta
-    cond = lam[:, elim, elim] + in_lam
-    cond = 0.5 * (cond + np.swapaxes(cond, 1, 2))
-    rhs = np.concatenate([lam[:, elim, keep], (eta[:, elim] + in_eta)[:, :, None]], axis=2)
-    solved, ok = solve_spd_masked(cond, rhs)
-    cross = lam[:, keep, elim]
-    lam_new = lam[:, keep, keep] - cross @ solved[:, :, :-1]
-    lam_new = 0.5 * (lam_new + np.swapaxes(lam_new, 1, 2))
-    eta_new = eta[:, keep] - np.einsum("nij,nj->ni", cross, solved[:, :, -1])
-    return eta_new, lam_new, ok
+    inputs to the `elim` block.
+
+    Everything is component-major: `jac` (2, 9, F), `target` (2, F), `w`
+    (F,), the inputs as from `_inputs`.  The factor's information is
+    (w J't, w J'J), so with E the eliminated and K the kept columns of J,
+    cond = w J_E'J_E + sym(input_lam) and X solving
+    cond X = [J_E' | w J_E't + input_eta], the Schur complement onto K is
+    J_K' S J_K with S = w I - w^2 J_E X[:, :2], and its information vector
+    is w J_K' (t - J_E X[:, 2]).  Returns eta (F, dK), lam (F, dK, dK) with
+    lam exactly symmetric (both views of component-major arrays), and the
+    solve's ok mask.
+    """
+    je, jk = jac[:, elim], jac[:, keep]
+    d, n = je.shape[1:]
+    # J_E'J_E comes from matmul, bit for bit the block of w J'J that
+    # `factor_information` forms: a first-round system (zero input) is rank
+    # deficient, and whether its pivots pass the test is down to rounding
+    cond = np.empty((d, d, n), jac.dtype)
+    rows = je.transpose(2, 0, 1)
+    np.matmul(rows.swapaxes(1, 2), rows, out=cond.transpose(2, 0, 1))
+    cond *= w
+    cond += in_lam
+    for i in range(d):
+        for j in range(i):
+            cond[i, j] += cond[j, i]
+            cond[i, j] *= 0.5
+            cond[j, i] = cond[i, j]
+    rhs = np.empty((d, 3, n), cond.dtype)
+    rhs[:, 0], rhs[:, 1] = je[0], je[1]
+    rhs[:, 2] = w * (je[0] * target[0] + je[1] * target[1]) + in_eta
+    solved, ok = solve_spd_masked(cond.transpose(2, 0, 1), rhs.transpose(2, 0, 1))
+    solved = solved.transpose(1, 2, 0)
+    g = je[:, 0, None] * solved[0]  # J_E X, (2, 3, F)
+    for i in range(1, d):
+        g += je[:, i, None] * solved[i]
+    w2 = w * w
+    s00 = w - w2 * g[0, 0]
+    s11 = w - w2 * g[1, 1]
+    s01 = -0.5 * w2 * (g[0, 1] + g[1, 0])
+    a, b = jk
+    p, q = s00 * a + s01 * b, s01 * a + s11 * b  # the rows of S J_K
+    dk = a.shape[0]
+    lam = np.empty((dk, dk, n), cond.dtype)
+    for i in range(dk):
+        for j in range(i + 1):
+            np.add(a[i] * p[j], b[i] * q[j], out=lam[i, j])
+            lam[j, i] = lam[i, j]
+    eta = w * (a * (target[0] - g[0, 2]) + b * (target[1] - g[1, 2]))
+    return eta.T, lam.transpose(2, 0, 1), ok
 
 
 def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int):
-    if graph.n_measurement_factors == 0:
+    n = graph.n_measurement_factors
+    if n == 0:
         return 0, 0.0
     damp = np.where(
         (t - graph.f_last_relin) < schedule.undamped_window, 0.0, schedule.damping
     ).astype(graph.dtype)[:, None]
     first_round = graph.f_birth == t
+    w = graph.factor_precision()
     kf_sl, lm_sl = slice(0, KF_DIM), slice(KF_DIM, 9)
     kf_msg = (graph.f_msg_kf_eta, graph.f_msg_kf_lam)
     lm_msg = (graph.f_msg_lm_eta, graph.f_msg_lm_lam)
+    kf_belief = (component_major(graph.kf_belief_eta), component_major(graph.kf_belief_lam), graph.f_kf)
+    lm_belief = (component_major(graph.lm_belief_eta), component_major(graph.lm_belief_lam), graph.f_lm)
+    # per side: kept block, eliminated block, the messages it replaces, and
+    # the belief and messages its inputs come from
+    sides = (
+        (kf_sl, lm_sl, kf_msg, lm_belief, lm_msg),
+        (lm_sl, kf_sl, lm_msg, kf_belief, kf_msg),
+    )
+    out = [(np.empty_like(eta), np.empty_like(lam)) for eta, lam in (kf_msg, lm_msg)]
     n_singular = 0
     max_delta = 0.0
-    out = []
-    for keep, elim, (prev_eta, prev_lam), elim_inputs in (
-        (kf_sl, lm_sl, kf_msg, (graph.lm_belief_eta, graph.lm_belief_lam, graph.f_lm, *lm_msg)),
-        (lm_sl, kf_sl, lm_msg, (graph.kf_belief_eta, graph.kf_belief_lam, graph.f_kf, *kf_msg)),
-    ):
-        in_eta, in_lam = _inputs(*elim_inputs, first_round)
-        eta_new, lam_new, ok = _side_messages(graph, keep, elim, in_eta, in_lam)
-        eta_out = (1.0 - damp) * eta_new + damp * prev_eta
-        eta_out = np.where(ok[:, None], eta_out, prev_eta)
-        lam_out = np.where(ok[:, None, None], lam_new, prev_lam)
-        out.append((eta_out, lam_out))
-        n_singular += int((~ok).sum())
-        max_delta = max(
-            max_delta,
-            float(np.max(np.abs(eta_out - prev_eta))),
-            float(np.max(np.abs(lam_out - prev_lam))),
-        )
+    # blocks of BLOCK_ROWS factors; a factor's messages do not depend on
+    # the block it falls in
+    for start in range(0, n, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        jac = component_major(graph.f_jac[rows])
+        target = component_major(graph.f_target[rows])
+        for (keep, elim, prev, (b_eta, b_lam, ids), (m_eta, m_lam)), (out_eta, out_lam) in zip(sides, out):
+            in_eta, in_lam = _inputs(b_eta, b_lam, ids[rows], m_eta[rows], m_lam[rows], first_round[rows])
+            eta_new, lam_new, ok = _side_messages(jac, w[rows], target, keep, elim, in_eta, in_lam)
+            prev_eta, prev_lam, d = prev[0][rows], prev[1][rows], damp[rows]
+            eta_out = (1.0 - d) * eta_new + d * prev_eta
+            singular = ~ok
+            eta_out[singular] = prev_eta[singular]
+            lam_new[singular] = prev_lam[singular]
+            out_eta[rows], out_lam[rows] = eta_out, lam_new
+            n_singular += int(singular.sum())
+            max_delta = max(
+                max_delta,
+                float(np.max(np.abs(eta_out - prev_eta))),
+                float(np.max(np.abs(out_lam[rows] - prev_lam))),
+            )
     (graph.f_msg_kf_eta, graph.f_msg_kf_lam), (graph.f_msg_lm_eta, graph.f_msg_lm_lam) = out
     if n_singular:
         graph.notes["singular_message"] += n_singular
@@ -243,17 +315,16 @@ def _phase_beliefs(graph: FactorGraph) -> int:
     for kind in ("keyframe", "landmark"):
         eta, prior_diag = graph.prior_information(kind)
         n, dim = eta.shape
-        lam = np.zeros((n, dim, dim), eta.dtype)
-        rng = np.arange(dim)
-        lam[:, rng, rng] = prior_diag
         if kind == "keyframe":
-            np.add.at(eta, graph.f_kf, graph.f_msg_kf_eta)
-            np.add.at(lam, graph.f_kf, graph.f_msg_kf_lam)
-            states = graph.kf_state
+            ids, states = graph.f_kf, graph.kf_state
+            msg_eta, msg_lam = graph.f_msg_kf_eta, graph.f_msg_kf_lam
         else:
-            np.add.at(eta, graph.f_lm, graph.f_msg_lm_eta)
-            np.add.at(lam, graph.f_lm, graph.f_msg_lm_lam)
-            states = graph.lm_state
+            ids, states = graph.f_lm, graph.lm_state
+            msg_eta, msg_lam = graph.f_msg_lm_eta, graph.f_msg_lm_lam
+        eta += scatter_sum(ids, msg_eta, n)
+        lam = scatter_sum(ids, msg_lam, n)
+        rng = np.arange(dim)
+        lam[:, rng, rng] += prior_diag
         mean, ok = solve_spd_masked(lam, eta[:, :, None])
         mean = mean[:, :, 0]
         if kind == "keyframe":
@@ -274,21 +345,30 @@ def iterate(graph: FactorGraph, schedule: ScheduleParams | None = None) -> Itera
     weakening and the iteration counter and reports per-phase diagnostics."""
     schedule = schedule if schedule is not None else ScheduleParams()
     t = graph.iteration
+    clock = [time.perf_counter()]
     prior_scale = _update_prior_scales(graph, schedule, t)
     n_relin, n_aborted = _phase_relinearize(graph, schedule, t)
+    clock.append(time.perf_counter())
     n_singular, max_delta = _phase_messages(graph, schedule, t)
+    clock.append(time.perf_counter())
     n_frozen = _phase_beliefs(graph)
     graph.iteration = t + 1
+    clock.append(time.perf_counter())
+    with graph.shared_projection():
+        are = graph.average_reprojection_error()
+        energy = graph.energy()
+    clock.append(time.perf_counter())
     return IterationReport(
         iteration=graph.iteration,
-        are=graph.average_reprojection_error(),
-        energy=graph.energy(),
+        are=are,
+        energy=energy,
         n_relinearized=n_relin,
         n_relin_aborted=n_aborted,
         n_singular_messages=n_singular,
         n_frozen_states=n_frozen,
         max_message_delta=max_delta,
         prior_scale=prior_scale,
+        phase_ms={name: 1e3 * (b - a) for name, a, b in zip(PHASES, clock, clock[1:])},
     )
 
 

@@ -4,9 +4,13 @@ Variables are keyframes (6-dim global angle-axis + translation states) and
 landmarks (3-dim positions).  Each variable carries a belief and an
 automatically generated diagonal prior; each measurement factor connects
 exactly one keyframe and one landmark and stores its linearisation point,
-its 9-dim information-form parameters, and the last message sent to each
-side.  Variable-to-factor messages are not stored: the engine derives each
-one as the variable's belief minus the factor's own last message.
+the 2x9 Jacobian and the 2-vector target of its linearised residual, its
+Huber weight, and the last message sent to each side.  The factor's 9-dim
+information form is rank 2, `(w J' t, w J' J)` with `w = weight / sigma^2`,
+so it is not stored: `factor_information` derives it for any rows, and the
+engine works on J directly.  Variable-to-factor messages are not stored
+either: the engine derives each one as the variable's belief minus the
+factor's own last message.
 
 Storage is columnar: stacked numpy arrays indexed by id, so the engine can
 vectorise across factors.  One schema per node type lists every array with
@@ -28,10 +32,12 @@ grown graph minimises the same objective as a cold restart from its states.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from .batch_linalg import BLOCK_ROWS, scatter_sum
 from .camera import DEPTH_EPSILON, Intrinsics, jacobian_many, project_many
 from .dataset_io import ProblemSpec
 from .info_gaussian import InfoGaussian
@@ -111,8 +117,10 @@ VARIABLE_FIELDS = (
     Field("birth", (), "int"),  # the iteration the variable was added in
 )
 
-# A new factor has zero information until it is linearised and zero
-# messages until its first round has run.
+# A new factor has a zero Jacobian, so zero information, until it is
+# linearised, and zero messages until its first round has run.  Linearised
+# at `lin`, its residual is z - h(x) ~ target - jac x with
+# target = jac lin + z - h(lin).
 FACTOR_FIELDS = (
     Field("kf", (), "int"),
     Field("lm", (), "int"),
@@ -120,8 +128,8 @@ FACTOR_FIELDS = (
     Field("sigma", (), "float"),
     Field("nsigma", (), "float"),
     Field("lin", (9,), "float"),
-    Field("eta", (9,), "float"),
-    Field("lam", (9, 9), "float"),
+    Field("jac", (2, 9), "float"),
+    Field("target", (2,), "float"),
     Field("h0", (2,), "float", np.nan),
     Field("weight", (), "float", 1.0),
     Field("valid", (), "bool", False),
@@ -154,6 +162,7 @@ class FactorGraph:
         self.iteration = 0
         self.notes: Counter = Counter()
         self.dtype = np.dtype(np.float64)
+        self._projection = None
         for prefix in TABLES:
             self._grow(prefix, 0)
 
@@ -238,7 +247,7 @@ class FactorGraph:
             sigma_meas=self.f_sigma[m] ** 2 * np.eye(2),
             huber_nsigma=float(self.f_nsigma[m]),
             lin_point=self.f_lin[m].copy(),
-            factor=InfoGaussian(self.f_eta[m].copy(), 0.5 * (self.f_lam[m] + self.f_lam[m].T)),
+            factor=InfoGaussian(*(a[0] for a in self.factor_information([m]))),
             msg_to_keyframe=InfoGaussian(
                 self.f_msg_kf_eta[m].copy(), 0.5 * (self.f_msg_kf_lam[m] + self.f_msg_kf_lam[m].T)
             ),
@@ -273,16 +282,37 @@ class FactorGraph:
             residual = self.f_z[good] - uv_hat[ok]
             mahal = np.linalg.norm(residual, axis=1) / self.f_sigma[good]
             weight = huber_weight(mahal, self.f_nsigma[good])
-            inv_noise = weight / self.f_sigma[good] ** 2  # w * Sigma_M^-1 (isotropic)
-            jt = np.swapaxes(jac, 1, 2)
-            self.f_lam[good] = inv_noise[:, None, None] * (jt @ jac)
-            target = np.einsum("fij,fj->fi", jac, lin_points[ok]) + residual
-            self.f_eta[good] = inv_noise[:, None] * np.einsum("fji,fj->fi", jac, target)
+            self.f_jac[good] = jac
+            self.f_target[good] = np.einsum("fij,fj->fi", jac, lin_points[ok]) + residual
             self.f_lin[good] = lin_points[ok]
             self.f_h0[good] = uv_hat[ok]
             self.f_weight[good] = weight
             self.f_valid[good] = True
         return ok
+
+    def factor_precision(self, idx=slice(None)) -> np.ndarray:
+        """w = weight / sigma^2 of the factors in `idx`: the Huber-weighted
+        inverse of the isotropic measurement noise."""
+        return self.f_weight[idx] / self.f_sigma[idx] ** 2
+
+    def factor_information(self, idx):
+        """(w J' t, w J' J) of the factors in `idx`: their 9-dim information
+        vectors (n, 9) and matrices (n, 9, 9), zero before linearisation."""
+        jac = self.f_jac[idx]
+        w = self.factor_precision(idx)
+        eta = w[:, None] * np.einsum("fji,fj->fi", jac, self.f_target[idx])
+        lam = w[:, None, None] * (np.swapaxes(jac, 1, 2) @ jac)
+        return eta, lam
+
+    @property
+    def f_eta(self) -> np.ndarray:
+        """Information vectors of every factor (derived, read-only)."""
+        return self.factor_information(slice(None))[0]
+
+    @property
+    def f_lam(self) -> np.ndarray:
+        """Information matrices of every factor (derived, read-only)."""
+        return self.factor_information(slice(None))[1]
 
     # ----------------------------------------------------------------- priors
 
@@ -328,20 +358,30 @@ class FactorGraph:
     def _measurement_information_diag(self, idx: np.ndarray):
         """Per-variable diagonal of the summed, unweighted J' Sigma_M^-1 J of
         the factors in `idx`, evaluated at their linearisation points."""
-        contrib_kf = np.zeros((self.n_keyframes, KF_DIM))
-        contrib_lm = np.zeros((self.n_landmarks, LM_DIM))
         idx = idx[self.f_valid[idx]]
-        if idx.size:
-            jac = jacobian_many(self.f_lin[idx, :KF_DIM], self.f_lin[idx, KF_DIM:], self.intrinsics)
-            colsq = np.sum(jac**2, axis=1) / self.f_sigma[idx, None] ** 2
-            np.add.at(contrib_kf, self.f_kf[idx], colsq[:, :KF_DIM])
-            np.add.at(contrib_lm, self.f_lm[idx], colsq[:, KF_DIM:])
-        return contrib_kf, contrib_lm
+        colsq = np.sum(self.f_jac[idx] ** 2, axis=1) / self.f_sigma[idx, None] ** 2
+        return (
+            scatter_sum(self.f_kf[idx], colsq[:, :KF_DIM], self.n_keyframes),
+            scatter_sum(self.f_lm[idx], colsq[:, KF_DIM:], self.n_landmarks),
+        )
 
     # ------------------------------------------------------------- evaluation
 
+    @contextmanager
+    def shared_projection(self):
+        """Within the block, `residuals()`, and so the ARE and the energy,
+        reuse one projection of every factor taken on entry.  The states must
+        not change inside the block."""
+        self._projection = self.residuals()
+        try:
+            yield
+        finally:
+            self._projection = None
+
     def residuals(self):
         """(residuals (F,2), depths (F,)) at current states.  Read-only."""
+        if self._projection is not None:
+            return self._projection
         if self.n_measurement_factors == 0:
             return np.zeros((0, 2)), np.zeros(0)
         uv_hat, depth = project_many(
@@ -523,10 +563,11 @@ class FactorGraph:
             eigs = np.linalg.eigvalsh(0.5 * (lam + np.swapaxes(lam, 1, 2)))
             trace = np.einsum("nii->n", lam)
             bad["belief_not_psd"] += int(np.sum(eigs[:, 0] < -psd_rtol * np.maximum(1.0, trace)))
-        fresh = self.f_valid & (self.f_iters_since_relin == 0)
-        if np.any(fresh):
-            # rank <= 2 right after linearisation: third-largest eigenvalue ~ 0
-            eigs = np.linalg.eigvalsh(self.f_lam[fresh])
+        # rank <= 2 right after linearisation: third-largest eigenvalue ~ 0;
+        # checked in blocks, so no (F, 9, 9) stack is formed
+        fresh = np.flatnonzero(self.f_valid & (self.f_iters_since_relin == 0))
+        for start in range(0, fresh.size, BLOCK_ROWS):
+            eigs = np.linalg.eigvalsh(self.factor_information(fresh[start : start + BLOCK_ROWS])[1])
             scale = np.maximum(eigs[:, -1], 1.0)
             bad["factor_rank"] += int(np.sum(eigs[:, -3] > 1e-9 * scale))
         return bad

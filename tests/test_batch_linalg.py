@@ -1,6 +1,8 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gbp_ba.batch_linalg import cholesky_masked, solve_cholesky, solve_spd_masked
+from gbp_ba.batch_linalg import cholesky_masked, scatter_sum, solve_cholesky, solve_spd_masked
 
 
 def random_spd_stack(rng, n, d, cond=100.0):
@@ -70,3 +72,66 @@ def test_chunk_invariance_bitwise():
     for sl in (slice(0, 16), slice(16, 64), slice(3, 5)):
         part, _ = solve_spd_masked(mats[sl], rhs[sl])
         np.testing.assert_array_equal(part, full[sl])
+
+
+def bad_member(kind, d, rng):
+    """A (d, d) matrix that the masked solve must reject: all zero, rank
+    deficient with exactly zero pivots (a rank-1 outer product of small
+    integers, or a positive-definite block padded with a zero row and
+    column), or indefinite."""
+    if kind == "indefinite":
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        eigs = np.linspace(1.0, 10.0, d)
+        eigs[rng.integers(d)] = -rng.uniform(0.5, 5.0)
+        return q @ np.diag(eigs) @ q.T
+    if kind == "zero" or d == 1:  # a 1x1 matrix is rank deficient only when zero
+        return np.zeros((d, d))
+    if kind == "rank1":
+        v = rng.integers(1, 5, size=d).astype(float)
+        return np.outer(v, v)
+    out = np.zeros((d, d))
+    out[1:, 1:] = random_spd_stack(rng, 1, d - 1)[0]
+    perm = rng.permutation(d)
+    return out[np.ix_(perm, perm)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 3, 6]),
+    k=st.integers(1, 7),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    kinds=st.lists(
+        st.sampled_from(["good", "zero", "rank1", "padded", "indefinite"]), min_size=1, max_size=12
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_masked_solve_property(d, k, dtype, kinds, seed):
+    rng = np.random.default_rng(seed)
+    mats = random_spd_stack(rng, len(kinds), d, cond=50.0)
+    good = np.array([kind == "good" for kind in kinds])
+    for i, kind in enumerate(kinds):
+        if kind != "good":
+            mats[i] = bad_member(kind, d, rng)
+    rhs = rng.normal(size=(len(kinds), d, k))
+    mats, rhs = mats.astype(dtype), rhs.astype(dtype)
+    x, ok = solve_spd_masked(mats, rhs)
+    assert x.shape == rhs.shape and x.dtype == dtype
+    np.testing.assert_array_equal(ok, good)
+    assert np.all(np.isfinite(x))
+    if good.any():
+        rtol = 1e-4 if dtype == np.float32 else 1e-10
+        want = np.linalg.solve(mats[good].astype(float), rhs[good].astype(float))
+        np.testing.assert_allclose(x[good], want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+
+def test_scatter_sum_matches_add_at_bitwise():
+    rng = np.random.default_rng(6)
+    for rows, shape, n in ((3000, (6, 6), 40), (2500, (3,), 700), (0, (6,), 5)):
+        ids = rng.integers(0, n - 1, size=rows)  # the last id gets no row
+        values = rng.normal(size=(rows,) + shape) * 10.0 ** rng.integers(-3, 4, size=(rows,) + shape)
+        want = np.zeros((n,) + shape)
+        np.add.at(want, ids, values)
+        got = scatter_sum(ids, values, n)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+        assert scatter_sum(ids, values.astype(np.float32), n).dtype == np.float32

@@ -2,9 +2,10 @@
 
 Phase B derives each variable-to-factor input as the variable's belief minus
 the factor's own last message (zero in the round the factor was added in)
-and damps the new information vector outside the undamped window.  These
-tests replay one round factor by factor through the scalar information-form
-path and compare.
+and damps the new information vector outside the undamped window.  It works
+on each factor's 2x9 Jacobian, while the scalar path conditions the factor's
+9x9 information form.  These tests replay one round factor by factor through
+the scalar path and compare.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from gbp_ba import (
     InfoGaussian,
     ScheduleParams,
     build,
+    inject_outliers,
     iterate,
     pairwise_message,
     perturb,
@@ -22,6 +24,8 @@ from gbp_ba import (
     synthesize,
 )
 from gbp_ba.camera import project_many
+from gbp_ba import engine, factor_graph
+from gbp_ba.engine import PHASES
 from gbp_ba.info_gaussian import PIVOT_RTOL, SingularMarginalizationError
 
 KF, LM = slice(0, 6), slice(6, 9)
@@ -32,25 +36,29 @@ def perturbed_graph():
 
 
 def scalar_message(factor, keep, elim, incoming, prev, damping):
-    """`pairwise_message`, or `prev` where the conditioned eliminated block is
-    not positive definite (the batched solve keeps the last message there)."""
+    """(`pairwise_message`, False), or (`prev`, True) where the conditioned
+    eliminated block is not positive definite (the batched solve keeps the
+    last message there)."""
     cond = factor.lam[elim, elim] + incoming.lam
     eigs = np.linalg.eigvalsh(cond)
     if eigs[0] <= PIVOT_RTOL * abs(np.trace(cond)):
-        return prev
+        return prev, True
     try:
-        return pairwise_message(factor, keep, incoming, prev, damping)
+        return pairwise_message(factor, keep, incoming, prev, damping), False
     except SingularMarginalizationError:
-        return prev
+        return prev, True
 
 
 def check_round(graph, schedule, factor_ids):
     """Run one round on `graph` and check the messages of `factor_ids`
-    against the scalar path; returns the damping each factor used."""
+    against the scalar path.  Returns the damping each factor used, the
+    number of their messages the scalar path found singular, and the
+    round's report."""
     before = graph.copy()
     t = graph.iteration
-    iterate(graph, schedule)
+    report = iterate(graph, schedule)
     dampings = []
+    n_singular = 0
     for m in factor_ids:
         # phase A may relinearise, phases B and C leave the factor alone
         after = graph.factor(m)
@@ -66,11 +74,23 @@ def check_round(graph, schedule, factor_ids):
         ):
             first_round = before.f_birth[m] == t
             incoming = InfoGaussian.zero(belief.dim) if first_round else quotient(belief, own_msg)
-            want = scalar_message(after.factor, keep, elim, incoming, prev, damping)
+            want, singular = scalar_message(after.factor, keep, elim, incoming, prev, damping)
+            n_singular += singular
             scale = max(np.abs(want.lam).max(), np.abs(want.eta).max(), 1.0)
             np.testing.assert_allclose(got.lam, want.lam, rtol=1e-7, atol=1e-9 * scale, err_msg=f"factor {m}")
             np.testing.assert_allclose(got.eta, want.eta, rtol=1e-7, atol=1e-9 * scale, err_msg=f"factor {m}")
-    return dampings
+    return dampings, n_singular, report
+
+
+def add_observed_landmark(graph):
+    """A new keyframe and a new landmark, seen by it and by keyframe 0, with
+    exact measurements; returns the ids of the three new factors."""
+    kf = graph.add_keyframe()
+    lm = graph.add_landmark(graph.lm_state[0] + [0.05, 0.0, 0.0])
+    kf_ids, lm_ids = np.array([kf, kf, 0]), np.array([0, lm, lm])
+    uv, _ = project_many(graph.kf_state[kf_ids], graph.lm_state[lm_ids], graph.intrinsics)
+    last = graph.add_measurements(kf_ids, lm_ids, uv, np.ones(3))
+    return np.arange(last - 2, last + 1)
 
 
 @pytest.mark.parametrize("warmup, damped", [(3, False), (9, True)])
@@ -80,7 +100,7 @@ def test_messages_match_scalar_path(warmup, damped):
     graph = perturbed_graph()
     schedule = ScheduleParams()
     run(graph, schedule, n=warmup)
-    dampings = check_round(graph, schedule, np.arange(0, graph.n_measurement_factors, 5))
+    dampings, _, _ = check_round(graph, schedule, np.arange(0, graph.n_measurement_factors, 5))
     assert set(dampings) == {schedule.damping if damped else 0.0}
 
 
@@ -88,18 +108,13 @@ def test_factor_added_mid_solve_starts_from_zero_input():
     graph = perturbed_graph()
     schedule = ScheduleParams()
     run(graph, schedule, n=19)  # old factors are outside the undamped window
-    kf = graph.add_keyframe()
-    lm = graph.add_landmark(graph.lm_state[0] + [0.05, 0.0, 0.0])
-    kf_ids, lm_ids = np.array([kf, kf, 0]), np.array([0, lm, lm])
-    uv, _ = project_many(graph.kf_state[kf_ids], graph.lm_state[lm_ids], graph.intrinsics)
-    last = graph.add_measurements(kf_ids, lm_ids, uv, np.ones(3))
-    new = np.arange(last - 2, last + 1)
+    new = add_observed_landmark(graph)
     old = np.arange(0, graph.n_measurement_factors - 3, 11)
     assert np.all(graph.f_birth[new] == graph.iteration)
 
     # first round: the new factors condition on zero inputs, which leave a
     # rank-2 factor singular on either side, so their messages stay zero
-    dampings = check_round(graph, schedule, np.concatenate([old, new]))
+    dampings, _, _ = check_round(graph, schedule, np.concatenate([old, new]))
     assert set(dampings) == {0.0, schedule.damping}
     for m in new:
         view = graph.factor(m)
@@ -111,3 +126,60 @@ def test_factor_added_mid_solve_starts_from_zero_input():
     # later rounds: inputs are belief minus message, as for every factor
     check_round(graph, schedule, np.concatenate([old, new]))
     assert graph.factor(new[0]).msg_to_keyframe.lam.any()
+
+
+def test_every_factor_with_outliers_and_growth_matches_scalar_path():
+    problem = inject_outliers(
+        perturb(synthesize(4, 30, seed=23, pixel_sigma=0.5), 0.05, "backproject", seed=24),
+        0.15, "reassign", seed=25,
+    )
+    graph = build(problem)
+    schedule = ScheduleParams()
+    run(graph, schedule, n=12)  # past the first relinearisation at round 10
+    assert np.any(graph.f_weight < 1.0)  # Huber-weighted rows
+    counts = []
+    for grow in (False, False, True, False):
+        if grow:
+            new = add_observed_landmark(graph)
+        _, n_singular, report = check_round(graph, schedule, np.arange(graph.n_measurement_factors))
+        assert n_singular == report.n_singular_messages
+        counts.append(n_singular)
+    # the first round of the new factors conditions on zero inputs
+    assert counts[2] >= 2 * new.size
+
+
+def test_report_phase_times():
+    graph = perturbed_graph()
+    for report in run(graph, ScheduleParams(), n=3):
+        assert set(report.phase_ms) == set(PHASES)
+        times = np.array(list(report.phase_ms.values()))
+        assert np.all(np.isfinite(times)) and np.all(times >= 0.0)
+
+
+def test_row_blocks_do_not_change_results(monkeypatch):
+    # phase B and the rank check in validate() run over blocks of rows;
+    # blocks of 7 rows cut every array mid-stream, and the singular
+    # keep-previous rule and a factor added mid-solve cross block edges
+    problem = inject_outliers(
+        perturb(synthesize(4, 30, seed=23, pixel_sigma=0.5), 0.05, "backproject", seed=24),
+        0.15, "reassign", seed=25,
+    )
+    graphs = {}
+    for block in (engine.BLOCK_ROWS, 7):
+        monkeypatch.setattr(engine, "BLOCK_ROWS", block)
+        monkeypatch.setattr(factor_graph, "BLOCK_ROWS", block)
+        graph = build(problem)
+        reports = run(graph, ScheduleParams(), n=12)
+        add_observed_landmark(graph)
+        reports += run(graph, ScheduleParams(), n=3)
+        graphs[block] = (graph, reports, graph.validate())
+    (big, big_reports, big_bad), (small, small_reports, small_bad) = graphs.values()
+    assert big.n_measurement_factors > 7 * 10
+    assert sum(r.n_singular_messages for r in big_reports) > 0
+    assert big_bad == small_bad
+    for a, b in zip(big_reports, small_reports):
+        a.phase_ms = b.phase_ms = {}
+        assert a == b
+    for name in ("kf_state", "lm_state", "kf_belief_lam", "lm_belief_eta", "f_msg_kf_eta",
+                 "f_msg_kf_lam", "f_msg_lm_eta", "f_msg_lm_lam"):
+        np.testing.assert_array_equal(getattr(big, name), getattr(small, name))

@@ -9,13 +9,14 @@ from gbp_ba import (
     assemble,
     build,
     generate_priors,
+    inject_outliers,
     perturb,
     solve,
     synthesize,
 )
 from gbp_ba.camera import jacobian_many, project_many
 from gbp_ba.dense_oracle import stack_states
-from gbp_ba.factor_graph import TABLES, huber_energy
+from gbp_ba.factor_graph import FACTOR_FIELDS, TABLES, huber_energy
 
 
 def one_factor_problem(z=(0.0, 0.0), sigma=1.0):
@@ -416,3 +417,24 @@ class TestSchema:
                     assert not np.shares_memory(value, copied), name
                     np.testing.assert_array_equal(copied, value.astype(copied.dtype), err_msg=name)
         assert graph.astype(np.float32).dtype == np.float32
+
+    def test_factor_stores_jacobian_not_information(self):
+        from gbp_ba.engine import run
+
+        assert all(f.shape != (9, 9) for f in FACTOR_FIELDS)
+        problem = inject_outliers(
+            perturb(synthesize(3, 20, seed=19, pixel_sigma=0.5), 0.05, "backproject", seed=20),
+            0.1, "reassign", seed=21,
+        )
+        graph = build(problem)
+        run(graph, ScheduleParams(), n=11)  # relinearised at round 10
+        lin = graph.f_lin
+        jac = jacobian_many(lin[:, :6], lin[:, 6:], graph.intrinsics)
+        uv, _ = project_many(lin[:, :6], lin[:, 6:], graph.intrinsics)
+        target = np.einsum("fij,fj->fi", jac, lin) + graph.f_z - uv
+        w = graph.f_weight / graph.f_sigma**2
+        assert np.any(w < 1.0)
+        for m in range(graph.n_measurement_factors):
+            factor = graph.factor(m).factor
+            np.testing.assert_allclose(factor.lam, w[m] * jac[m].T @ jac[m], rtol=1e-12, atol=1e-9)
+            np.testing.assert_allclose(factor.eta, w[m] * jac[m].T @ target[m], rtol=1e-10, atol=1e-6)
