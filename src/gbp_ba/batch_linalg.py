@@ -54,15 +54,19 @@ def _dot(pairs):
     return acc[0] + acc[1]
 
 
-def _cholesky_cm(mats: np.ndarray, pivot_rtol: float):
+def _cholesky_cm(mats: np.ndarray):
     # Every entry is its matrix entry minus a dot product of earlier factor
     # entries, summed first in the pairwise order of `_dot`, and the trace is
     # summed in index order.  The pivots of a rank-deficient member are pure
     # rounding, so whether they pass the test depends on these orders; they
     # are the ones numpy's einsum uses for such short sums.
+    # The pivot tolerance is PIVOT_RTOL in float64.  In float32, rounding
+    # leaves pivots of up to 3e-4 |trace| in the rank-deficient systems of
+    # first-round messages, so there it is 4500 eps, about 5.4e-4.
+    rtol = max(PIVOT_RTOL, 4500 * float(np.finfo(mats.dtype).eps))
     d, _, n = mats.shape
     trace = sum(mats[i, i] for i in range(d))
-    threshold = pivot_rtol * np.maximum(np.abs(trace), 1e-100)
+    threshold = rtol * np.maximum(np.abs(trace), 1e-100)
     lower = np.zeros_like(mats)
     ok = np.ones(n, dtype=bool)
     for j in range(d):
@@ -71,9 +75,12 @@ def _cholesky_cm(mats: np.ndarray, pivot_rtol: float):
         ok &= good
         diag = np.sqrt(np.where(good, pivot, 1.0))
         lower[j, j] = diag
+        # a failed pivot's column is zeroed below it, so the garbage factor of
+        # a masked member stays within the size of its entries, and finite
+        divisor = diag if good.all() else np.where(good, diag, np.inf)
         for i in range(j + 1, d):
             below = mats[i, j] - _dot((lower[i, k], lower[j, k]) for k in range(j))
-            np.divide(below, diag, out=lower[i, j])
+            np.divide(below, divisor, out=lower[i, j])
     return lower, ok
 
 
@@ -94,14 +101,14 @@ def _solve_cholesky_cm(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def cholesky_masked(mats: np.ndarray, pivot_rtol: float = PIVOT_RTOL):
+def cholesky_masked(mats: np.ndarray):
     """Lower-triangular factors of a (N, d, d) symmetric stack.
 
     Returns (L, ok) where ok[n] is False if any pivot of matrix n fell below
-    pivot_rtol * trace; rows with ok False contain finite garbage factors and
-    must be masked by the caller.
+    the dtype's pivot tolerance times the trace; rows with ok False contain
+    finite garbage factors and must be masked by the caller.
     """
-    lower, ok = _cholesky_cm(component_major(np.asarray(mats)), pivot_rtol)
+    lower, ok = _cholesky_cm(component_major(np.asarray(mats)))
     return lower.transpose(2, 0, 1), ok
 
 
@@ -112,13 +119,13 @@ def solve_cholesky(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x.transpose(2, 0, 1)
 
 
-def solve_spd_masked(mats: np.ndarray, rhs: np.ndarray, pivot_rtol: float = PIVOT_RTOL):
+def solve_spd_masked(mats: np.ndarray, rhs: np.ndarray):
     """Masked batch solve of symmetric positive-definite systems: (N, d, d)
     matrices, (N, d, k) right-hand sides.
 
     Returns (x, ok).  Rows where ok is False are not valid solutions.
     """
-    lower, ok = cholesky_masked(mats, pivot_rtol)
+    lower, ok = cholesky_masked(mats)
     return solve_cholesky(lower, rhs), ok
 
 

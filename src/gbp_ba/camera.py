@@ -148,15 +148,16 @@ def retract(state: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
     Componentwise addition; when the state carries a pose (dim >= 6) the
     leading angle-axis block is canonicalised afterwards.  Accepts 3-vectors
-    (landmark), 6-vectors (pose) and 9-vectors (stacked pose + landmark).
+    (landmark), 6-vectors (pose) and 9-vectors (stacked pose + landmark), or
+    stacks (..., d) of them.
     """
-    state = np.asarray(state, float).reshape(-1)
-    delta = np.asarray(delta, float).reshape(-1)
+    state = np.asarray(state, float)
+    delta = np.asarray(delta, float)
     if state.shape != delta.shape:
-        raise ValueError(f"state dim {state.shape[0]} != delta dim {delta.shape[0]}")
+        raise ValueError(f"state shape {state.shape} != delta shape {delta.shape}")
     out = state + delta
-    if out.shape[0] >= 6:
-        out[:3] = canonicalize_axis_angle(out[:3])
+    if out.shape[-1] >= 6:
+        out[..., :3] = canonicalize_axis_angle(out[..., :3])
     return out
 
 

@@ -21,7 +21,7 @@ bit exact.  Blank lines and '#' comments are ignored.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.spatial.transform import Rotation
@@ -115,40 +115,21 @@ class ProblemSpec:
             raise ValueError("outlier mask length mismatch")
 
     def copy(self) -> "ProblemSpec":
-        return ProblemSpec(
-            intrinsics=self.intrinsics,
-            kf_init=self.kf_init.copy(),
-            lm_init=self.lm_init.copy(),
-            kf_gt=None if self.kf_gt is None else self.kf_gt.copy(),
-            lm_gt=None if self.lm_gt is None else self.lm_gt.copy(),
-            meas_kf=self.meas_kf.copy(),
-            meas_lm=self.meas_lm.copy(),
-            meas_uv=self.meas_uv.copy(),
-            meas_sigma=self.meas_sigma.copy(),
-            outlier_mask=None if self.outlier_mask is None else self.outlier_mask.copy(),
-            metadata=dict(self.metadata),
-        )
+        """Arrays and metadata copied; intrinsics (frozen) shared."""
+        def dup(value):
+            return value.copy() if isinstance(value, (np.ndarray, dict)) else value
+        return ProblemSpec(**{f.name: dup(getattr(self, f.name)) for f in fields(self)})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProblemSpec):
             return NotImplemented
         def eq(a, b):
-            if a is None or b is None:
-                return a is b
-            return a.shape == b.shape and np.array_equal(a, b)
-        return (
-            self.intrinsics == other.intrinsics
-            and eq(self.kf_init, other.kf_init)
-            and eq(self.lm_init, other.lm_init)
-            and eq(self.kf_gt, other.kf_gt)
-            and eq(self.lm_gt, other.lm_gt)
-            and eq(self.meas_kf, other.meas_kf)
-            and eq(self.meas_lm, other.meas_lm)
-            and eq(self.meas_uv, other.meas_uv)
-            and eq(self.meas_sigma, other.meas_sigma)
-            and eq(self.outlier_mask, other.outlier_mask)
-            and self.metadata == other.metadata
-        )
+            if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+                return a.shape == b.shape and np.array_equal(a, b)
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                return False  # an array against None
+            return a == b
+        return all(eq(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def _fmt(x: float) -> str:

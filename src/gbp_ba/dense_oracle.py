@@ -18,8 +18,10 @@ from scipy.linalg import cho_factor, cho_solve
 from .camera import DEPTH_EPSILON, jacobian_many, project_many, retract
 from .factor_graph import (
     ARE_SENTINEL_PX,
-    KF_DIM,
-    LM_DIM,
+    FACTOR_DIM,
+    KEYFRAME,
+    KINDS,
+    LANDMARK,
     PRIOR_TARGET_RATIO,
     FactorGraph,
     huber_energy,
@@ -37,6 +39,22 @@ class SingularSystemError(np.linalg.LinAlgError):
 
 class OracleScaleError(ValueError):
     pass
+
+
+def stacked_offsets(graph: FactorGraph) -> np.ndarray:
+    """Where each kind's block of the stacked state vector starts, in `KINDS`
+    order, and its total length last."""
+    return np.cumsum([0] + [kind.dim * graph.size(kind) for kind in KINDS])
+
+
+def _factor_rows(graph: FactorGraph, offsets, idx) -> np.ndarray:
+    """(F, 9) rows of the stacked vector that the 9-vectors of factors `idx`
+    map to."""
+    rows = np.empty((len(idx), FACTOR_DIM), dtype=int)
+    for kind, start in zip(KINDS, offsets):
+        first = start + kind.dim * graph.adjacent(kind)[idx]
+        rows[:, kind.cols] = first[:, None] + np.arange(kind.dim)
+    return rows
 
 
 @dataclass
@@ -57,15 +75,16 @@ class DenseSystem:
         return self.eta.shape[0]
 
     def kf_slice(self, i: int) -> slice:
-        return slice(KF_DIM * i, KF_DIM * (i + 1))
+        return slice(KEYFRAME.dim * i, KEYFRAME.dim * (i + 1))
 
     def lm_slice(self, j: int) -> slice:
-        return slice(KF_DIM * self.n_kf + LM_DIM * j, KF_DIM * self.n_kf + LM_DIM * (j + 1))
+        start = KEYFRAME.dim * self.n_kf + LANDMARK.dim * j
+        return slice(start, start + LANDMARK.dim)
 
     def block_name(self, dim_index: int) -> str:
-        if dim_index < KF_DIM * self.n_kf:
-            return f"keyframe {dim_index // KF_DIM}"
-        return f"landmark {(dim_index - KF_DIM * self.n_kf) // LM_DIM}"
+        if dim_index < KEYFRAME.dim * self.n_kf:
+            return f"keyframe {dim_index // KEYFRAME.dim}"
+        return f"landmark {(dim_index - KEYFRAME.dim * self.n_kf) // LANDMARK.dim}"
 
     def quadratic_form(self, x: np.ndarray) -> float:
         x = np.asarray(x, float).reshape(-1)
@@ -73,31 +92,26 @@ class DenseSystem:
 
 
 def stack_states(graph: FactorGraph) -> np.ndarray:
-    return np.concatenate([graph.kf_state.ravel(), graph.lm_state.ravel()])
+    return np.concatenate([graph.var(kind, "state").ravel() for kind in KINDS])
 
 
 def assemble(graph: FactorGraph) -> DenseSystem:
     """Sum every prior and every linearised factor into the stacked system."""
-    n_kf, n_lm = graph.n_keyframes, graph.n_landmarks
-    dim = KF_DIM * n_kf + LM_DIM * n_lm
-    eta = np.zeros(dim)
-    lam = np.zeros((dim, dim))
+    offsets = stacked_offsets(graph)
+    eta = np.zeros(offsets[-1])
+    lam = np.zeros((offsets[-1], offsets[-1]))
     const = 0.0
 
-    for kind, offset, width in (("keyframe", 0, KF_DIM), ("landmark", KF_DIM * n_kf, LM_DIM)):
+    for kind, start, stop in zip(KINDS, offsets, offsets[1:]):
         prior_eta, prior_diag = graph.prior_information(kind)
-        mean = graph.kf_prior_mean if kind == "keyframe" else graph.lm_prior_mean
-        n = prior_eta.shape[0]
-        idx = offset + np.arange(n * width)
+        idx = np.arange(start, stop)
         eta[idx] += prior_eta.ravel()
         lam[idx, idx] += prior_diag.ravel()
-        const += float(np.sum(prior_diag * mean**2))
+        const += float(np.sum(prior_diag * graph.var(kind, "prior_mean") ** 2))
 
     valid = np.flatnonzero(graph.f_valid)
     if valid.size:
-        rows_k = (KF_DIM * graph.f_kf[valid])[:, None] + np.arange(KF_DIM)
-        rows_l = (KF_DIM * n_kf + LM_DIM * graph.f_lm[valid])[:, None] + np.arange(LM_DIM)
-        rows = np.concatenate([rows_k, rows_l], axis=1)  # (F, 9)
+        rows = _factor_rows(graph, offsets, valid)
         factor_eta, factor_lam = graph.factor_information(valid)
         np.add.at(eta, rows, factor_eta)
         np.add.at(lam, (rows[:, :, None], rows[:, None, :]), factor_lam)
@@ -105,7 +119,7 @@ def assemble(graph: FactorGraph) -> DenseSystem:
         # t = J lin + z - h(lin)
         target = graph.f_target[valid]
         const += float(np.sum(graph.factor_precision(valid) * np.sum(target**2, axis=1)))
-    return DenseSystem(eta=eta, lam=0.5 * (lam + lam.T), const=const, n_kf=n_kf, n_lm=n_lm)
+    return DenseSystem(eta, 0.5 * (lam + lam.T), const, graph.n_keyframes, graph.n_landmarks)
 
 
 def map_solve(system: DenseSystem) -> np.ndarray:
@@ -186,10 +200,15 @@ class LMReport:
     energy_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def _ares(graph: FactorGraph, kf: np.ndarray, lm: np.ndarray) -> float:
+def _adjacent(graph: FactorGraph, states, idx=slice(None)) -> list:
+    """Per kind, the given `states` of the variables of factors `idx`."""
+    return [s[graph.adjacent(kind)[idx]] for kind, s in zip(KINDS, states)]
+
+
+def _ares(graph: FactorGraph, states) -> float:
     if graph.n_measurement_factors == 0:
         return 0.0
-    uv_hat, depth = project_many(kf[graph.f_kf], lm[graph.f_lm], graph.intrinsics)
+    uv_hat, depth = project_many(*_adjacent(graph, states), graph.intrinsics)
     norms = np.linalg.norm(graph.f_z - uv_hat, axis=1)
     return float(np.mean(np.where(depth <= DEPTH_EPSILON, ARE_SENTINEL_PX, norms)))
 
@@ -208,68 +227,52 @@ def lm_solve(graph: FactorGraph, params: LMParams | None = None) -> LMReport:
     The graph itself is never mutated.
     """
     params = params if params is not None else LMParams()
-    kf = graph.kf_state.copy()
-    lm = graph.lm_state.copy()
-    n_kf, n_lm = graph.n_keyframes, graph.n_landmarks
-    dim = KF_DIM * n_kf + LM_DIM * n_lm
-    kf_dim_total = KF_DIM * n_kf
-
+    states = [graph.var(kind, "state").copy() for kind in KINDS]
+    offsets = stacked_offsets(graph)
+    dim = offsets[-1]
     prior_diag = np.concatenate(
-        [
-            (PRIOR_TARGET_RATIO * graph.kf_prior_diag0).ravel(),
-            (PRIOR_TARGET_RATIO * graph.lm_prior_diag0).ravel(),
-        ]
+        [(PRIOR_TARGET_RATIO * graph.var(kind, "prior_diag0")).ravel() for kind in KINDS]
     )
-    prior_mean = np.concatenate([graph.kf_prior_mean.ravel(), graph.lm_prior_mean.ravel()])
+    prior_mean = np.concatenate([graph.var(kind, "prior_mean").ravel() for kind in KINDS])
 
-    def stacked(kf, lm):
-        return np.concatenate([kf.ravel(), lm.ravel()])
+    def stacked(states):
+        return np.concatenate([s.ravel() for s in states])
 
-    def energy(kf, lm) -> float:
-        x = stacked(kf, lm)
+    def energy(states) -> float:
+        x = stacked(states)
         total = float(np.sum(prior_diag * (x - prior_mean) ** 2))
         if graph.n_measurement_factors:
-            uv_hat, depth = project_many(kf[graph.f_kf], lm[graph.f_lm], graph.intrinsics)
+            uv_hat, depth = project_many(*_adjacent(graph, states), graph.intrinsics)
             mahal = np.linalg.norm(graph.f_z - uv_hat, axis=1) / graph.f_sigma
             mahal = np.where(depth <= DEPTH_EPSILON, ARE_SENTINEL_PX / graph.f_sigma, mahal)
-            total += float(np.sum(huber_energy(mahal, graph.f_nsigma)))
+            total += float(np.sum(huber_energy(mahal, graph.huber_nsigma)))
         return total
 
-    def normal_equations(kf, lm):
+    def normal_equations(states):
         hess = np.zeros((dim, dim))
         grad = np.zeros(dim)
-        x = stacked(kf, lm)
+        x = stacked(states)
         hess[np.arange(dim), np.arange(dim)] += prior_diag
         grad -= prior_diag * (x - prior_mean)
         if graph.n_measurement_factors:
-            uv_hat, depth = project_many(kf[graph.f_kf], lm[graph.f_lm], graph.intrinsics)
+            uv_hat, depth = project_many(*_adjacent(graph, states), graph.intrinsics)
             ok = depth > DEPTH_EPSILON
             idx = np.flatnonzero(ok)
             if idx.size:
                 residual = graph.f_z[idx] - uv_hat[idx]
                 mahal = np.linalg.norm(residual, axis=1) / graph.f_sigma[idx]
-                weight = huber_weight(mahal, graph.f_nsigma[idx])
+                weight = huber_weight(mahal, graph.huber_nsigma)
                 inv_noise = weight / graph.f_sigma[idx] ** 2
-                jac = jacobian_many(kf[graph.f_kf[idx]], lm[graph.f_lm[idx]], graph.intrinsics)
-                jk, jl = jac[:, :, :KF_DIM], jac[:, :, KF_DIM:]
-                rows_k = (KF_DIM * graph.f_kf[idx])[:, None] + np.arange(KF_DIM)
-                rows_l = kf_dim_total + (LM_DIM * graph.f_lm[idx])[:, None] + np.arange(LM_DIM)
+                jac = jacobian_many(*_adjacent(graph, states, idx), graph.intrinsics)
+                rows = _factor_rows(graph, offsets, idx)
                 wr = inv_noise[:, None] * residual
-                np.add.at(grad, rows_k, np.einsum("fki,fk->fi", jk, wr))
-                np.add.at(grad, rows_l, np.einsum("fki,fk->fi", jl, wr))
-                w3 = inv_noise[:, None, None]
-                np.add.at(hess, (rows_k[:, :, None], rows_k[:, None, :]),
-                          w3 * np.einsum("fka,fkb->fab", jk, jk))
-                np.add.at(hess, (rows_l[:, :, None], rows_l[:, None, :]),
-                          w3 * np.einsum("fka,fkb->fab", jl, jl))
-                cross = w3 * np.einsum("fka,fkb->fab", jk, jl)
-                np.add.at(hess, (rows_k[:, :, None], rows_l[:, None, :]), cross)
-                np.add.at(hess, (rows_l[:, :, None], rows_k[:, None, :]),
-                          np.swapaxes(cross, 1, 2))
+                np.add.at(grad, rows, np.einsum("fki,fk->fi", jac, wr))
+                np.add.at(hess, (rows[:, :, None], rows[:, None, :]),
+                          inv_noise[:, None, None] * np.einsum("fka,fkb->fab", jac, jac))
         return hess, grad
 
-    are_trace = [_ares(graph, kf, lm)]
-    energy_trace = [energy(kf, lm)]
+    are_trace = [_ares(graph, states)]
+    energy_trace = [energy(states)]
     lam_damp = params.initial_lambda
     accepted = 0
     reason = "max_steps"
@@ -278,11 +281,12 @@ def lm_solve(graph: FactorGraph, params: LMParams | None = None) -> LMReport:
     else:
         attempts = 0
         while accepted < params.max_steps and attempts < 8 * params.max_steps:
-            hess, grad = normal_equations(kf, lm)
+            hess, grad = normal_equations(states)
             if np.max(np.abs(grad)) <= params.gradient_tol:
                 reason = "gradient"
                 break
-            sub = slice(0, kf_dim_total) if accepted < params.fix_landmarks_steps else slice(0, dim)
+            # landmarks are the last block
+            sub = slice(0, offsets[-2] if accepted < params.fix_landmarks_steps else dim)
             step_ok = False
             while lam_damp <= params.max_lambda:
                 attempts += 1
@@ -294,13 +298,11 @@ def lm_solve(graph: FactorGraph, params: LMParams | None = None) -> LMReport:
                     continue
                 delta = np.zeros(dim)
                 delta[sub] = delta_sub
-                kf_new = np.stack(
-                    [retract(s, d) for s, d in zip(kf, delta[:kf_dim_total].reshape(-1, KF_DIM))]
-                ) if n_kf else kf
-                lm_new = lm + delta[kf_dim_total:].reshape(-1, LM_DIM)
-                e_new = energy(kf_new, lm_new)
+                parts = np.split(delta, offsets[1:-1])
+                new = [retract(s, d.reshape(s.shape)) for s, d in zip(states, parts)]
+                e_new = energy(new)
                 if e_new < energy_trace[-1]:
-                    kf, lm = kf_new, lm_new
+                    states = new
                     lam_damp = max(lam_damp * params.lambda_down, 1e-12)
                     step_ok = True
                     break
@@ -310,7 +312,7 @@ def lm_solve(graph: FactorGraph, params: LMParams | None = None) -> LMReport:
                 break
             accepted += 1
             energy_trace.append(e_new)
-            are_trace.append(_ares(graph, kf, lm))
+            are_trace.append(_ares(graph, states))
             if are_trace[-1] < params.are_target:
                 reason = "are_target"
                 break
@@ -322,8 +324,8 @@ def lm_solve(graph: FactorGraph, params: LMParams | None = None) -> LMReport:
         steps=accepted,
         reason=reason,
         final_are=are_trace[-1],
-        kf_states=kf,
-        lm_states=lm,
+        kf_states=states[0],
+        lm_states=states[1],
         are_trace=np.array(are_trace),
         energy_trace=np.array(energy_trace),
     )

@@ -1,28 +1,31 @@
 """Synchronous GBP iteration over the bundle-adjustment graph.
 
 One call to `iterate` runs exactly one bulk-synchronous round of three
-barrier-separated phases:
+barrier-separated phases.  Phases B and C loop over the variable kinds of
+`factor_graph.KINDS`, which give each side's arrays, dimension and columns
+of the factor's 9-vector:
 
   A. every factor checks the distance between the stacked adjacent belief
      means and its linearisation point and relinearises when allowed
      (distance > beta and at least `relin_cooldown` iterations since the
      last relinearisation);
-  B. every factor derives its variable-to-factor inputs, each the adjacent
-     variable's belief minus the factor's own last message to it (zero in
-     the round the factor was added in), then computes its message to each
-     side by conditioning its information on the other side's input and
-     marginalising via Schur complement.  The factor's information is the
-     rank-2 w J'J of its 2x9 Jacobian, so the kernel works on J: one small
-     solve per side with three right-hand columns and a 2x2 inner matrix
-     (see `_side_messages`), with every array component-major so each step
-     is one vector operation over a block of `BLOCK_ROWS` factors.  Where
-     the conditioned block is not positive definite the previous message
-     is kept.  The information vector is damped against the previously
-     sent message except inside the undamped window after a
-     relinearisation;
+  B. a factor joins one variable of each kind, and its message to one side
+     eliminates the other.  It derives its input from the eliminated side,
+     that variable's belief minus the factor's own last message to it (zero
+     in the round the factor was added in), conditions its information on
+     it and marginalises onto the kept side via Schur complement.  The
+     factor's information is the rank-2 w J'J of its 2x9 Jacobian, so the
+     kernel works on J: one small solve per side with three right-hand
+     columns and a 2x2 inner matrix (see `_side_messages`), with every array
+     component-major so each step is one vector operation over a block of
+     `BLOCK_ROWS` factors.  Where the conditioned block is not positive
+     definite the previous message is kept.  The information vector is
+     damped against the previously sent message except inside the undamped
+     window after a relinearisation;
   C. every variable's belief is rebuilt as prior + sum of incoming messages
      (summed in ascending factor-id order by `scatter_sum`) and its state
-     moves to the belief mean when the belief is invertible.
+     moves to the belief mean when the belief is invertible; keyframe
+     rotations are then wrapped to angle-axis magnitudes in [0, pi].
 
 `iterate` then evaluates the ARE and the energy from one shared projection
 and reports the wall time of each phase in `IterationReport.phase_ms`.
@@ -41,12 +44,7 @@ import numpy as np
 
 from .batch_linalg import BLOCK_ROWS, component_major, scatter_sum, solve_spd_masked
 from .camera import canonicalize_axis_angle
-from .factor_graph import (
-    KF_DIM,
-    PRIOR_TARGET_RATIO,
-    FactorGraph,
-    huber_weight,
-)
+from .factor_graph import KEYFRAME, KINDS, PRIOR_TARGET_RATIO, FactorGraph, huber_weight
 from .info_gaussian import InfoGaussian, marginalize_onto
 
 __all__ = [
@@ -161,12 +159,14 @@ def pairwise_message(
 
 
 def _update_prior_scales(graph: FactorGraph, schedule: ScheduleParams, t: int) -> float:
+    """Set every prior's strength for round `t`, 1 at its variable's birth
+    down to PRIOR_TARGET_RATIO `prior_weaken_iters` rounds later (a window of
+    0 keeps 1); returns the scale of a variable born in round 0."""
     window = schedule.prior_weaken_iters
-    if window <= 0:
-        return 1.0
-    for birth, scale in ((graph.kf_birth, graph.kf_prior_scale), (graph.lm_birth, graph.lm_prior_scale)):
-        scale[:] = PRIOR_TARGET_RATIO ** (np.minimum(t - birth, window) / window)
-    return float(PRIOR_TARGET_RATIO ** (min(t, window) / window))
+    for kind in KINDS:
+        age = np.minimum(t - graph.var(kind, "birth"), window)
+        graph.var(kind, "prior_scale")[:] = PRIOR_TARGET_RATIO ** (age / max(window, 1))
+    return float(PRIOR_TARGET_RATIO ** (min(t, window) / max(window, 1)))
 
 
 def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
@@ -176,7 +176,7 @@ def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
     relinearized = np.zeros(nf, dtype=bool)
     aborted = 0
     if schedule.beta is not None:
-        stacked = np.concatenate([graph.kf_state[graph.f_kf], graph.lm_state[graph.f_lm]], axis=1)
+        stacked = np.concatenate(graph.adjacent_states(), axis=1)
         dist = np.linalg.norm(stacked - graph.f_lin, axis=1)
         idx = np.flatnonzero(
             (dist > schedule.beta) & (graph.f_iters_since_relin >= schedule.relin_cooldown)
@@ -269,18 +269,13 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int):
     ).astype(graph.dtype)[:, None]
     first_round = graph.f_birth == t
     w = graph.factor_precision()
-    kf_sl, lm_sl = slice(0, KF_DIM), slice(KF_DIM, 9)
-    kf_msg = (graph.f_msg_kf_eta, graph.f_msg_kf_lam)
-    lm_msg = (graph.f_msg_lm_eta, graph.f_msg_lm_lam)
-    kf_belief = (component_major(graph.kf_belief_eta), component_major(graph.kf_belief_lam), graph.f_kf)
-    lm_belief = (component_major(graph.lm_belief_eta), component_major(graph.lm_belief_lam), graph.f_lm)
-    # per side: kept block, eliminated block, the messages it replaces, and
-    # the belief and messages its inputs come from
-    sides = (
-        (kf_sl, lm_sl, kf_msg, lm_belief, lm_msg),
-        (lm_sl, kf_sl, lm_msg, kf_belief, kf_msg),
-    )
-    out = [(np.empty_like(eta), np.empty_like(lam)) for eta, lam in (kf_msg, lm_msg)]
+    # per kind: the beliefs, component-major once per round, and the messages
+    beliefs = {
+        kind: [component_major(graph.var(kind, name)) for name in ("belief_eta", "belief_lam")]
+        for kind in KINDS
+    }
+    messages = {kind: graph.messages(kind) for kind in KINDS}
+    out = {kind: [np.empty_like(m) for m in messages[kind]] for kind in KINDS}
     n_singular = 0
     max_delta = 0.0
     # blocks of BLOCK_ROWS factors; a factor's messages do not depend on
@@ -289,22 +284,29 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int):
         rows = slice(start, start + BLOCK_ROWS)
         jac = component_major(graph.f_jac[rows])
         target = component_major(graph.f_target[rows])
-        for (keep, elim, prev, (b_eta, b_lam, ids), (m_eta, m_lam)), (out_eta, out_lam) in zip(sides, out):
-            in_eta, in_lam = _inputs(b_eta, b_lam, ids[rows], m_eta[rows], m_lam[rows], first_round[rows])
-            eta_new, lam_new, ok = _side_messages(jac, w[rows], target, keep, elim, in_eta, in_lam)
-            prev_eta, prev_lam, d = prev[0][rows], prev[1][rows], damp[rows]
+        # a factor joins one variable of each kind: the message to one side
+        # eliminates the other
+        for keep, elim in zip(KINDS, KINDS[::-1]):
+            ids, (m_eta, m_lam) = graph.adjacent(elim)[rows], messages[elim]
+            in_eta, in_lam = _inputs(*beliefs[elim], ids, m_eta[rows], m_lam[rows], first_round[rows])
+            eta_new, lam_new, ok = _side_messages(
+                jac, w[rows], target, keep.cols, elim.cols, in_eta, in_lam
+            )
+            prev_eta, prev_lam = (m[rows] for m in messages[keep])
+            d = damp[rows]
             eta_out = (1.0 - d) * eta_new + d * prev_eta
             singular = ~ok
             eta_out[singular] = prev_eta[singular]
             lam_new[singular] = prev_lam[singular]
-            out_eta[rows], out_lam[rows] = eta_out, lam_new
+            out[keep][0][rows], out[keep][1][rows] = eta_out, lam_new
             n_singular += int(singular.sum())
             max_delta = max(
                 max_delta,
                 float(np.max(np.abs(eta_out - prev_eta))),
-                float(np.max(np.abs(out_lam[rows] - prev_lam))),
+                float(np.max(np.abs(lam_new - prev_lam))),
             )
-    (graph.f_msg_kf_eta, graph.f_msg_kf_lam), (graph.f_msg_lm_eta, graph.f_msg_lm_lam) = out
+    for kind, (eta, lam) in out.items():
+        graph.set_messages(kind, eta, lam)
     if n_singular:
         graph.notes["singular_message"] += n_singular
     return n_singular, max_delta
@@ -312,29 +314,22 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int):
 
 def _phase_beliefs(graph: FactorGraph) -> int:
     frozen = 0
-    for kind in ("keyframe", "landmark"):
+    for kind in KINDS:
         eta, prior_diag = graph.prior_information(kind)
         n, dim = eta.shape
-        if kind == "keyframe":
-            ids, states = graph.f_kf, graph.kf_state
-            msg_eta, msg_lam = graph.f_msg_kf_eta, graph.f_msg_kf_lam
-        else:
-            ids, states = graph.f_lm, graph.lm_state
-            msg_eta, msg_lam = graph.f_msg_lm_eta, graph.f_msg_lm_lam
+        ids = graph.adjacent(kind)
+        msg_eta, msg_lam = graph.messages(kind)
         eta += scatter_sum(ids, msg_eta, n)
         lam = scatter_sum(ids, msg_lam, n)
         rng = np.arange(dim)
         lam[:, rng, rng] += prior_diag
         mean, ok = solve_spd_masked(lam, eta[:, :, None])
         mean = mean[:, :, 0]
-        if kind == "keyframe":
+        if kind is KEYFRAME:
             mean[:, :3] = canonicalize_axis_angle(mean[:, :3])
-        new_states = np.where(ok[:, None], mean, states)
+        state = np.where(ok[:, None], mean, graph.var(kind, "state"))
         frozen += int((~ok).sum())
-        if kind == "keyframe":
-            graph.kf_belief_eta, graph.kf_belief_lam, graph.kf_state = eta, lam, new_states
-        else:
-            graph.lm_belief_eta, graph.lm_belief_lam, graph.lm_state = eta, lam, new_states
+        graph.set_var(kind, belief_eta=eta, belief_lam=lam, state=state)
     if frozen:
         graph.notes["frozen_state"] += frozen
     return frozen

@@ -1,25 +1,27 @@
 """The bundle-adjustment factor graph.
 
-Variables are keyframes (6-dim global angle-axis + translation states) and
-landmarks (3-dim positions).  Each variable carries a belief and an
-automatically generated diagonal prior; each measurement factor connects
-exactly one keyframe and one landmark and stores its linearisation point,
-the 2x9 Jacobian and the 2-vector target of its linearised residual, its
-Huber weight, and the last message sent to each side.  The factor's 9-dim
-information form is rank 2, `(w J' t, w J' J)` with `w = weight / sigma^2`,
-so it is not stored: `factor_information` derives it for any rows, and the
-engine works on J directly.  Variable-to-factor messages are not stored
-either: the engine derives each one as the variable's belief minus the
-factor's own last message.
+The variable kinds are the entries of `KINDS`, each with its name, array
+key, dimension and columns of a factor's 9-vector: keyframes (6-dim global
+angle-axis + translation states) and landmarks (3-dim positions).  Each
+variable carries a belief and an automatically generated diagonal prior;
+each measurement factor connects one variable of each kind and stores its
+linearisation point, the 2x9 Jacobian and the 2-vector target of its
+linearised residual, its Huber weight, and the last message sent to each
+side.  The factor's 9-dim information form is rank 2, `(w J' t, w J' J)`
+with `w = weight / sigma^2`, so it is not stored: `factor_information`
+derives it for any rows, and the engine works on J directly.  Nor are
+variable-to-factor messages (the engine derives each as the variable's
+belief minus the factor's own last message), or the Huber threshold, which
+is the graph's `huber_nsigma`.
 
 Storage is columnar: stacked numpy arrays indexed by id, so the engine can
 vectorise across factors.  One schema per node type lists every array with
-its trailing shape, kind and fill value: `VARIABLE_FIELDS`, shared by
-keyframes (`kf_*`) and landmarks (`lm_*`), and `FACTOR_FIELDS` for the
-measurement factors (`f_*`).  Construction, growth, `copy` and `astype`
-follow the schema, and every float array has the graph's one float `dtype`.
-`keyframe()`, `landmark()` and `factor()` return snapshot views for
-inspection.
+its trailing shape, kind and fill value: `VARIABLE_FIELDS`, shared by every
+kind (`kf_*`, `lm_*`), and `FACTOR_FIELDS` for the measurement factors
+(`f_*`), whose per-kind fields come from `KINDS`.  Construction, growth,
+`copy` and `astype` follow the schema, and every float array has the
+graph's one float `dtype`.  `keyframe()`, `landmark()` and `factor()` return
+snapshot views for inspection.
 
 Priors are born at the same per-coordinate scale as the summed adjacent
 measurement information and are weakened geometrically to 1/100 of that
@@ -46,9 +48,24 @@ PRIOR_TARGET_RATIO = 0.01
 PRIOR_FLOOR_RTOL = 1e-12
 ARE_SENTINEL_PX = 1e6
 DEFAULT_HUBER_NSIGMA = 2.0
+PSD_RTOL = 1e-8
 
-KF_DIM = 6
-LM_DIM = 3
+
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
+class Kind:
+    """A variable kind: arrays `<key>_*`, and in the factor table `f_<key>`
+    (each factor's variable) and `f_msg_<key>_eta`/`_lam` (its last message)."""
+
+    name: str
+    key: str
+    dim: int
+    cols: slice  # of a factor's stacked 9-vector
+
+
+# in the order of the arguments of `camera.project_many` and `jacobian_many`
+KINDS = (Kind("keyframe", "kf", 6, slice(0, 6)), Kind("landmark", "lm", 3, slice(6, 9)))
+KEYFRAME, LANDMARK = KINDS
+FACTOR_DIM = sum(kind.dim for kind in KINDS)
 
 
 class BuildError(ValueError):
@@ -120,35 +137,28 @@ VARIABLE_FIELDS = (
 # A new factor has a zero Jacobian, so zero information, until it is
 # linearised, and zero messages until its first round has run.  Linearised
 # at `lin`, its residual is z - h(x) ~ target - jac x with
-# target = jac lin + z - h(lin).
+# target = jac lin + z - h(lin); so z - h(lin) = target - jac lin, which is
+# zero before the first linearisation.  Per kind: the variable's id and the
+# last message to it.
 FACTOR_FIELDS = (
-    Field("kf", (), "int"),
-    Field("lm", (), "int"),
+    *(Field(kind.key, (), "int") for kind in KINDS),
     Field("z", (2,), "float"),
     Field("sigma", (), "float"),
-    Field("nsigma", (), "float"),
-    Field("lin", (9,), "float"),
-    Field("jac", (2, 9), "float"),
+    Field("lin", (FACTOR_DIM,), "float"),
+    Field("jac", (2, FACTOR_DIM), "float"),
     Field("target", (2,), "float"),
-    Field("h0", (2,), "float", np.nan),
     Field("weight", (), "float", 1.0),
     Field("valid", (), "bool", False),
     Field("iters_since_relin", (), "int"),
     Field("last_relin", (), "int"),
     Field("birth", (), "int"),  # the iteration it was added in: its inputs are zero then
-    Field("msg_kf_eta", (KF_DIM,), "float"),
-    Field("msg_kf_lam", (KF_DIM, KF_DIM), "float"),
-    Field("msg_lm_eta", (LM_DIM,), "float"),
-    Field("msg_lm_lam", (LM_DIM, LM_DIM), "float"),
+    *(Field(f"msg_{kind.key}_eta", (kind.dim,), "float") for kind in KINDS),
+    *(Field(f"msg_{kind.key}_lam", (kind.dim, kind.dim), "float") for kind in KINDS),
 )
 
 # attribute prefix -> (fields, variable dimension)
-TABLES = {
-    "kf_": (VARIABLE_FIELDS, KF_DIM),
-    "lm_": (VARIABLE_FIELDS, LM_DIM),
-    "f_": (FACTOR_FIELDS, None),
-}
-PREFIX = {"keyframe": "kf_", "landmark": "lm_"}
+TABLES = {kind.key + "_": (VARIABLE_FIELDS, kind.dim) for kind in KINDS}
+TABLES["f_"] = (FACTOR_FIELDS, None)
 
 
 def _diag_gaussian(diag: np.ndarray, mean: np.ndarray) -> InfoGaussian:
@@ -189,8 +199,30 @@ class FactorGraph:
                 block = np.concatenate([old, block])
             setattr(self, prefix + f.name, block)
 
-    def _var(self, kind: str, name: str) -> np.ndarray:
-        return getattr(self, PREFIX[kind] + name)
+    # ------------------------------------------------------------------ kinds
+
+    def var(self, kind: Kind, name: str) -> np.ndarray:
+        return getattr(self, f"{kind.key}_{name}")
+
+    def set_var(self, kind: Kind, **arrays) -> None:
+        for name, value in arrays.items():
+            setattr(self, f"{kind.key}_{name}", value)
+
+    def size(self, kind: Kind) -> int:
+        return self.var(kind, "state").shape[0]
+
+    def adjacent(self, kind: Kind) -> np.ndarray:
+        return getattr(self, f"f_{kind.key}")
+
+    def adjacent_states(self) -> list:
+        return [self.var(kind, "state")[self.adjacent(kind)] for kind in KINDS]
+
+    def messages(self, kind: Kind) -> tuple:
+        return getattr(self, f"f_msg_{kind.key}_eta"), getattr(self, f"f_msg_{kind.key}_lam")
+
+    def set_messages(self, kind: Kind, eta: np.ndarray, lam: np.ndarray) -> None:
+        setattr(self, f"f_msg_{kind.key}_eta", eta)
+        setattr(self, f"f_msg_{kind.key}_lam", lam)
 
     # ------------------------------------------------------------------ sizes
 
@@ -218,45 +250,43 @@ class FactorGraph:
     # ------------------------------------------------------------------ views
 
     def keyframe(self, i: int) -> VariableView:
-        return self._variable_view("keyframe", i)
+        return self._variable_view(KEYFRAME, i)
 
     def landmark(self, j: int) -> VariableView:
-        return self._variable_view("landmark", j)
+        return self._variable_view(LANDMARK, j)
 
-    def _variable_view(self, kind: str, idx: int) -> VariableView:
-        diag0, mean = self._var(kind, "prior_diag0")[idx], self._var(kind, "prior_mean")[idx]
-        lam = self._var(kind, "belief_lam")[idx]
+    def _variable_view(self, kind: Kind, idx: int) -> VariableView:
+        diag0, mean = self.var(kind, "prior_diag0")[idx], self.var(kind, "prior_mean")[idx]
+        lam = self.var(kind, "belief_lam")[idx]
         return VariableView(
             id=idx,
-            kind=kind,
-            dim=TABLES[PREFIX[kind]][1],
-            state=self._var(kind, "state")[idx].copy(),
-            belief=InfoGaussian(self._var(kind, "belief_eta")[idx].copy(), 0.5 * (lam + lam.T)),
-            prior=_diag_gaussian(self._var(kind, "prior_scale")[idx] * diag0, mean),
+            kind=kind.name,
+            dim=kind.dim,
+            state=self.var(kind, "state")[idx].copy(),
+            belief=InfoGaussian(self.var(kind, "belief_eta")[idx].copy(), 0.5 * (lam + lam.T)),
+            prior=_diag_gaussian(self.var(kind, "prior_scale")[idx] * diag0, mean),
             prior_initial=_diag_gaussian(diag0, mean),
             prior_target=_diag_gaussian(PRIOR_TARGET_RATIO * diag0, mean),
-            prior_is_fallback=bool(self._var(kind, "prior_fallback")[idx]),
+            prior_is_fallback=bool(self.var(kind, "prior_fallback")[idx]),
         )
 
     def factor(self, m: int) -> FactorView:
+        sides = {}
+        for kind in KINDS:
+            eta, lam = (a[m] for a in self.messages(kind))
+            sides[f"{kind.name}_id"] = int(self.adjacent(kind)[m])
+            sides[f"msg_to_{kind.name}"] = InfoGaussian(eta.copy(), 0.5 * (lam + lam.T))
         return FactorView(
             id=m,
-            keyframe_id=int(self.f_kf[m]),
-            landmark_id=int(self.f_lm[m]),
             z=self.f_z[m].copy(),
             sigma_meas=self.f_sigma[m] ** 2 * np.eye(2),
-            huber_nsigma=float(self.f_nsigma[m]),
+            huber_nsigma=self.huber_nsigma,
             lin_point=self.f_lin[m].copy(),
             factor=InfoGaussian(*(a[0] for a in self.factor_information([m]))),
-            msg_to_keyframe=InfoGaussian(
-                self.f_msg_kf_eta[m].copy(), 0.5 * (self.f_msg_kf_lam[m] + self.f_msg_kf_lam[m].T)
-            ),
-            msg_to_landmark=InfoGaussian(
-                self.f_msg_lm_eta[m].copy(), 0.5 * (self.f_msg_lm_lam[m] + self.f_msg_lm_lam[m].T)
-            ),
             iters_since_relin=int(self.f_iters_since_relin[m]),
             huber_weight=float(self.f_weight[m]),
             linearization_valid=bool(self.f_valid[m]),
+            **sides,
         )
 
     # ----------------------------------------------------------- linearisation
@@ -272,20 +302,18 @@ class FactorGraph:
         idx = np.asarray(idx, dtype=int)
         if idx.size == 0:
             return np.zeros(0, dtype=bool)
-        kf_states = lin_points[:, :KF_DIM]
-        lm_pos = lin_points[:, KF_DIM:]
-        uv_hat, depth = project_many(kf_states, lm_pos, self.intrinsics)
+        parts = [lin_points[:, kind.cols] for kind in KINDS]
+        uv_hat, depth = project_many(*parts, self.intrinsics)
         ok = depth > DEPTH_EPSILON
         good = idx[ok]
         if good.size:
-            jac = jacobian_many(kf_states[ok], lm_pos[ok], self.intrinsics)
+            jac = jacobian_many(*(part[ok] for part in parts), self.intrinsics)
             residual = self.f_z[good] - uv_hat[ok]
             mahal = np.linalg.norm(residual, axis=1) / self.f_sigma[good]
-            weight = huber_weight(mahal, self.f_nsigma[good])
+            weight = huber_weight(mahal, self.huber_nsigma)
             self.f_jac[good] = jac
             self.f_target[good] = np.einsum("fij,fj->fi", jac, lin_points[ok]) + residual
             self.f_lin[good] = lin_points[ok]
-            self.f_h0[good] = uv_hat[ok]
             self.f_weight[good] = weight
             self.f_valid[good] = True
         return ok
@@ -304,36 +332,27 @@ class FactorGraph:
         lam = w[:, None, None] * (np.swapaxes(jac, 1, 2) @ jac)
         return eta, lam
 
-    @property
-    def f_eta(self) -> np.ndarray:
-        """Information vectors of every factor (derived, read-only)."""
-        return self.factor_information(slice(None))[0]
-
-    @property
-    def f_lam(self) -> np.ndarray:
-        """Information matrices of every factor (derived, read-only)."""
-        return self.factor_information(slice(None))[1]
-
     # ----------------------------------------------------------------- priors
 
     def prior_information(self, kind: str):
-        """Current (eta, diag) arrays of the weakened priors."""
-        diag = self._var(kind, "prior_scale")[:, None] * self._var(kind, "prior_diag0")
-        return diag * self._var(kind, "prior_mean"), diag
+        """Current (eta, diag) arrays of the weakened priors of `kind` (a
+        `Kind` or its name)."""
+        kind = {k.name: k for k in KINDS}[kind] if isinstance(kind, str) else kind
+        diag = self.var(kind, "prior_scale")[:, None] * self.var(kind, "prior_diag0")
+        return diag * self.var(kind, "prior_mean"), diag
 
-    def refresh_priors(self, kf_ids: np.ndarray, lm_ids: np.ndarray) -> None:
-        """Regenerate priors for the given variables from their adjacent
-        factors' current linearisations (used for freshly added variables)."""
-        kf_ids = np.asarray(kf_ids, dtype=int)
-        lm_ids = np.asarray(lm_ids, dtype=int)
-        if kf_ids.size == 0 and lm_ids.size == 0:
+    def refresh_priors(self, ids) -> None:
+        """Regenerate the priors of variables `ids[i]` of kind `KINDS[i]` from
+        their adjacent factors' current linearisations."""
+        ids = [np.asarray(i, dtype=int) for i in ids]
+        if not any(i.size for i in ids):
             return
-        touched = np.isin(self.f_kf, kf_ids) | np.isin(self.f_lm, lm_ids)
+        touched = np.any([np.isin(self.adjacent(kind), i) for kind, i in zip(KINDS, ids)], axis=0)
         contrib = self._measurement_information_diag(np.flatnonzero(touched))
-        for kind, ids, c in zip(PREFIX, (kf_ids, lm_ids), contrib):
-            self._set_priors(kind, ids, c[ids])
+        for kind, i, c in zip(KINDS, ids, contrib):
+            self._set_priors(kind, i, c[i])
 
-    def _set_priors(self, kind: str, ids: np.ndarray, contrib: np.ndarray) -> None:
+    def _set_priors(self, kind: Kind, ids: np.ndarray, contrib: np.ndarray) -> None:
         """Initial priors of variables `ids` from the rows `contrib` of their
         summed measurement information diagonal: floored at PRIOR_FLOOR_RTOL
         of the row's largest entry, or a flagged unit fallback where the row
@@ -341,29 +360,29 @@ class FactorGraph:
         fallback = ~np.any(contrib > 0, axis=1)
         self.notes["fallback_prior"] += int(fallback.sum())
         floored = np.maximum(contrib, PRIOR_FLOOR_RTOL * contrib.max(axis=1, keepdims=True))
-        self._var(kind, "prior_diag0")[ids] = np.where(fallback[:, None], 1.0, floored)
-        self._var(kind, "prior_fallback")[ids] = fallback
+        self.var(kind, "prior_diag0")[ids] = np.where(fallback[:, None], 1.0, floored)
+        self.var(kind, "prior_fallback")[ids] = fallback
         self._pin_priors(kind, ids)
 
-    def _pin_priors(self, kind: str, ids) -> None:
+    def _pin_priors(self, kind: Kind, ids) -> None:
         """Pin the priors of variables `ids` at their current states at full
         strength, and reset their beliefs to those priors."""
-        diag0 = self._var(kind, "prior_diag0")[ids]
-        mean = self._var(kind, "state")[ids]
-        self._var(kind, "prior_mean")[ids] = mean
-        self._var(kind, "prior_scale")[ids] = 1.0
-        self._var(kind, "belief_eta")[ids] = diag0 * mean
-        self._var(kind, "belief_lam")[ids] = diag0[:, :, None] * np.eye(diag0.shape[1])
+        diag0 = self.var(kind, "prior_diag0")[ids]
+        mean = self.var(kind, "state")[ids]
+        self.var(kind, "prior_mean")[ids] = mean
+        self.var(kind, "prior_scale")[ids] = 1.0
+        self.var(kind, "belief_eta")[ids] = diag0 * mean
+        self.var(kind, "belief_lam")[ids] = diag0[:, :, None] * np.eye(diag0.shape[1])
 
     def _measurement_information_diag(self, idx: np.ndarray):
         """Per-variable diagonal of the summed, unweighted J' Sigma_M^-1 J of
         the factors in `idx`, evaluated at their linearisation points."""
         idx = idx[self.f_valid[idx]]
         colsq = np.sum(self.f_jac[idx] ** 2, axis=1) / self.f_sigma[idx, None] ** 2
-        return (
-            scatter_sum(self.f_kf[idx], colsq[:, :KF_DIM], self.n_keyframes),
-            scatter_sum(self.f_lm[idx], colsq[:, KF_DIM:], self.n_landmarks),
-        )
+        return [
+            scatter_sum(self.adjacent(kind)[idx], colsq[:, kind.cols], self.size(kind))
+            for kind in KINDS
+        ]
 
     # ------------------------------------------------------------- evaluation
 
@@ -384,9 +403,7 @@ class FactorGraph:
             return self._projection
         if self.n_measurement_factors == 0:
             return np.zeros((0, 2)), np.zeros(0)
-        uv_hat, depth = project_many(
-            self.kf_state[self.f_kf], self.lm_state[self.f_lm], self.intrinsics
-        )
+        uv_hat, depth = project_many(*self.adjacent_states(), self.intrinsics)
         return self.f_z - uv_hat, depth
 
     def average_reprojection_error(self) -> float:
@@ -409,21 +426,21 @@ class FactorGraph:
         """The objective: prior Mahalanobis terms plus Huber-modified
         measurement terms, at current states and current prior strengths."""
         total = 0.0
-        for kind in PREFIX:
+        for kind in KINDS:
             _, diag = self.prior_information(kind)
-            delta = self._var(kind, "state") - self._var(kind, "prior_mean")
+            delta = self.var(kind, "state") - self.var(kind, "prior_mean")
             total += float(np.sum(diag * delta**2))
         if self.n_measurement_factors:
             residual, depth = self.residuals()
             behind = depth <= DEPTH_EPSILON
             if np.any(behind):
-                # stale linearisation residual for flagged rows
-                stale = self.f_z - self.f_h0
-                stale[~self.f_valid] = 0.0
+                # the residual at the linearisation point, z - h(lin) =
+                # target - jac lin, which is zero before the first one
+                stale = self.f_target - np.einsum("fij,fj->fi", self.f_jac, self.f_lin)
                 residual = np.where(behind[:, None], stale, residual)
                 self.notes["energy_behind_camera"] += int(behind.sum())
             mahal = np.linalg.norm(residual, axis=1) / self.f_sigma
-            total += float(np.sum(huber_energy(mahal, self.f_nsigma)))
+            total += float(np.sum(huber_energy(mahal, self.huber_nsigma)))
         return total
 
     def classify_outliers(self) -> np.ndarray:
@@ -431,7 +448,7 @@ class FactorGraph:
         residual, depth = self.residuals()
         mahal = np.linalg.norm(residual, axis=1) / self.f_sigma
         mahal = np.where(depth <= DEPTH_EPSILON, np.inf, mahal)
-        return mahal > self.f_nsigma
+        return mahal > self.huber_nsigma
 
     # ------------------------------------------------------------ mutation
 
@@ -442,15 +459,14 @@ class FactorGraph:
             if self.n_keyframes == 0:
                 raise BuildError("no keyframe to copy the initial pose from")
             state = self.kf_state[-1]
-        return self._add_variable("keyframe", state)
+        return self._add_variable(KEYFRAME, state)
 
     def add_landmark(self, position: np.ndarray) -> int:
-        return self._add_variable("landmark", position)
+        return self._add_variable(LANDMARK, position)
 
-    def _add_variable(self, kind: str, state: np.ndarray) -> int:
-        prefix = PREFIX[kind]
-        self._grow(prefix, 1, state=np.reshape(state, (1, TABLES[prefix][1])))
-        idx = self._var(kind, "state").shape[0] - 1
+    def _add_variable(self, kind: Kind, state: np.ndarray) -> int:
+        self._grow(kind.key + "_", 1, state=np.reshape(state, (1, kind.dim)))
+        idx = self.size(kind) - 1
         self._pin_priors(kind, [idx])
         return idx
 
@@ -464,26 +480,23 @@ class FactorGraph:
         the last iteration.  Prior strengths, beliefs, messages and
         linearisations of the older variables and factors are left as they
         are.  Returns the id of the last factor added."""
-        kf_ids = np.asarray(kf_ids, dtype=int).reshape(-1)
-        lm_ids = np.asarray(lm_ids, dtype=int).reshape(-1)
+        ids = [np.asarray(i, dtype=int).reshape(-1) for i in (kf_ids, lm_ids)]
         zs = np.asarray(zs, float).reshape(-1, 2)
         sigmas = np.asarray(sigmas, float).reshape(-1)
-        if np.any(kf_ids < 0) or np.any(kf_ids >= self.n_keyframes):
-            bad = kf_ids[(kf_ids < 0) | (kf_ids >= self.n_keyframes)][0]
-            raise BuildError(f"measurement references missing keyframe {bad}")
-        if np.any(lm_ids < 0) or np.any(lm_ids >= self.n_landmarks):
-            bad = lm_ids[(lm_ids < 0) | (lm_ids >= self.n_landmarks)][0]
-            raise BuildError(f"measurement references missing landmark {bad}")
+        for kind, i in zip(KINDS, ids):
+            bad = i[(i < 0) | (i >= self.size(kind))]
+            if bad.size:
+                raise BuildError(f"measurement references missing {kind.name} {bad[0]}")
 
-        existing = set(zip(self.f_kf.tolist(), self.f_lm.tolist()))
+        existing = set(zip(*(self.adjacent(kind).tolist() for kind in KINDS)))
         seen = set()
-        for pair in zip(kf_ids.tolist(), lm_ids.tolist()):
+        for pair in zip(*(i.tolist() for i in ids)):
             if pair in existing or pair in seen:
                 self.notes["duplicate_measurement"] += 1
             seen.add(pair)
 
         start = self.n_measurement_factors
-        self._add_factors(kf_ids, lm_ids, zs, sigmas)
+        self._add_factors(ids, zs, sigmas)
         new_idx = np.arange(start, self.n_measurement_factors)
         ok = self.linearize_factors(new_idx, self.f_lin[new_idx])
         if not np.all(ok):
@@ -491,24 +504,23 @@ class FactorGraph:
 
         # a prior mean left at a state the solve has since moved away from
         # pulls the grown graph towards a worse optimum than a cold restart's
-        for kind in PREFIX:
-            older = self._var(kind, "birth") < self.iteration
-            self._var(kind, "prior_mean")[older] = self._var(kind, "state")[older]
-
-        young_kf = np.flatnonzero(self.kf_birth == self.iteration)
-        young_lm = np.flatnonzero(self.lm_birth == self.iteration)
-        self.refresh_priors(
-            young_kf[np.isin(young_kf, kf_ids)], young_lm[np.isin(young_lm, lm_ids)]
-        )
+        young = []
+        for kind, i in zip(KINDS, ids):
+            birth = self.var(kind, "birth")
+            older = birth < self.iteration
+            self.var(kind, "prior_mean")[older] = self.var(kind, "state")[older]
+            born = np.flatnonzero(birth == self.iteration)
+            young.append(born[np.isin(born, i)])
+        self.refresh_priors(young)
         return self.n_measurement_factors - 1
 
-    def _add_factors(self, kf_ids, lm_ids, zs, sigmas) -> None:
-        """Append unlinearised factors whose linearisation points are the
-        current states of their variables."""
-        lin = np.concatenate([self.kf_state[kf_ids], self.lm_state[lm_ids]], axis=1)
+    def _add_factors(self, ids, zs, sigmas) -> None:
+        """Append unlinearised factors joining variables `ids[i]` of kind
+        `KINDS[i]`, linearisation points at their current states."""
+        lin = np.concatenate([self.var(kind, "state")[i] for kind, i in zip(KINDS, ids)], axis=1)
         self._grow(
-            "f_", len(kf_ids), kf=kf_ids, lm=lm_ids, z=zs, sigma=sigmas,
-            nsigma=self.huber_nsigma, lin=lin, last_relin=self.iteration,
+            "f_", len(zs), z=zs, sigma=sigmas, lin=lin, last_relin=self.iteration,
+            **{kind.key: i for kind, i in zip(KINDS, ids)},
         )
 
     # ------------------------------------------------------------- utilities
@@ -551,10 +563,10 @@ class FactorGraph:
         weakening schedule starts again for every variable."""
         return build(self.to_problem(), huber_nsigma=self.huber_nsigma)
 
-    def validate(self, psd_rtol: float = 1e-8) -> dict:
+    def validate(self) -> dict:
         """Invariant check; returns violation counts (all zero when healthy)."""
         bad = {"belief_not_psd": 0, "factor_rank": 0, "asymmetry": 0}
-        for lam in (self.kf_belief_lam, self.lm_belief_lam):
+        for lam in (self.var(kind, "belief_lam") for kind in KINDS):
             if lam.size == 0:
                 continue
             asym = np.max(np.abs(lam - np.swapaxes(lam, 1, 2)))
@@ -562,7 +574,7 @@ class FactorGraph:
                 bad["asymmetry"] += 1
             eigs = np.linalg.eigvalsh(0.5 * (lam + np.swapaxes(lam, 1, 2)))
             trace = np.einsum("nii->n", lam)
-            bad["belief_not_psd"] += int(np.sum(eigs[:, 0] < -psd_rtol * np.maximum(1.0, trace)))
+            bad["belief_not_psd"] += int(np.sum(eigs[:, 0] < -PSD_RTOL * np.maximum(1.0, trace)))
         # rank <= 2 right after linearisation: third-largest eigenvalue ~ 0;
         # checked in blocks, so no (F, 9, 9) stack is formed
         fresh = np.flatnonzero(self.f_valid & (self.f_iters_since_relin == 0))
@@ -614,9 +626,7 @@ def generate_priors(graph: FactorGraph) -> None:
     back to a unit isotropic prior and are flagged.  Beliefs are reset to the
     initial-strength priors.
     """
-    contrib = graph._measurement_information_diag(np.arange(graph.n_measurement_factors))
-    for kind, c in zip(PREFIX, contrib):
-        graph._set_priors(kind, np.arange(c.shape[0]), c)
+    graph.refresh_priors([np.arange(graph.size(kind)) for kind in KINDS])
 
 
 def build(problem: ProblemSpec, huber_nsigma: float = DEFAULT_HUBER_NSIGMA) -> FactorGraph:
@@ -628,8 +638,8 @@ def build(problem: ProblemSpec, huber_nsigma: float = DEFAULT_HUBER_NSIGMA) -> F
     """
     problem.validate()
     graph = FactorGraph(problem.intrinsics, huber_nsigma)
-    graph._grow("kf_", problem.n_keyframes, state=problem.kf_init)
-    graph._grow("lm_", problem.n_landmarks, state=problem.lm_init)
+    for kind, init in zip(KINDS, (problem.kf_init, problem.lm_init)):
+        graph._grow(kind.key + "_", len(init), state=init)
 
     m = problem.n_measurements
     observed = np.zeros(problem.n_landmarks, dtype=bool)
@@ -637,7 +647,7 @@ def build(problem: ProblemSpec, huber_nsigma: float = DEFAULT_HUBER_NSIGMA) -> F
     if not np.all(observed) and m:
         graph.notes["unobserved_landmarks"] += int((~observed).sum())
 
-    graph._add_factors(problem.meas_kf, problem.meas_lm, problem.meas_uv, problem.meas_sigma)
+    graph._add_factors((problem.meas_kf, problem.meas_lm), problem.meas_uv, problem.meas_sigma)
     duplicates = m - len(set(zip(graph.f_kf.tolist(), graph.f_lm.tolist())))
     if duplicates:
         graph.notes["duplicate_measurement"] += duplicates

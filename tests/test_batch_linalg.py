@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbp_ba import build, perturb, synthesize
 from gbp_ba.batch_linalg import cholesky_masked, scatter_sum, solve_cholesky, solve_spd_masked
 
 
@@ -135,3 +136,17 @@ def test_scatter_sum_matches_add_at_bitwise():
         assert got.shape == want.shape and got.flags.c_contiguous
         np.testing.assert_array_equal(got, want)
         assert scatter_sum(ids, values.astype(np.float32), n).dtype == np.float32
+
+
+def test_float32_rank_deficient_systems_are_masked_and_finite():
+    # the first-round message systems of a scene in float32: w J_E'J_E of
+    # each rank-2 factor with right-hand sides [J_E' | w J_E't]
+    problem = perturb(synthesize(8, 250, seed=3, pixel_sigma=1), 0.05, "backproject", seed=3)
+    graph = build(problem).astype(np.float32)
+    eta, lam = graph.factor_information(slice(None))
+    for cols in (slice(0, 6), slice(6, 9)):
+        rhs = np.concatenate([np.swapaxes(graph.f_jac[:, :, cols], 1, 2), eta[:, cols, None]], axis=2)
+        with np.errstate(over="raise", invalid="raise"):
+            x, ok = solve_spd_masked(lam[:, cols, cols], rhs)
+        assert not ok.any()
+        assert np.all(np.isfinite(x))

@@ -14,7 +14,7 @@ from gbp_ba import (
     solve,
     synthesize,
 )
-from gbp_ba.camera import jacobian_many, project_many
+from gbp_ba.camera import DEPTH_EPSILON, camera_center, jacobian_many, project_many
 from gbp_ba.dense_oracle import stack_states
 from gbp_ba.factor_graph import FACTOR_FIELDS, TABLES, huber_energy
 
@@ -76,7 +76,7 @@ class TestBuild:
 
     def test_factor_rank_two_after_linearisation(self):
         graph = build(synthesize(3, 20, seed=1))
-        eigs = np.linalg.eigvalsh(graph.f_lam)
+        eigs = np.linalg.eigvalsh(graph.factor_information(slice(None))[1])
         assert np.all(eigs[:, -3] < 1e-9 * np.maximum(eigs[:, -1], 1.0))
         assert graph.validate() == {"belief_not_psd": 0, "factor_rank": 0, "asymmetry": 0}
 
@@ -213,6 +213,33 @@ class TestEnergyAndAre:
         graph.lm_state = np.array([[0.0, 0.0, -1.0]])  # shove landmark behind
         assert graph.average_reprojection_error() == pytest.approx(1e6)
         assert graph.notes["are_behind_camera"] == 1
+
+    def test_behind_camera_energy_uses_linearisation_residual(self):
+        from gbp_ba.engine import run
+
+        graph = build(perturb(synthesize(4, 30, seed=21, pixel_sigma=0.5), 0.05, "backproject", seed=22))
+        run(graph, ScheduleParams(), n=3)
+        assert graph.f_valid.all()
+        # mirror 5 landmarks through the centre of a camera that sees each
+        for j in range(5):
+            kf = graph.f_kf[np.flatnonzero(graph.f_lm == j)[0]]
+            graph.lm_state[j] = 2.0 * camera_center(graph.kf_state[kf]) - graph.lm_state[j]
+        residual, depth = graph.residuals()
+        behind = depth <= DEPTH_EPSILON
+        assert behind.sum() >= 5 and np.all(graph.f_lm[behind] < 5)
+
+        # behind-camera rows keep the residual at their linearisation point
+        uv_lin, _ = project_many(graph.f_lin[:, :6], graph.f_lin[:, 6:], graph.intrinsics)
+        residual = np.where(behind[:, None], graph.f_z - uv_lin, residual)
+        mahal = np.linalg.norm(residual, axis=1) / graph.f_sigma
+        want = np.sum(huber_energy(mahal, graph.huber_nsigma))
+        for prefix in ("kf_", "lm_"):
+            diag = getattr(graph, prefix + "prior_scale")[:, None] * getattr(graph, prefix + "prior_diag0")
+            delta = getattr(graph, prefix + "state") - getattr(graph, prefix + "prior_mean")
+            want += np.sum(diag * delta**2)
+        before = graph.notes["energy_behind_camera"]
+        assert graph.energy() == pytest.approx(want, rel=1e-12)
+        assert graph.notes["energy_behind_camera"] - before == behind.sum()
 
 
 class TestViews:
