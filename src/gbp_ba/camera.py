@@ -82,9 +82,15 @@ class Landmark:
         object.__setattr__(self, "position", pos)
 
 
+def _as_float(x) -> np.ndarray:
+    """`x` as an array of its own float dtype; anything else becomes float64."""
+    x = np.asarray(x)
+    return x if np.issubdtype(x.dtype, np.floating) else x.astype(float)
+
+
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrices for (..., 3) vectors."""
-    v = np.asarray(v, float)
+    v = _as_float(v)
     out = np.zeros(v.shape[:-1] + (3, 3), dtype=v.dtype)
     out[..., 0, 1] = -v[..., 2]
     out[..., 0, 2] = v[..., 1]
@@ -97,7 +103,7 @@ def skew(v: np.ndarray) -> np.ndarray:
 
 def rotation_matrix(w: np.ndarray) -> np.ndarray:
     """Rodrigues formula for (..., 3) angle-axis vectors -> (..., 3, 3)."""
-    w = np.asarray(w, float)
+    w = _as_float(w)
     theta2 = np.sum(w * w, axis=-1)
     theta = np.sqrt(theta2)
     small = theta < 1e-8
@@ -107,13 +113,13 @@ def rotation_matrix(w: np.ndarray) -> np.ndarray:
         b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(theta)) / np.where(small, 1.0, theta2))
     wx = skew(w)
     wx2 = wx @ wx
-    eye = np.broadcast_to(np.eye(3), wx.shape)
+    eye = np.broadcast_to(np.eye(3, dtype=wx.dtype), wx.shape)
     return eye + a[..., None, None] * wx + b[..., None, None] * wx2
 
 
 def left_jacobian(w: np.ndarray) -> np.ndarray:
     """SO(3) left Jacobian J_l(w) for (..., 3) angle-axis vectors."""
-    w = np.asarray(w, float)
+    w = _as_float(w)
     theta2 = np.sum(w * w, axis=-1)
     theta = np.sqrt(theta2)
     small = theta < 1e-8
@@ -126,13 +132,13 @@ def left_jacobian(w: np.ndarray) -> np.ndarray:
         )
     wx = skew(w)
     wx2 = wx @ wx
-    eye = np.broadcast_to(np.eye(3), wx.shape)
+    eye = np.broadcast_to(np.eye(3, dtype=wx.dtype), wx.shape)
     return eye + b[..., None, None] * wx + c[..., None, None] * wx2
 
 
 def canonicalize_axis_angle(w: np.ndarray) -> np.ndarray:
     """Wrap (..., 3) angle-axis vectors so the magnitude lies in [0, pi]."""
-    w = np.asarray(w, float)
+    w = _as_float(w)
     theta = np.linalg.norm(w, axis=-1)
     needs = theta > np.pi
     if not np.any(needs):
@@ -151,8 +157,8 @@ def retract(state: np.ndarray, delta: np.ndarray) -> np.ndarray:
     (landmark), 6-vectors (pose) and 9-vectors (stacked pose + landmark), or
     stacks (..., d) of them.
     """
-    state = np.asarray(state, float)
-    delta = np.asarray(delta, float)
+    state = _as_float(state)
+    delta = _as_float(delta)
     if state.shape != delta.shape:
         raise ValueError(f"state shape {state.shape} != delta shape {delta.shape}")
     out = state + delta
@@ -194,13 +200,13 @@ def jacobian_many(kf_states: np.ndarray, points: np.ndarray, k: Intrinsics) -> n
     z = p[..., 2]
     safe = np.where(np.abs(z) > DEPTH_EPSILON, z, 1.0)
     # d(pixel)/d(camera point)
-    dpix = np.zeros(p.shape[:-1] + (2, 3))
+    dpix = np.zeros(p.shape[:-1] + (2, 3), p.dtype)
     dpix[..., 0, 0] = k.fx / safe
     dpix[..., 0, 2] = -k.fx * p[..., 0] / safe**2
     dpix[..., 1, 1] = k.fy / safe
     dpix[..., 1, 2] = -k.fy * p[..., 1] / safe**2
     dp_dw = -skew(rl) @ left_jacobian(kf_states[..., :3])
-    jac = np.zeros(p.shape[:-1] + (2, 9))
+    jac = np.zeros(p.shape[:-1] + (2, 9), p.dtype)
     jac[..., :, 0:3] = dpix @ dp_dw
     jac[..., :, 3:6] = dpix
     jac[..., :, 6:9] = dpix @ rot

@@ -6,9 +6,10 @@ barrier-separated phases.  Phases B and C loop over the variable kinds of
 of the factor's 9-vector:
 
   A. every factor checks the distance between the stacked adjacent belief
-     means and its linearisation point and relinearises when allowed
-     (distance > beta and at least `relin_cooldown` iterations since the
-     last relinearisation);
+     means and its linearisation point and relinearises at them when
+     allowed: distance > beta and `FactorGraph.iters_since_relin` at least
+     `relin_cooldown` c, so c rounds after its birth at the earliest and
+     then every c + 1 rounds.  Phase A writes only `f_last_relin`;
   B. a factor joins one variable of each kind, and its message to one side
      eliminates the other.  It derives its input from the eliminated side,
      that variable's belief minus the factor's own last message to it (zero
@@ -44,14 +45,13 @@ import numpy as np
 
 from .batch_linalg import BLOCK_ROWS, component_major, scatter_sum, solve_spd_masked
 from .camera import canonicalize_axis_angle
-from .factor_graph import KEYFRAME, KINDS, PRIOR_TARGET_RATIO, FactorGraph, huber_weight
+from .factor_graph import KEYFRAME, KINDS, PRIOR_TARGET_RATIO, FactorGraph
 from .info_gaussian import InfoGaussian, marginalize_onto
 
 __all__ = [
     "ScheduleParams",
     "IterationReport",
     "SolveReport",
-    "huber_weight",
     "pairwise_message",
     "iterate",
     "run",
@@ -170,26 +170,21 @@ def _update_prior_scales(graph: FactorGraph, schedule: ScheduleParams, t: int) -
 
 
 def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
-    nf = graph.n_measurement_factors
-    if nf == 0:
+    if graph.n_measurement_factors == 0 or schedule.beta is None:
         return 0, 0
-    relinearized = np.zeros(nf, dtype=bool)
-    aborted = 0
-    if schedule.beta is not None:
-        stacked = np.concatenate(graph.adjacent_states(), axis=1)
-        dist = np.linalg.norm(stacked - graph.f_lin, axis=1)
-        idx = np.flatnonzero(
-            (dist > schedule.beta) & (graph.f_iters_since_relin >= schedule.relin_cooldown)
-        )
-        if idx.size:
-            ok = graph.linearize_factors(idx, stacked[idx])
-            relinearized[idx[ok]] = True
-            aborted = int((~ok).sum())
-            if aborted:
-                graph.notes["relin_behind_camera"] += aborted
-    graph.f_iters_since_relin = np.where(relinearized, 0, graph.f_iters_since_relin + 1)
-    graph.f_last_relin = np.where(relinearized, t, graph.f_last_relin)
-    return int(relinearized.sum()), aborted
+    stacked = np.concatenate(graph.adjacent_states(), axis=1)
+    dist = np.linalg.norm(stacked - graph.f_lin, axis=1)
+    idx = np.flatnonzero(
+        (dist > schedule.beta) & (graph.iters_since_relin() >= schedule.relin_cooldown)
+    )
+    if idx.size == 0:
+        return 0, 0
+    ok = graph.linearize_factors(idx)
+    graph.f_last_relin[idx[ok]] = t
+    aborted = int((~ok).sum())
+    if aborted:
+        graph.notes["relin_behind_camera"] += aborted
+    return int(ok.sum()), aborted
 
 
 def _inputs(belief_eta, belief_lam, ids, msg_eta, msg_lam, first_round):

@@ -23,6 +23,10 @@ kind (`kf_*`, `lm_*`), and `FACTOR_FIELDS` for the measurement factors
 graph's one float `dtype`.  `keyframe()`, `landmark()` and `factor()` return
 snapshot views for inspection.
 
+Measurement factors enter by one path, `add_measurements`, which `build`
+also takes once it has grown a problem's variables.  A factor's count of
+rounds since its last relinearisation is derived (`iters_since_relin`).
+
 Priors are born at the same per-coordinate scale as the summed adjacent
 measurement information and are weakened geometrically to 1/100 of that
 over the first iterations of a variable's life.  A prior's mean is pinned at
@@ -149,8 +153,7 @@ FACTOR_FIELDS = (
     Field("target", (2,), "float"),
     Field("weight", (), "float", 1.0),
     Field("valid", (), "bool", False),
-    Field("iters_since_relin", (), "int"),
-    Field("last_relin", (), "int"),
+    Field("last_relin", (), "int"),  # the last round it was relinearised in, else its birth
     Field("birth", (), "int"),  # the iteration it was added in: its inputs are zero then
     *(Field(f"msg_{kind.key}_eta", (kind.dim,), "float") for kind in KINDS),
     *(Field(f"msg_{kind.key}_lam", (kind.dim, kind.dim), "float") for kind in KINDS),
@@ -283,7 +286,7 @@ class FactorGraph:
             huber_nsigma=self.huber_nsigma,
             lin_point=self.f_lin[m].copy(),
             factor=InfoGaussian(*(a[0] for a in self.factor_information([m]))),
-            iters_since_relin=int(self.f_iters_since_relin[m]),
+            iters_since_relin=int(self.iters_since_relin(m)),
             huber_weight=float(self.f_weight[m]),
             linearization_valid=bool(self.f_valid[m]),
             **sides,
@@ -291,8 +294,8 @@ class FactorGraph:
 
     # ----------------------------------------------------------- linearisation
 
-    def linearize_factors(self, idx: np.ndarray, lin_points: np.ndarray) -> np.ndarray:
-        """(Re)linearise the factors in `idx` at the given 9-dim points.
+    def linearize_factors(self, idx: np.ndarray) -> np.ndarray:
+        """(Re)linearise the factors in `idx` at the current states.
 
         Behind-camera points abort their factor's relinearisation (the old
         parameters are kept and the row of the returned mask is False).
@@ -302,6 +305,9 @@ class FactorGraph:
         idx = np.asarray(idx, dtype=int)
         if idx.size == 0:
             return np.zeros(0, dtype=bool)
+        lin_points = np.concatenate(
+            [self.var(kind, "state")[self.adjacent(kind)[idx]] for kind in KINDS], axis=1
+        )
         parts = [lin_points[:, kind.cols] for kind in KINDS]
         uv_hat, depth = project_many(*parts, self.intrinsics)
         ok = depth > DEPTH_EPSILON
@@ -322,6 +328,13 @@ class FactorGraph:
         """w = weight / sigma^2 of the factors in `idx`: the Huber-weighted
         inverse of the isotropic measurement noise."""
         return self.f_weight[idx] / self.f_sigma[idx] ** 2
+
+    def iters_since_relin(self, idx=slice(None)) -> np.ndarray:
+        """Rounds since the factors in `idx` were last linearised, as phase
+        A of round `iteration` sees them: counted from the factor's birth
+        round, or from the round after a relinearisation in phase A."""
+        last = self.f_last_relin[idx]
+        return self.iteration - last - (last > self.f_birth[idx])
 
     def factor_information(self, idx):
         """(w J' t, w J' J) of the factors in `idx`: their 9-dim information
@@ -474,12 +487,14 @@ class FactorGraph:
         return self.add_measurements([kf_id], [lm_id], np.asarray(z, float).reshape(1, 2), [sigma])
 
     def add_measurements(self, kf_ids, lm_ids, zs, sigmas) -> int:
-        """Append measurement factors, linearise them at current states,
+        """Append measurement factors and linearise them at current states;
         re-anchor the prior means of variables born before this iteration at
-        their current states, and regenerate priors of variables added since
-        the last iteration.  Prior strengths, beliefs, messages and
-        linearisations of the older variables and factors are left as they
-        are.  Returns the id of the last factor added."""
+        their current states, and regenerate the priors of every variable
+        born in this iteration from all its adjacent factors (a flagged
+        fallback where there are none).  Prior
+        strengths, beliefs, messages and linearisations of the older
+        variables and factors are left as they are.  Returns the id of the
+        last factor added."""
         ids = [np.asarray(i, dtype=int).reshape(-1) for i in (kf_ids, lm_ids)]
         zs = np.asarray(zs, float).reshape(-1, 2)
         sigmas = np.asarray(sigmas, float).reshape(-1)
@@ -487,41 +502,42 @@ class FactorGraph:
             bad = i[(i < 0) | (i >= self.size(kind))]
             if bad.size:
                 raise BuildError(f"measurement references missing {kind.name} {bad[0]}")
-
-        existing = set(zip(*(self.adjacent(kind).tolist() for kind in KINDS)))
-        seen = set()
-        for pair in zip(*(i.tolist() for i in ids)):
-            if pair in existing or pair in seen:
-                self.notes["duplicate_measurement"] += 1
-            seen.add(pair)
+        repeats = self._count_repeats(*ids)
+        if repeats:
+            self.notes["duplicate_measurement"] += repeats
 
         start = self.n_measurement_factors
-        self._add_factors(ids, zs, sigmas)
-        new_idx = np.arange(start, self.n_measurement_factors)
-        ok = self.linearize_factors(new_idx, self.f_lin[new_idx])
+        # phase A measures from `f_lin` also where the linearisation fails
+        lin = np.concatenate([self.var(kind, "state")[i] for kind, i in zip(KINDS, ids)], axis=1)
+        self._grow(
+            "f_", len(zs), z=zs, sigma=sigmas, lin=lin, last_relin=self.iteration,
+            **{kind.key: i for kind, i in zip(KINDS, ids)},
+        )
+        ok = self.linearize_factors(np.arange(start, self.n_measurement_factors))
         if not np.all(ok):
             self.notes["linearize_behind_camera"] += int((~ok).sum())
 
         # a prior mean left at a state the solve has since moved away from
         # pulls the grown graph towards a worse optimum than a cold restart's
         young = []
-        for kind, i in zip(KINDS, ids):
+        for kind in KINDS:
             birth = self.var(kind, "birth")
             older = birth < self.iteration
             self.var(kind, "prior_mean")[older] = self.var(kind, "state")[older]
-            born = np.flatnonzero(birth == self.iteration)
-            young.append(born[np.isin(born, i)])
+            young.append(np.flatnonzero(birth == self.iteration))
         self.refresh_priors(young)
         return self.n_measurement_factors - 1
 
-    def _add_factors(self, ids, zs, sigmas) -> None:
-        """Append unlinearised factors joining variables `ids[i]` of kind
-        `KINDS[i]`, linearisation points at their current states."""
-        lin = np.concatenate([self.var(kind, "state")[i] for kind, i in zip(KINDS, ids)], axis=1)
-        self._grow(
-            "f_", len(zs), z=zs, sigma=sigmas, lin=lin, last_relin=self.iteration,
-            **{kind.key: i for kind, i in zip(KINDS, ids)},
-        )
+    def _count_repeats(self, kf_ids: np.ndarray, lm_ids: np.ndarray) -> int:
+        """How many new pairs repeat an existing or an earlier new pair: the
+        keys 2 (kf n_landmarks + lm), plus 1 for a new pair, sort each
+        repeat right after an equal key."""
+        n = self.n_landmarks
+        keys = 2 * np.concatenate([self.f_kf * n + self.f_lm, kf_ids * n + lm_ids])
+        keys[self.n_measurement_factors :] += 1
+        keys.sort()
+        new = keys[1:] & 1 == 1
+        return int(np.count_nonzero(new & (keys[1:] >> 1 == keys[:-1] >> 1)))
 
     # ------------------------------------------------------------- utilities
 
@@ -577,7 +593,7 @@ class FactorGraph:
             bad["belief_not_psd"] += int(np.sum(eigs[:, 0] < -PSD_RTOL * np.maximum(1.0, trace)))
         # rank <= 2 right after linearisation: third-largest eigenvalue ~ 0;
         # checked in blocks, so no (F, 9, 9) stack is formed
-        fresh = np.flatnonzero(self.f_valid & (self.f_iters_since_relin == 0))
+        fresh = np.flatnonzero(self.f_valid & (self.iters_since_relin() == 0))
         for start in range(0, fresh.size, BLOCK_ROWS):
             eigs = np.linalg.eigvalsh(self.factor_information(fresh[start : start + BLOCK_ROWS])[1])
             scale = np.maximum(eigs[:, -1], 1.0)
@@ -591,30 +607,20 @@ def huber_weight(mahal, nsigma):
     w = 1 in the quadratic regime (M <= N_sigma); beyond the threshold
     w = 2 N_sigma / M - (N_sigma / M)^2, so that w * M^2 equals the linear
     loss 2 N_sigma M - N_sigma^2.  Continuous, equal to 1 on [0, N_sigma],
-    strictly decreasing and positive beyond.
+    strictly decreasing and positive beyond.  Keeps the float dtype of `mahal`.
     """
-    scalar_in = np.ndim(mahal) == 0
-    mahal = np.atleast_1d(np.asarray(mahal, dtype=float))
-    nsigma = np.broadcast_to(np.asarray(nsigma, dtype=float), mahal.shape)
-    w = np.ones_like(mahal)
-    linear = mahal > nsigma
-    if np.any(linear):
-        ratio = nsigma[linear] / mahal[linear]
-        w[linear] = 2 * ratio - ratio**2
-    return float(w[0]) if scalar_in else w
+    mahal = np.asarray(mahal)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = nsigma / mahal
+        return np.where(mahal > nsigma, 2 * ratio - ratio**2, 1.0)
 
 
 def huber_energy(mahal, nsigma):
     """Piecewise Huber contribution: M^2 below the threshold, else
-    2 N_sigma M - N_sigma^2."""
-    scalar_in = np.ndim(mahal) == 0
-    mahal = np.atleast_1d(np.asarray(mahal, dtype=float))
-    nsigma = np.broadcast_to(np.asarray(nsigma, dtype=float), mahal.shape)
-    out = mahal**2
-    linear = mahal > nsigma
-    if np.any(linear):
-        out[linear] = 2 * nsigma[linear] * mahal[linear] - nsigma[linear] ** 2
-    return float(out[0]) if scalar_in else out
+    2 N_sigma M - N_sigma^2.  Keeps the float dtype of `mahal`."""
+    mahal = np.asarray(mahal)
+    with np.errstate(invalid="ignore"):
+        return np.where(mahal > nsigma, 2 * nsigma * mahal - nsigma**2, mahal**2)
 
 
 def generate_priors(graph: FactorGraph) -> None:
@@ -630,7 +636,8 @@ def generate_priors(graph: FactorGraph) -> None:
 
 
 def build(problem: ProblemSpec, huber_nsigma: float = DEFAULT_HUBER_NSIGMA) -> FactorGraph:
-    """Construct the factor graph for a problem.
+    """Construct the factor graph for a problem: its variables at their
+    initial states, then all its measurements in one `add_measurements`.
 
     One prior factor per variable, one measurement factor per observation,
     all measurement factors linearised at the initial states, all messages
@@ -640,20 +647,9 @@ def build(problem: ProblemSpec, huber_nsigma: float = DEFAULT_HUBER_NSIGMA) -> F
     graph = FactorGraph(problem.intrinsics, huber_nsigma)
     for kind, init in zip(KINDS, (problem.kf_init, problem.lm_init)):
         graph._grow(kind.key + "_", len(init), state=init)
-
-    m = problem.n_measurements
     observed = np.zeros(problem.n_landmarks, dtype=bool)
     observed[problem.meas_lm] = True
-    if not np.all(observed) and m:
+    if not np.all(observed) and problem.n_measurements:
         graph.notes["unobserved_landmarks"] += int((~observed).sum())
-
-    graph._add_factors((problem.meas_kf, problem.meas_lm), problem.meas_uv, problem.meas_sigma)
-    duplicates = m - len(set(zip(graph.f_kf.tolist(), graph.f_lm.tolist())))
-    if duplicates:
-        graph.notes["duplicate_measurement"] += duplicates
-
-    ok = graph.linearize_factors(np.arange(m), graph.f_lin)
-    if not np.all(ok):
-        graph.notes["linearize_behind_camera"] += int((~ok).sum())
-    generate_priors(graph)
+    graph.add_measurements(problem.meas_kf, problem.meas_lm, problem.meas_uv, problem.meas_sigma)
     return graph

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
+from .batch_linalg import PIVOT_RTOL
+
 SYMMETRY_ATOL = 1e-10
-PIVOT_RTOL = 1e-12
 
 
 class DimensionMismatchError(ValueError):
@@ -72,9 +73,6 @@ class InfoGaussian:
     def zero(cls, dim: int) -> "InfoGaussian":
         """The multiplicative identity: a totally uninformative Gaussian."""
         return cls(np.zeros(dim), np.zeros((dim, dim)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.lam)[0]) if self.dim else 0.0
 
 
 def _check_dims(a: InfoGaussian, b: InfoGaussian, op: str) -> None:

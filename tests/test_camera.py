@@ -58,6 +58,18 @@ class TestRotations:
                 np.testing.assert_allclose(jl[:, k], numeric, atol=1e-6)
 
 
+    def test_keep_float_dtype(self):
+        w = np.array([[0.3, -0.2, 0.1], [3.0, 1.0, 0.5]])
+        for dtype in (np.float32, np.float64):
+            x = w.astype(dtype)
+            for fn in (rotation_matrix, left_jacobian, canonicalize_axis_angle):
+                assert fn(x).dtype == dtype, fn.__name__
+            assert retract(np.zeros((2, 6), dtype), np.hstack([x, x])).dtype == dtype
+        # integer and list inputs become float64
+        assert rotation_matrix([0, 0, 1]).dtype == np.float64
+        assert canonicalize_axis_angle(np.array([4, 0, 0])).dtype == np.float64
+
+
 class TestCanonicalize:
     def test_inside_range_untouched(self):
         w = np.array([0.3, -0.2, 0.1])

@@ -221,3 +221,16 @@ def test_linear_gbp_reaches_dense_map():
     assert report.reason == "message_tol"
     got = stack_states(graph)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_default_cadence_relinearises_every_factor_at_rounds_11_22_33():
+    # every factor passes beta early, so the cooldown of 10 sets the
+    # cadence: 10 rounds after its birth, then 11 after each relinearisation
+    graph = build(perturb(synthesize(8, 250, seed=3, pixel_sigma=1), 0.05, "backproject", seed=3))
+    assert graph.n_measurement_factors == 2000
+    counts = {report.iteration: report.n_relinearized for report in run(graph, n=40)}
+    assert counts == {t: 2000 if t in (11, 22, 33) else 0 for t in range(1, 41)}
+    # factors added mid-solve start their count at zero
+    new = add_observed_landmark(graph)
+    assert [graph.factor(m).iters_since_relin for m in new] == [0, 0, 0]
+    assert np.all(graph.iters_since_relin(new) == 0)

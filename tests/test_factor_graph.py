@@ -16,7 +16,7 @@ from gbp_ba import (
 )
 from gbp_ba.camera import DEPTH_EPSILON, camera_center, jacobian_many, project_many
 from gbp_ba.dense_oracle import stack_states
-from gbp_ba.factor_graph import FACTOR_FIELDS, TABLES, huber_energy
+from gbp_ba.factor_graph import FACTOR_FIELDS, TABLES, huber_energy, huber_weight
 
 
 def one_factor_problem(z=(0.0, 0.0), sigma=1.0):
@@ -290,6 +290,31 @@ class TestIncrementalMutation:
         graph.add_measurement(kf, lm, graph.f_z[0])
         assert graph.notes["duplicate_measurement"] == before + 1
 
+    def test_duplicate_count_over_existing_and_new_pairs(self):
+        prob = synthesize(3, 15, seed=13)
+        rows = np.concatenate([np.arange(prob.n_measurements), [0, 0, 4]])
+        prob = ProblemSpec(
+            intrinsics=prob.intrinsics, kf_init=prob.kf_init, lm_init=prob.lm_init,
+            meas_kf=prob.meas_kf[rows], meas_lm=prob.meas_lm[rows],
+            meas_uv=prob.meas_uv[rows], meas_sigma=prob.meas_sigma[rows],
+        )
+        graph = build(prob)
+        distinct = len(set(zip(prob.meas_kf.tolist(), prob.meas_lm.tolist())))
+        assert distinct == prob.n_measurements - 3
+        assert graph.notes["duplicate_measurement"] == prob.n_measurements - distinct
+
+        # one repeat of an existing pair, one new pair given three times
+        lm = graph.add_landmark(np.array([0.0, 0.0, 1.2]))
+        kf_ids = np.array([graph.f_kf[7], 1, 1, 1, 2])
+        lm_ids = np.array([graph.f_lm[7], lm, lm, lm, lm])
+        graph.add_measurements(kf_ids, lm_ids, np.full((5, 2), 300.0), np.ones(5))
+        assert graph.notes["duplicate_measurement"] == 3 + 1 + 2
+        # zero keys: nothing to count
+        graph.add_measurements([], [], np.zeros((0, 2)), [])
+        assert graph.notes["duplicate_measurement"] == 6
+        empty = build(ProblemSpec(kf_init=np.zeros((1, 6)), lm_init=np.ones((1, 3))))
+        assert empty.notes["duplicate_measurement"] == 0
+
     def test_dangling_id_raises(self):
         graph = build(synthesize(3, 15, seed=13))
         with pytest.raises(BuildError, match="keyframe 99"):
@@ -410,6 +435,25 @@ def test_float32_mode():
     upcast = {name: dt for name, dt in float_dtypes(graph).items() if dt != np.float32}
     assert not upcast
     assert np.isfinite(graph.average_reprojection_error())
+
+
+def test_float32_graph_evaluates_in_float32():
+    graph = build(synthesize(3, 20, seed=17, pixel_sigma=0.5)).astype(np.float32)
+    residual, depth = graph.residuals()
+    assert residual.dtype == np.float32 and depth.dtype == np.float32
+    jac = jacobian_many(graph.f_lin[:, :6], graph.f_lin[:, 6:], graph.intrinsics)
+    assert jac.dtype == np.float32
+
+
+def test_huber_keeps_dtype_and_disables_at_infinite_threshold():
+    mahal = np.array([0.0, 1.0, 2.0, 3.0, 50.0], np.float32)
+    assert huber_weight(mahal, 2.0).dtype == np.float32
+    assert huber_energy(mahal, 2.0).dtype == np.float32
+    np.testing.assert_allclose(huber_weight(mahal, 2.0), [1, 1, 1, 8 / 9, 0.0784], rtol=1e-6)
+    with np.errstate(all="raise"):
+        np.testing.assert_array_equal(huber_weight(mahal, np.inf), np.ones(5))
+        np.testing.assert_array_equal(huber_energy(mahal, np.inf), mahal**2)
+    assert huber_weight(5.0, 2.0) == pytest.approx(0.64)
 
 
 class TestSchema:
