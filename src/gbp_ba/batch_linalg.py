@@ -1,13 +1,17 @@
 """Batched kernels over stacks of small arrays: masked Cholesky solves and an
 order-preserving scatter-add.
 
-The message phase needs tens of thousands of independent 3x3 and 6x6 solves
-per iteration, with numerically singular members masked out instead of
-aborting the batch (numpy's batched solve raises on the whole stack).  The
-solves work component-major: entry (i, j) of every matrix in the stack is one
-contiguous length-N vector, and the factorisation and the substitutions are
-loops unrolled over the tiny dimension, so every step is one vector operation
-over the stack.  The public functions take and return the usual (N, d, d) /
+The message and belief phases need tens of thousands of independent 3x3 and
+6x6 factorisations per iteration, with numerically singular members masked
+out instead of aborting the batch (numpy's batched solve raises on the whole
+stack).  The kernels work component-major: entry (i, j) of every matrix in
+the stack is one contiguous length-N vector, and the factorisation and the
+substitutions are loops unrolled over the tiny dimension, so every step is
+one vector operation over the stack.  The factorisation reads only the lower
+triangle of each matrix.  `forward_solve_masked` stops after the forward
+substitution, which is all a caller needs that only forms products
+(L^-1 B)'(L^-1 C) = B' A^-1 C; `solve_spd_masked` adds the back
+substitution.  The public functions take and return the usual (N, d, d) /
 (N, d, k) shapes; a caller that builds its stacks component-major and passes
 `cm.transpose(2, 0, 1)` costs no copy, and the results it gets back are views
 of component-major arrays.
@@ -55,14 +59,16 @@ def _dot(pairs):
 
 
 def _cholesky_cm(mats: np.ndarray):
-    # Every entry is its matrix entry minus a dot product of earlier factor
-    # entries, summed first in the pairwise order of `_dot`, and the trace is
-    # summed in index order.  The pivots of a rank-deficient member are pure
-    # rounding, so whether they pass the test depends on these orders; they
-    # are the ones numpy's einsum uses for such short sums.
+    # Only entries on and below the diagonal are read.  Each column is
+    # formed in one step for all its rows: every entry is its matrix entry
+    # minus a dot product of earlier factor entries, summed in the pairwise
+    # order of `_dot`, and the trace is summed in index order.
+    # The pivots of a rank-deficient member are pure rounding, so whether
+    # they pass the test depends on these orders; they are the ones numpy's
+    # einsum uses for such short sums.
     # The pivot tolerance is PIVOT_RTOL in float64.  In float32, rounding
-    # leaves pivots of up to 3e-4 |trace| in the rank-deficient systems of
-    # first-round messages, so there it is 4500 eps, about 5.4e-4.
+    # leaves pivots of up to 3e-4 |trace| in the rank-2 systems w J'J of a
+    # factor's 3x3 and 6x6 blocks, so there it is 4500 eps, about 5.4e-4.
     rtol = max(PIVOT_RTOL, 4500 * float(np.finfo(mats.dtype).eps))
     d, _, n = mats.shape
     trace = sum(mats[i, i] for i in range(d))
@@ -70,7 +76,8 @@ def _cholesky_cm(mats: np.ndarray):
     lower = np.zeros_like(mats)
     ok = np.ones(n, dtype=bool)
     for j in range(d):
-        pivot = mats[j, j] - _dot((lower[j, k], lower[j, k]) for k in range(j))
+        column = mats[j:, j] - _dot((lower[j:, k], lower[j, k]) for k in range(j))
+        pivot = column[0]
         good = pivot > threshold
         ok &= good
         diag = np.sqrt(np.where(good, pivot, 1.0))
@@ -78,27 +85,36 @@ def _cholesky_cm(mats: np.ndarray):
         # a failed pivot's column is zeroed below it, so the garbage factor of
         # a masked member stays within the size of its entries, and finite
         divisor = diag if good.all() else np.where(good, diag, np.inf)
-        for i in range(j + 1, d):
-            below = mats[i, j] - _dot((lower[i, k], lower[j, k]) for k in range(j))
-            np.divide(below, divisor, out=lower[i, j])
+        np.divide(column[1:], divisor, out=lower[j + 1 :, j])
     return lower, ok
 
 
-def _solve_cholesky_cm(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    d = lower.shape[0]
-    y = np.empty(rhs.shape, np.result_type(lower, rhs, 1.0))
-    for i in range(d):
-        acc = rhs[i].astype(y.dtype, copy=True)
-        for j in range(i):
-            acc -= lower[i, j] * y[j]
-        np.divide(acc, lower[i, i], out=y[i])
-    x = y  # back substitution in place: row i of y is last read at step i
+def _forward_cm(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """y with L y = rhs, in the common float type of the two.  Once row j is
+    solved it is subtracted from all later rows at once, so row i is still
+    rhs[i] minus its terms in ascending j, divided by L[i, i]."""
+    y = rhs.astype(np.result_type(lower, rhs, 1.0), copy=True)
+    for j in range(lower.shape[0]):
+        y[j] /= lower[j, j]
+        y[j + 1 :] -= lower[j + 1 :, j, None] * y[j]
+    return y
+
+
+def _back_cm(lower: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x with L' x = y, in place of y: row i of y is last read at step i."""
+    d, x = lower.shape[0], y
     for i in range(d - 1, -1, -1):
         acc = x[i]
         for j in range(i + 1, d):
             acc -= lower[j, i] * x[j]
         acc /= lower[i, i]
     return x
+
+
+def _factor_forward(mats: np.ndarray, rhs: np.ndarray):
+    """Component-major (L, L^-1 rhs, ok) of (N, d, d) and (N, d, k) stacks."""
+    lower, ok = _cholesky_cm(component_major(np.asarray(mats)))
+    return lower, _forward_cm(lower, component_major(np.asarray(rhs))), ok
 
 
 def cholesky_masked(mats: np.ndarray):
@@ -115,8 +131,21 @@ def cholesky_masked(mats: np.ndarray):
 def solve_cholesky(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (L L') x = rhs for (N, d, d) factors and (N, d, k) right-hand
     sides, in the common float type of the two."""
-    x = _solve_cholesky_cm(component_major(lower), component_major(np.asarray(rhs)))
+    lower = component_major(lower)
+    x = _back_cm(lower, _forward_cm(lower, component_major(np.asarray(rhs))))
     return x.transpose(2, 0, 1)
+
+
+def forward_solve_masked(mats: np.ndarray, rhs: np.ndarray):
+    """Masked Cholesky factorisation L L' of (N, d, d) symmetric
+    positive-definite matrices, of which only the lower triangle is read, and
+    forward substitution of (N, d, k) right-hand sides.
+
+    Returns (y, ok) with L y = rhs, so y'y = rhs' mats^-1 rhs.  Rows where ok
+    is False (see `cholesky_masked`) are finite garbage.
+    """
+    _, y, ok = _factor_forward(mats, rhs)
+    return y.transpose(2, 0, 1), ok
 
 
 def solve_spd_masked(mats: np.ndarray, rhs: np.ndarray):
@@ -125,8 +154,8 @@ def solve_spd_masked(mats: np.ndarray, rhs: np.ndarray):
 
     Returns (x, ok).  Rows where ok is False are not valid solutions.
     """
-    lower, ok = cholesky_masked(mats)
-    return solve_cholesky(lower, rhs), ok
+    lower, y, ok = _factor_forward(mats, rhs)
+    return _back_cm(lower, y).transpose(2, 0, 1), ok
 
 
 def scatter_sum(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:

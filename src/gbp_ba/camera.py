@@ -167,21 +167,26 @@ def retract(state: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return out
 
 
-def transform_many(kf_states: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Camera-frame coordinates R(w) @ l + t for stacked states/points (N, 6)/(N, 3)."""
-    rot = rotation_matrix(kf_states[..., :3])
+def transform_many(kf_states: np.ndarray, points: np.ndarray, rot=None) -> np.ndarray:
+    """Camera-frame coordinates R(w) @ l + t for stacked states/points (N, 6)/(N, 3).
+
+    `rot` may give the rows' R(w) (N, 3, 3), for example computed once per
+    keyframe and gathered; it must equal `rotation_matrix(kf_states[..., :3])`.
+    """
+    if rot is None:
+        rot = rotation_matrix(kf_states[..., :3])
     return np.einsum("...ij,...j->...i", rot, points) + kf_states[..., 3:]
 
 
 def project_many(
-    kf_states: np.ndarray, points: np.ndarray, k: Intrinsics
+    kf_states: np.ndarray, points: np.ndarray, k: Intrinsics, rot=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch pinhole projection.
+    """Batch pinhole projection, with `rot` as for `transform_many`.
 
     Returns (pixels (N, 2), depths (N,)).  Rows with depth <= DEPTH_EPSILON
     hold garbage pixels; callers decide policy from the depth array.
     """
-    p = transform_many(np.atleast_2d(kf_states), np.atleast_2d(points))
+    p = transform_many(np.atleast_2d(kf_states), np.atleast_2d(points), rot)
     depth = p[..., 2]
     safe = np.where(np.abs(depth) > DEPTH_EPSILON, depth, 1.0)
     uv = np.stack(
@@ -190,11 +195,20 @@ def project_many(
     return uv, depth
 
 
-def jacobian_many(kf_states: np.ndarray, points: np.ndarray, k: Intrinsics) -> np.ndarray:
-    """Batch 2x9 measurement Jacobians at the given states (no depth check)."""
+def jacobian_many(
+    kf_states: np.ndarray, points: np.ndarray, k: Intrinsics, rot=None, jl=None
+) -> np.ndarray:
+    """Batch 2x9 measurement Jacobians at the given states (no depth check).
+
+    `rot` and `jl` may give the rows' R(w) and J_l(w) (N, 3, 3), which must
+    equal `rotation_matrix` and `left_jacobian` of `kf_states[..., :3]`.
+    """
     kf_states = np.atleast_2d(kf_states)
     points = np.atleast_2d(points)
-    rot = rotation_matrix(kf_states[..., :3])
+    if rot is None:
+        rot = rotation_matrix(kf_states[..., :3])
+    if jl is None:
+        jl = left_jacobian(kf_states[..., :3])
     rl = np.einsum("...ij,...j->...i", rot, points)
     p = rl + kf_states[..., 3:]
     z = p[..., 2]
@@ -205,7 +219,7 @@ def jacobian_many(kf_states: np.ndarray, points: np.ndarray, k: Intrinsics) -> n
     dpix[..., 0, 2] = -k.fx * p[..., 0] / safe**2
     dpix[..., 1, 1] = k.fy / safe
     dpix[..., 1, 2] = -k.fy * p[..., 1] / safe**2
-    dp_dw = -skew(rl) @ left_jacobian(kf_states[..., :3])
+    dp_dw = -skew(rl) @ jl
     jac = np.zeros(p.shape[:-1] + (2, 9), p.dtype)
     jac[..., :, 0:3] = dpix @ dp_dw
     jac[..., :, 3:6] = dpix

@@ -5,24 +5,29 @@ barrier-separated phases.  Phases B and C loop over the variable kinds of
 `factor_graph.KINDS`, which give each side's arrays, dimension and columns
 of the factor's 9-vector:
 
-  A. every factor checks the distance between the stacked adjacent belief
-     means and its linearisation point and relinearises at them when
-     allowed: distance > beta and `FactorGraph.iters_since_relin` at least
-     `relin_cooldown` c, so c rounds after its birth at the earliest and
-     then every c + 1 rounds.  Phase A writes only `f_last_relin`;
+  A. a factor relinearises at the stacked adjacent belief means when
+     `FactorGraph.iters_since_relin` is at least `relin_cooldown` c (so c
+     rounds after its birth at the earliest and then every c + 1 rounds)
+     and the distance from those means to its linearisation point exceeds
+     beta.  The cooldown is tested first, and the distance only for the
+     factors past it.  Phase A writes only `f_last_relin`;
   B. a factor joins one variable of each kind, and its message to one side
      eliminates the other.  It derives its input from the eliminated side,
-     that variable's belief minus the factor's own last message to it (zero
-     in the round the factor was added in), conditions its information on
-     it and marginalises onto the kept side via Schur complement.  The
-     factor's information is the rank-2 w J'J of its 2x9 Jacobian, so the
-     kernel works on J: one small solve per side with three right-hand
-     columns and a 2x2 inner matrix (see `_side_messages`), with every array
-     component-major so each step is one vector operation over a block of
-     `BLOCK_ROWS` factors.  Where the conditioned block is not positive
-     definite the previous message is kept.  The information vector is
-     damped against the previously sent message except inside the undamped
-     window after a relinearisation;
+     that variable's belief minus the factor's own last message to it,
+     conditions its information on it and marginalises onto the kept side
+     via Schur complement.  The factor's information is the rank-2 w J'J of
+     its 2x9 Jacobian, so the kernel works on J: per side it forms the lower
+     triangle of the conditioned block from J's two rows, factors it and
+     forward-substitutes three right-hand columns, whose products give a
+     2x2 inner matrix (see `_side_messages`); no back substitution is
+     needed.  Every array is component-major, so each step is one vector
+     operation over a block of `BLOCK_ROWS` factors.  Where the conditioned
+     block is not positive definite the previous message is kept.  In the
+     round a factor was added in its input is zero, which leaves the block
+     at rank 2 or less, so both its messages are singular: they are masked
+     by construction and stay zero.  The information vector is damped
+     against the previously sent message except inside the undamped window
+     after a relinearisation;
   C. every variable's belief is rebuilt as prior + sum of incoming messages
      (summed in ascending factor-id order by `scatter_sum`) and its state
      moves to the belief mean when the belief is invertible; keyframe
@@ -43,7 +48,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch_linalg import BLOCK_ROWS, component_major, scatter_sum, solve_spd_masked
+from .batch_linalg import (
+    BLOCK_ROWS,
+    component_major,
+    forward_solve_masked,
+    scatter_sum,
+    solve_spd_masked,
+)
 from .camera import canonicalize_axis_angle
 from .factor_graph import KEYFRAME, KINDS, PRIOR_TARGET_RATIO, FactorGraph
 from .info_gaussian import InfoGaussian, marginalize_onto
@@ -172,11 +183,9 @@ def _update_prior_scales(graph: FactorGraph, schedule: ScheduleParams, t: int) -
 def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
     if graph.n_measurement_factors == 0 or schedule.beta is None:
         return 0, 0
-    stacked = np.concatenate(graph.adjacent_states(), axis=1)
-    dist = np.linalg.norm(stacked - graph.f_lin, axis=1)
-    idx = np.flatnonzero(
-        (dist > schedule.beta) & (graph.iters_since_relin() >= schedule.relin_cooldown)
-    )
+    idx = np.flatnonzero(graph.iters_since_relin() >= schedule.relin_cooldown)
+    stacked = np.concatenate(graph.adjacent_states(idx), axis=1)
+    idx = idx[np.linalg.norm(stacked - graph.f_lin[idx], axis=1) > schedule.beta]
     if idx.size == 0:
         return 0, 0
     ok = graph.linearize_factors(idx)
@@ -187,18 +196,14 @@ def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
     return int(ok.sum()), aborted
 
 
-def _inputs(belief_eta, belief_lam, ids, msg_eta, msg_lam, first_round):
+def _inputs(belief_eta, belief_lam, ids, msg_eta, msg_lam):
     """Variable-to-factor inputs of a block of factors, component-major
     ((d, B) and (d, d, B)): the belief of each factor's variable (given
-    component-major) minus the factor's own last message to it, zero in the
-    factor's first round."""
+    component-major) minus the factor's own last message to it."""
     in_eta = np.take(belief_eta, ids, axis=-1)
     in_eta -= component_major(msg_eta)
     in_lam = np.take(belief_lam, ids, axis=-1)
     in_lam -= component_major(msg_lam)
-    if first_round.any():
-        in_eta[..., first_round] = 0.0
-        in_lam[..., first_round] = 0.0
     return in_eta, in_lam
 
 
@@ -208,49 +213,46 @@ def _side_messages(jac, w, target, keep: slice, elim: slice, in_eta, in_lam):
 
     Everything is component-major: `jac` (2, 9, F), `target` (2, F), `w`
     (F,), the inputs as from `_inputs`.  The factor's information is
-    (w J't, w J'J), so with E the eliminated and K the kept columns of J,
-    cond = w J_E'J_E + sym(input_lam) and X solving
-    cond X = [J_E' | w J_E't + input_eta], the Schur complement onto K is
-    J_K' S J_K with S = w I - w^2 J_E X[:, :2], and its information vector
-    is w J_K' (t - J_E X[:, 2]).  Returns eta (F, dK), lam (F, dK, dK) with
-    lam exactly symmetric (both views of component-major arrays), and the
+    (w J't, w J'J).  With E the eliminated and K the kept
+    columns of J, L L' = cond = w J_E'J_E + input_lam, and
+    Y = L^-1 [J_E' | w J_E't + input_eta], the product G = Y[:, :2]'Y is
+    J_E cond^-1 [J_E' | w J_E't + input_eta].  The Schur complement onto K
+    is J_K' S J_K with S = w I - w^2 G[:, :2], and its information vector is
+    w J_K' (t - G[:, 2]).  Returns eta (F, dK), lam (F, dK, dK) with lam
+    exactly symmetric (both views of component-major arrays), and the
     solve's ok mask.
     """
     je, jk = jac[:, elim], jac[:, keep]
     d, n = je.shape[1:]
-    # J_E'J_E comes from matmul, bit for bit the block of w J'J that
-    # `factor_information` forms: a first-round system (zero input) is rank
-    # deficient, and whether its pivots pass the test is down to rounding
+    # the lower triangle only: the factorisation reads nothing above it
     cond = np.empty((d, d, n), jac.dtype)
-    rows = je.transpose(2, 0, 1)
-    np.matmul(rows.swapaxes(1, 2), rows, out=cond.transpose(2, 0, 1))
-    cond *= w
-    cond += in_lam
     for i in range(d):
-        for j in range(i):
-            cond[i, j] += cond[j, i]
-            cond[i, j] *= 0.5
-            cond[j, i] = cond[i, j]
-    rhs = np.empty((d, 3, n), cond.dtype)
+        row = cond[i, : i + 1]
+        np.multiply(je[0, i], je[0, : i + 1], out=row)
+        row += je[1, i] * je[1, : i + 1]
+        row *= w
+        row += in_lam[i, : i + 1]
+    rhs = np.empty((d, 3, n), jac.dtype)
     rhs[:, 0], rhs[:, 1] = je[0], je[1]
     rhs[:, 2] = w * (je[0] * target[0] + je[1] * target[1]) + in_eta
-    solved, ok = solve_spd_masked(cond.transpose(2, 0, 1), rhs.transpose(2, 0, 1))
-    solved = solved.transpose(1, 2, 0)
-    g = je[:, 0, None] * solved[0]  # J_E X, (2, 3, F)
+    y, ok = forward_solve_masked(cond.transpose(2, 0, 1), rhs.transpose(2, 0, 1))
+    y = y.transpose(1, 2, 0)
+    g = y[0, :2, None] * y[0]  # G, (2, 3, F), with G[0, 1] == G[1, 0]
     for i in range(1, d):
-        g += je[:, i, None] * solved[i]
+        g += y[i, :2, None] * y[i]
     w2 = w * w
     s00 = w - w2 * g[0, 0]
     s11 = w - w2 * g[1, 1]
-    s01 = -0.5 * w2 * (g[0, 1] + g[1, 0])
+    s01 = -w2 * g[0, 1]
     a, b = jk
     p, q = s00 * a + s01 * b, s01 * a + s11 * b  # the rows of S J_K
     dk = a.shape[0]
-    lam = np.empty((dk, dk, n), cond.dtype)
+    lam = np.empty((dk, dk, n), jac.dtype)
     for i in range(dk):
-        for j in range(i + 1):
-            np.add(a[i] * p[j], b[i] * q[j], out=lam[i, j])
-            lam[j, i] = lam[i, j]
+        row = lam[i, : i + 1]
+        np.multiply(a[i], p[: i + 1], out=row)
+        row += b[i] * q[: i + 1]
+        lam[:i, i] = row[:i]
     eta = w * (a * (target[0] - g[0, 2]) + b * (target[1] - g[1, 2]))
     return eta.T, lam.transpose(2, 0, 1), ok
 
@@ -283,14 +285,17 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int):
         # eliminates the other
         for keep, elim in zip(KINDS, KINDS[::-1]):
             ids, (m_eta, m_lam) = graph.adjacent(elim)[rows], messages[elim]
-            in_eta, in_lam = _inputs(*beliefs[elim], ids, m_eta[rows], m_lam[rows], first_round[rows])
+            in_eta, in_lam = _inputs(*beliefs[elim], ids, m_eta[rows], m_lam[rows])
             eta_new, lam_new, ok = _side_messages(
                 jac, w[rows], target, keep.cols, elim.cols, in_eta, in_lam
             )
             prev_eta, prev_lam = (m[rows] for m in messages[keep])
             d = damp[rows]
             eta_out = (1.0 - d) * eta_new + d * prev_eta
-            singular = ~ok
+            # a factor's input is zero in its first round, which leaves cond
+            # at rank 2 or less: those messages are singular whatever the
+            # inputs computed above
+            singular = ~ok | first_round[rows]
             eta_out[singular] = prev_eta[singular]
             lam_new[singular] = prev_lam[singular]
             out[keep][0][rows], out[keep][1][rows] = eta_out, lam_new

@@ -44,7 +44,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch_linalg import BLOCK_ROWS, scatter_sum
-from .camera import DEPTH_EPSILON, Intrinsics, jacobian_many, project_many
+from .camera import (
+    DEPTH_EPSILON,
+    Intrinsics,
+    jacobian_many,
+    left_jacobian,
+    project_many,
+    rotation_matrix,
+)
 from .dataset_io import ProblemSpec
 from .info_gaussian import InfoGaussian
 
@@ -217,8 +224,9 @@ class FactorGraph:
     def adjacent(self, kind: Kind) -> np.ndarray:
         return getattr(self, f"f_{kind.key}")
 
-    def adjacent_states(self) -> list:
-        return [self.var(kind, "state")[self.adjacent(kind)] for kind in KINDS]
+    def adjacent_states(self, idx=slice(None)) -> list:
+        """Per kind, the states of the variables of the factors in `idx`."""
+        return [self.var(kind, "state")[self.adjacent(kind)[idx]] for kind in KINDS]
 
     def messages(self, kind: Kind) -> tuple:
         return getattr(self, f"f_msg_{kind.key}_eta"), getattr(self, f"f_msg_{kind.key}_lam")
@@ -305,15 +313,17 @@ class FactorGraph:
         idx = np.asarray(idx, dtype=int)
         if idx.size == 0:
             return np.zeros(0, dtype=bool)
-        lin_points = np.concatenate(
-            [self.var(kind, "state")[self.adjacent(kind)[idx]] for kind in KINDS], axis=1
-        )
+        lin_points = np.concatenate(self.adjacent_states(idx), axis=1)
         parts = [lin_points[:, kind.cols] for kind in KINDS]
-        uv_hat, depth = project_many(*parts, self.intrinsics)
+        # R(w) and J_l(w) once per keyframe, gathered by factor
+        kf, axis_angles = self.f_kf[idx], self.kf_state[:, :3]
+        rot = rotation_matrix(axis_angles)[kf]
+        uv_hat, depth = project_many(*parts, self.intrinsics, rot)
         ok = depth > DEPTH_EPSILON
         good = idx[ok]
         if good.size:
-            jac = jacobian_many(*(part[ok] for part in parts), self.intrinsics)
+            jl = left_jacobian(axis_angles)[kf[ok]]
+            jac = jacobian_many(*(part[ok] for part in parts), self.intrinsics, rot[ok], jl)
             residual = self.f_z[good] - uv_hat[ok]
             mahal = np.linalg.norm(residual, axis=1) / self.f_sigma[good]
             weight = huber_weight(mahal, self.huber_nsigma)
@@ -416,7 +426,8 @@ class FactorGraph:
             return self._projection
         if self.n_measurement_factors == 0:
             return np.zeros((0, 2)), np.zeros(0)
-        uv_hat, depth = project_many(*self.adjacent_states(), self.intrinsics)
+        rot = rotation_matrix(self.kf_state[:, :3])[self.f_kf]
+        uv_hat, depth = project_many(*self.adjacent_states(), self.intrinsics, rot)
         return self.f_z - uv_hat, depth
 
     def average_reprojection_error(self) -> float:

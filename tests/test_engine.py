@@ -199,14 +199,16 @@ def test_zero_weakening_window_restores_full_strength_priors():
 
 
 def test_float32_first_round_messages_are_singular_as_in_float64():
-    # a rank-2 factor conditioned on a zero input is singular on both sides;
-    # in float32 its pivots are rounding, which must not pass the test
-    problem = perturb(synthesize(8, 250, seed=3, pixel_sigma=1), 0.05, "backproject", seed=3)
-    for dtype in (np.float64, np.float32):
-        graph = build(problem).astype(dtype)
-        report = iterate(graph)
-        assert report.n_singular_messages == 2 * graph.n_measurement_factors, dtype
-        assert not graph.f_msg_kf_lam.any() and not graph.f_msg_lm_lam.any()
+    # a rank-2 factor conditioned on a zero input is singular on both sides
+    # in exact arithmetic, so its messages are masked whatever its pivots
+    # round to, in either dtype (seeds 5 and 8 each have a pivot that passes)
+    for seed in (3, 5, 8):
+        problem = perturb(synthesize(8, 250, seed=seed, pixel_sigma=1), 0.05, "backproject", seed=seed)
+        for dtype in (np.float64, np.float32):
+            graph = build(problem).astype(dtype)
+            report = iterate(graph)
+            assert report.n_singular_messages == 2 * graph.n_measurement_factors == 4000, (seed, dtype)
+            assert not graph.f_msg_kf_lam.any() and not graph.f_msg_lm_lam.any()
 
 
 def test_linear_gbp_reaches_dense_map():

@@ -11,6 +11,7 @@ from gbp_ba import (
     generate_priors,
     inject_outliers,
     perturb,
+    run,
     solve,
     synthesize,
 )
@@ -443,6 +444,28 @@ def test_float32_graph_evaluates_in_float32():
     assert residual.dtype == np.float32 and depth.dtype == np.float32
     jac = jacobian_many(graph.f_lin[:, :6], graph.f_lin[:, 6:], graph.intrinsics)
     assert jac.dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_per_keyframe_camera_terms_match_per_row_calls(dtype):
+    # residuals() and linearize_factors() compute each keyframe's rotation
+    # and left Jacobian once and gather them by factor; every row must be
+    # what the per-row camera functions give, in the graph's dtype
+    problem = perturb(synthesize(4, 30, seed=21, pixel_sigma=0.5), 0.05, "backproject", seed=22)
+    graph = build(problem).astype(dtype)
+    run(graph, ScheduleParams(), n=3)
+    assert np.all(np.linalg.norm(graph.kf_state[:, :3], axis=1) > 0)
+    residual, depth = graph.residuals()
+    uv, want_depth = project_many(graph.kf_state[graph.f_kf], graph.lm_state[graph.f_lm], graph.intrinsics)
+    assert residual.dtype == dtype and depth.dtype == dtype
+    np.testing.assert_array_equal(residual, graph.f_z - uv)
+    np.testing.assert_array_equal(depth, want_depth)
+    idx = np.arange(1, graph.n_measurement_factors, 3)
+    assert graph.linearize_factors(idx).all()
+    assert not np.array_equal(graph.f_lin[idx], build(problem).astype(dtype).f_lin[idx])
+    want = jacobian_many(graph.f_lin[idx, :6], graph.f_lin[idx, 6:], graph.intrinsics)
+    assert graph.f_jac.dtype == dtype and want.dtype == dtype
+    np.testing.assert_array_equal(graph.f_jac[idx], want)
 
 
 def test_huber_keeps_dtype_and_disables_at_infinite_threshold():
