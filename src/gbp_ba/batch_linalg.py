@@ -12,9 +12,10 @@ triangle of each matrix.  `forward_solve_masked` stops after the forward
 substitution, which is all a caller needs that only forms products
 (L^-1 B)'(L^-1 C) = B' A^-1 C; `solve_spd_masked` adds the back
 substitution.  The public functions take and return the usual (N, d, d) /
-(N, d, k) shapes; a caller that builds its stacks component-major and passes
-`cm.transpose(2, 0, 1)` costs no copy, and the results it gets back are views
-of component-major arrays.
+(N, d, k) shapes and read their inputs through the view `component_major`:
+a stack that is the (N, ...) view of a contiguous component-major array
+(every factor-graph array is one) costs no copy and is read as contiguous
+vectors.  The results are views of component-major arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 PIVOT_RTOL = 1e-12
-TRANSPOSE_BLOCK_ROWS = 1024
 
 # Per-factor work over the whole graph (the message phase, the rank check)
 # runs over blocks of this many rows, so each of its temporaries is at most
@@ -32,21 +32,9 @@ BLOCK_ROWS = 4096
 
 
 def component_major(stack: np.ndarray) -> np.ndarray:
-    """(N, ...) -> contiguous (..., N).
-
-    No copy when `stack` is the transposed view of a contiguous
-    component-major array.  Otherwise the copy goes in blocks of rows small
-    enough to stay in cache, about 3x faster than one strided pass at 36
-    floats per row.
-    """
-    moved = np.moveaxis(stack, 0, -1)
-    if moved.flags.c_contiguous:
-        return moved
-    out = np.empty(moved.shape, stack.dtype)
-    for start in range(0, stack.shape[0], TRANSPOSE_BLOCK_ROWS):
-        block = slice(start, start + TRANSPOSE_BLOCK_ROWS)
-        out[..., block] = moved[..., block]
-    return out
+    """(N, ...) -> (..., N), a view: the base itself for an (N, ...) view of
+    a contiguous component-major array."""
+    return np.moveaxis(stack, 0, -1)
 
 
 def _dot(pairs):
@@ -113,8 +101,8 @@ def _back_cm(lower: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _factor_forward(mats: np.ndarray, rhs: np.ndarray):
     """Component-major (L, L^-1 rhs, ok) of (N, d, d) and (N, d, k) stacks."""
-    lower, ok = _cholesky_cm(component_major(np.asarray(mats)))
-    return lower, _forward_cm(lower, component_major(np.asarray(rhs))), ok
+    lower, ok = _cholesky_cm(component_major(mats))
+    return lower, _forward_cm(lower, component_major(rhs)), ok
 
 
 def cholesky_masked(mats: np.ndarray):
@@ -124,7 +112,7 @@ def cholesky_masked(mats: np.ndarray):
     the dtype's pivot tolerance times the trace; rows with ok False contain
     finite garbage factors and must be masked by the caller.
     """
-    lower, ok = _cholesky_cm(component_major(np.asarray(mats)))
+    lower, ok = _cholesky_cm(component_major(mats))
     return lower.transpose(2, 0, 1), ok
 
 
@@ -132,7 +120,7 @@ def solve_cholesky(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (L L') x = rhs for (N, d, d) factors and (N, d, k) right-hand
     sides, in the common float type of the two."""
     lower = component_major(lower)
-    x = _back_cm(lower, _forward_cm(lower, component_major(np.asarray(rhs))))
+    x = _back_cm(lower, _forward_cm(lower, component_major(rhs)))
     return x.transpose(2, 0, 1)
 
 

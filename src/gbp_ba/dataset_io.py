@@ -107,6 +107,11 @@ class ProblemSpec:
         if m and (self.meas_lm.min() < 0 or self.meas_lm.max() >= self.n_landmarks):
             bad = int(np.argmax((self.meas_lm < 0) | (self.meas_lm >= self.n_landmarks)))
             raise ValueError(f"measurement {bad} references missing landmark {self.meas_lm[bad]}")
+        for what, init in (("keyframe", self.kf_init), ("landmark", self.lm_init)):
+            finite = np.isfinite(init).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"{what} {np.argmin(finite)} has a non-finite initial state")
+        check_measurement_values(self.meas_uv, self.meas_sigma)
         if self.kf_gt is not None and self.kf_gt.shape[0] != self.n_keyframes:
             raise ValueError("keyframe ground truth count mismatch")
         if self.lm_gt is not None and self.lm_gt.shape[0] != self.n_landmarks:
@@ -130,6 +135,15 @@ class ProblemSpec:
                 return False  # an array against None
             return a == b
         return all(eq(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+def check_measurement_values(uv: np.ndarray, sigma: np.ndarray, error=ValueError) -> None:
+    """Raise `error` naming the first measurement whose pixel coordinates
+    are not finite or whose noise sigma is not finite and positive."""
+    good = np.isfinite(uv).all(axis=1) & np.isfinite(sigma) & (sigma > 0)
+    if not good.all():
+        i = np.argmin(good)
+        raise error(f"measurement {i} has uv {uv[i]} and sigma {sigma[i]}: need finite, sigma > 0")
 
 
 def _fmt(x: float) -> str:

@@ -185,7 +185,6 @@ class LMParams:
     max_steps: int = 50
     are_target: float = 1.5
     gradient_tol: float = 1e-10
-    fix_landmarks_steps: int = 0  # keep landmarks frozen for the first accepted steps
 
 
 @dataclass
@@ -285,19 +284,15 @@ def lm_solve(graph: FactorGraph, params: LMParams | None = None) -> LMReport:
             if np.max(np.abs(grad)) <= params.gradient_tol:
                 reason = "gradient"
                 break
-            # landmarks are the last block
-            sub = slice(0, offsets[-2] if accepted < params.fix_landmarks_steps else dim)
             step_ok = False
             while lam_damp <= params.max_lambda:
                 attempts += 1
-                damped = hess[sub, sub] + lam_damp * np.diag(np.diag(hess[sub, sub]))
+                damped = hess + lam_damp * np.diag(np.diag(hess))
                 try:
-                    delta_sub = np.linalg.solve(damped, grad[sub])
+                    delta = np.linalg.solve(damped, grad)
                 except np.linalg.LinAlgError:
                     lam_damp *= params.lambda_up
                     continue
-                delta = np.zeros(dim)
-                delta[sub] = delta_sub
                 parts = np.split(delta, offsets[1:-1])
                 new = [retract(s, d.reshape(s.shape)) for s, d in zip(states, parts)]
                 e_new = energy(new)

@@ -20,25 +20,27 @@ of the factor's 9-vector:
      triangle of the conditioned block from J's two rows, factors it and
      forward-substitutes three right-hand columns, whose products give a
      2x2 inner matrix (see `_side_messages`); no back substitution is
-     needed.  Every array is component-major, so each step is one vector
-     operation over a block of `BLOCK_ROWS` factors.  Where the conditioned
-     block is not positive definite the previous message is kept.  In the
-     round a factor was added in its input is zero, which leaves the block
-     at rank 2 or less, so both its messages are singular: they are masked
-     by construction and stay zero.  The information vector is damped
-     against the previously sent message except inside the undamped window
-     after a relinearisation;
-  C. every variable's belief is rebuilt as prior + sum of incoming messages
-     (summed in ascending factor-id order by `scatter_sum`) and its state
-     moves to the belief mean when the belief is invertible; keyframe
+     needed.  The kernel works on component-major views of the graph's
+     factor-last arrays, so each step is one vector operation over a block
+     of `BLOCK_ROWS` factors, and it overwrites the messages in place.
+     Where the conditioned block is not positive definite the previous
+     message is kept.  In the round a factor was added in its input is zero,
+     which leaves the block at rank 2 or less, so both its messages are
+     singular: they are masked by construction and stay zero.  The
+     information vector is damped against the previously sent message
+     except inside the undamped window after a relinearisation;
+  C. every variable's belief is rebuilt in place as prior + sum of incoming
+     messages (summed in ascending factor-id order by `scatter_sum`) and its
+     state moves to the belief mean when the belief is invertible; keyframe
      rotations are then wrapped to angle-axis magnitudes in [0, pi].
 
 `iterate` then evaluates the ARE and the energy from one shared projection
 and reports the wall time of each phase in `IterationReport.phase_ms`.
 
 Within a phase all reads target the pre-phase snapshot, so results do not
-depend on intra-phase execution order.  Every phase keeps the graph's float
-dtype.
+depend on intra-phase execution order: phase B reads both sides' inputs
+and messages of a block before it writes either.  Every phase keeps the
+graph's float dtype.
 """
 
 from __future__ import annotations
@@ -196,15 +198,11 @@ def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
     return int(ok.sum()), aborted
 
 
-def _inputs(belief_eta, belief_lam, ids, msg_eta, msg_lam):
-    """Variable-to-factor inputs of a block of factors, component-major
-    ((d, B) and (d, d, B)): the belief of each factor's variable (given
-    component-major) minus the factor's own last message to it."""
-    in_eta = np.take(belief_eta, ids, axis=-1)
-    in_eta -= component_major(msg_eta)
-    in_lam = np.take(belief_lam, ids, axis=-1)
-    in_lam -= component_major(msg_lam)
-    return in_eta, in_lam
+def _inputs(beliefs, messages, ids, rows):
+    """Variable-to-factor inputs (eta, lam) of the factors in `rows`, all
+    component-major ((d, B) and (d, d, B)): the belief of each factor's
+    variable `ids` minus the factor's own last message to it."""
+    return [np.take(b, ids[rows], axis=-1) - m[..., rows] for b, m in zip(beliefs, messages)]
 
 
 def _side_messages(jac, w, target, keep: slice, elim: slice, in_eta, in_lam):
@@ -218,9 +216,8 @@ def _side_messages(jac, w, target, keep: slice, elim: slice, in_eta, in_lam):
     Y = L^-1 [J_E' | w J_E't + input_eta], the product G = Y[:, :2]'Y is
     J_E cond^-1 [J_E' | w J_E't + input_eta].  The Schur complement onto K
     is J_K' S J_K with S = w I - w^2 G[:, :2], and its information vector is
-    w J_K' (t - G[:, 2]).  Returns eta (F, dK), lam (F, dK, dK) with lam
-    exactly symmetric (both views of component-major arrays), and the
-    solve's ok mask.
+    w J_K' (t - G[:, 2]).  Returns eta (dK, F), lam (dK, dK, F) with lam
+    exactly symmetric, and the solve's ok mask.
     """
     je, jk = jac[:, elim], jac[:, keep]
     d, n = je.shape[1:]
@@ -254,7 +251,7 @@ def _side_messages(jac, w, target, keep: slice, elim: slice, in_eta, in_lam):
         row += b[i] * q[: i + 1]
         lam[:i, i] = row[:i]
     eta = w * (a * (target[0] - g[0, 2]) + b * (target[1] - g[1, 2]))
-    return eta.T, lam.transpose(2, 0, 1), ok
+    return eta, lam, ok
 
 
 def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int):
@@ -263,73 +260,69 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int):
         return 0, 0.0
     damp = np.where(
         (t - graph.f_last_relin) < schedule.undamped_window, 0.0, schedule.damping
-    ).astype(graph.dtype)[:, None]
+    ).astype(graph.dtype)
     first_round = graph.f_birth == t
     w = graph.factor_precision()
-    # per kind: the beliefs, component-major once per round, and the messages
+    # component-major views of the graph's arrays: per kind its beliefs and
+    # the messages to it, which are overwritten in place
+    jac, target = component_major(graph.f_jac), component_major(graph.f_target)
     beliefs = {
         kind: [component_major(graph.var(kind, name)) for name in ("belief_eta", "belief_lam")]
         for kind in KINDS
     }
-    messages = {kind: graph.messages(kind) for kind in KINDS}
-    out = {kind: [np.empty_like(m) for m in messages[kind]] for kind in KINDS}
+    messages = {kind: [component_major(m) for m in graph.messages(kind)] for kind in KINDS}
     n_singular = 0
     max_delta = 0.0
     # blocks of BLOCK_ROWS factors; a factor's messages do not depend on
     # the block it falls in
     for start in range(0, n, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        jac = component_major(graph.f_jac[rows])
-        target = component_major(graph.f_target[rows])
+        # both sides' inputs, read before either side's messages are written
+        inputs = {
+            kind: _inputs(beliefs[kind], messages[kind], graph.adjacent(kind), rows)
+            for kind in KINDS
+        }
         # a factor joins one variable of each kind: the message to one side
         # eliminates the other
         for keep, elim in zip(KINDS, KINDS[::-1]):
-            ids, (m_eta, m_lam) = graph.adjacent(elim)[rows], messages[elim]
-            in_eta, in_lam = _inputs(*beliefs[elim], ids, m_eta[rows], m_lam[rows])
-            eta_new, lam_new, ok = _side_messages(
-                jac, w[rows], target, keep.cols, elim.cols, in_eta, in_lam
+            eta, lam, ok = _side_messages(
+                jac[..., rows], w[rows], target[..., rows], keep.cols, elim.cols, *inputs[elim]
             )
-            prev_eta, prev_lam = (m[rows] for m in messages[keep])
+            prev_eta, prev_lam = (m[..., rows] for m in messages[keep])
             d = damp[rows]
-            eta_out = (1.0 - d) * eta_new + d * prev_eta
+            eta = (1.0 - d) * eta + d * prev_eta
             # a factor's input is zero in its first round, which leaves cond
             # at rank 2 or less: those messages are singular whatever the
             # inputs computed above
             singular = ~ok | first_round[rows]
-            eta_out[singular] = prev_eta[singular]
-            lam_new[singular] = prev_lam[singular]
-            out[keep][0][rows], out[keep][1][rows] = eta_out, lam_new
+            np.copyto(eta, prev_eta, where=singular)
+            np.copyto(lam, prev_lam, where=singular)
             n_singular += int(singular.sum())
-            max_delta = max(
-                max_delta,
-                float(np.max(np.abs(eta_out - prev_eta))),
-                float(np.max(np.abs(lam_new - prev_lam))),
-            )
-    for kind, (eta, lam) in out.items():
-        graph.set_messages(kind, eta, lam)
+            max_delta = max(max_delta, np.abs(eta - prev_eta).max(), np.abs(lam - prev_lam).max())
+            prev_eta[...], prev_lam[...] = eta, lam
     if n_singular:
         graph.notes["singular_message"] += n_singular
-    return n_singular, max_delta
+    return n_singular, float(max_delta)
 
 
 def _phase_beliefs(graph: FactorGraph) -> int:
     frozen = 0
     for kind in KINDS:
-        eta, prior_diag = graph.prior_information(kind)
+        eta, lam, state = (graph.var(kind, name) for name in ("belief_eta", "belief_lam", "state"))
+        prior_eta, prior_diag = graph.prior_information(kind)
         n, dim = eta.shape
         ids = graph.adjacent(kind)
         msg_eta, msg_lam = graph.messages(kind)
-        eta += scatter_sum(ids, msg_eta, n)
-        lam = scatter_sum(ids, msg_lam, n)
+        np.add(prior_eta, scatter_sum(ids, msg_eta, n), out=eta)
+        lam[...] = scatter_sum(ids, msg_lam, n)
         rng = np.arange(dim)
         lam[:, rng, rng] += prior_diag
         mean, ok = solve_spd_masked(lam, eta[:, :, None])
         mean = mean[:, :, 0]
         if kind is KEYFRAME:
             mean[:, :3] = canonicalize_axis_angle(mean[:, :3])
-        state = np.where(ok[:, None], mean, graph.var(kind, "state"))
+        np.copyto(state, mean, where=ok[:, None])
         frozen += int((~ok).sum())
-        graph.set_var(kind, belief_eta=eta, belief_lam=lam, state=state)
     if frozen:
         graph.notes["frozen_state"] += frozen
     return frozen

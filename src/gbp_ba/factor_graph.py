@@ -23,6 +23,11 @@ kind (`kf_*`, `lm_*`), and `FACTOR_FIELDS` for the measurement factors
 graph's one float `dtype`.  `keyframe()`, `landmark()` and `factor()` return
 snapshot views for inspection.
 
+Each array is the `(n, trailing...)` view of a contiguous node-last base
+`(trailing..., n)`: rows index as usual, `batch_linalg.component_major`
+returns the base, the layout every kernel works in, without a copy, and the
+engine updates messages, beliefs and states in these arrays in place.
+
 Measurement factors enter by one path, `add_measurements`, which `build`
 also takes once it has grown a problem's variables.  A factor's count of
 rounds since its last relinearisation is derived (`iters_since_relin`).
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch_linalg import BLOCK_ROWS, scatter_sum
+from .batch_linalg import BLOCK_ROWS, component_major, scatter_sum
 from .camera import (
     DEPTH_EPSILON,
     Intrinsics,
@@ -52,7 +57,7 @@ from .camera import (
     project_many,
     rotation_matrix,
 )
-from .dataset_io import ProblemSpec
+from .dataset_io import ProblemSpec, check_measurement_values
 from .info_gaussian import InfoGaussian
 
 PRIOR_TARGET_RATIO = 0.01
@@ -194,29 +199,25 @@ class FactorGraph:
     def _grow(self, prefix: str, n: int, **given) -> None:
         """Append `n` rows to every array of the `prefix` table: the `given`
         values broadcast over the rows, else each field's fill.  `birth`
-        defaults to the current iteration."""
+        defaults to the current iteration.  Bases grow on their last axis."""
         fields, dim = TABLES[prefix]
         given.setdefault("birth", self.iteration)
         for f in fields:
-            shape = (n,) + tuple(dim if s == "d" else s for s in f.shape)
+            shape = tuple(dim if s == "d" else s for s in f.shape) + (n,)
             # zero-filled blocks stay untouched pages until first written,
             # which keeps build's peak memory down for the message arrays
-            block = np.zeros(shape, self._kind_dtype(f.kind))
+            base = np.zeros(shape, self._kind_dtype(f.kind))
             if f.name in given or f.fill:
-                block[...] = given.get(f.name, f.fill)
+                np.moveaxis(base, -1, 0)[...] = given.get(f.name, f.fill)
             old = getattr(self, prefix + f.name, None)
             if old is not None and len(old):
-                block = np.concatenate([old, block])
-            setattr(self, prefix + f.name, block)
+                base = np.concatenate([component_major(old), base], axis=-1)
+            setattr(self, prefix + f.name, np.moveaxis(base, -1, 0))
 
     # ------------------------------------------------------------------ kinds
 
     def var(self, kind: Kind, name: str) -> np.ndarray:
         return getattr(self, f"{kind.key}_{name}")
-
-    def set_var(self, kind: Kind, **arrays) -> None:
-        for name, value in arrays.items():
-            setattr(self, f"{kind.key}_{name}", value)
 
     def size(self, kind: Kind) -> int:
         return self.var(kind, "state").shape[0]
@@ -230,10 +231,6 @@ class FactorGraph:
 
     def messages(self, kind: Kind) -> tuple:
         return getattr(self, f"f_msg_{kind.key}_eta"), getattr(self, f"f_msg_{kind.key}_lam")
-
-    def set_messages(self, kind: Kind, eta: np.ndarray, lam: np.ndarray) -> None:
-        setattr(self, f"f_msg_{kind.key}_eta", eta)
-        setattr(self, f"f_msg_{kind.key}_lam", lam)
 
     # ------------------------------------------------------------------ sizes
 
@@ -505,7 +502,9 @@ class FactorGraph:
         fallback where there are none).  Prior
         strengths, beliefs, messages and linearisations of the older
         variables and factors are left as they are.  Returns the id of the
-        last factor added."""
+        last factor added.  Raises BuildError, before changing the graph,
+        for a missing variable id or a value `check_measurement_values`
+        rejects."""
         ids = [np.asarray(i, dtype=int).reshape(-1) for i in (kf_ids, lm_ids)]
         zs = np.asarray(zs, float).reshape(-1, 2)
         sigmas = np.asarray(sigmas, float).reshape(-1)
@@ -513,6 +512,7 @@ class FactorGraph:
             bad = i[(i < 0) | (i >= self.size(kind))]
             if bad.size:
                 raise BuildError(f"measurement references missing {kind.name} {bad[0]}")
+        check_measurement_values(zs, sigmas, BuildError)
         repeats = self._count_repeats(*ids)
         if repeats:
             self.notes["duplicate_measurement"] += repeats
@@ -557,7 +557,8 @@ class FactorGraph:
 
     def astype(self, dtype) -> "FactorGraph":
         """Copy with every float array in `dtype` (e.g. float32, the paper's
-        on-chip precision, for studying reduced-precision behaviour)."""
+        on-chip precision, for studying reduced-precision behaviour).  The
+        copies keep the node-last layout (`astype` keeps the strides' order)."""
         out = FactorGraph(self.intrinsics, self.huber_nsigma)
         out.iteration = self.iteration
         out.notes = Counter(self.notes)

@@ -94,6 +94,42 @@ class TestNativeFormat:
         assert load(path) == small_problem
 
 
+class TestDegenerateValues:
+    @pytest.mark.parametrize(
+        "field, row, value, message",
+        [
+            ("meas_uv", 3, np.nan, "measurement 3"),
+            ("meas_uv", 0, np.inf, "measurement 0"),
+            ("meas_sigma", 5, 0.0, "measurement 5"),
+            ("meas_sigma", 2, -0.5, "measurement 2"),
+            ("meas_sigma", 1, np.nan, "measurement 1"),
+            ("kf_init", 2, np.nan, "keyframe 2"),
+            ("lm_init", 7, -np.inf, "landmark 7"),
+        ],
+    )
+    def test_problem_spec_rejects(self, small_problem, field, row, value, message):
+        values = {f: getattr(small_problem, f) for f in ("kf_init", "lm_init", "meas_uv", "meas_sigma")}
+        values[field] = values[field].copy()
+        values[field][row] = value
+        with pytest.raises(ValueError, match=message):
+            ProblemSpec(
+                intrinsics=small_problem.intrinsics,
+                meas_kf=small_problem.meas_kf,
+                meas_lm=small_problem.meas_lm,
+                **values,
+            )
+
+    def test_load_rejects_zero_sigma(self, small_problem, tmp_path):
+        path = tmp_path / "zero_sigma.gbpba"
+        save(small_problem, path)
+        lines = path.read_text().splitlines()
+        first = lines.index(f"measurements {small_problem.n_measurements}") + 1
+        lines[first] = " ".join(lines[first].split()[:4] + ["0"])
+        path.write_text("\n".join(lines))
+        with pytest.raises(ParseError, match="measurement 0"):
+            load(path)
+
+
 class TestSynthesize:
     def test_deterministic(self):
         assert synthesize(5, 40, seed=7) == synthesize(5, 40, seed=7)

@@ -189,6 +189,18 @@ def test_row_blocks_do_not_change_results(monkeypatch):
         np.testing.assert_array_equal(getattr(big, name), getattr(small, name))
 
 
+def test_phases_update_the_graph_arrays_in_place():
+    graph = perturbed_graph()
+    names = [name for name in vars(graph) if name.startswith("f_msg_")]
+    names += [f"{key}_{field}" for key in ("kf", "lm") for field in ("belief_eta", "belief_lam", "state")]
+    arrays = {name: getattr(graph, name) for name in names}
+    before = {name: value.copy() for name, value in arrays.items()}
+    run(graph, ScheduleParams(), n=3)
+    for name, value in arrays.items():
+        assert getattr(graph, name) is value, name
+        assert not np.array_equal(value, before[name]), name
+
+
 def test_zero_weakening_window_restores_full_strength_priors():
     graph = perturbed_graph()
     run(graph, ScheduleParams(), n=12)

@@ -323,6 +323,18 @@ class TestIncrementalMutation:
         with pytest.raises(BuildError, match="landmark 99"):
             graph.add_measurement(0, 99, np.zeros(2))
 
+    @pytest.mark.parametrize(
+        "z, sigma", [((0.0, 0.0), 0.0), ((0.0, 0.0), -1.0), ((0.0, 0.0), np.inf), ((np.nan, 0.0), 1.0)]
+    )
+    def test_degenerate_measurement_raises_and_leaves_graph(self, z, sigma):
+        graph = build(synthesize(3, 15, seed=13))
+        before = graph.copy()
+        with pytest.raises(BuildError, match="measurement 0"):
+            graph.add_measurement(0, 0, np.array(z), sigma=sigma)
+        for name, value in vars(before).items():
+            if isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(getattr(graph, name), value, err_msg=name)
+
     def test_existing_state_untouched_by_addition(self):
         graph = build(synthesize(3, 15, seed=13))
         from gbp_ba.engine import run
@@ -511,6 +523,26 @@ class TestSchema:
                     assert not np.shares_memory(value, copied), name
                     np.testing.assert_array_equal(copied, value.astype(copied.dtype), err_msg=name)
         assert graph.astype(np.float32).dtype == np.float32
+
+    def test_arrays_are_stored_node_last(self):
+        # each array is the (n, ...) view of a contiguous (..., n) base, so
+        # the engine's component-major views of it are copy-free
+        from gbp_ba.engine import run
+
+        def check_layout(graph):
+            for name, value in vars(graph).items():
+                if isinstance(value, np.ndarray):
+                    assert value.strides[0] == value.itemsize, name
+                    assert np.moveaxis(value, 0, -1).flags.c_contiguous, name
+
+        graph = build(synthesize(3, 20, seed=18, pixel_sigma=0.5))
+        check_layout(graph)
+        grow(graph)
+        check_layout(graph)
+        run(graph, ScheduleParams(), n=3)
+        check_layout(graph)
+        check_layout(graph.copy())
+        check_layout(graph.astype(np.float32))
 
     def test_factor_stores_jacobian_not_information(self):
         from gbp_ba.engine import run
