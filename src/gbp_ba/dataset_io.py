@@ -1,29 +1,36 @@
 """Problem serialisation, BAL import, synthetic scenes and corruption.
 
 The native problem format is line-oriented text with explicit section headers
-and a version tag so fixtures are diff-able and hand-writable:
+and a version tag, so fixtures are diff-able and hand-writable.  Its sections
+come in this order, the last two optional and in either order:
 
     gbpba v1
     intrinsics <fx> <fy> <cx> <cy>
     keyframes <N> gt=<0|1>
-    <id> <wx> <wy> <wz> <tx> <ty> <tz> [six ground-truth floats]
+    <id> <wx> <wy> <wz> <tx> <ty> <tz> [six ground-truth floats if gt=1]
     landmarks <M> gt=<0|1>
-    <id> <x> <y> <z> [three ground-truth floats]
+    <id> <x> <y> <z> [three ground-truth floats if gt=1]
     measurements <K>
     <kf_id> <lm_id> <u> <v> <sigma>
-    outliers <K2>            (optional; measurement indices, one per line)
-    metadata <K3>            (optional; "<key> <value>" per line)
+    outliers <K2>            (one measurement index per line)
+    metadata <K3>            ("<key> <value>" per line)
 
-Floats are written with 17 significant digits so save/load round-trips are
-bit exact.  Blank lines and '#' comments are ignored.
+`COLUMNS` encodes the rows: a row holds its section's fields in table order,
+after an integer id for keyframes and landmarks.  Ids run 0, 1, ... in file
+order.  Ids and indices are integers; every other field is a float, written
+with 17 significant digits so save/load round-trips are bit exact.  A header
+without a gt flag means gt=0.  Blank lines and whole-line '#' comments are
+ignored anywhere; a '#' after a row's fields is an error.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from numpy.lib.recfunctions import structured_to_unstructured
 from scipy.spatial.transform import Rotation
 
 from .camera import Intrinsics, camera_center, project_many, rotation_matrix
@@ -32,13 +39,33 @@ FORMAT_TAG = "gbpba"
 FORMAT_VERSION = 1
 IMAGE_SIZE = (640, 480)
 DEFAULT_INTRINSICS = Intrinsics(fx=350.0, fy=350.0, cx=320.0, cy=240.0)
+FLOAT_FORMAT = "%.17g"
+
+# Every array field of ProblemSpec, once: (field, file section, width, dtype),
+# width 0 for a 1-d field.  A field that is None is left out of the file: the
+# `_gt` columns are written only under the header flag gt=1, and the outliers
+# section only for an outlier mask.  A bool field is stored as the indices of
+# its True entries, one per row.
+COLUMNS = (
+    ("kf_init", "keyframes", 6, float),
+    ("kf_gt", "keyframes", 6, float),
+    ("lm_init", "landmarks", 3, float),
+    ("lm_gt", "landmarks", 3, float),
+    ("meas_kf", "measurements", 0, int),
+    ("meas_lm", "measurements", 0, int),
+    ("meas_uv", "measurements", 2, float),
+    ("meas_sigma", "measurements", 0, float),
+    ("outlier_mask", "outliers", 0, bool),
+)
+ROW_SECTIONS = ("keyframes", "landmarks", "measurements", "outliers")
+ID_SECTIONS = ("keyframes", "landmarks")  # rows that lead with an integer id
 
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         loc = f" (line {line})" if line is not None else ""
         super().__init__(f"{message}{loc}")
-        self.line = line
+        self.line = None if line is None else int(line)
 
 
 class FormatVersionError(ParseError):
@@ -52,37 +79,30 @@ class GenerationError(RuntimeError):
 @dataclass
 class ProblemSpec:
     """A bundle-adjustment problem instance: intrinsics, initial states,
-    optional ground truth, and pixel measurements.
+    optional ground truth, and pixel measurements.  The array fields are
+    coerced to the dtype and width `COLUMNS` gives them.
 
     Keyframe and landmark ids are their row indices (unique and contiguous
     per kind).
     """
 
     intrinsics: Intrinsics = DEFAULT_INTRINSICS
-    kf_init: np.ndarray = field(default_factory=lambda: np.zeros((0, 6)))
-    lm_init: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    kf_init: np.ndarray = ()
+    lm_init: np.ndarray = ()
     kf_gt: np.ndarray | None = None
     lm_gt: np.ndarray | None = None
-    meas_kf: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    meas_lm: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    meas_uv: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
-    meas_sigma: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    meas_kf: np.ndarray = ()
+    meas_lm: np.ndarray = ()
+    meas_uv: np.ndarray = ()
+    meas_sigma: np.ndarray = ()
     outlier_mask: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.kf_init = np.asarray(self.kf_init, float).reshape(-1, 6)
-        self.lm_init = np.asarray(self.lm_init, float).reshape(-1, 3)
-        self.meas_kf = np.asarray(self.meas_kf, int).reshape(-1)
-        self.meas_lm = np.asarray(self.meas_lm, int).reshape(-1)
-        self.meas_uv = np.asarray(self.meas_uv, float).reshape(-1, 2)
-        self.meas_sigma = np.asarray(self.meas_sigma, float).reshape(-1)
-        if self.kf_gt is not None:
-            self.kf_gt = np.asarray(self.kf_gt, float).reshape(-1, 6)
-        if self.lm_gt is not None:
-            self.lm_gt = np.asarray(self.lm_gt, float).reshape(-1, 3)
-        if self.outlier_mask is not None:
-            self.outlier_mask = np.asarray(self.outlier_mask, bool).reshape(-1)
+        for name, _, width, dtype in COLUMNS:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, np.asarray(value, dtype).reshape((-1, width) if width else -1))
         self.validate()
 
     @property
@@ -99,25 +119,22 @@ class ProblemSpec:
 
     def validate(self):
         m = self.n_measurements
-        if not (self.meas_lm.shape[0] == m and self.meas_uv.shape[0] == m and self.meas_sigma.shape[0] == m):
-            raise ValueError("measurement arrays have inconsistent lengths")
-        if m and (self.meas_kf.min() < 0 or self.meas_kf.max() >= self.n_keyframes):
-            bad = int(np.argmax((self.meas_kf < 0) | (self.meas_kf >= self.n_keyframes)))
-            raise ValueError(f"measurement {bad} references missing keyframe {self.meas_kf[bad]}")
-        if m and (self.meas_lm.min() < 0 or self.meas_lm.max() >= self.n_landmarks):
-            bad = int(np.argmax((self.meas_lm < 0) | (self.meas_lm >= self.n_landmarks)))
-            raise ValueError(f"measurement {bad} references missing landmark {self.meas_lm[bad]}")
-        for what, init in (("keyframe", self.kf_init), ("landmark", self.lm_init)):
-            finite = np.isfinite(init).all(axis=1)
-            if not finite.all():
-                raise ValueError(f"{what} {np.argmin(finite)} has a non-finite initial state")
+        count = {
+            "keyframes": self.n_keyframes, "landmarks": self.n_landmarks, "measurements": m, "outliers": m,
+        }
+        for name, section, _, _ in COLUMNS:
+            value = getattr(self, name)
+            if value is not None and len(value) != count[section]:
+                raise ValueError(f"{name} has {len(value)} rows, expected {count[section]}")
+        for what, ids, n in (
+            ("keyframe", self.meas_kf, self.n_keyframes), ("landmark", self.meas_lm, self.n_landmarks),
+        ):
+            bad = np.flatnonzero((ids < 0) | (ids >= n))
+            if bad.size:
+                raise ValueError(f"measurement {bad[0]} references missing {what} {ids[bad[0]]}")
+        check_state_values("keyframe", self.kf_init)
+        check_state_values("landmark", self.lm_init)
         check_measurement_values(self.meas_uv, self.meas_sigma)
-        if self.kf_gt is not None and self.kf_gt.shape[0] != self.n_keyframes:
-            raise ValueError("keyframe ground truth count mismatch")
-        if self.lm_gt is not None and self.lm_gt.shape[0] != self.n_landmarks:
-            raise ValueError("landmark ground truth count mismatch")
-        if self.outlier_mask is not None and self.outlier_mask.shape[0] != m:
-            raise ValueError("outlier mask length mismatch")
 
     def copy(self) -> "ProblemSpec":
         """Arrays and metadata copied; intrinsics (frozen) shared."""
@@ -137,6 +154,15 @@ class ProblemSpec:
         return all(eq(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
+def check_state_values(what: str, states: np.ndarray, error=ValueError, first: int = 0) -> None:
+    """Raise `error` naming the first row of `states`, counted from `first`,
+    that is not finite."""
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise error(f"{what} {first + i} has a non-finite state {states[i]}")
+
+
 def check_measurement_values(uv: np.ndarray, sigma: np.ndarray, error=ValueError) -> None:
     """Raise `error` naming the first measurement whose pixel coordinates
     are not finite or whose noise sigma is not finite and positive."""
@@ -147,195 +173,155 @@ def check_measurement_values(uv: np.ndarray, sigma: np.ndarray, error=ValueError
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return FLOAT_FORMAT % float(x)
+
+
+def _row_dtype(section: str, gt: bool) -> np.dtype:
+    """The structured dtype of one row of `section`, with or without its
+    ground-truth columns."""
+    columns = [("id", int)] if section in ID_SECTIONS else []
+    for name, sec, width, dtype in COLUMNS:
+        if sec == section and (gt or not name.endswith("_gt")):
+            columns.append((name, int if dtype is bool else dtype, (width,) if width else ()))
+    return np.dtype(columns)
+
+
+def _n_fields(dtype: np.dtype) -> int:
+    return sum(int(np.prod(dtype[name].shape)) for name in dtype.names)
 
 
 def save(problem: ProblemSpec, path) -> None:
     """Write a problem in the canonical native text form."""
     k = problem.intrinsics
-    lines = [f"{FORMAT_TAG} v{FORMAT_VERSION}"]
-    lines.append(f"intrinsics {_fmt(k.fx)} {_fmt(k.fy)} {_fmt(k.cx)} {_fmt(k.cy)}")
-    has_kf_gt = int(problem.kf_gt is not None)
-    lines.append(f"keyframes {problem.n_keyframes} gt={has_kf_gt}")
-    for i in range(problem.n_keyframes):
-        row = " ".join(_fmt(v) for v in problem.kf_init[i])
-        if has_kf_gt:
-            row += " " + " ".join(_fmt(v) for v in problem.kf_gt[i])
-        lines.append(f"{i} {row}")
-    has_lm_gt = int(problem.lm_gt is not None)
-    lines.append(f"landmarks {problem.n_landmarks} gt={has_lm_gt}")
-    for j in range(problem.n_landmarks):
-        row = " ".join(_fmt(v) for v in problem.lm_init[j])
-        if has_lm_gt:
-            row += " " + " ".join(_fmt(v) for v in problem.lm_gt[j])
-        lines.append(f"{j} {row}")
-    lines.append(f"measurements {problem.n_measurements}")
-    for m in range(problem.n_measurements):
-        lines.append(
-            f"{problem.meas_kf[m]} {problem.meas_lm[m]} "
-            f"{_fmt(problem.meas_uv[m, 0])} {_fmt(problem.meas_uv[m, 1])} "
-            f"{_fmt(problem.meas_sigma[m])}"
-        )
-    if problem.outlier_mask is not None:
-        idx = np.flatnonzero(problem.outlier_mask)
-        lines.append(f"outliers {idx.size}")
-        lines.extend(str(i) for i in idx)
+    lines = [f"{FORMAT_TAG} v{FORMAT_VERSION}", "intrinsics " + " ".join(map(_fmt, (k.fx, k.fy, k.cx, k.cy)))]
+    for section in ROW_SECTIONS:
+        values = {name: getattr(problem, name) for name, sec, _, _ in COLUMNS if sec == section}
+        values = {name: value for name, value in values.items() if value is not None}
+        if not values:
+            continue  # no outlier mask
+        values = {name: np.flatnonzero(v) if v.dtype == bool else v for name, v in values.items()}
+        gt = any(name.endswith("_gt") for name in values)
+        dtype = _row_dtype(section, gt)
+        n_rows = len(next(iter(values.values())))
+        rows = np.empty(n_rows, dtype)
+        for name in dtype.names:
+            rows[name] = np.arange(n_rows) if name == "id" else values[name]
+        lines.append(f"{section} {n_rows}" + (f" gt={int(gt)}" if section in ID_SECTIONS else ""))
+        # ids and indices become integral floats, which %.17g prints as integers
+        row_format = " ".join([FLOAT_FORMAT] * _n_fields(dtype))
+        lines.extend(row_format % tuple(row) for row in structured_to_unstructured(rows, float))
     if problem.metadata:
         lines.append(f"metadata {len(problem.metadata)}")
-        for key in sorted(problem.metadata):
-            lines.append(f"{key} {problem.metadata[key]}")
+        lines.extend(f"{key} {problem.metadata[key]}" for key in sorted(problem.metadata))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-class _LineReader:
-    def __init__(self, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            self.raw = fh.readlines()
-        self.pos = 0
-
-    def next(self) -> tuple[str, int]:
-        while self.pos < len(self.raw):
-            line = self.raw[self.pos].strip()
-            self.pos += 1
-            if line and not line.startswith("#"):
-                return line, self.pos
-        raise ParseError("unexpected end of file", len(self.raw))
-
-
-def _floats(tokens, n, lineno):
-    if len(tokens) != n:
-        raise ParseError(f"expected {n} fields, got {len(tokens)}", lineno)
-    try:
-        return [float(t) for t in tokens]
-    except ValueError as exc:
-        raise ParseError(f"bad float: {exc}", lineno) from None
-
-
 def load(path) -> ProblemSpec:
-    """Parse a native problem file; malformed input raises ParseError with the
-    offending line number."""
-    rd = _LineReader(path)
-    header, lineno = rd.next()
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != FORMAT_TAG or not parts[1].startswith("v"):
-        raise ParseError(f"not a {FORMAT_TAG} problem file: {header!r}", lineno)
-    try:
-        version = int(parts[1][1:])
-    except ValueError:
-        raise ParseError(f"bad version tag {parts[1]!r}", lineno) from None
-    if version != FORMAT_VERSION:
+    """Parse a native problem file, each row section with one `np.loadtxt`
+    call on its `_row_dtype`.
+
+    Malformed input raises ParseError whose `line` is the 1-based number of
+    the offending line: a missing, misspelt or unknown header, a bad count,
+    gt flag or version tag, intrinsics that `Intrinsics` rejects, a row with
+    the wrong number of fields or a field its column cannot read as its
+    dtype, an id out of order, an outlier index out of range, or a section
+    cut short by the end of the file.  A file that parses into a problem
+    `ProblemSpec.validate` rejects (a reference to a missing keyframe or
+    landmark, a non-finite state or pixel, a sigma that is not positive)
+    raises ParseError with validate's message, which names the row.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = fh.readlines()
+    # the lines that are not blank or a '#' comment, and their 1-based numbers
+    keep = [bool(text) and text[0] != "#" for text in map(str.lstrip, raw)]
+    lines = list(itertools.compress(raw, keep))
+    numbers = np.flatnonzero(keep) + 1
+    pos = 0
+
+    def take(count: int) -> tuple[list[str], np.ndarray]:
+        nonlocal pos
+        if pos + count > len(lines):
+            raise ParseError("unexpected end of file", len(raw))
+        pos += count
+        return lines[pos - count : pos], numbers[pos - count : pos]
+
+    def header(*names: str) -> tuple[str, int, bool]:
+        (line,), (lineno,) = take(1)
+        tok = line.split()
+        if tok[0] not in names:
+            raise ParseError(f"expected section {' or '.join(names)}, got {tok[0]!r}", lineno)
+        flag = tok[2] if len(tok) == 3 else "gt=0"
+        if len(tok) not in (2, 3) or not tok[1].isdecimal() or flag not in ("gt=0", "gt=1"):
+            raise ParseError(f"bad {tok[0]} header {line.strip()!r}", lineno)
+        return tok[0], int(tok[1]), flag == "gt=1"
+
+    def rows(section: str, count: int, gt: bool) -> tuple[np.ndarray, np.ndarray]:
+        dtype = _row_dtype(section, gt)
+        text, where = take(count)
+        if not count:
+            return np.zeros(0, dtype), where  # loadtxt warns on no data
+        try:
+            table = np.loadtxt(text, dtype, comments=None, ndmin=1)
+        except ValueError:
+            for line, lineno in zip(text, where):  # only to find the line
+                if len(line.split()) != _n_fields(dtype):
+                    raise ParseError(f"expected {_n_fields(dtype)} fields, got {len(line.split())}", lineno)
+                try:
+                    np.loadtxt([line], dtype, comments=None)
+                except ValueError as exc:
+                    message = str(exc).replace("at row 0, ", "at ")  # this one line is row 0
+                    raise ParseError(f"bad {section} field: {message}", lineno) from None
+            raise
+        if section in ID_SECTIONS:
+            bad = np.flatnonzero(table["id"] != np.arange(count))
+            if bad.size:
+                i = bad[0]
+                message = f"{section} ids must be contiguous, expected {i} got {table['id'][i]}"
+                raise ParseError(message, where[i])
+        return table, where
+
+    (line,), (lineno,) = take(1)
+    tag = line.split()
+    if len(tag) != 2 or tag[0] != FORMAT_TAG or tag[1][:1] != "v" or not tag[1][1:].isdecimal():
+        raise ParseError(f"not a {FORMAT_TAG} problem file: {line.strip()!r}", lineno)
+    if int(tag[1][1:]) != FORMAT_VERSION:
         raise FormatVersionError(
-            f"format version {version} not supported (expected {FORMAT_VERSION})", lineno
+            f"format version {tag[1][1:]} not supported (expected {FORMAT_VERSION})", lineno
         )
 
-    line, lineno = rd.next()
-    tok = line.split()
-    if tok[0] != "intrinsics":
-        raise ParseError(f"expected 'intrinsics', got {tok[0]!r}", lineno)
-    fx, fy, cx, cy = _floats(tok[1:], 4, lineno)
-    intr = Intrinsics(fx, fy, cx, cy)
+    (line,), (lineno,) = take(1)
+    name, *values = line.split()
+    if name != "intrinsics" or len(values) != 4:
+        raise ParseError(f"expected 'intrinsics <fx> <fy> <cx> <cy>', got {line.strip()!r}", lineno)
+    try:
+        intrinsics = Intrinsics(*map(float, values))
+    except ValueError as exc:
+        raise ParseError(f"bad intrinsics: {exc}", lineno) from None
 
-    def section(name):
-        line, lineno = rd.next()
-        tok = line.split()
-        if tok[0] != name:
-            raise ParseError(f"expected section {name!r}, got {tok[0]!r}", lineno)
-        try:
-            count = int(tok[1])
-        except (IndexError, ValueError):
-            raise ParseError(f"bad {name} count", lineno) from None
-        gt = False
-        if len(tok) > 2:
-            if tok[2] not in ("gt=0", "gt=1"):
-                raise ParseError(f"bad flag {tok[2]!r}", lineno)
-            gt = tok[2] == "gt=1"
-        return count, gt
-
-    n_kf, kf_gt_flag = section("keyframes")
-    width = 6
-    kf_init = np.zeros((n_kf, 6))
-    kf_gt = np.zeros((n_kf, 6)) if kf_gt_flag else None
-    for i in range(n_kf):
-        line, lineno = rd.next()
-        tok = line.split()
-        vals = _floats(tok[1:], width * (1 + kf_gt_flag), lineno)
-        if tok[0] != str(i):
-            raise ParseError(f"keyframe ids must be contiguous, expected {i} got {tok[0]}", lineno)
-        kf_init[i] = vals[:6]
-        if kf_gt_flag:
-            kf_gt[i] = vals[6:]
-
-    n_lm, lm_gt_flag = section("landmarks")
-    lm_init = np.zeros((n_lm, 3))
-    lm_gt = np.zeros((n_lm, 3)) if lm_gt_flag else None
-    for j in range(n_lm):
-        line, lineno = rd.next()
-        tok = line.split()
-        vals = _floats(tok[1:], 3 * (1 + lm_gt_flag), lineno)
-        if tok[0] != str(j):
-            raise ParseError(f"landmark ids must be contiguous, expected {j} got {tok[0]}", lineno)
-        lm_init[j] = vals[:3]
-        if lm_gt_flag:
-            lm_gt[j] = vals[3:]
-
-    n_meas, _ = section("measurements")
-    meas_kf = np.zeros(n_meas, dtype=int)
-    meas_lm = np.zeros(n_meas, dtype=int)
-    meas_uv = np.zeros((n_meas, 2))
-    meas_sigma = np.zeros(n_meas)
-    for m in range(n_meas):
-        line, lineno = rd.next()
-        tok = line.split()
-        if len(tok) != 5:
-            raise ParseError(f"expected 5 fields, got {len(tok)}", lineno)
-        try:
-            meas_kf[m], meas_lm[m] = int(tok[0]), int(tok[1])
-        except ValueError as exc:
-            raise ParseError(f"bad id: {exc}", lineno) from None
-        meas_uv[m] = _floats(tok[2:4], 2, lineno)
-        meas_sigma[m] = _floats(tok[4:5], 1, lineno)[0]
-
-    outlier_mask = None
-    metadata: dict = {}
-    while True:
-        try:
-            line, lineno = rd.next()
-        except ParseError:
-            break
-        tok = line.split()
-        if tok[0] == "outliers":
-            count = int(tok[1])
-            outlier_mask = np.zeros(n_meas, dtype=bool)
-            for _ in range(count):
-                line, lineno = rd.next()
-                idx = int(line.split()[0])
-                if not 0 <= idx < n_meas:
-                    raise ParseError(f"outlier index {idx} out of range", lineno)
-                outlier_mask[idx] = True
-        elif tok[0] == "metadata":
-            count = int(tok[1])
-            for _ in range(count):
-                line, lineno = rd.next()
-                key, _, value = line.partition(" ")
-                metadata[key] = value
+    arrays = {}
+    for section in ("keyframes", "landmarks", "measurements"):
+        table, _ = rows(*header(section))
+        arrays.update((name, table[name]) for name in table.dtype.names if name != "id")
+    n_meas = len(arrays["meas_kf"])
+    metadata = {}
+    while pos < len(lines):
+        section, count, gt = header("outliers", "metadata")
+        if section == "outliers":
+            table, where = rows(section, count, gt)
+            idx = table["outlier_mask"]
+            bad = np.flatnonzero((idx < 0) | (idx >= n_meas))
+            if bad.size:
+                raise ParseError(f"outlier index {idx[bad[0]]} out of range", where[bad[0]])
+            arrays["outlier_mask"] = np.zeros(n_meas, dtype=bool)
+            arrays["outlier_mask"][idx] = True
         else:
-            raise ParseError(f"unknown section {tok[0]!r}", lineno)
+            for line in take(count)[0]:
+                key, _, value = line.strip().partition(" ")
+                metadata[key] = value
 
     try:
-        return ProblemSpec(
-            intrinsics=intr,
-            kf_init=kf_init,
-            lm_init=lm_init,
-            kf_gt=kf_gt,
-            lm_gt=lm_gt,
-            meas_kf=meas_kf,
-            meas_lm=meas_lm,
-            meas_uv=meas_uv,
-            meas_sigma=meas_sigma,
-            outlier_mask=outlier_mask,
-            metadata=metadata,
-        )
+        return ProblemSpec(intrinsics=intrinsics, metadata=metadata, **arrays)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -360,20 +346,25 @@ def import_bal(path) -> ProblemSpec:
         nonlocal cursor
         if cursor + n > len(tokens):
             raise ParseError(f"truncated file while reading {what}")
-        out = tokens[cursor : cursor + n]
         cursor += n
-        return out
+        return tokens[cursor - n : cursor]
 
-    try:
-        n_cam, n_pts, n_obs = (int(t) for t in take(3, "header"))
-    except ValueError as exc:
-        raise ParseError(f"bad header: {exc}") from None
-    obs = np.array([float(t) for t in take(4 * n_obs, "observations")]).reshape(n_obs, 4)
-    cams = np.array([float(t) for t in take(9 * n_cam, "camera blocks")]).reshape(n_cam, 9)
-    pts = np.array([float(t) for t in take(3 * n_pts, "point blocks")]).reshape(n_pts, 3)
+    def parse(values, what, dtype=float):
+        try:
+            return np.array(values, dtype=dtype)
+        except ValueError as exc:
+            raise ParseError(f"bad {what}: {exc}") from None
 
-    cam_idx = obs[:, 0].astype(int)
-    pt_idx = obs[:, 1].astype(int)
+    n_cam, n_pts, n_obs = parse(take(3, "header"), "header", int)
+    if min(n_cam, n_pts, n_obs) < 0:
+        raise ParseError(f"negative count in header {n_cam} {n_pts} {n_obs}")
+    obs = np.reshape(take(4 * n_obs, "observations"), (n_obs, 4))
+    cam_idx = parse(obs[:, 0], "observation camera index", int)
+    pt_idx = parse(obs[:, 1], "observation point index", int)
+    uv = parse(obs[:, 2:], "observation pixel")
+    cams = parse(take(9 * n_cam, "camera blocks"), "camera block").reshape(n_cam, 9)
+    pts = parse(take(3 * n_pts, "point blocks"), "point block").reshape(n_pts, 3)
+
     if n_obs and (cam_idx.min() < 0 or cam_idx.max() >= n_cam):
         raise ParseError("observation camera index out of range")
     if n_obs and (pt_idx.min() < 0 or pt_idx.max() >= n_pts):
@@ -396,7 +387,7 @@ def import_bal(path) -> ProblemSpec:
     f0 = float(focals[0]) if n_cam else 1.0
     intr = Intrinsics(fx=f0, fy=f0, cx=0.0, cy=0.0)
 
-    meas_uv = np.column_stack([obs[:, 2], -obs[:, 3]])
+    meas_uv = np.column_stack([uv[:, 0], -uv[:, 1]])
     return ProblemSpec(
         intrinsics=intr,
         kf_init=kf_init,

@@ -57,7 +57,7 @@ from .camera import (
     project_many,
     rotation_matrix,
 )
-from .dataset_io import ProblemSpec, check_measurement_values
+from .dataset_io import ProblemSpec, check_measurement_values, check_state_values
 from .info_gaussian import InfoGaussian
 
 PRIOR_TARGET_RATIO = 0.01
@@ -486,7 +486,11 @@ class FactorGraph:
         return self._add_variable(LANDMARK, position)
 
     def _add_variable(self, kind: Kind, state: np.ndarray) -> int:
-        self._grow(kind.key + "_", 1, state=np.reshape(state, (1, kind.dim)))
+        """Raises BuildError, before changing the graph, for a state
+        `check_state_values` rejects."""
+        state = np.reshape(state, (1, kind.dim))
+        check_state_values(kind.name, state, BuildError, first=self.size(kind))
+        self._grow(kind.key + "_", 1, state=state)
         idx = self.size(kind) - 1
         self._pin_priors(kind, [idx])
         return idx

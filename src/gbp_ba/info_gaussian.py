@@ -13,10 +13,11 @@ All operations are pure functions and InfoGaussian values are immutable.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, cho_factor, cho_solve, lu_factor, lu_solve
 
 from .batch_linalg import PIVOT_RTOL
 
@@ -130,7 +131,9 @@ def marginalize_onto(joint: InfoGaussian, keep_dims) -> InfoGaussian:
 
     threshold = PIVOT_RTOL * max(abs(float(np.trace(lam_bb))), 1e-100)
     try:
-        lu, piv = lu_factor(lam_bb)
+        with warnings.catch_warnings():  # an exactly singular block raises below
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu, piv = lu_factor(lam_bb)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises rarely
         raise SingularMarginalizationError(str(exc), lam_bb) from exc
     pivots = np.abs(np.diag(lu))

@@ -1,5 +1,9 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbp_ba import (
     FormatVersionError,
@@ -16,7 +20,7 @@ from gbp_ba import (
     synthesize,
 )
 from gbp_ba.camera import camera_center, rotation_matrix
-from gbp_ba.dataset_io import backproject_at_unit_range
+from gbp_ba.dataset_io import COLUMNS, backproject_at_unit_range
 
 
 @pytest.fixture
@@ -92,6 +96,117 @@ class TestNativeFormat:
         text.insert(3, "")
         path.write_text("\n".join(text))
         assert load(path) == small_problem
+
+
+def _write_edited(problem, path, section, offset, edit):
+    """Save `problem`, then replace the line `offset` lines below the first
+    line that starts with `section` by `edit` of it; returns that line's
+    1-based number."""
+    save(problem, path)
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.split()[0] == section) + offset
+    lines[at] = edit(lines[at])
+    path.write_text("\n".join(lines) + "\n")
+    return at + 1
+
+
+class TestLoadErrors:
+    @pytest.mark.parametrize(
+        "section, offset, edit",
+        [
+            ("outliers", 0, lambda line: "outliers"),
+            ("metadata", 0, lambda line: "metadata"),
+            ("outliers", 0, lambda line: "outliers x"),
+            ("outliers", 1, lambda line: "foo"),
+            ("intrinsics", 0, lambda line: "intrinsics 0 350 320 240"),
+            ("outliers", 2, lambda line: "99999"),
+            ("keyframes", 0, lambda line: "keyframes 4 gt=2"),
+            ("keyframes", 1, lambda line: line + " 0"),
+            ("landmarks", 3, lambda line: line.rsplit(" ", 1)[0]),
+            ("landmarks", 4, lambda line: line.replace(" ", " x", 1)),
+            ("landmarks", 2, lambda line: "7" + line[1:]),
+            ("measurements", 4, lambda line: line + " # c"),
+            ("measurements", 1, lambda line: "0.5" + line[1:]),
+        ],
+        ids=[
+            "outliers-without-count", "metadata-without-count", "outliers-count-not-a-number",
+            "outlier-index-not-a-number", "intrinsics-zero-focal", "outlier-index-out-of-range",
+            "bad-gt-flag", "keyframe-row-too-long", "landmark-row-too-short",
+            "landmark-field-not-a-number", "landmark-ids-not-contiguous",
+            "measurement-trailing-comment", "measurement-fractional-id",
+        ],
+    )
+    def test_malformed_line_raises_with_its_number(self, small_problem, tmp_path, section, offset, edit):
+        labelled = inject_outliers(small_problem, 0.1, "uniform", seed=3)
+        path = tmp_path / "bad.gbpba"
+        line = _write_edited(labelled, path, section, offset, edit)
+        with pytest.raises(ParseError) as exc:
+            load(path)
+        assert exc.value.line == line
+
+    def test_comment_lines_inside_sections(self, small_problem, tmp_path):
+        path = tmp_path / "c.gbpba"
+        save(small_problem, path)
+        lines = path.read_text().splitlines()
+        for at in (len(lines) - 3, 12, 5):  # from the end, so indices hold
+            lines[at:at] = ["# a note", "   ", "  # indented"]
+        path.write_text("\n".join(lines) + "\n")
+        assert load(path) == small_problem
+        assert lines[8].startswith("2 ")  # the third keyframe row, below the first block
+        lines[8] += " # c"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load(path)
+        assert exc.value.line == 9
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+awkward = st.one_of(st.sampled_from([-0.0, 1e300, -1e300, 5e-324, -2.5e-320, 1e-310]), finite)
+positive = st.one_of(st.sampled_from([5e-324, 1e-310, 1e300]), st.floats(min_value=1e-300, max_value=1e300))
+
+
+@st.composite
+def problems(draw):
+    n_kf, n_lm = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    n_meas = draw(st.integers(0, 6)) if n_kf and n_lm else 0
+
+    def arrays(shape, values=awkward):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+
+    def maybe(shape):
+        return arrays(shape) if draw(st.booleans()) else None
+
+    key = st.text(string.ascii_letters + string.digits + "_.-", min_size=1, max_size=8)
+    value = st.text(string.ascii_letters + string.digits + " _.,:=#-", max_size=12).map(str.strip)
+    return ProblemSpec(
+        intrinsics=Intrinsics(draw(positive), draw(positive), draw(awkward), draw(awkward)),
+        kf_init=arrays((n_kf, 6)),
+        lm_init=arrays((n_lm, 3)),
+        kf_gt=maybe((n_kf, 6)),
+        lm_gt=maybe((n_lm, 3)),
+        meas_kf=draw(st.lists(st.integers(0, max(n_kf - 1, 0)), min_size=n_meas, max_size=n_meas)),
+        meas_lm=draw(st.lists(st.integers(0, max(n_lm - 1, 0)), min_size=n_meas, max_size=n_meas)),
+        meas_uv=arrays((n_meas, 2)),
+        meas_sigma=arrays((n_meas,), positive),
+        outlier_mask=draw(st.none() | st.lists(st.booleans(), min_size=n_meas, max_size=n_meas)),
+        metadata=draw(st.dictionaries(key, value, max_size=3)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=problems())
+def test_save_load_round_trip(problem, tmp_path_factory):
+    path = tmp_path_factory.mktemp("round_trip") / "p.gbpba"
+    save(problem, path)
+    again = load(path)
+    assert again == problem
+    for name, _, _, _ in COLUMNS:
+        a, b = getattr(again, name), getattr(problem, name)
+        assert (a is None and b is None) or a.dtype == b.dtype, name
+    path2 = path.with_name("p2.gbpba")
+    save(again, path2)
+    assert path2.read_bytes() == path.read_bytes()
 
 
 class TestDegenerateValues:
@@ -350,6 +465,23 @@ class TestImportBal:
         path = tmp_path / "b.bal"
         path.write_text(BAL_TINY.replace("1 2   2.0 -2.5", "1 9   2.0 -2.5"))
         with pytest.raises(ParseError, match="out of range"):
+            import_bal(path)
+
+    @pytest.mark.parametrize(
+        "old, new, what",
+        [
+            ("0 0   10.0 20.0", "0.5 0   10.0 20.0", "camera index"),
+            ("0 1   -5.0 12.0", "0 1.0   -5.0 12.0", "point index"),
+            ("0 1   -5.0 12.0", "foo 1   -5.0 12.0", "camera index"),
+            ("0 1   -5.0 12.0", "0 1   -5.0 bar", "pixel"),
+            ("2 3 6", "2 3 -6", "negative count"),
+        ],
+        ids=["fractional-camera", "fractional-point", "word-camera", "word-pixel", "negative-count"],
+    )
+    def test_malformed_token_raises(self, tmp_path, old, new, what):
+        path = tmp_path / "n.bal"
+        path.write_text(BAL_TINY.replace(old, new))
+        with pytest.raises(ParseError, match=what):
             import_bal(path)
 
     def test_reexport_stable(self, tmp_path):

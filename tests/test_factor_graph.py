@@ -335,6 +335,26 @@ class TestIncrementalMutation:
             if isinstance(value, np.ndarray):
                 np.testing.assert_array_equal(getattr(graph, name), value, err_msg=name)
 
+    @pytest.mark.parametrize(
+        "add, state, message",
+        [
+            ("add_landmark", [np.nan, 0.0, 2.0], "landmark 15"),
+            ("add_landmark", [0.0, np.inf, 2.0], "landmark 15"),
+            ("add_keyframe", [0.0, 0.0, 0.0, 0.0, -np.inf, 0.0], "keyframe 3"),
+            ("add_keyframe", [np.nan] * 6, "keyframe 3"),
+        ],
+    )
+    def test_non_finite_state_raises_and_leaves_graph(self, add, state, message):
+        graph = build(synthesize(3, 15, seed=13))
+        assert (graph.n_keyframes, graph.n_landmarks) == (3, 15)
+        before = graph.copy()
+        with pytest.raises(BuildError, match=message):
+            getattr(graph, add)(np.array(state))
+        assert (graph.n_keyframes, graph.n_landmarks) == (3, 15)
+        for name, value in vars(before).items():
+            if isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(getattr(graph, name), value, err_msg=name)
+
     def test_existing_state_untouched_by_addition(self):
         graph = build(synthesize(3, 15, seed=13))
         from gbp_ba.engine import run
