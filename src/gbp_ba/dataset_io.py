@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from numpy.lib.recfunctions import structured_to_unstructured
 from scipy.spatial.transform import Rotation
 
 from .camera import Intrinsics, camera_center, project_many, rotation_matrix
@@ -199,17 +198,16 @@ def save(problem: ProblemSpec, path) -> None:
         values = {name: value for name, value in values.items() if value is not None}
         if not values:
             continue  # no outlier mask
-        values = {name: np.flatnonzero(v) if v.dtype == bool else v for name, v in values.items()}
-        gt = any(name.endswith("_gt") for name in values)
-        dtype = _row_dtype(section, gt)
-        n_rows = len(next(iter(values.values())))
-        rows = np.empty(n_rows, dtype)
-        for name in dtype.names:
-            rows[name] = np.arange(n_rows) if name == "id" else values[name]
-        lines.append(f"{section} {n_rows}" + (f" gt={int(gt)}" if section in ID_SECTIONS else ""))
+        columns = [np.flatnonzero(v) if v.dtype == bool else v for v in values.values()]
+        n_rows = len(columns[0])
+        if section in ID_SECTIONS:
+            columns.insert(0, np.arange(n_rows))
         # ids and indices become integral floats, which %.17g prints as integers
-        row_format = " ".join([FLOAT_FORMAT] * _n_fields(dtype))
-        lines.extend(row_format % tuple(row) for row in structured_to_unstructured(rows, float))
+        rows = np.column_stack([np.asarray(c, float) for c in columns])
+        gt = any(name.endswith("_gt") for name in values)
+        lines.append(f"{section} {n_rows}" + (f" gt={int(gt)}" if section in ID_SECTIONS else ""))
+        row_format = " ".join([FLOAT_FORMAT] * rows.shape[1])
+        lines.extend(row_format % tuple(row) for row in rows)
     if problem.metadata:
         lines.append(f"metadata {len(problem.metadata)}")
         lines.extend(f"{key} {problem.metadata[key]}" for key in sorted(problem.metadata))
@@ -261,18 +259,20 @@ def load(path) -> ProblemSpec:
         text, where = take(count)
         if not count:
             return np.zeros(0, dtype), where  # loadtxt warns on no data
-        try:
-            table = np.loadtxt(text, dtype, comments=None, ndmin=1)
-        except ValueError:
-            for line, lineno in zip(text, where):  # only to find the line
-                if len(line.split()) != _n_fields(dtype):
-                    raise ParseError(f"expected {_n_fields(dtype)} fields, got {len(line.split())}", lineno)
-                try:
-                    np.loadtxt([line], dtype, comments=None)
-                except ValueError as exc:
-                    message = str(exc).replace("at row 0, ", "at ")  # this one line is row 0
-                    raise ParseError(f"bad {section} field: {message}", lineno) from None
-            raise
+        with warnings.catch_warnings():  # numpy < 2 only warns as it truncates "0.5" to an int
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                table = np.loadtxt(text, dtype, comments=None, ndmin=1)
+            except ValueError:
+                for line, lineno in zip(text, where):  # only to find the line
+                    if len(line.split()) != _n_fields(dtype):
+                        raise ParseError(f"expected {_n_fields(dtype)} fields, got {len(line.split())}", lineno)
+                    try:
+                        np.loadtxt([line], dtype, comments=None)
+                    except ValueError as exc:
+                        message = str(exc).replace("at row 0, ", "at ")  # this one line is row 0
+                        raise ParseError(f"bad {section} field: {message}", lineno) from None
+                raise
         if section in ID_SECTIONS:
             bad = np.flatnonzero(table["id"] != np.arange(count))
             if bad.size:

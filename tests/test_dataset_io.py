@@ -1,4 +1,6 @@
+import re
 import string
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +144,44 @@ class TestLoadErrors:
         line = _write_edited(labelled, path, section, offset, edit)
         with pytest.raises(ParseError) as exc:
             load(path)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize(
+        "section, offset, edit",
+        [
+            ("measurements", 1, lambda line: "0.5" + line[1:]),
+            ("keyframes", 2, lambda line: "1.0" + line[1:]),
+            ("outliers", 1, lambda line: "2.7"),
+        ],
+        ids=["measurement-keyframe-id", "keyframe-id", "outlier-index"],
+    )
+    @pytest.mark.parametrize("lenient_numpy", [False, True])
+    def test_fractional_integer_raises_whatever_the_warning_filters(
+        self, small_problem, tmp_path, monkeypatch, section, offset, edit, lenient_numpy
+    ):
+        if lenient_numpy:
+            # numpy before 2.0 reads a fractional integer field through a
+            # float and truncates it, with only a DeprecationWarning; where
+            # that warning is an error, it raises ValueError
+            loadtxt = np.loadtxt
+
+            def truncating_loadtxt(text, dtype, **kwargs):
+                cut = [re.sub(r"^(\d+)\.\d+\b", r"\1", line) for line in text]
+                if cut != list(text):
+                    try:
+                        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+                    except DeprecationWarning as exc:
+                        raise ValueError(f"could not convert string to {dtype}") from exc
+                return loadtxt(cut, dtype, **kwargs)
+
+            monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+        labelled = inject_outliers(small_problem, 0.1, "uniform", seed=3)
+        path = tmp_path / "bad.gbpba"
+        line = _write_edited(labelled, path, section, offset, edit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ParseError) as exc:
+                load(path)
         assert exc.value.line == line
 
     def test_comment_lines_inside_sections(self, small_problem, tmp_path):
