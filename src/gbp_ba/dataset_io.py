@@ -190,7 +190,18 @@ def _n_fields(dtype: np.dtype) -> int:
 
 
 def save(problem: ProblemSpec, path) -> None:
-    """Write a problem in the canonical native text form."""
+    """Write a problem in the canonical native text form.  Raises
+    ValueError naming the key, before the file is opened, for metadata `load`
+    could not read back: a key or value that is not a str, a key that is
+    empty, holds whitespace or starts with '#', or a value with a line break
+    or trailing whitespace."""
+    for key, value in problem.metadata.items():
+        if not (isinstance(key, str) and isinstance(value, str)):
+            raise ValueError(f"metadata key {key!r} and its value {value!r} must both be str")
+        if not key or key[0] == "#" or any(c.isspace() for c in key):
+            raise ValueError(f"metadata key {key!r} must be non-empty, without whitespace or a leading '#'")
+        if "\n" in value or "\r" in value or value != value.rstrip():
+            raise ValueError(f"metadata value of key {key!r} has a line break or trailing whitespace")
     k = problem.intrinsics
     lines = [f"{FORMAT_TAG} v{FORMAT_VERSION}", "intrinsics " + " ".join(map(_fmt, (k.fx, k.fy, k.cx, k.cy)))]
     for section in ROW_SECTIONS:

@@ -34,8 +34,9 @@ of the factor's 9-vector:
      state moves to the belief mean when the belief is invertible; keyframe
      rotations are then wrapped to angle-axis magnitudes in [0, pi].
 
-`iterate` then evaluates the ARE and the energy from one shared projection
-and reports the wall time of each phase in `IterationReport.phase_ms`.
+`iterate` then evaluates the ARE and the energy, and counts the
+measurements behind their camera, from one shared projection, and reports
+the wall time of each phase in `IterationReport.phase_ms`.
 
 Within a phase all reads target the pre-phase snapshot, so results do not
 depend on intra-phase execution order: phase B reads both sides' inputs
@@ -57,7 +58,7 @@ from .batch_linalg import (
     scatter_sum,
     solve_spd_masked,
 )
-from .camera import canonicalize_axis_angle
+from .camera import DEPTH_EPSILON, canonicalize_axis_angle
 from .factor_graph import KEYFRAME, KINDS, PRIOR_TARGET_RATIO, FactorGraph
 from .info_gaussian import InfoGaussian, marginalize_onto
 
@@ -110,9 +111,12 @@ PHASES = ("relinearize", "messages", "beliefs", "evaluate")
 
 @dataclass
 class IterationReport:
-    """Diagnostics of one round.  `phase_ms` holds the wall milliseconds of
-    each of `PHASES`: A (with the prior weakening), B, C, and the ARE and
-    energy evaluation."""
+    """Diagnostics of one round; every count is of this round alone.
+    `n_behind_camera` counts the measurements behind their camera after the
+    round, the rows of the ARE's sentinel and of the energy's residual at the
+    linearisation point.  `phase_ms` holds the wall milliseconds of each of
+    `PHASES`: A (with the prior weakening), B, C, and the ARE and energy
+    evaluation."""
 
     iteration: int
     are: float
@@ -121,6 +125,7 @@ class IterationReport:
     n_relin_aborted: int
     n_singular_messages: int
     n_frozen_states: int
+    n_behind_camera: int
     max_message_delta: float
     prior_scale: float
     phase_ms: dict = field(default_factory=dict)
@@ -192,10 +197,7 @@ def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
         return 0, 0
     ok = graph.linearize_factors(idx)
     graph.f_last_relin[idx[ok]] = t
-    aborted = int((~ok).sum())
-    if aborted:
-        graph.notes["relin_behind_camera"] += aborted
-    return int(ok.sum()), aborted
+    return int(ok.sum()), int((~ok).sum())
 
 
 def _inputs(beliefs, messages, ids, rows):
@@ -300,8 +302,6 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int):
             n_singular += int(singular.sum())
             max_delta = max(max_delta, np.abs(eta - prev_eta).max(), np.abs(lam - prev_lam).max())
             prev_eta[...], prev_lam[...] = eta, lam
-    if n_singular:
-        graph.notes["singular_message"] += n_singular
     return n_singular, float(max_delta)
 
 
@@ -323,8 +323,6 @@ def _phase_beliefs(graph: FactorGraph) -> int:
             mean[:, :3] = canonicalize_axis_angle(mean[:, :3])
         np.copyto(state, mean, where=ok[:, None])
         frozen += int((~ok).sum())
-    if frozen:
-        graph.notes["frozen_state"] += frozen
     return frozen
 
 
@@ -345,6 +343,7 @@ def iterate(graph: FactorGraph, schedule: ScheduleParams | None = None) -> Itera
     with graph.shared_projection():
         are = graph.average_reprojection_error()
         energy = graph.energy()
+        n_behind = int(np.count_nonzero(graph.residuals()[1] <= DEPTH_EPSILON))
     clock.append(time.perf_counter())
     return IterationReport(
         iteration=graph.iteration,
@@ -354,6 +353,7 @@ def iterate(graph: FactorGraph, schedule: ScheduleParams | None = None) -> Itera
         n_relin_aborted=n_aborted,
         n_singular_messages=n_singular,
         n_frozen_states=n_frozen,
+        n_behind_camera=n_behind,
         max_message_delta=max_delta,
         prior_scale=prior_scale,
         phase_ms={name: 1e3 * (b - a) for name, a, b in zip(PHASES, clock, clock[1:])},

@@ -42,7 +42,6 @@ grown graph minimises the same objective as a cold restart from its states.
 
 from __future__ import annotations
 
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -182,10 +181,13 @@ def _diag_gaussian(diag: np.ndarray, mean: np.ndarray) -> InfoGaussian:
 
 class FactorGraph:
     def __init__(self, intrinsics: Intrinsics, huber_nsigma: float = DEFAULT_HUBER_NSIGMA):
+        """`huber_nsigma` None, 0 or inf turns the Huber loss off; a negative
+        or NaN threshold raises BuildError."""
+        if huber_nsigma is not None and not huber_nsigma >= 0:
+            raise BuildError(f"huber_nsigma must be >= 0, None or inf, got {huber_nsigma}")
         self.intrinsics = intrinsics
         self.huber_nsigma = float(huber_nsigma) if huber_nsigma else np.inf
         self.iteration = 0
-        self.notes: Counter = Counter()
         self.dtype = np.dtype(np.float64)
         self._projection = None
         for prefix in TABLES:
@@ -254,6 +256,13 @@ class FactorGraph:
     def n_factor_nodes(self) -> int:
         """Measurement factors plus the one prior factor per variable."""
         return self.n_measurement_factors + self.n_variables
+
+    @property
+    def n_duplicate_measurements(self) -> int:
+        """Measurement factors that repeat the (keyframe, landmark) pair of
+        another: equal neighbours among the sorted keys kf n_landmarks + lm."""
+        keys = np.sort(self.f_kf * self.n_landmarks + self.f_lm)
+        return int(np.count_nonzero(keys[1:] == keys[:-1]))
 
     # ------------------------------------------------------------------ views
 
@@ -378,7 +387,6 @@ class FactorGraph:
         of the row's largest entry, or a flagged unit fallback where the row
         has no positive entry."""
         fallback = ~np.any(contrib > 0, axis=1)
-        self.notes["fallback_prior"] += int(fallback.sum())
         floored = np.maximum(contrib, PRIOR_FLOOR_RTOL * contrib.max(axis=1, keepdims=True))
         self.var(kind, "prior_diag0")[ids] = np.where(fallback[:, None], 1.0, floored)
         self.var(kind, "prior_fallback")[ids] = fallback
@@ -430,22 +438,21 @@ class FactorGraph:
     def average_reprojection_error(self) -> float:
         """Mean Euclidean pixel error over all measurements at current states.
 
-        Behind-camera measurements contribute a large sentinel (1e6 px) and a
-        diagnostic note.  Defined as 0.0 for a graph with no measurements.
+        Behind-camera measurements contribute a large sentinel (1e6 px).
+        Defined as 0.0 for a graph with no measurements.
         """
         if self.n_measurement_factors == 0:
             return 0.0
         residual, depth = self.residuals()
         norms = np.linalg.norm(residual, axis=1)
-        behind = depth <= DEPTH_EPSILON
-        if np.any(behind):
-            norms = np.where(behind, ARE_SENTINEL_PX, norms)
-            self.notes["are_behind_camera"] += int(behind.sum())
+        norms[depth <= DEPTH_EPSILON] = ARE_SENTINEL_PX
         return float(np.mean(norms))
 
     def energy(self) -> float:
         """The objective: prior Mahalanobis terms plus Huber-modified
-        measurement terms, at current states and current prior strengths."""
+        measurement terms, at current states and current prior strengths.  A
+        behind-camera measurement's term takes its residual at its
+        linearisation point."""
         total = 0.0
         for kind in KINDS:
             _, diag = self.prior_information(kind)
@@ -459,7 +466,6 @@ class FactorGraph:
                 # target - jac lin, which is zero before the first one
                 stale = self.f_target - np.einsum("fij,fj->fi", self.f_jac, self.f_lin)
                 residual = np.where(behind[:, None], stale, residual)
-                self.notes["energy_behind_camera"] += int(behind.sum())
             mahal = np.linalg.norm(residual, axis=1) / self.f_sigma
             total += float(np.sum(huber_energy(mahal, self.huber_nsigma)))
         return total
@@ -503,12 +509,12 @@ class FactorGraph:
         re-anchor the prior means of variables born before this iteration at
         their current states, and regenerate the priors of every variable
         born in this iteration from all its adjacent factors (a flagged
-        fallback where there are none).  Prior
-        strengths, beliefs, messages and linearisations of the older
-        variables and factors are left as they are.  Returns the id of the
-        last factor added.  Raises BuildError, before changing the graph,
-        for a missing variable id or a value `check_measurement_values`
-        rejects."""
+        fallback where there are none).  Prior strengths, beliefs, messages
+        and linearisations of the older variables and factors are left as
+        they are.  A repeated (keyframe, landmark) pair is accepted, and
+        counted by `n_duplicate_measurements`.  Returns the id of the last
+        factor added.  Raises BuildError, before changing the graph, for a
+        missing variable id or a value `check_measurement_values` rejects."""
         ids = [np.asarray(i, dtype=int).reshape(-1) for i in (kf_ids, lm_ids)]
         zs = np.asarray(zs, float).reshape(-1, 2)
         sigmas = np.asarray(sigmas, float).reshape(-1)
@@ -517,9 +523,6 @@ class FactorGraph:
             if bad.size:
                 raise BuildError(f"measurement references missing {kind.name} {bad[0]}")
         check_measurement_values(zs, sigmas, BuildError)
-        repeats = self._count_repeats(*ids)
-        if repeats:
-            self.notes["duplicate_measurement"] += repeats
 
         start = self.n_measurement_factors
         # phase A measures from `f_lin` also where the linearisation fails
@@ -528,9 +531,7 @@ class FactorGraph:
             "f_", len(zs), z=zs, sigma=sigmas, lin=lin, last_relin=self.iteration,
             **{kind.key: i for kind, i in zip(KINDS, ids)},
         )
-        ok = self.linearize_factors(np.arange(start, self.n_measurement_factors))
-        if not np.all(ok):
-            self.notes["linearize_behind_camera"] += int((~ok).sum())
+        self.linearize_factors(np.arange(start, self.n_measurement_factors))
 
         # a prior mean left at a state the solve has since moved away from
         # pulls the grown graph towards a worse optimum than a cold restart's
@@ -543,17 +544,6 @@ class FactorGraph:
         self.refresh_priors(young)
         return self.n_measurement_factors - 1
 
-    def _count_repeats(self, kf_ids: np.ndarray, lm_ids: np.ndarray) -> int:
-        """How many new pairs repeat an existing or an earlier new pair: the
-        keys 2 (kf n_landmarks + lm), plus 1 for a new pair, sort each
-        repeat right after an equal key."""
-        n = self.n_landmarks
-        keys = 2 * np.concatenate([self.f_kf * n + self.f_lm, kf_ids * n + lm_ids])
-        keys[self.n_measurement_factors :] += 1
-        keys.sort()
-        new = keys[1:] & 1 == 1
-        return int(np.count_nonzero(new & (keys[1:] >> 1 == keys[:-1] >> 1)))
-
     # ------------------------------------------------------------- utilities
 
     def copy(self) -> "FactorGraph":
@@ -565,7 +555,6 @@ class FactorGraph:
         copies keep the node-last layout (`astype` keeps the strides' order)."""
         out = FactorGraph(self.intrinsics, self.huber_nsigma)
         out.iteration = self.iteration
-        out.notes = Counter(self.notes)
         out.dtype = np.dtype(dtype)
         for prefix, (fields, _) in TABLES.items():
             for f in fields:
@@ -663,9 +652,5 @@ def build(problem: ProblemSpec, huber_nsigma: float = DEFAULT_HUBER_NSIGMA) -> F
     graph = FactorGraph(problem.intrinsics, huber_nsigma)
     for kind, init in zip(KINDS, (problem.kf_init, problem.lm_init)):
         graph._grow(kind.key + "_", len(init), state=init)
-    observed = np.zeros(problem.n_landmarks, dtype=bool)
-    observed[problem.meas_lm] = True
-    if not np.all(observed) and problem.n_measurements:
-        graph.notes["unobserved_landmarks"] += int((~observed).sum())
     graph.add_measurements(problem.meas_kf, problem.meas_lm, problem.meas_uv, problem.meas_sigma)
     return graph

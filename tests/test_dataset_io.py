@@ -274,6 +274,29 @@ class TestDegenerateValues:
                 **values,
             )
 
+    @pytest.mark.parametrize(
+        "metadata, key",
+        [
+            ({"a b": "c"}, "a b"),
+            ({"k\t": "v"}, "k\t"),
+            ({"": "v"}, ""),
+            ({"#k": "v"}, "#k"),
+            ({"k": "v "}, "k"),
+            ({"k": "v\t"}, "k"),
+            ({"k": "a\nb"}, "k"),
+            ({"k": "a\rb"}, "k"),
+            ({"k": 7}, "k"),
+            ({7: "v"}, 7),
+        ],
+    )
+    def test_save_rejects_metadata_it_cannot_read_back(self, small_problem, tmp_path, metadata, key):
+        problem = small_problem.copy()
+        problem.metadata = {"fine": "a value", **metadata}
+        path = tmp_path / "meta.gbpba"
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            save(problem, path)
+        assert not path.exists()
+
     def test_load_rejects_zero_sigma(self, small_problem, tmp_path):
         path = tmp_path / "zero_sigma.gbpba"
         save(small_problem, path)

@@ -18,7 +18,9 @@ from gbp_ba import (
     build,
     inject_outliers,
     iterate,
+    OracleScaleError,
     map_solve,
+    marginals,
     pairwise_message,
     perturb,
     quotient,
@@ -235,6 +237,29 @@ def test_linear_gbp_reaches_dense_map():
     assert report.reason == "message_tol"
     got = stack_states(graph)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("seed", [21, 23])
+def test_linear_gbp_marginals_against_dense_oracle(seed):
+    # on the loopy linear graph GBP means are exact at convergence and its
+    # variances close to, not equal to, the exact ones, on either side
+    graph = build(perturb(synthesize(4, 30, seed=seed, pixel_sigma=0.5), 0.05, "backproject", seed=seed + 1))
+    system = assemble(graph)
+    assert system.dim == 114
+    with pytest.raises(OracleScaleError):
+        marginals(system, max_dim=system.dim - 1)
+    exact = marginals(system)
+    schedule = ScheduleParams(
+        beta=None, damping=0.0, prior_weaken_iters=0, are_target=0.0, max_iters=2000, message_tol=1e-10
+    )
+    assert solve(graph, schedule).reason == "message_tol"
+    want = np.concatenate([mean for side in exact for mean, _ in side])
+    got = stack_states(graph)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    for kind, side in zip(factor_graph.KINDS, exact):
+        gbp_var = np.diagonal(np.linalg.inv(graph.var(kind, "belief_lam")), axis1=1, axis2=2)
+        exact_var = np.array([np.diag(cov) for _, cov in side])
+        np.testing.assert_allclose(gbp_var, exact_var, rtol=0.01, err_msg=kind.name)
 
 
 def test_default_cadence_relinearises_every_factor_at_rounds_11_22_33():

@@ -75,6 +75,17 @@ class TestBuild:
         with pytest.raises(ValueError, match="landmark 5"):
             prob.validate()
 
+    @pytest.mark.parametrize("nsigma", [-1.0, -np.inf, np.nan])
+    def test_bad_huber_threshold_raises(self, nsigma):
+        with pytest.raises(BuildError, match="huber_nsigma"):
+            build(one_factor_problem(), huber_nsigma=nsigma)
+
+    @pytest.mark.parametrize("nsigma", [None, 0, np.inf])
+    def test_huber_off(self, nsigma):
+        graph = build(one_factor_problem(z=(30.0, 40.0)), huber_nsigma=nsigma)
+        assert graph.huber_nsigma == np.inf and graph.f_weight[0] == 1.0
+        assert graph.energy() == pytest.approx(2500.0)
+
     def test_factor_rank_two_after_linearisation(self):
         graph = build(synthesize(3, 20, seed=1))
         eigs = np.linalg.eigvalsh(graph.factor_information(slice(None))[1])
@@ -126,6 +137,24 @@ class TestPriors:
         assert graph.lm_prior_fallback[1]
         np.testing.assert_array_equal(graph.lm_prior_diag0[1], np.ones(3))
         np.testing.assert_array_equal(graph.lm_prior_mean[1], [5.0, 5.0, 5.0])
+
+    def test_unobserved_landmark_flagged_once_across_additions(self):
+        prob = ProblemSpec(
+            kf_init=np.zeros((1, 6)),
+            lm_init=np.array([[0, 0, 1.0], [5.0, 5.0, 5.0]]),
+            meas_kf=[0],
+            meas_lm=[0],
+            meas_uv=[[0.0, 0.0]],
+            meas_sigma=[1.0],
+        )
+        graph = build(prob)
+        assert graph.lm_prior_fallback.sum() == 1
+        # both calls fall in the build's iteration and regenerate every prior
+        graph.add_measurement(0, 0, np.array([0.1, 0.0]))
+        graph.add_measurement(0, 0, np.array([0.0, 0.1]))
+        assert graph.iteration == 0
+        assert graph.lm_prior_fallback.sum() == 1 and graph.lm_prior_fallback[1]
+        assert not graph.kf_prior_fallback.any()
 
     def test_prior_mean_fixed_under_weakening(self):
         from gbp_ba.engine import run
@@ -213,7 +242,18 @@ class TestEnergyAndAre:
         graph = build(prob)
         graph.lm_state = np.array([[0.0, 0.0, -1.0]])  # shove landmark behind
         assert graph.average_reprojection_error() == pytest.approx(1e6)
-        assert graph.notes["are_behind_camera"] == 1
+
+    def test_behind_camera_counted_per_round(self):
+        prob = one_factor_problem()
+        prob.lm_init = np.array([[0.0, 0.0, -1.0]])
+        graph = build(prob)
+        assert not graph.f_valid[0]  # never linearised, so never moves
+        reports = run(graph, ScheduleParams(), n=12)
+        assert [r.n_behind_camera for r in reports] == [1] * 12
+        assert [r.are for r in reports] == [pytest.approx(1e6)] * 12
+        assert not graph.f_valid[0]
+        normal = run(build(synthesize(3, 20, seed=11, pixel_sigma=0.5)), ScheduleParams(), n=3)
+        assert [r.n_behind_camera for r in normal] == [0] * 3
 
     def test_behind_camera_energy_uses_linearisation_residual(self):
         from gbp_ba.engine import run
@@ -238,9 +278,7 @@ class TestEnergyAndAre:
             diag = getattr(graph, prefix + "prior_scale")[:, None] * getattr(graph, prefix + "prior_diag0")
             delta = getattr(graph, prefix + "state") - getattr(graph, prefix + "prior_mean")
             want += np.sum(diag * delta**2)
-        before = graph.notes["energy_behind_camera"]
         assert graph.energy() == pytest.approx(want, rel=1e-12)
-        assert graph.notes["energy_behind_camera"] - before == behind.sum()
 
 
 class TestViews:
@@ -287,9 +325,9 @@ class TestIncrementalMutation:
     def test_duplicate_measurement_allowed_and_flagged(self):
         graph = build(synthesize(3, 15, seed=13))
         kf, lm = int(graph.f_kf[0]), int(graph.f_lm[0])
-        before = graph.notes["duplicate_measurement"]
+        before = graph.n_duplicate_measurements
         graph.add_measurement(kf, lm, graph.f_z[0])
-        assert graph.notes["duplicate_measurement"] == before + 1
+        assert graph.n_duplicate_measurements == before + 1
 
     def test_duplicate_count_over_existing_and_new_pairs(self):
         prob = synthesize(3, 15, seed=13)
@@ -302,19 +340,19 @@ class TestIncrementalMutation:
         graph = build(prob)
         distinct = len(set(zip(prob.meas_kf.tolist(), prob.meas_lm.tolist())))
         assert distinct == prob.n_measurements - 3
-        assert graph.notes["duplicate_measurement"] == prob.n_measurements - distinct
+        assert graph.n_duplicate_measurements == prob.n_measurements - distinct
 
         # one repeat of an existing pair, one new pair given three times
         lm = graph.add_landmark(np.array([0.0, 0.0, 1.2]))
         kf_ids = np.array([graph.f_kf[7], 1, 1, 1, 2])
         lm_ids = np.array([graph.f_lm[7], lm, lm, lm, lm])
         graph.add_measurements(kf_ids, lm_ids, np.full((5, 2), 300.0), np.ones(5))
-        assert graph.notes["duplicate_measurement"] == 3 + 1 + 2
+        assert graph.n_duplicate_measurements == 3 + 1 + 2
         # zero keys: nothing to count
         graph.add_measurements([], [], np.zeros((0, 2)), [])
-        assert graph.notes["duplicate_measurement"] == 6
+        assert graph.n_duplicate_measurements == 6
         empty = build(ProblemSpec(kf_init=np.zeros((1, 6)), lm_init=np.ones((1, 3))))
-        assert empty.notes["duplicate_measurement"] == 0
+        assert empty.n_duplicate_measurements == 0
 
     def test_dangling_id_raises(self):
         graph = build(synthesize(3, 15, seed=13))
@@ -522,6 +560,9 @@ class TestSchema:
         for name, value in arrays.items():
             assert value.shape[0] == rows[name[: name.index("_") + 1]], name
         assert set(float_dtypes(graph).values()) == {graph.dtype}
+        # nothing but the arrays and these: no lifetime tallies
+        others = {k for k, v in vars(graph).items() if not isinstance(v, np.ndarray)}
+        assert others == {"intrinsics", "huber_nsigma", "iteration", "dtype", "_projection"}
 
     def test_build_add_copy_astype(self):
         from gbp_ba.engine import run
