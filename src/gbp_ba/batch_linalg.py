@@ -1,17 +1,14 @@
 """Batched kernels over stacks of small arrays: masked Cholesky solves and an
 order-preserving scatter-add.
 
-The message and belief phases need tens of thousands of independent 3x3 and
-6x6 factorisations per iteration, with numerically singular members masked
-out instead of aborting the batch (numpy's batched solve raises on the whole
-stack).  The kernels work component-major: entry (i, j) of every matrix in
-the stack is one contiguous length-N vector, and the factorisation and the
-substitutions are loops unrolled over the tiny dimension, so every step is
-one vector operation over the stack.  The factorisation reads only the lower
-triangle of each matrix.  `forward_solve_masked` stops after the forward
-substitution, which is all a caller needs that only forms products
-(L^-1 B)'(L^-1 C) = B' A^-1 C; `solve_spd_masked` adds the back
-substitution.  The public functions take and return the usual (N, d, d) /
+The belief phase needs one 3x3 or 6x6 factorisation per variable and
+iteration, with numerically singular members masked out instead of
+aborting the batch (numpy's batched solve raises on the whole stack).  The
+kernels work component-major: entry (i, j) of every matrix in the stack is
+one contiguous length-N vector, and the factorisation and the substitutions
+are loops unrolled over the tiny dimension, so every step is one vector
+operation over the stack.  The factorisation reads only the lower triangle
+of each matrix.  The public functions take and return the usual (N, d, d) /
 (N, d, k) shapes and read their inputs through the view `component_major`:
 a stack that is the (N, ...) view of a contiguous component-major array
 (every factor-graph array is one) costs no copy and is read as contiguous
@@ -24,7 +21,7 @@ import numpy as np
 
 PIVOT_RTOL = 1e-12
 
-# Per-factor work over the whole graph (the message phase, the rank check)
+# Per-factor work over the whole graph (phases B and C, the rank check)
 # runs over blocks of this many rows, so each of its temporaries is at most
 # a few MB whatever the size of the graph: they stay in cache, and the
 # memory the process holds does not swing with the graph size.
@@ -99,12 +96,6 @@ def _back_cm(lower: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x
 
 
-def _factor_forward(mats: np.ndarray, rhs: np.ndarray):
-    """Component-major (L, L^-1 rhs, ok) of (N, d, d) and (N, d, k) stacks."""
-    lower, ok = _cholesky_cm(component_major(mats))
-    return lower, _forward_cm(lower, component_major(rhs)), ok
-
-
 def cholesky_masked(mats: np.ndarray):
     """Lower-triangular factors of a (N, d, d) symmetric stack.
 
@@ -124,26 +115,17 @@ def solve_cholesky(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x.transpose(2, 0, 1)
 
 
-def forward_solve_masked(mats: np.ndarray, rhs: np.ndarray):
-    """Masked Cholesky factorisation L L' of (N, d, d) symmetric
-    positive-definite matrices, of which only the lower triangle is read, and
-    forward substitution of (N, d, k) right-hand sides.
-
-    Returns (y, ok) with L y = rhs, so y'y = rhs' mats^-1 rhs.  Rows where ok
-    is False (see `cholesky_masked`) are finite garbage.
-    """
-    _, y, ok = _factor_forward(mats, rhs)
-    return y.transpose(2, 0, 1), ok
-
-
 def solve_spd_masked(mats: np.ndarray, rhs: np.ndarray):
     """Masked batch solve of symmetric positive-definite systems: (N, d, d)
-    matrices, (N, d, k) right-hand sides.
+    matrices, of which only the lower triangle is read, and (N, d, k)
+    right-hand sides.
 
-    Returns (x, ok).  Rows where ok is False are not valid solutions.
+    Returns (x, ok).  Rows where ok is False (see `cholesky_masked`) are
+    finite garbage, not solutions.
     """
-    lower, y, ok = _factor_forward(mats, rhs)
-    return _back_cm(lower, y).transpose(2, 0, 1), ok
+    lower, ok = _cholesky_cm(component_major(mats))
+    x = _back_cm(lower, _forward_cm(lower, component_major(rhs)))
+    return x.transpose(2, 0, 1), ok
 
 
 def scatter_sum(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:

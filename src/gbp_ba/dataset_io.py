@@ -71,6 +71,14 @@ class FormatVersionError(ParseError):
     pass
 
 
+class RowError(ValueError):
+    """A value rejected in row `row` (0-based) of the problem file's `section`."""
+
+    def __init__(self, message: str, section: str | None = None, row: int | None = None):
+        super().__init__(message)
+        self.section, self.row = section, row
+
+
 class GenerationError(RuntimeError):
     pass
 
@@ -130,7 +138,8 @@ class ProblemSpec:
         ):
             bad = np.flatnonzero((ids < 0) | (ids >= n))
             if bad.size:
-                raise ValueError(f"measurement {bad[0]} references missing {what} {ids[bad[0]]}")
+                message = f"measurement {bad[0]} references missing {what} {ids[bad[0]]}"
+                raise RowError(message, "measurements", bad[0])
         check_state_values("keyframe", self.kf_init)
         check_state_values("landmark", self.lm_init)
         check_measurement_values(self.meas_uv, self.meas_sigma)
@@ -153,22 +162,23 @@ class ProblemSpec:
         return all(eq(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
-def check_state_values(what: str, states: np.ndarray, error=ValueError, first: int = 0) -> None:
-    """Raise `error` naming the first row of `states`, counted from `first`,
-    that is not finite."""
+def check_state_values(what: str, states: np.ndarray, error=RowError, first: int = 0) -> None:
+    """Raise `error`, a RowError class, at the first row of the `what`
+    ("keyframe" or "landmark") `states`, counted from `first`, not finite."""
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise error(f"{what} {first + i} has a non-finite state {states[i]}")
+        raise error(f"{what} {first + i} has a non-finite state {states[i]}", what + "s", first + i)
 
 
-def check_measurement_values(uv: np.ndarray, sigma: np.ndarray, error=ValueError) -> None:
-    """Raise `error` naming the first measurement whose pixel coordinates
-    are not finite or whose noise sigma is not finite and positive."""
+def check_measurement_values(uv: np.ndarray, sigma: np.ndarray, error=RowError) -> None:
+    """Raise `error`, a RowError class, at the first measurement whose pixel
+    coordinates are not finite or whose noise sigma is not finite and positive."""
     good = np.isfinite(uv).all(axis=1) & np.isfinite(sigma) & (sigma > 0)
     if not good.all():
-        i = np.argmin(good)
-        raise error(f"measurement {i} has uv {uv[i]} and sigma {sigma[i]}: need finite, sigma > 0")
+        i = int(np.argmin(good))
+        message = f"measurement {i} has uv {uv[i]} and sigma {sigma[i]}: need finite, sigma > 0"
+        raise error(message, "measurements", i)
 
 
 def _fmt(x: float) -> str:
@@ -238,7 +248,7 @@ def load(path) -> ProblemSpec:
     cut short by the end of the file.  A file that parses into a problem
     `ProblemSpec.validate` rejects (a reference to a missing keyframe or
     landmark, a non-finite state or pixel, a sigma that is not positive)
-    raises ParseError with validate's message, which names the row.
+    raises ParseError with validate's message, which names the row, and its line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.readlines()
@@ -311,8 +321,9 @@ def load(path) -> ProblemSpec:
         raise ParseError(f"bad intrinsics: {exc}", lineno) from None
 
     arrays = {}
+    lines_of = {}  # section -> the line of each of its rows
     for section in ("keyframes", "landmarks", "measurements"):
-        table, _ = rows(*header(section))
+        table, lines_of[section] = rows(*header(section))
         arrays.update((name, table[name]) for name in table.dtype.names if name != "id")
     n_meas = len(arrays["meas_kf"])
     metadata = {}
@@ -333,6 +344,8 @@ def load(path) -> ProblemSpec:
 
     try:
         return ProblemSpec(intrinsics=intrinsics, metadata=metadata, **arrays)
+    except RowError as exc:
+        raise ParseError(str(exc), lines_of[exc.section][exc.row]) from None
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

@@ -12,26 +12,30 @@ of the factor's 9-vector:
      beta.  The cooldown is tested first, and the distance only for the
      factors past it.  Phase A writes only `f_last_relin`;
   B. a factor joins one variable of each kind, and its message to one side
-     eliminates the other.  It derives its input from the eliminated side,
-     that variable's belief minus the factor's own last message to it,
-     conditions its information on it and marginalises onto the kept side
-     via Schur complement.  The factor's information is the rank-2 w J'J of
-     its 2x9 Jacobian, so the kernel works on J: per side it forms the lower
-     triangle of the conditioned block from J's two rows, factors it and
-     forward-substitutes three right-hand columns, whose products give a
-     2x2 inner matrix (see `_side_messages`); no back substitution is
-     needed.  The kernel works on component-major views of the graph's
-     factor-last arrays, so each step is one vector operation over a block
-     of `BLOCK_ROWS` factors, and it overwrites the messages in place.
-     Where the conditioned block is not positive definite the previous
-     message is kept.  In the round a factor was added in its input is zero,
-     which leaves the block at rank 2 or less, so both its messages are
-     singular: they are masked by construction and stay zero.  The
-     information vector is damped against the previously sent message
-     except inside the undamped window after a relinearisation;
+     K eliminates the other side E: it conditions its information on its
+     input from E, that variable's belief minus the factor's own last
+     message to it, and marginalises onto K.  The factor's information
+     w J'J and every message are rank 2, so with cond the conditioned E
+     block the message is stored in measurement space as S = w I - w^2
+     J_E cond^-1 J_E' and v = w (t - J_E cond^-1 (w J_E't + input eta)),
+     (J_K'v, J_K'S J_K) in information form.  cond is E's belief B plus
+     rank-2 terms, so by the Woodbury identity (Hager, "Updating the
+     inverse of a matrix", 1989) both come from the B^-1 of phase C and
+     2x2 solves in closed form: one per message sent last with the current
+     J_E, and two, the 4x4 system of [J_E; J_sent] by block elimination,
+     per message sent with an older J.  Where cond is not positive definite
+     or phase C could not invert B, the previous message is kept; so are
+     the zero first messages of a factor, whose zero input leaves cond
+     singular.  v is damped against the previous v outside the undamped
+     window after a relinearisation, which holds at least that round, so
+     both were sent with the current J_K unless the previous message was
+     kept across the relinearisation.  Each step is one vector operation
+     over a block of `BLOCK_ROWS` factors of the graph's component-major
+     arrays, written in place;
   C. every variable's belief is rebuilt in place as prior + sum of incoming
-     messages (summed in ascending factor-id order by `scatter_sum`) and its
-     state moves to the belief mean when the belief is invertible; keyframe
+     messages, expanded a block of factors at a time and summed in
+     ascending factor-id order, and one masked solve gives its mean and
+     B^-1.  Its state moves to the mean when B is invertible; keyframe
      rotations are then wrapped to angle-axis magnitudes in [0, pi].
 
 `iterate` then evaluates the ARE and the energy, and counts the
@@ -51,13 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch_linalg import (
-    BLOCK_ROWS,
-    component_major,
-    forward_solve_masked,
-    scatter_sum,
-    solve_spd_masked,
-)
+from .batch_linalg import BLOCK_ROWS, component_major, solve_spd_masked
 from .camera import DEPTH_EPSILON, canonicalize_axis_angle
 from .factor_graph import KEYFRAME, KINDS, PRIOR_TARGET_RATIO, FactorGraph
 from .info_gaussian import InfoGaussian, marginalize_onto
@@ -80,11 +78,13 @@ class ScheduleParams:
     beta: relinearisation distance threshold (None disables relinearisation).
     relin_cooldown: minimum iterations between relinearisations of a factor.
     damping: convex blend factor d applied to message information vectors.
-    undamped_window: iterations after a relinearisation with damping off.
+    undamped_window: iterations after a relinearisation with damping off,
+        at least 1 (the relinearisation round) while beta is set.
     prior_weaken_iters: iterations over which priors decay to 1/100 of their
         initial strength (0 keeps priors at full strength).
-    message_tol: optional early stop when the largest message change falls
-        below this (useful for pure linear runs); None disables it.
+    message_tol: optional early stop when the largest change of a stored
+        message entry (of S or v) falls below this (useful for pure linear
+        runs); None disables it.
     """
 
     beta: float | None = 0.01
@@ -104,6 +104,8 @@ class ScheduleParams:
         for name in ("relin_cooldown", "undamped_window", "prior_weaken_iters", "max_iters"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.beta is not None and self.undamped_window < 1:  # see phase B
+            raise ValueError("undamped_window must be >= 1 while beta is set")
 
 
 PHASES = ("relinearize", "messages", "beliefs", "evaluate")
@@ -200,60 +202,62 @@ def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
     return int(ok.sum()), int((~ok).sum())
 
 
-def _inputs(beliefs, messages, ids, rows):
-    """Variable-to-factor inputs (eta, lam) of the factors in `rows`, all
-    component-major ((d, B) and (d, d, B)): the belief of each factor's
-    variable `ids` minus the factor's own last message to it."""
-    return [np.take(b, ids[rows], axis=-1) - m[..., rows] for b, m in zip(beliefs, messages)]
+def _mm(a, b):  # stacks of 2x2 matrices, component-major (2, 2, n)
+    return np.einsum("ijn,jkn->ikn", a, b)
 
 
-def _side_messages(jac, w, target, keep: slice, elim: slice, in_eta, in_lam):
-    """New undamped messages onto the `keep` block, conditioned on the
-    inputs to the `elim` block.
+def _mv(a, x):  # (2, 2, n) matrices times (2, n) vectors
+    return np.einsum("ijn,jn->in", a, x)
 
-    Everything is component-major: `jac` (2, 9, F), `target` (2, F), `w`
-    (F,), the inputs as from `_inputs`.  The factor's information is
-    (w J't, w J'J).  With E the eliminated and K the kept
-    columns of J, L L' = cond = w J_E'J_E + input_lam, and
-    Y = L^-1 [J_E' | w J_E't + input_eta], the product G = Y[:, :2]'Y is
-    J_E cond^-1 [J_E' | w J_E't + input_eta].  The Schur complement onto K
-    is J_K' S J_K with S = w I - w^2 G[:, :2], and its information vector is
-    w J_K' (t - G[:, 2]).  Returns eta (dK, F), lam (dK, dK, F) with lam
-    exactly symmetric, and the solve's ok mask.
-    """
-    je, jk = jac[:, elim], jac[:, keep]
-    d, n = je.shape[1:]
-    # the lower triangle only: the factorisation reads nothing above it
-    cond = np.empty((d, d, n), jac.dtype)
-    for i in range(d):
-        row = cond[i, : i + 1]
-        np.multiply(je[0, i], je[0, : i + 1], out=row)
-        row += je[1, i] * je[1, : i + 1]
-        row *= w
-        row += in_lam[i, : i + 1]
-    rhs = np.empty((d, 3, n), jac.dtype)
-    rhs[:, 0], rhs[:, 1] = je[0], je[1]
-    rhs[:, 2] = w * (je[0] * target[0] + je[1] * target[1]) + in_eta
-    y, ok = forward_solve_masked(cond.transpose(2, 0, 1), rhs.transpose(2, 0, 1))
-    y = y.transpose(1, 2, 0)
-    g = y[0, :2, None] * y[0]  # G, (2, 3, F), with G[0, 1] == G[1, 0]
-    for i in range(1, d):
-        g += y[i, :2, None] * y[i]
-    w2 = w * w
-    s00 = w - w2 * g[0, 0]
-    s11 = w - w2 * g[1, 1]
-    s01 = -w2 * g[0, 1]
-    a, b = jk
-    p, q = s00 * a + s01 * b, s01 * a + s11 * b  # the rows of S J_K
-    dk = a.shape[0]
-    lam = np.empty((dk, dk, n), jac.dtype)
-    for i in range(dk):
-        row = lam[i, : i + 1]
-        np.multiply(a[i], p[: i + 1], out=row)
-        row += b[i] * q[: i + 1]
-        lam[:i, i] = row[:i]
-    eta = w * (a * (target[0] - g[0, 2]) + b * (target[1] - g[1, 2]))
-    return eta, lam, ok
+
+def _fold(gram, proj, c, mat, vec):
+    """Add (J_c' vec, J_c' mat J_c) to a positive-definite information form
+    (eta, P) known by gram[a][b] = J_a P^-1 J_b' and proj[a] = J_a P^-1 eta.
+    By Woodbury, with X = I + mat gram[c][c] and h_a = gram[a][c] X^-1 (the
+    new gram[a][c]), gram[a][b] loses h_a mat gram[c][b] and proj[a] gains
+    gram[a][c] vec - h_a mat (proj[c] + gram[c][c] vec).  The sum stays
+    positive definite iff X's real eigenvalues are positive, that is its
+    trace and determinant; the returned mask is False where not."""
+    x = _mm(mat, gram[c][c])
+    x[0, 0] += 1.0
+    x[1, 1] += 1.0
+    det = x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]
+    ok = (x[0, 0] + x[1, 1] > 0) & (det > 0)
+    x_inv = np.array([[x[1, 1], -x[0, 1]], [-x[1, 0], x[0, 0]]]) / np.where(ok, det, 1.0)
+    g_vec = [_mv(g[c], vec) for g in gram]
+    mat_r = _mv(mat, proj[c] + g_vec[c])
+    h = [_mm(g[c], x_inv) for g in gram]
+    proj = [p + g_v - _mv(h_a, mat_r) for p, g_v, h_a in zip(proj, g_vec, h)]
+    gram = [
+        [h_a if b == c else g_ab - _mm(h_a, _mm(mat, gram[c][b])) for b, g_ab in enumerate(g)]
+        for g, h_a in zip(gram, h)
+    ]
+    return gram, proj, ok
+
+
+def _conditioned(cov, eta, jac, w_eye, w_target, jac_sent, s_sent, v_sent, stale):
+    """(J_E cond^-1 J_E', J_E cond^-1 (w J_E't + input eta), ok), with the
+    input the belief (eta, B = cov^-1) less the last message to E, (J_sent'
+    v_sent, J_sent' S_sent J_sent); all component-major, `jac` J_E.  The
+    factor's and the input's rank-2 terms are one fold where J_sent = J_E,
+    and two on the `stale` rows."""
+    if stale.all():
+        probes, folds = [jac, jac_sent], [(0, w_eye, w_target), (1, -s_sent, -v_sent)]
+    else:
+        probes, folds = [jac], [(0, w_eye - s_sent, w_target - v_sent)]
+    cov_jac = [np.einsum("ijn,ajn->ian", cov, probe) for probe in probes]  # B^-1 J_a'
+    gram = [[np.einsum("ain,ibn->abn", probe, cj) for cj in cov_jac] for probe in probes]
+    proj = [np.einsum("ian,in->an", cj, eta) for cj in cov_jac]
+    ok = True
+    for fold in folds:
+        gram, proj, ok_fold = _fold(gram, proj, *fold)
+        ok = ok & ok_fold
+    g, u = gram[0][0], proj[0]
+    idx = np.flatnonzero(stale)
+    if 0 < idx.size < stale.size:
+        args = (cov, eta, jac, w_eye, w_target, jac_sent, s_sent, v_sent, stale)
+        g[..., idx], u[:, idx], ok[idx] = _conditioned(*(np.take(a, idx, axis=-1) for a in args))
+    return g, u, ok
 
 
 def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int):
@@ -265,60 +269,93 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int):
     ).astype(graph.dtype)
     first_round = graph.f_birth == t
     w = graph.factor_precision()
-    # component-major views of the graph's arrays: per kind its beliefs and
-    # the messages to it, which are overwritten in place
+    eye = np.eye(2, dtype=graph.dtype)[:, :, None]
+    # component-major views: per kind its beliefs' B^-1 and eta, and the
+    # messages to it, which are overwritten in place
     jac, target = component_major(graph.f_jac), component_major(graph.f_target)
     beliefs = {
-        kind: [component_major(graph.var(kind, name)) for name in ("belief_eta", "belief_lam")]
+        kind: [component_major(graph.var(kind, name)) for name in ("belief_cov", "belief_eta")]
         for kind in KINDS
     }
-    messages = {kind: [component_major(m) for m in graph.messages(kind)] for kind in KINDS}
+    messages = {kind: [component_major(m) for m in graph.message(kind)] for kind in KINDS}
     n_singular = 0
     max_delta = 0.0
     # blocks of BLOCK_ROWS factors; a factor's messages do not depend on
     # the block it falls in
     for start in range(0, n, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        # both sides' inputs, read before either side's messages are written
-        inputs = {
-            kind: _inputs(beliefs[kind], messages[kind], graph.adjacent(kind), rows)
-            for kind in KINDS
+        w_b, w_target, first = w[rows], w[rows] * target[:, rows], first_round[rows]
+        sent = {kind: [m[..., rows] for m in messages[kind]] for kind in KINDS}
+        # per kind, the messages to it last sent with another J than the current one
+        changed = {
+            kind: np.any(sent[kind][2] != jac[:, kind.cols, rows], axis=(0, 1)) for kind in KINDS
         }
+        new = []
         # a factor joins one variable of each kind: the message to one side
-        # eliminates the other
+        # eliminates the other; both are formed before either is written
         for keep, elim in zip(KINDS, KINDS[::-1]):
-            eta, lam, ok = _side_messages(
-                jac[..., rows], w[rows], target[..., rows], keep.cols, elim.cols, *inputs[elim]
+            cov, eta = (np.take(b, graph.adjacent(elim)[rows], axis=-1) for b in beliefs[elim])
+            (s00, s01, s11), v_sent, jac_sent = sent[elim]
+            g, u, ok = _conditioned(
+                cov, eta, jac[:, elim.cols, rows], w_b * eye, w_target,
+                jac_sent, np.array([[s00, s01], [s01, s11]]), v_sent, changed[elim] & ~first,
             )
-            prev_eta, prev_lam = (m[..., rows] for m in messages[keep])
-            d = damp[rows]
-            eta = (1.0 - d) * eta + d * prev_eta
-            # a factor's input is zero in its first round, which leaves cond
-            # at rank 2 or less: those messages are singular whatever the
-            # inputs computed above
-            singular = ~ok | first_round[rows]
-            np.copyto(eta, prev_eta, where=singular)
-            np.copyto(lam, prev_lam, where=singular)
+            w2 = w_b * w_b
+            s = np.stack([w_b - w2 * g[0, 0], -w2 * g[0, 1], w_b - w2 * g[1, 1]])
+            # zero inputs leave cond singular in a factor's first round, and
+            # B^-1 is zero where phase C could not invert B
+            new.append((keep, s, w_target - w_b * u, ~ok | first | (cov[0, 0] == 0)))
+        for keep, s, v, singular in new:
+            prev_s, prev_v, prev_jac = sent[keep]
+            v = (1.0 - damp[rows]) * v + damp[rows] * prev_v
+            np.copyto(s, prev_s, where=singular)
+            np.copyto(v, prev_v, where=singular)
             n_singular += int(singular.sum())
-            max_delta = max(max_delta, np.abs(eta - prev_eta).max(), np.abs(lam - prev_lam).max())
-            prev_eta[...], prev_lam[...] = eta, lam
+            max_delta = max(max_delta, np.abs(s - prev_s).max(), np.abs(v - prev_v).max())
+            prev_s[...], prev_v[...] = s, v
+            # a first-round message is zero with any J: it takes the current one
+            resent = changed[keep] & (~singular | first)
+            if resent.any():
+                np.copyto(prev_jac, jac[:, keep.cols, rows], where=resent)
     return n_singular, float(max_delta)
 
 
 def _phase_beliefs(graph: FactorGraph) -> int:
     frozen = 0
     for kind in KINDS:
-        eta, lam, state = (graph.var(kind, name) for name in ("belief_eta", "belief_lam", "state"))
-        prior_eta, prior_diag = graph.prior_information(kind)
+        eta, lam, cov, state = (
+            graph.var(kind, name) for name in ("belief_eta", "belief_lam", "belief_cov", "state")
+        )
         n, dim = eta.shape
         ids = graph.adjacent(kind)
-        msg_eta, msg_lam = graph.messages(kind)
-        np.add(prior_eta, scatter_sum(ids, msg_eta, n), out=eta)
-        lam[...] = scatter_sum(ids, msg_lam, n)
+        # the incoming messages J'v and the lower triangles of J'SJ, row by
+        # row, summed in float64 in ascending factor order
+        sums = np.zeros((dim + dim * (dim + 1) // 2, n))
+        index = np.arange(len(sums))[:, None] * n
+        for start in range(0, graph.n_measurement_factors, BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            s, v, (a, b) = (component_major(m)[..., rows] for m in graph.message(kind))
+            p, q = s[0] * a + s[1] * b, s[1] * a + s[2] * b  # the rows of S J
+            entries = np.empty((len(sums), a.shape[1]))
+            np.multiply(v[0], a, out=entries[:dim])
+            entries[:dim] += v[1] * b
+            for i in range(dim):
+                row = entries[dim + i * (i + 1) // 2 :][: i + 1]
+                np.multiply(a[i], p[: i + 1], out=row)
+                row += b[i] * q[: i + 1]
+            np.add.at(sums.reshape(-1), (index + ids[rows]).reshape(-1), entries.reshape(-1))
+        i, j = np.tril_indices(dim)
+        lam_cm = component_major(lam)
+        lam_cm[i, j] = lam_cm[j, i] = sums[dim:]
+        prior_eta, prior_diag = graph.prior_information(kind)
+        np.add(prior_eta, sums[:dim].T, out=eta)
         rng = np.arange(dim)
         lam[:, rng, rng] += prior_diag
-        mean, ok = solve_spd_masked(lam, eta[:, :, None])
-        mean = mean[:, :, 0]
+        # [eta | I] gives the mean and B^-1, left zero where B is not invertible
+        eye = np.broadcast_to(np.eye(dim, dtype=graph.dtype), (n, dim, dim))
+        solved, ok = solve_spd_masked(lam, np.concatenate([eta[:, :, None], eye], axis=2))
+        mean, inv = solved[:, :, 0], solved[:, :, 1:]
+        cov[...] = np.where(ok[:, None, None], 0.5 * (inv + np.swapaxes(inv, 1, 2)), 0.0)
         if kind is KEYFRAME:
             mean[:, :3] = canonicalize_axis_angle(mean[:, :3])
         np.copyto(state, mean, where=ok[:, None])
@@ -377,9 +414,10 @@ def solve(
     Non-convergence is reported via the flag, never raised.
     """
     schedule = schedule if schedule is not None else ScheduleParams()
-    are = graph.average_reprojection_error()
+    with graph.shared_projection():
+        are = graph.average_reprojection_error()
+        energy_trace = [graph.energy()]
     are_trace = [are]
-    energy_trace = [graph.energy()]
     reports: list[IterationReport] = []
     reason = "max_iters"
     if are < schedule.are_target:

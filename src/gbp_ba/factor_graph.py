@@ -6,13 +6,16 @@ angle-axis + translation states) and landmarks (3-dim positions).  Each
 variable carries a belief and an automatically generated diagonal prior;
 each measurement factor connects one variable of each kind and stores its
 linearisation point, the 2x9 Jacobian and the 2-vector target of its
-linearised residual, its Huber weight, and the last message sent to each
-side.  The factor's 9-dim information form is rank 2, `(w J' t, w J' J)`
-with `w = weight / sigma^2`, so it is not stored: `factor_information`
-derives it for any rows, and the engine works on J directly.  Nor are
-variable-to-factor messages (the engine derives each as the variable's
-belief minus the factor's own last message), or the Huber threshold, which
-is the graph's `huber_nsigma`.
+linearised residual, and its Huber weight.  Its information form is rank 2,
+`(w J' t, w J' J)` with `w = weight / sigma^2`, so it is not stored:
+`factor_information` derives it for any rows, and the engine works on J.
+Its message to each side K, `(J_K' v, J_K' S J_K)` with a symmetric 2x2
+S, is stored as S's three entries, v and the J_K it was sent with
+(`f_msg_<key>_s`, `_v`, `_jac`).  Each variable stores its belief and the
+inverse of its matrix (zero where there is none) for the engine.  Nor are
+variable-to-factor messages stored (the engine derives each as the
+variable's belief minus the factor's own last message), or the Huber
+threshold, which is the graph's `huber_nsigma`.
 
 Storage is columnar: stacked numpy arrays indexed by id, so the engine can
 vectorise across factors.  One schema per node type lists every array with
@@ -56,7 +59,7 @@ from .camera import (
     project_many,
     rotation_matrix,
 )
-from .dataset_io import ProblemSpec, check_measurement_values, check_state_values
+from .dataset_io import ProblemSpec, RowError, check_measurement_values, check_state_values
 from .info_gaussian import InfoGaussian
 
 PRIOR_TARGET_RATIO = 0.01
@@ -69,7 +72,7 @@ PSD_RTOL = 1e-8
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class Kind:
     """A variable kind: arrays `<key>_*`, and in the factor table `f_<key>`
-    (each factor's variable) and `f_msg_<key>_eta`/`_lam` (its last message)."""
+    (each factor's variable) and `f_msg_<key>_*` (its last message)."""
 
     name: str
     key: str
@@ -83,7 +86,7 @@ KEYFRAME, LANDMARK = KINDS
 FACTOR_DIM = sum(kind.dim for kind in KINDS)
 
 
-class BuildError(ValueError):
+class BuildError(RowError):
     pass
 
 
@@ -142,6 +145,7 @@ VARIABLE_FIELDS = (
     Field("state", ("d",), "float"),
     Field("belief_eta", ("d",), "float"),
     Field("belief_lam", ("d", "d"), "float"),
+    Field("belief_cov", ("d", "d"), "float"),  # belief_lam^-1, zero where not invertible
     Field("prior_diag0", ("d",), "float", 1.0),
     Field("prior_mean", ("d",), "float"),
     Field("prior_scale", (), "float", 1.0),
@@ -154,7 +158,7 @@ VARIABLE_FIELDS = (
 # at `lin`, its residual is z - h(x) ~ target - jac x with
 # target = jac lin + z - h(lin); so z - h(lin) = target - jac lin, which is
 # zero before the first linearisation.  Per kind: the variable's id and the
-# last message to it.
+# last message to it, (J' v, J' S J) with S's entries 00, 01, 11 in `s`.
 FACTOR_FIELDS = (
     *(Field(kind.key, (), "int") for kind in KINDS),
     Field("z", (2,), "float"),
@@ -166,8 +170,9 @@ FACTOR_FIELDS = (
     Field("valid", (), "bool", False),
     Field("last_relin", (), "int"),  # the last round it was relinearised in, else its birth
     Field("birth", (), "int"),  # the iteration it was added in: its inputs are zero then
-    *(Field(f"msg_{kind.key}_eta", (kind.dim,), "float") for kind in KINDS),
-    *(Field(f"msg_{kind.key}_lam", (kind.dim, kind.dim), "float") for kind in KINDS),
+    *(Field(f"msg_{kind.key}_s", (3,), "float") for kind in KINDS),
+    *(Field(f"msg_{kind.key}_v", (2,), "float") for kind in KINDS),
+    *(Field(f"msg_{kind.key}_jac", (2, kind.dim), "float") for kind in KINDS),
 )
 
 # attribute prefix -> (fields, variable dimension)
@@ -231,8 +236,9 @@ class FactorGraph:
         """Per kind, the states of the variables of the factors in `idx`."""
         return [self.var(kind, "state")[self.adjacent(kind)[idx]] for kind in KINDS]
 
-    def messages(self, kind: Kind) -> tuple:
-        return getattr(self, f"f_msg_{kind.key}_eta"), getattr(self, f"f_msg_{kind.key}_lam")
+    def message(self, kind: Kind) -> tuple:
+        """The stored messages to `kind`: S's entries (F, 3), v (F, 2) and J (F, 2, d)."""
+        return tuple(getattr(self, f"f_msg_{kind.key}_{name}") for name in ("s", "v", "jac"))
 
     # ------------------------------------------------------------------ sizes
 
@@ -290,9 +296,10 @@ class FactorGraph:
     def factor(self, m: int) -> FactorView:
         sides = {}
         for kind in KINDS:
-            eta, lam = (a[m] for a in self.messages(kind))
+            s, v, jac = (a[m] for a in self.message(kind))
+            lam = jac.T @ np.array([[s[0], s[1]], [s[1], s[2]]]) @ jac
             sides[f"{kind.name}_id"] = int(self.adjacent(kind)[m])
-            sides[f"msg_to_{kind.name}"] = InfoGaussian(eta.copy(), 0.5 * (lam + lam.T))
+            sides[f"msg_to_{kind.name}"] = InfoGaussian(jac.T @ v, 0.5 * (lam + lam.T))
         return FactorView(
             id=m,
             z=self.f_z[m].copy(),
@@ -326,18 +333,20 @@ class FactorGraph:
         rot = rotation_matrix(axis_angles)[kf]
         uv_hat, depth = project_many(*parts, self.intrinsics, rot)
         ok = depth > DEPTH_EPSILON
-        good = idx[ok]
-        if good.size:
-            jl = left_jacobian(axis_angles)[kf[ok]]
-            jac = jacobian_many(*(part[ok] for part in parts), self.intrinsics, rot[ok], jl)
-            residual = self.f_z[good] - uv_hat[ok]
-            mahal = np.linalg.norm(residual, axis=1) / self.f_sigma[good]
+        if not ok.all():  # only the rows in front of the camera; no copies when all are
+            idx, rot, kf, uv_hat, lin_points = (a[ok] for a in (idx, rot, kf, uv_hat, lin_points))
+            parts = [part[ok] for part in parts]
+        if idx.size:
+            jl = left_jacobian(axis_angles)[kf]
+            jac = jacobian_many(*parts, self.intrinsics, rot, jl)
+            residual = self.f_z[idx] - uv_hat
+            mahal = np.linalg.norm(residual, axis=1) / self.f_sigma[idx]
             weight = huber_weight(mahal, self.huber_nsigma)
-            self.f_jac[good] = jac
-            self.f_target[good] = np.einsum("fij,fj->fi", jac, lin_points[ok]) + residual
-            self.f_lin[good] = lin_points[ok]
-            self.f_weight[good] = weight
-            self.f_valid[good] = True
+            self.f_jac[idx] = jac
+            self.f_target[idx] = np.einsum("fij,fj->fi", jac, lin_points) + residual
+            self.f_lin[idx] = lin_points
+            self.f_weight[idx] = weight
+            self.f_valid[idx] = True
         return ok
 
     def factor_precision(self, idx=slice(None)) -> np.ndarray:
@@ -400,7 +409,8 @@ class FactorGraph:
         self.var(kind, "prior_mean")[ids] = mean
         self.var(kind, "prior_scale")[ids] = 1.0
         self.var(kind, "belief_eta")[ids] = diag0 * mean
-        self.var(kind, "belief_lam")[ids] = diag0[:, :, None] * np.eye(diag0.shape[1])
+        self.var(kind, "belief_lam")[ids] = diag0[:, :, None] * np.eye(kind.dim)
+        self.var(kind, "belief_cov")[ids] = np.eye(kind.dim) / diag0[:, :, None]
 
     def _measurement_information_diag(self, idx: np.ndarray):
         """Per-variable diagonal of the summed, unweighted J' Sigma_M^-1 J of

@@ -307,6 +307,31 @@ class TestDegenerateValues:
         with pytest.raises(ParseError, match="measurement 0"):
             load(path)
 
+    @pytest.mark.parametrize(
+        "section, row, column, value, message",
+        [
+            ("measurements", 5, 0, "9", "measurement 5 references missing keyframe 9"),
+            ("keyframes", 2, 3, "nan", "keyframe 2 has a non-finite state"),
+        ],
+    )
+    def test_load_gives_the_line_of_a_rejected_value(
+        self, small_problem, tmp_path, section, row, column, value, message
+    ):
+        # a row that parses but that validate rejects: the error names the
+        # row and carries its line, counted past a comment and a blank line
+        path = tmp_path / "rejected.gbpba"
+        save(small_problem, path)
+        lines = path.read_text().splitlines()
+        lines[1:1] = ["# a comment", ""]
+        index = next(i for i, line in enumerate(lines) if line.startswith(section + " ")) + 1 + row
+        fields = lines[index].split()
+        fields[column] = value
+        lines[index] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=message) as exc:
+            load(path)
+        assert exc.value.line == index + 1
+
 
 class TestSynthesize:
     def test_deterministic(self):

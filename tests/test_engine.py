@@ -41,6 +41,13 @@ def perturbed_graph():
     return build(perturb(synthesize(4, 30, seed=21, pixel_sigma=0.5), 0.05, "backproject", seed=22))
 
 
+def outlier_problem():
+    return inject_outliers(
+        perturb(synthesize(4, 30, seed=23, pixel_sigma=0.5), 0.05, "backproject", seed=24),
+        0.15, "reassign", seed=25,
+    )
+
+
 def scalar_message(factor, keep, elim, incoming, prev, damping):
     """(`pairwise_message`, False), or (`prev`, True) where the conditioned
     eliminated block is not positive definite (the batched solve keeps the
@@ -135,11 +142,7 @@ def test_factor_added_mid_solve_starts_from_zero_input():
 
 
 def test_every_factor_with_outliers_and_growth_matches_scalar_path():
-    problem = inject_outliers(
-        perturb(synthesize(4, 30, seed=23, pixel_sigma=0.5), 0.05, "backproject", seed=24),
-        0.15, "reassign", seed=25,
-    )
-    graph = build(problem)
+    graph = build(outlier_problem())
     schedule = ScheduleParams()
     run(graph, schedule, n=12)  # past the first relinearisation at round 10
     assert np.any(graph.f_weight < 1.0)  # Huber-weighted rows
@@ -154,6 +157,21 @@ def test_every_factor_with_outliers_and_growth_matches_scalar_path():
     assert counts[2] >= 2 * new.size
 
 
+@pytest.mark.parametrize("make_graph", [perturbed_graph, lambda: build(outlier_problem())])
+def test_relinearisation_round_matches_scalar_path(make_graph):
+    # round 10 relinearises the factors: each then sends its messages with
+    # its new Jacobian, while its last message to the eliminated side, which
+    # the input removes from that side's belief, was sent with the old one
+    graph = make_graph()
+    schedule = ScheduleParams()
+    run(graph, schedule, n=10)
+    jac = graph.f_jac.copy()
+    _, n_singular, report = check_round(graph, schedule, np.arange(graph.n_measurement_factors))
+    assert report.n_relinearized > 0
+    assert np.count_nonzero(np.any(graph.f_jac != jac, axis=(1, 2))) == report.n_relinearized
+    assert n_singular == report.n_singular_messages
+
+
 def test_report_phase_times():
     graph = perturbed_graph()
     for report in run(graph, ScheduleParams(), n=3):
@@ -163,13 +181,10 @@ def test_report_phase_times():
 
 
 def test_row_blocks_do_not_change_results(monkeypatch):
-    # phase B and the rank check in validate() run over blocks of rows;
+    # phases B and C and the rank check in validate() run over blocks of rows;
     # blocks of 7 rows cut every array mid-stream, and the singular
     # keep-previous rule and a factor added mid-solve cross block edges
-    problem = inject_outliers(
-        perturb(synthesize(4, 30, seed=23, pixel_sigma=0.5), 0.05, "backproject", seed=24),
-        0.15, "reassign", seed=25,
-    )
+    problem = outlier_problem()
     graphs = {}
     for block in (engine.BLOCK_ROWS, 7):
         monkeypatch.setattr(engine, "BLOCK_ROWS", block)
@@ -186,8 +201,8 @@ def test_row_blocks_do_not_change_results(monkeypatch):
     for a, b in zip(big_reports, small_reports):
         a.phase_ms = b.phase_ms = {}
         assert a == b
-    for name in ("kf_state", "lm_state", "kf_belief_lam", "lm_belief_eta", "f_msg_kf_eta",
-                 "f_msg_kf_lam", "f_msg_lm_eta", "f_msg_lm_lam"):
+    for name in ("kf_state", "lm_state", "kf_belief_lam", "lm_belief_eta", "f_msg_kf_v",
+                 "f_msg_kf_s", "f_msg_lm_v", "f_msg_lm_s"):
         np.testing.assert_array_equal(getattr(big, name), getattr(small, name))
 
 
@@ -222,7 +237,34 @@ def test_float32_first_round_messages_are_singular_as_in_float64():
             graph = build(problem).astype(dtype)
             report = iterate(graph)
             assert report.n_singular_messages == 2 * graph.n_measurement_factors == 4000, (seed, dtype)
-            assert not graph.f_msg_kf_lam.any() and not graph.f_msg_lm_lam.any()
+            assert not graph.f_msg_kf_s.any() and not graph.f_msg_lm_s.any()
+
+
+@pytest.mark.parametrize("seed", [5, 8])
+def test_float32_solve_takes_the_float64_iterations(seed):
+    # the message and belief phases, relinearisation rounds included, keep
+    # float32 and lose no more than rounding against float64
+    problem = perturb(synthesize(8, 250, seed=seed, pixel_sigma=1), 0.05, "backproject", seed=seed)
+    reports = {}
+    for dtype in (np.float64, np.float32):
+        graph = build(problem).astype(dtype)
+        reports[dtype] = solve(graph, ScheduleParams(are_target=1.5))
+        for prefix, (fields, _) in factor_graph.TABLES.items():
+            for f in fields:
+                if f.kind == "float":
+                    assert getattr(graph, prefix + f.name).dtype == dtype, (prefix + f.name, dtype)
+    want, got = reports[np.float64], reports[np.float32]
+    assert want.converged and got.converged
+    assert want.iterations == got.iterations == 33
+    assert got.final_are == pytest.approx(want.final_are, rel=1e-4)
+
+
+def test_zero_undamped_window_rejected_while_relinearising():
+    # damping blends the measurement-space vector v, which is exact only once
+    # the relinearisation round has resent each message with the new J
+    with pytest.raises(ValueError, match="undamped_window"):
+        ScheduleParams(undamped_window=0)
+    ScheduleParams(undamped_window=0, beta=None)
 
 
 def test_linear_gbp_reaches_dense_map():

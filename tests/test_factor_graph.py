@@ -94,8 +94,8 @@ class TestBuild:
 
     def test_messages_start_at_zero_information(self):
         graph = build(synthesize(3, 20, seed=1))
-        assert not graph.f_msg_kf_eta.any() and not graph.f_msg_kf_lam.any()
-        assert not graph.f_msg_lm_eta.any() and not graph.f_msg_lm_lam.any()
+        assert not graph.f_msg_kf_v.any() and not graph.f_msg_kf_s.any()
+        assert not graph.f_msg_lm_v.any() and not graph.f_msg_lm_s.any()
 
 
 class TestPriors:
@@ -399,7 +399,7 @@ class TestIncrementalMutation:
 
         run(graph, ScheduleParams(), n=12)
         beliefs = graph.kf_belief_eta.copy()
-        msgs = graph.f_msg_kf_eta.copy()
+        msgs = graph.f_msg_kf_v.copy()
         lins = graph.f_lin.copy()
         it = graph.iteration
         fields = ("state", "prior_mean", "prior_diag0", "prior_scale")
@@ -411,7 +411,7 @@ class TestIncrementalMutation:
         lm = graph.add_landmark(np.array([0.0, 0.0, 1.2]))
         graph.add_measurement(kf, lm, np.array([320.0, 240.0]))
         np.testing.assert_array_equal(graph.kf_belief_eta[:3], beliefs)
-        np.testing.assert_array_equal(graph.f_msg_kf_eta[: msgs.shape[0]], msgs)
+        np.testing.assert_array_equal(graph.f_msg_kf_v[: msgs.shape[0]], msgs)
         np.testing.assert_array_equal(graph.f_lin[: lins.shape[0]], lins)
         assert graph.iteration == it  # no reset
         # older variables' prior means are re-anchored at their states at the
