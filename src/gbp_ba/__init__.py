@@ -7,15 +7,7 @@ generated weakening priors.  A dense MAP/marginal oracle and an internal
 Levenberg-Marquardt baseline verify every claim the solver makes.
 """
 
-from .camera import (
-    BehindCameraError,
-    Intrinsics,
-    Landmark,
-    Pose,
-    measurement_jacobian,
-    project,
-    retract,
-)
+from .camera import Intrinsics, retract
 from .dataset_io import (
     FormatVersionError,
     GenerationError,
@@ -53,20 +45,16 @@ from .factor_graph import (
     BuildError,
     FactorGraph,
     build,
-    generate_priors,
     huber_energy,
     huber_weight,
 )
 from .info_gaussian import (
     DimensionMismatchError,
     InfoGaussian,
-    NotInvertibleError,
     SingularMarginalizationError,
-    from_moments,
     marginalize_onto,
     product,
     quotient,
-    to_moments,
 )
 
 __version__ = "0.1.0"

@@ -96,32 +96,14 @@ def _back_cm(lower: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x
 
 
-def cholesky_masked(mats: np.ndarray):
-    """Lower-triangular factors of a (N, d, d) symmetric stack.
-
-    Returns (L, ok) where ok[n] is False if any pivot of matrix n fell below
-    the dtype's pivot tolerance times the trace; rows with ok False contain
-    finite garbage factors and must be masked by the caller.
-    """
-    lower, ok = _cholesky_cm(component_major(mats))
-    return lower.transpose(2, 0, 1), ok
-
-
-def solve_cholesky(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (L L') x = rhs for (N, d, d) factors and (N, d, k) right-hand
-    sides, in the common float type of the two."""
-    lower = component_major(lower)
-    x = _back_cm(lower, _forward_cm(lower, component_major(rhs)))
-    return x.transpose(2, 0, 1)
-
-
 def solve_spd_masked(mats: np.ndarray, rhs: np.ndarray):
     """Masked batch solve of symmetric positive-definite systems: (N, d, d)
     matrices, of which only the lower triangle is read, and (N, d, k)
     right-hand sides.
 
-    Returns (x, ok).  Rows where ok is False (see `cholesky_masked`) are
-    finite garbage, not solutions.
+    Returns (x, ok).  ok[n] is False where a pivot of matrix n fell below
+    the dtype's pivot tolerance times its trace; those rows of x are finite
+    garbage, not solutions.
     """
     lower, ok = _cholesky_cm(component_major(mats))
     x = _back_cm(lower, _forward_cm(lower, component_major(rhs)))

@@ -1,4 +1,5 @@
-"""Pinhole camera geometry: poses, projection, and the analytic 2x9 Jacobian.
+"""Pinhole camera geometry on stacked arrays: rotations, projection and the
+analytic 2x9 measurement Jacobian, one row per (keyframe state, point) pair.
 
 Conventions used throughout the package:
 
@@ -13,23 +14,19 @@ The measurement Jacobian is laid out as columns 0-2: rotation, 3-5:
 translation, 6-8: landmark position, all in the global parameterisation.
 The rotation block uses d(R(w) l)/dw = -[R l]_x J_l(w) with J_l the SO(3)
 left Jacobian.
+
+Nothing here raises for a point at or behind the camera plane: `project_many`
+returns each row's depth, and callers set the policy for rows with depth
+<= DEPTH_EPSILON, whose pixels and Jacobians are garbage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 DEPTH_EPSILON = 1e-6
-
-
-class BehindCameraError(ValueError):
-    """Projection requested for a point at or behind the camera plane."""
-
-    def __init__(self, depth: float):
-        super().__init__(f"point depth {depth:.3e} <= {DEPTH_EPSILON:.0e}")
-        self.depth = float(depth)
 
 
 @dataclass(frozen=True)
@@ -40,46 +37,9 @@ class Intrinsics:
     cy: float
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError(f"focal lengths must be positive, got ({self.fx}, {self.fy})")
-
-
-@dataclass(frozen=True)
-class Pose:
-    """World-to-camera pose: camera-frame point = R(rotation) @ l + translation."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rotation", np.asarray(self.rotation, float).reshape(3))
-        object.__setattr__(self, "translation", np.asarray(self.translation, float).reshape(3))
-
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.zeros(3), np.zeros(3))
-
-    @classmethod
-    def from_state(cls, state: np.ndarray) -> "Pose":
-        state = np.asarray(state, float).reshape(6)
-        return cls(state[:3], state[3:])
-
-    def state(self) -> np.ndarray:
-        return np.concatenate([self.rotation, self.translation])
-
-    def matrix(self) -> np.ndarray:
-        return rotation_matrix(self.rotation)
-
-
-@dataclass(frozen=True)
-class Landmark:
-    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        pos = np.asarray(self.position, float).reshape(3)
-        if not np.all(np.isfinite(pos)):
-            raise ValueError(f"landmark position must be finite, got {pos}")
-        object.__setattr__(self, "position", pos)
+        values = (self.fx, self.fy, self.cx, self.cy)
+        if not (np.isfinite(values).all() and self.fx > 0 and self.fy > 0):
+            raise ValueError(f"intrinsics must be finite, focal lengths positive: {values}")
 
 
 def _as_float(x) -> np.ndarray:
@@ -225,26 +185,6 @@ def jacobian_many(
     jac[..., :, 3:6] = dpix
     jac[..., :, 6:9] = dpix @ rot
     return jac
-
-
-def project(pose: Pose, landmark: Landmark, k: Intrinsics) -> np.ndarray:
-    """Project one landmark; raises BehindCameraError when depth <= 1e-6."""
-    uv, depth = project_many(pose.state()[None, :], landmark.position[None, :], k)
-    if depth[0] <= DEPTH_EPSILON:
-        raise BehindCameraError(depth[0])
-    return uv[0]
-
-
-def measurement_jacobian(pose: Pose, landmark: Landmark, k: Intrinsics) -> np.ndarray:
-    """Analytic 2x9 Jacobian of the projection at (pose, landmark).
-
-    Columns 0-5 differentiate with respect to the keyframe state (rotation,
-    then translation); columns 6-8 with respect to the landmark position.
-    """
-    p = transform_many(pose.state()[None, :], landmark.position[None, :])[0]
-    if p[2] <= DEPTH_EPSILON:
-        raise BehindCameraError(p[2])
-    return jacobian_many(pose.state()[None, :], landmark.position[None, :], k)[0]
 
 
 def camera_center(kf_state: np.ndarray) -> np.ndarray:

@@ -87,7 +87,8 @@ class GenerationError(RuntimeError):
 class ProblemSpec:
     """A bundle-adjustment problem instance: intrinsics, initial states,
     optional ground truth, and pixel measurements.  The array fields are
-    coerced to the dtype and width `COLUMNS` gives them.
+    coerced to the dtype and width `COLUMNS` gives them; ids that are not
+    whole numbers raise RowError, where the coercion would truncate them.
 
     Keyframe and landmark ids are their row indices (unique and contiguous
     per kind).
@@ -108,6 +109,8 @@ class ProblemSpec:
     def __post_init__(self):
         for name, _, width, dtype in COLUMNS:
             value = getattr(self, name)
+            if dtype is int:
+                value = check_ids(name, value)
             if value is not None:
                 setattr(self, name, np.asarray(value, dtype).reshape((-1, width) if width else -1))
         self.validate()
@@ -169,6 +172,17 @@ def check_state_values(what: str, states: np.ndarray, error=RowError, first: int
     if not finite.all():
         i = int(np.argmin(finite))
         raise error(f"{what} {first + i} has a non-finite state {states[i]}", what + "s", first + i)
+
+
+def check_ids(what: str, ids, error=RowError) -> np.ndarray:
+    """The `what` ids of the measurements as a 1-d int array; raise `error`,
+    a RowError class, at the first that is not a whole number."""
+    ids = np.asarray(ids).reshape(-1)
+    whole = np.isfinite(ids) & (ids == np.trunc(ids)) if ids.dtype.kind == "f" else True
+    if not np.all(whole):
+        i = int(np.argmin(whole))
+        raise error(f"measurement {i} has a non-integral {what} {ids[i]}", "measurements", i)
+    return ids.astype(int, copy=False)
 
 
 def check_measurement_values(uv: np.ndarray, sigma: np.ndarray, error=RowError) -> None:
@@ -361,6 +375,8 @@ def import_bal(path) -> ProblemSpec:
     diag(1,-1,-1) into our +z pinhole convention and measurement v is
     negated.  Per-camera focal lengths and radial distortion are dropped
     with a warning (the first camera's f becomes the shared intrinsics).
+    Malformed input, a first focal length `Intrinsics` rejects included,
+    raises ParseError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
@@ -402,14 +418,17 @@ def import_bal(path) -> ProblemSpec:
         kf_init[i, 3:] = flip @ cams[i, 3:6]
 
     focals = cams[:, 6]
+    f0 = float(focals[0]) if n_cam else 1.0
+    try:
+        intr = Intrinsics(fx=f0, fy=f0, cx=0.0, cy=0.0)
+    except ValueError as exc:
+        raise ParseError(f"bad focal length: {exc}") from None
     if n_cam and (np.ptp(focals) > 0 or np.any(cams[:, 7:9] != 0)):
         warnings.warn(
             "per-camera focal lengths and k1/k2 distortion are not modelled; "
             "using the first camera's focal length and dropping distortion",
             stacklevel=2,
         )
-    f0 = float(focals[0]) if n_cam else 1.0
-    intr = Intrinsics(fx=f0, fy=f0, cx=0.0, cy=0.0)
 
     meas_uv = np.column_stack([uv[:, 0], -uv[:, 1]])
     return ProblemSpec(

@@ -24,12 +24,15 @@ of the factor's 9-vector:
      2x2 solves in closed form: one per message sent last with the current
      J_E, and two, the 4x4 system of [J_E; J_sent] by block elimination,
      per message sent with an older J.  Where cond is not positive definite
-     or phase C could not invert B, the previous message is kept; so are
-     the zero first messages of a factor, whose zero input leaves cond
-     singular.  v is damped against the previous v outside the undamped
-     window after a relinearisation, which holds at least that round, so
-     both were sent with the current J_K unless the previous message was
-     kept across the relinearisation.  Each step is one vector operation
+     or phase C could not invert B, the previous message is kept.  In its
+     first round a factor's zero input would leave cond singular, so it
+     keeps its zero messages, now sent with the current J, and is counted
+     singular without being solved: factors are only appended, at the
+     current iteration, so phases B and C run over the rows before those
+     born this round.  v is damped against the previous v outside the
+     undamped window after a relinearisation, which holds at least that
+     round, so both were sent with the current J_K unless the previous
+     message was kept across the relinearisation.  Each step is one vector operation
      over a block of `BLOCK_ROWS` factors of the graph's component-major
      arrays, written in place;
   C. every variable's belief is rebuilt in place as prior + sum of incoming
@@ -260,15 +263,14 @@ def _conditioned(cov, eta, jac, w_eye, w_target, jac_sent, s_sent, v_sent, stale
     return g, u, ok
 
 
-def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int):
-    n = graph.n_measurement_factors
-    if n == 0:
-        return 0, 0.0
+def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old: int):
+    """Messages of the factors before row `n_old`; the rest keep their zero first messages."""
+    for kind in KINDS:
+        graph.message(kind)[2][n_old:] = graph.f_jac[n_old:, :, kind.cols]
+    n_singular = len(KINDS) * (graph.n_measurement_factors - n_old)
     damp = np.where(
-        (t - graph.f_last_relin) < schedule.undamped_window, 0.0, schedule.damping
+        (t - graph.f_last_relin[:n_old]) < schedule.undamped_window, 0.0, schedule.damping
     ).astype(graph.dtype)
-    first_round = graph.f_birth == t
-    w = graph.factor_precision()
     eye = np.eye(2, dtype=graph.dtype)[:, :, None]
     # component-major views: per kind its beliefs' B^-1 and eta, and the
     # messages to it, which are overwritten in place
@@ -278,13 +280,13 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int):
         for kind in KINDS
     }
     messages = {kind: [component_major(m) for m in graph.message(kind)] for kind in KINDS}
-    n_singular = 0
     max_delta = 0.0
     # blocks of BLOCK_ROWS factors; a factor's messages do not depend on
     # the block it falls in
-    for start in range(0, n, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        w_b, w_target, first = w[rows], w[rows] * target[:, rows], first_round[rows]
+    for start in range(0, n_old, BLOCK_ROWS):
+        rows = slice(start, min(start + BLOCK_ROWS, n_old))
+        w_b = graph.factor_precision(rows)
+        w_target = w_b * target[:, rows]
         sent = {kind: [m[..., rows] for m in messages[kind]] for kind in KINDS}
         # per kind, the messages to it last sent with another J than the current one
         changed = {
@@ -298,13 +300,12 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int):
             (s00, s01, s11), v_sent, jac_sent = sent[elim]
             g, u, ok = _conditioned(
                 cov, eta, jac[:, elim.cols, rows], w_b * eye, w_target,
-                jac_sent, np.array([[s00, s01], [s01, s11]]), v_sent, changed[elim] & ~first,
+                jac_sent, np.array([[s00, s01], [s01, s11]]), v_sent, changed[elim],
             )
             w2 = w_b * w_b
             s = np.stack([w_b - w2 * g[0, 0], -w2 * g[0, 1], w_b - w2 * g[1, 1]])
-            # zero inputs leave cond singular in a factor's first round, and
             # B^-1 is zero where phase C could not invert B
-            new.append((keep, s, w_target - w_b * u, ~ok | first | (cov[0, 0] == 0)))
+            new.append((keep, s, w_target - w_b * u, ~ok | (cov[0, 0] == 0)))
         for keep, s, v, singular in new:
             prev_s, prev_v, prev_jac = sent[keep]
             v = (1.0 - damp[rows]) * v + damp[rows] * prev_v
@@ -313,14 +314,14 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int):
             n_singular += int(singular.sum())
             max_delta = max(max_delta, np.abs(s - prev_s).max(), np.abs(v - prev_v).max())
             prev_s[...], prev_v[...] = s, v
-            # a first-round message is zero with any J: it takes the current one
-            resent = changed[keep] & (~singular | first)
+            resent = changed[keep] & ~singular
             if resent.any():
                 np.copyto(prev_jac, jac[:, keep.cols, rows], where=resent)
     return n_singular, float(max_delta)
 
 
-def _phase_beliefs(graph: FactorGraph) -> int:
+def _phase_beliefs(graph: FactorGraph, n_old: int) -> int:
+    """Beliefs from the messages of the factors before row `n_old`: the rest are zero."""
     frozen = 0
     for kind in KINDS:
         eta, lam, cov, state = (
@@ -332,8 +333,8 @@ def _phase_beliefs(graph: FactorGraph) -> int:
         # row, summed in float64 in ascending factor order
         sums = np.zeros((dim + dim * (dim + 1) // 2, n))
         index = np.arange(len(sums))[:, None] * n
-        for start in range(0, graph.n_measurement_factors, BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
+        for start in range(0, n_old, BLOCK_ROWS):
+            rows = slice(start, min(start + BLOCK_ROWS, n_old))
             s, v, (a, b) = (component_major(m)[..., rows] for m in graph.message(kind))
             p, q = s[0] * a + s[1] * b, s[1] * a + s[2] * b  # the rows of S J
             entries = np.empty((len(sums), a.shape[1]))
@@ -372,9 +373,10 @@ def iterate(graph: FactorGraph, schedule: ScheduleParams | None = None) -> Itera
     prior_scale = _update_prior_scales(graph, schedule, t)
     n_relin, n_aborted = _phase_relinearize(graph, schedule, t)
     clock.append(time.perf_counter())
-    n_singular, max_delta = _phase_messages(graph, schedule, t)
+    n_old = int(np.searchsorted(graph.f_birth, t))  # the factors born before this round
+    n_singular, max_delta = _phase_messages(graph, schedule, t, n_old)
     clock.append(time.perf_counter())
-    n_frozen = _phase_beliefs(graph)
+    n_frozen = _phase_beliefs(graph, n_old)
     graph.iteration = t + 1
     clock.append(time.perf_counter())
     with graph.shared_projection():

@@ -59,7 +59,9 @@ from .camera import (
     project_many,
     rotation_matrix,
 )
-from .dataset_io import ProblemSpec, RowError, check_measurement_values, check_state_values
+from .dataset_io import (
+    ProblemSpec, RowError, check_ids, check_measurement_values, check_state_values,
+)
 from .info_gaussian import InfoGaussian
 
 PRIOR_TARGET_RATIO = 0.01
@@ -154,11 +156,14 @@ VARIABLE_FIELDS = (
 )
 
 # A new factor has a zero Jacobian, so zero information, until it is
-# linearised, and zero messages until its first round has run.  Linearised
-# at `lin`, its residual is z - h(x) ~ target - jac x with
-# target = jac lin + z - h(lin); so z - h(lin) = target - jac lin, which is
-# zero before the first linearisation.  Per kind: the variable's id and the
-# last message to it, (J' v, J' S J) with S's entries 00, 01, 11 in `s`.
+# linearised.  Its messages stay zero through its first round, which phases
+# B and C skip: factors are only appended, with `birth` the current
+# iteration, so `birth` never decreases and the factors in their first round
+# are the last rows.  Linearised at `lin`, its residual is z - h(x) ~
+# target - jac x with target = jac lin + z - h(lin); so z - h(lin) = target
+# - jac lin, which is zero before the first linearisation.  Per kind: the
+# variable's id and the last message to it, (J' v, J' S J) with S's entries
+# 00, 01, 11 in `s`.
 FACTOR_FIELDS = (
     *(Field(kind.key, (), "int") for kind in KINDS),
     Field("z", (2,), "float"),
@@ -379,27 +384,26 @@ class FactorGraph:
         diag = self.var(kind, "prior_scale")[:, None] * self.var(kind, "prior_diag0")
         return diag * self.var(kind, "prior_mean"), diag
 
-    def refresh_priors(self, ids) -> None:
-        """Regenerate the priors of variables `ids[i]` of kind `KINDS[i]` from
-        their adjacent factors' current linearisations."""
-        ids = [np.asarray(i, dtype=int) for i in ids]
-        if not any(i.size for i in ids):
-            return
-        touched = np.any([np.isin(self.adjacent(kind), i) for kind, i in zip(KINDS, ids)], axis=0)
-        contrib = self._measurement_information_diag(np.flatnonzero(touched))
-        for kind, i, c in zip(KINDS, ids, contrib):
-            self._set_priors(kind, i, c[i])
-
-    def _set_priors(self, kind: Kind, ids: np.ndarray, contrib: np.ndarray) -> None:
-        """Initial priors of variables `ids` from the rows `contrib` of their
-        summed measurement information diagonal: floored at PRIOR_FLOOR_RTOL
-        of the row's largest entry, or a flagged unit fallback where the row
-        has no positive entry."""
-        fallback = ~np.any(contrib > 0, axis=1)
-        floored = np.maximum(contrib, PRIOR_FLOOR_RTOL * contrib.max(axis=1, keepdims=True))
-        self.var(kind, "prior_diag0")[ids] = np.where(fallback[:, None], 1.0, floored)
-        self.var(kind, "prior_fallback")[ids] = fallback
-        self._pin_priors(kind, ids)
+    def refresh_priors(self) -> None:
+        """Regenerate the priors of the variables born in this iteration from
+        the diagonal of the summed, unweighted J' Sigma_M^-1 J of their
+        adjacent factors at their linearisation points: floored at
+        PRIOR_FLOOR_RTOL of the row's largest entry, or a flagged unit
+        fallback where the row has no positive entry.  Every factor adjacent
+        to such a variable was born in this iteration too, so only the last
+        rows, those born in it, are read."""
+        rows = np.arange(np.searchsorted(self.f_birth, self.iteration), self.n_measurement_factors)
+        rows = rows[self.f_valid[rows]]
+        colsq = np.sum(self.f_jac[rows] ** 2, axis=1) / self.f_sigma[rows, None] ** 2
+        for kind in KINDS:
+            ids = np.flatnonzero(self.var(kind, "birth") == self.iteration)
+            sums = scatter_sum(self.adjacent(kind)[rows], colsq[:, kind.cols], self.size(kind))
+            contrib = sums[ids]
+            fallback = ~np.any(contrib > 0, axis=1)
+            floored = np.maximum(contrib, PRIOR_FLOOR_RTOL * contrib.max(axis=1, keepdims=True))
+            self.var(kind, "prior_diag0")[ids] = np.where(fallback[:, None], 1.0, floored)
+            self.var(kind, "prior_fallback")[ids] = fallback
+            self._pin_priors(kind, ids)
 
     def _pin_priors(self, kind: Kind, ids) -> None:
         """Pin the priors of variables `ids` at their current states at full
@@ -411,16 +415,6 @@ class FactorGraph:
         self.var(kind, "belief_eta")[ids] = diag0 * mean
         self.var(kind, "belief_lam")[ids] = diag0[:, :, None] * np.eye(kind.dim)
         self.var(kind, "belief_cov")[ids] = np.eye(kind.dim) / diag0[:, :, None]
-
-    def _measurement_information_diag(self, idx: np.ndarray):
-        """Per-variable diagonal of the summed, unweighted J' Sigma_M^-1 J of
-        the factors in `idx`, evaluated at their linearisation points."""
-        idx = idx[self.f_valid[idx]]
-        colsq = np.sum(self.f_jac[idx] ** 2, axis=1) / self.f_sigma[idx, None] ** 2
-        return [
-            scatter_sum(self.adjacent(kind)[idx], colsq[:, kind.cols], self.size(kind))
-            for kind in KINDS
-        ]
 
     # ------------------------------------------------------------- evaluation
 
@@ -524,8 +518,9 @@ class FactorGraph:
         they are.  A repeated (keyframe, landmark) pair is accepted, and
         counted by `n_duplicate_measurements`.  Returns the id of the last
         factor added.  Raises BuildError, before changing the graph, for a
-        missing variable id or a value `check_measurement_values` rejects."""
-        ids = [np.asarray(i, dtype=int).reshape(-1) for i in (kf_ids, lm_ids)]
+        variable id that is missing or not a whole number, or a value
+        `check_measurement_values` rejects."""
+        ids = [check_ids(f"{k.name} id", i, BuildError) for k, i in zip(KINDS, (kf_ids, lm_ids))]
         zs = np.asarray(zs, float).reshape(-1, 2)
         sigmas = np.asarray(sigmas, float).reshape(-1)
         for kind, i in zip(KINDS, ids):
@@ -545,13 +540,10 @@ class FactorGraph:
 
         # a prior mean left at a state the solve has since moved away from
         # pulls the grown graph towards a worse optimum than a cold restart's
-        young = []
         for kind in KINDS:
-            birth = self.var(kind, "birth")
-            older = birth < self.iteration
+            older = self.var(kind, "birth") < self.iteration
             self.var(kind, "prior_mean")[older] = self.var(kind, "state")[older]
-            young.append(np.flatnonzero(birth == self.iteration))
-        self.refresh_priors(young)
+        self.refresh_priors()
         return self.n_measurement_factors - 1
 
     # ------------------------------------------------------------- utilities
@@ -636,18 +628,6 @@ def huber_energy(mahal, nsigma):
     mahal = np.asarray(mahal)
     with np.errstate(invalid="ignore"):
         return np.where(mahal > nsigma, 2 * nsigma * mahal - nsigma**2, mahal**2)
-
-
-def generate_priors(graph: FactorGraph) -> None:
-    """Set every variable's initial prior from its adjacent measurements.
-
-    The initial prior information diagonal equals the diagonal of the summed
-    adjacent (unweighted) J' Sigma_M^-1 J blocks, with the prior mean pinned
-    at the variable's current state; variables with no adjacent factor fall
-    back to a unit isotropic prior and are flagged.  Beliefs are reset to the
-    initial-strength priors.
-    """
-    graph.refresh_priors([np.arange(graph.size(kind)) for kind in KINDS])
 
 
 def build(problem: ProblemSpec, huber_nsigma: float = DEFAULT_HUBER_NSIGMA) -> FactorGraph:

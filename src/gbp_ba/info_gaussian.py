@@ -4,11 +4,12 @@ A Gaussian N(mu, Sigma) is stored by its natural parameters (eta, lam) with
 lam = Sigma^-1 and eta = Sigma^-1 mu, so the log-density is
 -x' lam x / 2 + eta' x + const.  The information form represents rank-deficient
 constraints directly (a reprojection factor pins down only 2 of 9 degrees of
-freedom), and multiplying densities is plain addition of parameters.  Every
-message, belief, prior and linearised factor in this package is an
-InfoGaussian.
+freedom), and multiplying densities is plain addition of parameters.
 
-All operations are pure functions and InfoGaussian values are immutable.
+This is the scalar reference: the graph's snapshot views (`FactorGraph.keyframe`,
+`landmark`, `factor`) and the engine's `pairwise_message` speak InfoGaussian,
+and the engine's batched phases are tested against them.  All operations are
+pure functions and InfoGaussian values are immutable.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .batch_linalg import PIVOT_RTOL
 
@@ -26,10 +27,6 @@ SYMMETRY_ATOL = 1e-10
 
 class DimensionMismatchError(ValueError):
     """Operands of an information-form operation differ in dimension."""
-
-
-class NotInvertibleError(np.linalg.LinAlgError):
-    """Information matrix is singular where a density (PD matrix) is required."""
 
 
 class SingularMarginalizationError(np.linalg.LinAlgError):
@@ -148,29 +145,3 @@ def marginalize_onto(joint: InfoGaussian, keep_dims) -> InfoGaussian:
     eta_new = joint.eta[keep] - lam_ab @ solved[:, -1]
     lam_new = 0.5 * (lam_new + lam_new.T)  # stop asymmetry drift
     return InfoGaussian(eta_new, lam_new)
-
-
-def _spd_factor(lam: np.ndarray, err: str):
-    trace = float(np.trace(lam))
-    threshold = PIVOT_RTOL * max(abs(trace), 1e-100)
-    eigs = np.linalg.eigvalsh(lam)
-    if eigs[0] <= threshold:
-        raise NotInvertibleError(f"{err}: min eigenvalue {eigs[0]:.3e} <= {threshold:.3e}")
-    return cho_factor(lam, lower=True)
-
-
-def to_moments(g: InfoGaussian) -> tuple[np.ndarray, np.ndarray]:
-    """Convert to (mean, covariance).  Requires lam positive definite."""
-    factor = _spd_factor(g.lam, "to_moments")
-    mean = cho_solve(factor, g.eta)
-    cov = cho_solve(factor, np.eye(g.dim))
-    return mean, 0.5 * (cov + cov.T)
-
-
-def from_moments(mean: np.ndarray, cov: np.ndarray) -> InfoGaussian:
-    """Convert (mean, covariance) to information form."""
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    cov = np.asarray(cov, dtype=float)
-    factor = _spd_factor(cov, "from_moments")
-    lam = cho_solve(factor, np.eye(mean.shape[0]))
-    return InfoGaussian(cho_solve(factor, mean), 0.5 * (lam + lam.T))

@@ -121,6 +121,7 @@ class TestLoadErrors:
             ("outliers", 0, lambda line: "outliers x"),
             ("outliers", 1, lambda line: "foo"),
             ("intrinsics", 0, lambda line: "intrinsics 0 350 320 240"),
+            ("intrinsics", 0, lambda line: "intrinsics 350 350 nan 240"),
             ("outliers", 2, lambda line: "99999"),
             ("keyframes", 0, lambda line: "keyframes 4 gt=2"),
             ("keyframes", 1, lambda line: line + " 0"),
@@ -132,7 +133,8 @@ class TestLoadErrors:
         ],
         ids=[
             "outliers-without-count", "metadata-without-count", "outliers-count-not-a-number",
-            "outlier-index-not-a-number", "intrinsics-zero-focal", "outlier-index-out-of-range",
+            "outlier-index-not-a-number", "intrinsics-zero-focal", "intrinsics-non-finite",
+            "outlier-index-out-of-range",
             "bad-gt-flag", "keyframe-row-too-long", "landmark-row-too-short",
             "landmark-field-not-a-number", "landmark-ids-not-contiguous",
             "measurement-trailing-comment", "measurement-fractional-id",
@@ -260,19 +262,26 @@ class TestDegenerateValues:
             ("meas_sigma", 1, np.nan, "measurement 1"),
             ("kf_init", 2, np.nan, "keyframe 2"),
             ("lm_init", 7, -np.inf, "landmark 7"),
+            ("meas_kf", 1, 0.5, "measurement 1 has a non-integral meas_kf 0.5"),
+            ("meas_lm", 4, 2.25, "measurement 4 has a non-integral meas_lm 2.25"),
         ],
     )
     def test_problem_spec_rejects(self, small_problem, field, row, value, message):
-        values = {f: getattr(small_problem, f) for f in ("kf_init", "lm_init", "meas_uv", "meas_sigma")}
-        values[field] = values[field].copy()
+        fields = ("kf_init", "lm_init", "meas_kf", "meas_lm", "meas_uv", "meas_sigma")
+        values = {f: getattr(small_problem, f).astype(float) for f in fields}
         values[field][row] = value
         with pytest.raises(ValueError, match=message):
-            ProblemSpec(
-                intrinsics=small_problem.intrinsics,
-                meas_kf=small_problem.meas_kf,
-                meas_lm=small_problem.meas_lm,
-                **values,
-            )
+            ProblemSpec(intrinsics=small_problem.intrinsics, **values)
+
+    def test_problem_spec_takes_whole_float_ids(self, small_problem):
+        ids = {f: getattr(small_problem, f).astype(float) for f in ("meas_kf", "meas_lm")}
+        fields = ("kf_init", "lm_init", "meas_uv", "meas_sigma")
+        again = ProblemSpec(
+            intrinsics=small_problem.intrinsics, **{f: getattr(small_problem, f) for f in fields}, **ids
+        )
+        for f in ids:
+            assert getattr(again, f).dtype == getattr(small_problem, f).dtype
+            np.testing.assert_array_equal(getattr(again, f), getattr(small_problem, f))
 
     @pytest.mark.parametrize(
         "metadata, key",
@@ -563,8 +572,14 @@ class TestImportBal:
             ("0 1   -5.0 12.0", "foo 1   -5.0 12.0", "camera index"),
             ("0 1   -5.0 12.0", "0 1   -5.0 bar", "pixel"),
             ("2 3 6", "2 3 -6", "negative count"),
+            ("420.0", "nan", "bad focal length"),  # replaces both cameras' focal length
+            ("420.0", "inf", "bad focal length"),
+            ("420.0", "0.0", "bad focal length"),
         ],
-        ids=["fractional-camera", "fractional-point", "word-camera", "word-pixel", "negative-count"],
+        ids=[
+            "fractional-camera", "fractional-point", "word-camera", "word-pixel", "negative-count",
+            "nan-focal", "inf-focal", "zero-focal",
+        ],
     )
     def test_malformed_token_raises(self, tmp_path, old, new, what):
         path = tmp_path / "n.bal"

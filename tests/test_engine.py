@@ -206,6 +206,29 @@ def test_row_blocks_do_not_change_results(monkeypatch):
         np.testing.assert_array_equal(getattr(big, name), getattr(small, name))
 
 
+def test_first_round_factors_skip_the_message_kernel(monkeypatch):
+    # in the round after build every factor is in its first round: each
+    # keeps its zero messages, counted singular, and none is solved
+    rows = []
+    conditioned = engine._conditioned
+
+    def counting(cov, *args):
+        rows.append(cov.shape[-1])
+        return conditioned(cov, *args)
+
+    monkeypatch.setattr(engine, "_conditioned", counting)
+    graph = perturbed_graph()
+    report = iterate(graph)
+    assert sum(rows) == 0
+    assert report.n_singular_messages == 2 * graph.n_measurement_factors
+    for kind in factor_graph.KINDS:
+        s, v, jac = graph.message(kind)
+        assert not s.any() and not v.any()
+        np.testing.assert_array_equal(jac, graph.f_jac[:, :, kind.cols])
+    iterate(graph)
+    assert sum(rows) >= 2 * graph.n_measurement_factors
+
+
 def test_phases_update_the_graph_arrays_in_place():
     graph = perturbed_graph()
     names = [name for name in vars(graph) if name.startswith("f_msg_")]

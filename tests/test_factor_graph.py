@@ -8,7 +8,6 @@ from gbp_ba import (
     ScheduleParams,
     assemble,
     build,
-    generate_priors,
     inject_outliers,
     perturb,
     run,
@@ -184,7 +183,7 @@ class TestPriors:
     def test_regenerate_uses_current_linearisation(self):
         graph = build(synthesize(3, 20, seed=7))
         diag_before = graph.lm_prior_diag0.copy()
-        generate_priors(graph)
+        graph.refresh_priors()  # every variable and factor was born in this iteration
         np.testing.assert_array_equal(graph.lm_prior_diag0, diag_before)
 
 
@@ -362,6 +361,22 @@ class TestIncrementalMutation:
             graph.add_measurement(0, 99, np.zeros(2))
 
     @pytest.mark.parametrize(
+        "kf_ids, lm_ids, message",
+        [([0.7], [1.9], "measurement 0 has a non-integral keyframe id 0.7"),
+         ([0, 1], [2, 1.5], "measurement 1 has a non-integral landmark id 1.5"),
+         ([np.nan], [0], "non-integral keyframe id nan")],
+    )
+    def test_fractional_id_raises_and_leaves_graph(self, kf_ids, lm_ids, message):
+        graph = build(synthesize(3, 15, seed=13))
+        before = graph.copy()
+        zs, sigmas = np.full((len(kf_ids), 2), 300.0), np.ones(len(kf_ids))
+        with pytest.raises(BuildError, match=message):
+            graph.add_measurements(kf_ids, lm_ids, zs, sigmas)
+        for name, value in vars(before).items():
+            if isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(getattr(graph, name), value, err_msg=name)
+
+    @pytest.mark.parametrize(
         "z, sigma", [((0.0, 0.0), 0.0), ((0.0, 0.0), -1.0), ((0.0, 0.0), np.inf), ((np.nan, 0.0), 1.0)]
     )
     def test_degenerate_measurement_raises_and_leaves_graph(self, z, sigma):
@@ -436,6 +451,27 @@ class TestIncrementalMutation:
         jac = jacobian_many(graph.f_lin[-1:, :6], graph.f_lin[-1:, 6:], graph.intrinsics)[0]
         expect = np.diag(jac[:, 6:].T @ jac[:, 6:])
         np.testing.assert_allclose(graph.lm_prior_diag0[lm_id], expect, rtol=1e-12)
+
+    def test_new_keyframe_prior_does_not_depend_on_how_its_measurements_arrive(self):
+        # two add_measurements calls in one iteration give a new keyframe the
+        # prior, and the graph, of one call with both batches
+        graph = build(synthesize(3, 15, seed=13))
+        run(graph, ScheduleParams(), n=5)
+        kf = graph.add_keyframe()
+        seen = np.unique(graph.f_lm[graph.f_kf == kf - 1])
+        uv, _ = project_many(
+            np.repeat(graph.kf_state[kf][None], seen.size, 0), graph.lm_state[seen], graph.intrinsics
+        )
+        split, whole = graph.copy(), graph.copy()
+        for part in (slice(0, 4), slice(4, None)):
+            ids = seen[part]
+            split.add_measurements(np.full(ids.size, kf), ids, uv[part], np.ones(ids.size))
+        whole.add_measurements(np.full(seen.size, kf), seen, uv, np.ones(seen.size))
+        assert seen.size > 4 and not whole.kf_prior_fallback[kf]
+        assert not np.array_equal(whole.kf_prior_diag0[kf], graph.kf_prior_diag0[kf])
+        for name, value in vars(whole).items():
+            if isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(getattr(split, name), value, err_msg=name)
 
     def test_incremental_beats_cold_restart_on_same_graph(self):
         prob = perturb(synthesize(6, 60, seed=14, pixel_sigma=0.5), 0.05, "backproject", seed=15)
