@@ -22,7 +22,6 @@ from .dataset_io import (
 )
 from .dense_oracle import (
     DenseSystem,
-    LMParams,
     LMReport,
     OracleScaleError,
     SingularSystemError,

@@ -88,7 +88,8 @@ class ProblemSpec:
     """A bundle-adjustment problem instance: intrinsics, initial states,
     optional ground truth, and pixel measurements.  The array fields are
     coerced to the dtype and width `COLUMNS` gives them; ids that are not
-    whole numbers raise RowError, where the coercion would truncate them.
+    whole numbers and outlier labels that are not 0 or 1 raise RowError,
+    where the coercion would truncate them or make them True.
 
     Keyframe and landmark ids are their row indices (unique and contiguous
     per kind).
@@ -111,6 +112,12 @@ class ProblemSpec:
             value = getattr(self, name)
             if dtype is int:
                 value = check_ids(name, value)
+            elif dtype is bool and value is not None:
+                value = np.asarray(value).reshape(-1)
+                bad = np.flatnonzero((value != 0) & (value != 1))
+                if bad.size:
+                    message = f"measurement {bad[0]} has {name} {value[bad[0]]}, not 0 or 1"
+                    raise RowError(message, "measurements", bad[0])
             if value is not None:
                 setattr(self, name, np.asarray(value, dtype).reshape((-1, width) if width else -1))
         self.validate()
@@ -375,8 +382,8 @@ def import_bal(path) -> ProblemSpec:
     diag(1,-1,-1) into our +z pinhole convention and measurement v is
     negated.  Per-camera focal lengths and radial distortion are dropped
     with a warning (the first camera's f becomes the shared intrinsics).
-    Malformed input, a first focal length `Intrinsics` rejects included,
-    raises ParseError.
+    Malformed input, a first focal length `Intrinsics` rejects and a value
+    `ProblemSpec` rejects included, raises ParseError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
@@ -410,6 +417,8 @@ def import_bal(path) -> ProblemSpec:
     if n_obs and (pt_idx.min() < 0 or pt_idx.max() >= n_pts):
         raise ParseError("observation point index out of range")
 
+    if not np.isfinite(cams[:, :6]).all():
+        raise ParseError("non-finite camera pose")
     flip = np.diag([1.0, -1.0, -1.0])
     kf_init = np.zeros((n_cam, 6))
     for i in range(n_cam):
@@ -431,16 +440,19 @@ def import_bal(path) -> ProblemSpec:
         )
 
     meas_uv = np.column_stack([uv[:, 0], -uv[:, 1]])
-    return ProblemSpec(
-        intrinsics=intr,
-        kf_init=kf_init,
-        lm_init=pts,
-        meas_kf=cam_idx,
-        meas_lm=pt_idx,
-        meas_uv=meas_uv,
-        meas_sigma=np.ones(n_obs),
-        metadata={"source": "bal"},
-    )
+    try:
+        return ProblemSpec(
+            intrinsics=intr,
+            kf_init=kf_init,
+            lm_init=pts,
+            meas_kf=cam_idx,
+            meas_lm=pt_idx,
+            meas_uv=meas_uv,
+            meas_sigma=np.ones(n_obs),
+            metadata={"source": "bal"},
+        )
+    except RowError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _look_at(center: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -2,20 +2,24 @@
 
 Assembles the full stacked information form of a (linearised) graph, solves
 the MAP system by dense factorisation, recovers exact per-variable marginals,
-and provides an independent Levenberg-Marquardt baseline plus finite
-difference Jacobians.  Everything here trades speed for trustworthiness: the
+and provides a Levenberg-Marquardt baseline plus finite difference
+Jacobians.  The baseline is not independent of the graph: each of its steps
+takes the linearisation of `FactorGraph.linearize_factors` and the normal
+equations of `assemble`, the code the oracle uses, so it minimises exactly
+the graph's objective; the camera math under both stays checked against
+finite differences.  Everything here trades speed for trustworthiness: the
 marginal oracle refuses systems beyond a configurable size because it exists
 for desk-scale verification, not production.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .camera import DEPTH_EPSILON, jacobian_many, project_many, retract
+from .camera import DEPTH_EPSILON, retract
 from .factor_graph import (
     ARE_SENTINEL_PX,
     FACTOR_DIM,
@@ -25,7 +29,6 @@ from .factor_graph import (
     PRIOR_TARGET_RATIO,
     FactorGraph,
     huber_energy,
-    huber_weight,
 )
 
 MARGINALS_MAX_DIM = 600
@@ -39,22 +42,6 @@ class SingularSystemError(np.linalg.LinAlgError):
 
 class OracleScaleError(ValueError):
     pass
-
-
-def stacked_offsets(graph: FactorGraph) -> np.ndarray:
-    """Where each kind's block of the stacked state vector starts, in `KINDS`
-    order, and its total length last."""
-    return np.cumsum([0] + [kind.dim * graph.size(kind) for kind in KINDS])
-
-
-def _factor_rows(graph: FactorGraph, offsets, idx) -> np.ndarray:
-    """(F, 9) rows of the stacked vector that the 9-vectors of factors `idx`
-    map to."""
-    rows = np.empty((len(idx), FACTOR_DIM), dtype=int)
-    for kind, start in zip(KINDS, offsets):
-        first = start + kind.dim * graph.adjacent(kind)[idx]
-        rows[:, kind.cols] = first[:, None] + np.arange(kind.dim)
-    return rows
 
 
 @dataclass
@@ -97,7 +84,8 @@ def stack_states(graph: FactorGraph) -> np.ndarray:
 
 def assemble(graph: FactorGraph) -> DenseSystem:
     """Sum every prior and every linearised factor into the stacked system."""
-    offsets = stacked_offsets(graph)
+    # where each kind's block starts, in `KINDS` order, and the total length last
+    offsets = np.cumsum([0] + [kind.dim * graph.size(kind) for kind in KINDS])
     eta = np.zeros(offsets[-1])
     lam = np.zeros((offsets[-1], offsets[-1]))
     const = 0.0
@@ -111,7 +99,10 @@ def assemble(graph: FactorGraph) -> DenseSystem:
 
     valid = np.flatnonzero(graph.f_valid)
     if valid.size:
-        rows = _factor_rows(graph, offsets, valid)
+        # the rows of the stacked vector that each factor's 9-vector maps to
+        rows = np.empty((valid.size, FACTOR_DIM), dtype=int)
+        for kind, start in zip(KINDS, offsets):
+            rows[:, kind.cols] = start + kind.dim * graph.adjacent(kind)[valid, None] + np.arange(kind.dim)
         factor_eta, factor_lam = graph.factor_information(valid)
         np.add.at(eta, rows, factor_eta)
         np.add.at(lam, (rows[:, :, None], rows[:, None, :]), factor_lam)
@@ -119,7 +110,7 @@ def assemble(graph: FactorGraph) -> DenseSystem:
         # t = J lin + z - h(lin)
         target = graph.f_target[valid]
         const += float(np.sum(graph.factor_precision(valid) * np.sum(target**2, axis=1)))
-    return DenseSystem(eta, 0.5 * (lam + lam.T), const, graph.n_keyframes, graph.n_landmarks)
+    return DenseSystem(eta, lam, const, graph.n_keyframes, graph.n_landmarks)
 
 
 def map_solve(system: DenseSystem) -> np.ndarray:
@@ -175,16 +166,15 @@ def finite_diff_jacobian(fun, point: np.ndarray, step: float = 1e-6) -> np.ndarr
 
 # --------------------------------------------------------------------- LM
 
-
-@dataclass
-class LMParams:
-    initial_lambda: float = 1e-4
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
-    max_lambda: float = 1e10
-    max_steps: int = 50
-    are_target: float = 1.5
-    gradient_tol: float = 1e-10
+# Marquardt damping: times LM_LAMBDA_UP on a rejected step, LM_LAMBDA_DOWN on
+# an accepted one; a step no damping up to LM_MAX_LAMBDA makes acceptable stalls.
+LM_INITIAL_LAMBDA = 1e-4
+LM_LAMBDA_UP = 10.0
+LM_LAMBDA_DOWN = 0.1
+LM_MAX_LAMBDA = 1e10
+LM_MAX_STEPS = 50
+LM_ARE_TARGET = 1.5
+LM_GRADIENT_TOL = 1e-10
 
 
 @dataclass
@@ -196,126 +186,87 @@ class LMReport:
     kf_states: np.ndarray
     lm_states: np.ndarray
     are_trace: np.ndarray
-    energy_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    energy_trace: np.ndarray
 
 
-def _adjacent(graph: FactorGraph, states, idx=slice(None)) -> list:
-    """Per kind, the given `states` of the variables of factors `idx`."""
-    return [s[graph.adjacent(kind)[idx]] for kind, s in zip(KINDS, states)]
+def _lm_energy(graph: FactorGraph) -> float:
+    """The objective LM accepts a step on: `FactorGraph.energy` at current
+    prior strengths, except that a behind-camera measurement's term takes
+    the ARE sentinel residual, a barrier against steps that move points
+    behind a camera, where `energy` takes its residual at its
+    linearisation point."""
+    total = 0.0
+    for kind in KINDS:
+        _, diag = graph.prior_information(kind)
+        total += float(np.sum(diag * (graph.var(kind, "state") - graph.var(kind, "prior_mean")) ** 2))
+    residual, depth = graph.residuals()
+    mahal = np.linalg.norm(residual, axis=1) / graph.f_sigma
+    mahal = np.where(depth <= DEPTH_EPSILON, ARE_SENTINEL_PX / graph.f_sigma, mahal)
+    return total + float(np.sum(huber_energy(mahal, graph.huber_nsigma)))
 
 
-def _ares(graph: FactorGraph, states) -> float:
-    if graph.n_measurement_factors == 0:
-        return 0.0
-    uv_hat, depth = project_many(*_adjacent(graph, states), graph.intrinsics)
-    norms = np.linalg.norm(graph.f_z - uv_hat, axis=1)
-    return float(np.mean(np.where(depth <= DEPTH_EPSILON, ARE_SENTINEL_PX, norms)))
-
-
-def lm_solve(graph: FactorGraph, params: LMParams | None = None) -> LMReport:
+def lm_solve(graph: FactorGraph) -> LMReport:
     """Levenberg-Marquardt baseline on the graph objective.
 
     Minimises the Huberised reprojection objective plus the graph priors at
     their target (weakened) strength, which is the long-run objective the
     message-passing solver settles on, so final-error comparisons are
-    like-for-like.  Huber weights are re-evaluated at the current residual
-    every step (iteratively reweighted); the step uses dense normal equations
-    with Marquardt scaling lambda * diag(H), lambda going up 10x on a
-    rejected step and down 10x on an accepted one.
+    like-for-like.  Each step relinearises every factor at the current
+    states with `linearize_factors`, which re-evaluates the Huber weights
+    (iteratively reweighted) and leaves behind-camera factors out of the
+    step, and takes the normal equations H dx = g from `assemble`, with
+    g = eta - H x.  It solves them densely with Marquardt scaling
+    lambda * diag(H) and retracts each kind's states.
 
-    The graph itself is never mutated.
+    Runs on a float64 copy of the graph; the graph itself is never mutated.
     """
-    params = params if params is not None else LMParams()
-    states = [graph.var(kind, "state").copy() for kind in KINDS]
-    offsets = stacked_offsets(graph)
-    dim = offsets[-1]
-    prior_diag = np.concatenate(
-        [(PRIOR_TARGET_RATIO * graph.var(kind, "prior_diag0")).ravel() for kind in KINDS]
-    )
-    prior_mean = np.concatenate([graph.var(kind, "prior_mean").ravel() for kind in KINDS])
-
-    def stacked(states):
-        return np.concatenate([s.ravel() for s in states])
-
-    def energy(states) -> float:
-        x = stacked(states)
-        total = float(np.sum(prior_diag * (x - prior_mean) ** 2))
-        if graph.n_measurement_factors:
-            uv_hat, depth = project_many(*_adjacent(graph, states), graph.intrinsics)
-            mahal = np.linalg.norm(graph.f_z - uv_hat, axis=1) / graph.f_sigma
-            mahal = np.where(depth <= DEPTH_EPSILON, ARE_SENTINEL_PX / graph.f_sigma, mahal)
-            total += float(np.sum(huber_energy(mahal, graph.huber_nsigma)))
-        return total
-
-    def normal_equations(states):
-        hess = np.zeros((dim, dim))
-        grad = np.zeros(dim)
-        x = stacked(states)
-        hess[np.arange(dim), np.arange(dim)] += prior_diag
-        grad -= prior_diag * (x - prior_mean)
-        if graph.n_measurement_factors:
-            uv_hat, depth = project_many(*_adjacent(graph, states), graph.intrinsics)
-            ok = depth > DEPTH_EPSILON
-            idx = np.flatnonzero(ok)
-            if idx.size:
-                residual = graph.f_z[idx] - uv_hat[idx]
-                mahal = np.linalg.norm(residual, axis=1) / graph.f_sigma[idx]
-                weight = huber_weight(mahal, graph.huber_nsigma)
-                inv_noise = weight / graph.f_sigma[idx] ** 2
-                jac = jacobian_many(*_adjacent(graph, states, idx), graph.intrinsics)
-                rows = _factor_rows(graph, offsets, idx)
-                wr = inv_noise[:, None] * residual
-                np.add.at(grad, rows, np.einsum("fki,fk->fi", jac, wr))
-                np.add.at(hess, (rows[:, :, None], rows[:, None, :]),
-                          inv_noise[:, None, None] * np.einsum("fka,fkb->fab", jac, jac))
-        return hess, grad
-
-    are_trace = [_ares(graph, states)]
-    energy_trace = [energy(states)]
-    lam_damp = params.initial_lambda
-    accepted = 0
-    reason = "max_steps"
-    if are_trace[-1] < params.are_target:
-        reason = "are_target"
-    else:
-        attempts = 0
-        while accepted < params.max_steps and attempts < 8 * params.max_steps:
-            hess, grad = normal_equations(states)
-            if np.max(np.abs(grad)) <= params.gradient_tol:
-                reason = "gradient"
+    work = graph.astype(np.float64)
+    for kind in KINDS:
+        work.var(kind, "prior_scale")[:] = PRIOR_TARGET_RATIO
+    states = [work.var(kind, "state").copy() for kind in KINDS]
+    are_trace = [work.average_reprojection_error()]
+    energy_trace = [_lm_energy(work)]
+    lam_damp = LM_INITIAL_LAMBDA
+    accepted = attempts = 0
+    reason = "are_target" if are_trace[-1] < LM_ARE_TARGET else "max_steps"
+    while reason == "max_steps" and accepted < LM_MAX_STEPS and attempts < 8 * LM_MAX_STEPS:
+        work.f_valid[:] = work.linearize_factors(np.arange(work.n_measurement_factors))
+        system = assemble(work)
+        grad = system.eta - system.lam @ stack_states(work)
+        if np.max(np.abs(grad)) <= LM_GRADIENT_TOL:
+            reason = "gradient"
+            break
+        while lam_damp <= LM_MAX_LAMBDA:
+            attempts += 1
+            damped = system.lam.copy()
+            damped.flat[:: system.dim + 1] += lam_damp * np.diag(system.lam)
+            try:
+                delta = np.linalg.solve(damped, grad)
+            except np.linalg.LinAlgError:
+                lam_damp *= LM_LAMBDA_UP
+                continue
+            parts = np.split(delta, np.cumsum([s.size for s in states])[:-1])
+            new = [retract(s, d.reshape(s.shape)) for s, d in zip(states, parts)]
+            for kind, state in zip(KINDS, new):
+                work.var(kind, "state")[:] = state
+            e_new = _lm_energy(work)
+            if e_new < energy_trace[-1]:
                 break
-            step_ok = False
-            while lam_damp <= params.max_lambda:
-                attempts += 1
-                damped = hess + lam_damp * np.diag(np.diag(hess))
-                try:
-                    delta = np.linalg.solve(damped, grad)
-                except np.linalg.LinAlgError:
-                    lam_damp *= params.lambda_up
-                    continue
-                parts = np.split(delta, offsets[1:-1])
-                new = [retract(s, d.reshape(s.shape)) for s, d in zip(states, parts)]
-                e_new = energy(new)
-                if e_new < energy_trace[-1]:
-                    states = new
-                    lam_damp = max(lam_damp * params.lambda_down, 1e-12)
-                    step_ok = True
-                    break
-                lam_damp *= params.lambda_up
-            if not step_ok:
-                reason = "stalled"
-                break
-            accepted += 1
-            energy_trace.append(e_new)
-            are_trace.append(_ares(graph, states))
-            if are_trace[-1] < params.are_target:
-                reason = "are_target"
-                break
-            if energy_trace[-2] - energy_trace[-1] <= 1e-14 * max(energy_trace[-2], 1.0):
-                reason = "small_decrease"
-                break
+            lam_damp *= LM_LAMBDA_UP
+        else:  # no damping up to LM_MAX_LAMBDA lowered the energy
+            reason = "stalled"
+            break
+        states = new
+        lam_damp = max(lam_damp * LM_LAMBDA_DOWN, 1e-12)
+        accepted += 1
+        energy_trace.append(e_new)
+        are_trace.append(work.average_reprojection_error())
+        if are_trace[-1] < LM_ARE_TARGET:
+            reason = "are_target"
+        elif energy_trace[-2] - energy_trace[-1] <= 1e-14 * max(energy_trace[-2], 1.0):
+            reason = "small_decrease"
     return LMReport(
-        converged=are_trace[-1] < params.are_target,
+        converged=are_trace[-1] < LM_ARE_TARGET,
         steps=accepted,
         reason=reason,
         final_are=are_trace[-1],

@@ -18,6 +18,7 @@ from gbp_ba import (
     build,
     inject_outliers,
     iterate,
+    lm_solve,
     OracleScaleError,
     map_solve,
     marginals,
@@ -28,7 +29,7 @@ from gbp_ba import (
     solve,
     synthesize,
 )
-from gbp_ba.camera import project_many
+from gbp_ba.camera import DEPTH_EPSILON, camera_center, project_many
 from gbp_ba import engine, factor_graph
 from gbp_ba.dense_oracle import stack_states
 from gbp_ba.engine import PHASES
@@ -280,6 +281,34 @@ def test_float32_solve_takes_the_float64_iterations(seed):
     assert want.converged and got.converged
     assert want.iterations == got.iterations == 33
     assert got.final_are == pytest.approx(want.final_are, rel=1e-4)
+
+
+def test_lm_solves_a_float32_graph_in_float64():
+    # lm_solve works on a float64 copy, so a float32 graph differs from the
+    # float64 one only by its rounded inputs and takes the same steps
+    graph = build(perturb(synthesize(8, 250, seed=5, pixel_sigma=1), 0.05, "backproject", seed=5))
+    want, got = lm_solve(graph), lm_solve(graph.astype(np.float32))
+    assert got.kf_states.dtype == got.lm_states.dtype == np.float64
+    assert (got.steps, got.reason) == (want.steps, want.reason) == (3, "are_target")
+    assert got.final_are == pytest.approx(want.final_are, rel=1e-6)
+
+
+def test_lm_steps_leave_out_behind_camera_factors():
+    # a landmark mirrored behind its first observer: that factor keeps the
+    # stale linearisation `build` gave it, which no LM step may use, so
+    # clearing it changes nothing
+    graph = build(perturb(synthesize(4, 30, seed=9, pixel_sigma=0.7), 0.03, "backproject", seed=10))
+    m = np.flatnonzero(graph.f_lm == 0)[0]
+    center = camera_center(graph.kf_state[graph.f_kf[m]])
+    graph.lm_state[0] = 2 * center - graph.lm_state[0]
+    behind = graph.residuals()[1] <= DEPTH_EPSILON
+    assert behind[m] and graph.f_valid[m]
+    clean = graph.copy()
+    clean.f_jac[behind], clean.f_target[behind], clean.f_valid[behind] = 0.0, 0.0, False
+    want, got = lm_solve(clean), lm_solve(graph)
+    assert got.steps == want.steps > 0
+    np.testing.assert_array_equal(got.kf_states, want.kf_states)
+    np.testing.assert_array_equal(got.lm_states, want.lm_states)
 
 
 def test_zero_undamped_window_rejected_while_relinearising():

@@ -220,6 +220,21 @@ class TestEnergyAndAre:
             rtol=1e-10,
         )
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_assembled_information_is_exactly_symmetric(self, dtype):
+        # assemble scatters each factor's w J'J, symmetric entry for entry,
+        # in one order, so lam needs no symmetrising: Huber weights below 1
+        # and a relinearisation round included
+        problem = inject_outliers(
+            perturb(synthesize(3, 20, seed=19, pixel_sigma=0.5), 0.05, "backproject", seed=20),
+            0.1, "reassign", seed=21,
+        )
+        graph = build(problem).astype(dtype)
+        run(graph, ScheduleParams(), n=11)  # relinearised at round 10
+        assert np.any(graph.f_weight < 1.0)
+        lam = assemble(graph).lam
+        assert np.array_equal(lam, lam.T)
+
     def test_are_offset_hypot(self):
         prob = one_factor_problem(z=(3.0, 4.0))
         graph = build(prob)
