@@ -10,7 +10,8 @@ of the factor's 9-vector:
      rounds after its birth at the earliest and then every c + 1 rounds)
      and the distance from those means to its linearisation point exceeds
      beta.  The cooldown is tested first, and the distance only for the
-     factors past it.  Phase A writes only `f_last_relin`;
+     factors past it.  Phase A writes only `f_last_relin` besides the
+     relinearisations, and hands phase B the `f_jac` of before the round;
   B. a factor joins one variable of each kind, and its message to one side
      K eliminates the other side E: it conditions its information on its
      input from E, that variable's belief minus the factor's own last
@@ -21,20 +22,21 @@ of the factor's 9-vector:
      (J_K'v, J_K'S J_K) in information form.  cond is E's belief B plus
      rank-2 terms, so by the Woodbury identity (Hager, "Updating the
      inverse of a matrix", 1989) both come from the B^-1 of phase C and
-     2x2 solves in closed form: one per message sent last with the current
-     J_E, and two, the 4x4 system of [J_E; J_sent] by block elimination,
-     per message sent with an older J.  Where cond is not positive definite
-     or phase C could not invert B, the previous message is kept.  In its
-     first round a factor's zero input would leave cond singular, so it
-     keeps its zero messages, now sent with the current J, and is counted
-     singular without being solved: factors are only appended, at the
-     current iteration, so phases B and C run over the rows before those
-     born this round.  v is damped against the previous v outside the
+     2x2 solves in closed form.  Every stored message was sent with the
+     factor's current J, so one solve per message, except on the stale rows,
+     those relinearised this round, whose last messages were sent with the
+     old J phase A hands over: two there, the 4x4 system of [J_E; J_old] by
+     block elimination.  Where cond is not positive definite or phase C
+     could not invert B, the previous message is kept, or restarts at zero
+     on a stale row, as a new factor's.  In its first round a factor's zero
+     input would leave cond singular, so it keeps its zero messages and is
+     counted singular without being solved: factors are only appended, at
+     the current iteration, so phases B and C run over the rows before
+     those born this round.  v is damped against the previous v outside the
      undamped window after a relinearisation, which holds at least that
-     round, so both were sent with the current J_K unless the previous
-     message was kept across the relinearisation.  Each step is one vector operation
-     over a block of `BLOCK_ROWS` factors of the graph's component-major
-     arrays, written in place;
+     round, so both were sent with the current J_K.  Each step is one vector
+     operation over a block of `BLOCK_ROWS` factors of the graph's
+     component-major arrays, written in place;
   C. every variable's belief is rebuilt in place as prior + sum of incoming
      messages, expanded a block of factors at a time and summed in
      ascending factor-id order, and one masked solve gives its mean and
@@ -194,15 +196,16 @@ def _update_prior_scales(graph: FactorGraph, schedule: ScheduleParams, t: int) -
 
 def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
     if graph.n_measurement_factors == 0 or schedule.beta is None:
-        return 0, 0
+        return 0, 0, graph.f_jac
     idx = np.flatnonzero(graph.iters_since_relin() >= schedule.relin_cooldown)
     stacked = np.concatenate(graph.adjacent_states(idx), axis=1)
     idx = idx[np.linalg.norm(stacked - graph.f_lin[idx], axis=1) > schedule.beta]
     if idx.size == 0:
-        return 0, 0
+        return 0, 0, graph.f_jac
+    jac_sent = graph.f_jac.copy(order="K")  # the J of the stored messages, node-last
     ok = graph.linearize_factors(idx)
     graph.f_last_relin[idx[ok]] = t
-    return int(ok.sum()), int((~ok).sum())
+    return int(ok.sum()), int((~ok).sum()), jac_sent
 
 
 def _mm(a, b):  # stacks of 2x2 matrices, component-major (2, 2, n)
@@ -263,10 +266,9 @@ def _conditioned(cov, eta, jac, w_eye, w_target, jac_sent, s_sent, v_sent, stale
     return g, u, ok
 
 
-def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old: int):
-    """Messages of the factors before row `n_old`; the rest keep their zero first messages."""
-    for kind in KINDS:
-        graph.message(kind)[2][n_old:] = graph.f_jac[n_old:, :, kind.cols]
+def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old: int, jac_sent):
+    """Messages of the factors before row `n_old`, last sent with `jac_sent`;
+    the rest keep their zero first messages."""
     n_singular = len(KINDS) * (graph.n_measurement_factors - n_old)
     damp = np.where(
         (t - graph.f_last_relin[:n_old]) < schedule.undamped_window, 0.0, schedule.damping
@@ -274,7 +276,7 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old:
     eye = np.eye(2, dtype=graph.dtype)[:, :, None]
     # component-major views: per kind its beliefs' B^-1 and eta, and the
     # messages to it, which are overwritten in place
-    jac, target = component_major(graph.f_jac), component_major(graph.f_target)
+    jac, jac_sent, target = (component_major(a) for a in (graph.f_jac, jac_sent, graph.f_target))
     beliefs = {
         kind: [component_major(graph.var(kind, name)) for name in ("belief_cov", "belief_eta")]
         for kind in KINDS
@@ -288,41 +290,38 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old:
         w_b = graph.factor_precision(rows)
         w_target = w_b * target[:, rows]
         sent = {kind: [m[..., rows] for m in messages[kind]] for kind in KINDS}
-        # per kind, the messages to it last sent with another J than the current one
-        changed = {
-            kind: np.any(sent[kind][2] != jac[:, kind.cols, rows], axis=(0, 1)) for kind in KINDS
-        }
+        stale = graph.f_last_relin[rows] == t  # relinearised by phase A
         new = []
         # a factor joins one variable of each kind: the message to one side
         # eliminates the other; both are formed before either is written
         for keep, elim in zip(KINDS, KINDS[::-1]):
             cov, eta = (np.take(b, graph.adjacent(elim)[rows], axis=-1) for b in beliefs[elim])
-            (s00, s01, s11), v_sent, jac_sent = sent[elim]
+            (s00, s01, s11), v_sent = sent[elim]
             g, u, ok = _conditioned(
                 cov, eta, jac[:, elim.cols, rows], w_b * eye, w_target,
-                jac_sent, np.array([[s00, s01], [s01, s11]]), v_sent, changed[elim],
+                jac_sent[:, elim.cols, rows], np.array([[s00, s01], [s01, s11]]), v_sent, stale,
             )
             w2 = w_b * w_b
             s = np.stack([w_b - w2 * g[0, 0], -w2 * g[0, 1], w_b - w2 * g[1, 1]])
             # B^-1 is zero where phase C could not invert B
             new.append((keep, s, w_target - w_b * u, ~ok | (cov[0, 0] == 0)))
         for keep, s, v, singular in new:
-            prev_s, prev_v, prev_jac = sent[keep]
+            prev_s, prev_v = sent[keep]
             v = (1.0 - damp[rows]) * v + damp[rows] * prev_v
             np.copyto(s, prev_s, where=singular)
             np.copyto(v, prev_v, where=singular)
+            restart = singular & stale  # the kept message was sent with the old J
+            s[:, restart] = v[:, restart] = 0.0
             n_singular += int(singular.sum())
             max_delta = max(max_delta, np.abs(s - prev_s).max(), np.abs(v - prev_v).max())
             prev_s[...], prev_v[...] = s, v
-            resent = changed[keep] & ~singular
-            if resent.any():
-                np.copyto(prev_jac, jac[:, keep.cols, rows], where=resent)
     return n_singular, float(max_delta)
 
 
 def _phase_beliefs(graph: FactorGraph, n_old: int) -> int:
     """Beliefs from the messages of the factors before row `n_old`: the rest are zero."""
     frozen = 0
+    jac = component_major(graph.f_jac)
     for kind in KINDS:
         eta, lam, cov, state = (
             graph.var(kind, name) for name in ("belief_eta", "belief_lam", "belief_cov", "state")
@@ -335,7 +334,8 @@ def _phase_beliefs(graph: FactorGraph, n_old: int) -> int:
         index = np.arange(len(sums))[:, None] * n
         for start in range(0, n_old, BLOCK_ROWS):
             rows = slice(start, min(start + BLOCK_ROWS, n_old))
-            s, v, (a, b) = (component_major(m)[..., rows] for m in graph.message(kind))
+            s, v = (component_major(m)[..., rows] for m in graph.message(kind))
+            a, b = jac[:, kind.cols, rows]
             p, q = s[0] * a + s[1] * b, s[1] * a + s[2] * b  # the rows of S J
             entries = np.empty((len(sums), a.shape[1]))
             np.multiply(v[0], a, out=entries[:dim])
@@ -371,10 +371,10 @@ def iterate(graph: FactorGraph, schedule: ScheduleParams | None = None) -> Itera
     t = graph.iteration
     clock = [time.perf_counter()]
     prior_scale = _update_prior_scales(graph, schedule, t)
-    n_relin, n_aborted = _phase_relinearize(graph, schedule, t)
+    n_relin, n_aborted, jac_sent = _phase_relinearize(graph, schedule, t)
     clock.append(time.perf_counter())
     n_old = int(np.searchsorted(graph.f_birth, t))  # the factors born before this round
-    n_singular, max_delta = _phase_messages(graph, schedule, t, n_old)
+    n_singular, max_delta = _phase_messages(graph, schedule, t, n_old, jac_sent)
     clock.append(time.perf_counter())
     n_frozen = _phase_beliefs(graph, n_old)
     graph.iteration = t + 1

@@ -10,8 +10,8 @@ linearised residual, and its Huber weight.  Its information form is rank 2,
 `(w J' t, w J' J)` with `w = weight / sigma^2`, so it is not stored:
 `factor_information` derives it for any rows, and the engine works on J.
 Its message to each side K, `(J_K' v, J_K' S J_K)` with a symmetric 2x2
-S, is stored as S's three entries, v and the J_K it was sent with
-(`f_msg_<key>_s`, `_v`, `_jac`).  Each variable stores its belief and the
+S, is stored as S's three entries and v (`f_msg_<key>_s`, `_v`): it was
+sent with the current J_K.  Each variable stores its belief and the
 inverse of its matrix (zero where there is none) for the engine.  Nor are
 variable-to-factor messages stored (the engine derives each as the
 variable's belief minus the factor's own last message), or the Huber
@@ -74,7 +74,7 @@ PSD_RTOL = 1e-8
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class Kind:
     """A variable kind: arrays `<key>_*`, and in the factor table `f_<key>`
-    (each factor's variable) and `f_msg_<key>_*` (its last message)."""
+    (each factor's variable) and `f_msg_<key>_s`, `_v` (its last message)."""
 
     name: str
     key: str
@@ -163,7 +163,7 @@ VARIABLE_FIELDS = (
 # target - jac x with target = jac lin + z - h(lin); so z - h(lin) = target
 # - jac lin, which is zero before the first linearisation.  Per kind: the
 # variable's id and the last message to it, (J' v, J' S J) with S's entries
-# 00, 01, 11 in `s`.
+# 00, 01, 11 in `s` and J the kind's columns of the current `jac`.
 FACTOR_FIELDS = (
     *(Field(kind.key, (), "int") for kind in KINDS),
     Field("z", (2,), "float"),
@@ -177,7 +177,6 @@ FACTOR_FIELDS = (
     Field("birth", (), "int"),  # the iteration it was added in: its inputs are zero then
     *(Field(f"msg_{kind.key}_s", (3,), "float") for kind in KINDS),
     *(Field(f"msg_{kind.key}_v", (2,), "float") for kind in KINDS),
-    *(Field(f"msg_{kind.key}_jac", (2, kind.dim), "float") for kind in KINDS),
 )
 
 # attribute prefix -> (fields, variable dimension)
@@ -242,8 +241,9 @@ class FactorGraph:
         return [self.var(kind, "state")[self.adjacent(kind)[idx]] for kind in KINDS]
 
     def message(self, kind: Kind) -> tuple:
-        """The stored messages to `kind`: S's entries (F, 3), v (F, 2) and J (F, 2, d)."""
-        return tuple(getattr(self, f"f_msg_{kind.key}_{name}") for name in ("s", "v", "jac"))
+        """The stored messages to `kind`: S's entries (F, 3) and v (F, 2),
+        sent with `f_jac[:, :, kind.cols]`."""
+        return tuple(getattr(self, f"f_msg_{kind.key}_{name}") for name in ("s", "v"))
 
     # ------------------------------------------------------------------ sizes
 
@@ -301,7 +301,8 @@ class FactorGraph:
     def factor(self, m: int) -> FactorView:
         sides = {}
         for kind in KINDS:
-            s, v, jac = (a[m] for a in self.message(kind))
+            s, v = (a[m] for a in self.message(kind))
+            jac = self.f_jac[m, :, kind.cols]
             lam = jac.T @ np.array([[s[0], s[1]], [s[1], s[2]]]) @ jac
             sides[f"{kind.name}_id"] = int(self.adjacent(kind)[m])
             sides[f"msg_to_{kind.name}"] = InfoGaussian(jac.T @ v, 0.5 * (lam + lam.T))
@@ -377,10 +378,8 @@ class FactorGraph:
 
     # ----------------------------------------------------------------- priors
 
-    def prior_information(self, kind: str):
-        """Current (eta, diag) arrays of the weakened priors of `kind` (a
-        `Kind` or its name)."""
-        kind = {k.name: k for k in KINDS}[kind] if isinstance(kind, str) else kind
+    def prior_information(self, kind: Kind):
+        """Current (eta, diag) arrays of the weakened priors of `kind`."""
         diag = self.var(kind, "prior_scale")[:, None] * self.var(kind, "prior_diag0")
         return diag * self.var(kind, "prior_mean"), diag
 

@@ -173,6 +173,52 @@ def test_relinearisation_round_matches_scalar_path(make_graph):
     assert n_singular == report.n_singular_messages
 
 
+def test_relinearisation_round_with_an_aborted_row_matches_scalar_path(monkeypatch):
+    # factor 0's landmark mirrored through its keyframe's camera centre, which
+    # negates its depth there: round 10 aborts factor 0, whose J and messages
+    # are unchanged, so it stays on the one-solve path of the rows that
+    # phase A left alone, and relinearises the rest
+    stale = []
+    conditioned = engine._conditioned
+
+    def recording(*args):
+        stale.append(args[-1].copy())
+        return conditioned(*args)
+
+    monkeypatch.setattr(engine, "_conditioned", recording)
+    graph = perturbed_graph()
+    schedule = ScheduleParams()
+    run(graph, schedule, n=10)
+    stale.clear()
+    lm = graph.f_lm[0]
+    graph.lm_state[lm] = 2 * camera_center(graph.kf_state[graph.f_kf[0]]) - graph.lm_state[lm]
+    _, n_singular, report = check_round(graph, schedule, np.arange(graph.n_measurement_factors))
+    assert (report.n_relinearized, report.n_relin_aborted) == (graph.n_measurement_factors - 1, 1)
+    assert n_singular == report.n_singular_messages
+    # per side, one call over every row and one over the stale rows
+    top = [mask for mask in stale if mask.size == graph.n_measurement_factors]
+    assert len(top) == 2
+    for mask in top:
+        assert not mask[0] and mask[1:].all()
+
+
+def test_message_kept_singular_across_a_relinearisation_restarts_at_zero():
+    # round 10 relinearises every factor; with landmark 0's B^-1 cleared, as
+    # where phase C could not invert its belief, its factors' messages to
+    # their keyframes are singular, and their last ones were sent with the
+    # old J, so they restart at zero as a new factor's do
+    graph = perturbed_graph()
+    schedule = ScheduleParams()
+    run(graph, schedule, n=10)
+    graph.lm_belief_cov[0] = 0
+    report = iterate(graph, schedule)
+    assert report.n_relinearized == graph.n_measurement_factors == 120
+    rows = np.flatnonzero(graph.f_lm == 0)
+    assert rows.size == 4 and report.n_singular_messages == 4
+    assert not graph.f_msg_kf_s[rows].any() and not graph.f_msg_kf_v[rows].any()
+    check_round(graph, schedule, np.arange(graph.n_measurement_factors))
+
+
 def test_report_phase_times():
     graph = perturbed_graph()
     for report in run(graph, ScheduleParams(), n=3):
@@ -223,9 +269,8 @@ def test_first_round_factors_skip_the_message_kernel(monkeypatch):
     assert sum(rows) == 0
     assert report.n_singular_messages == 2 * graph.n_measurement_factors
     for kind in factor_graph.KINDS:
-        s, v, jac = graph.message(kind)
+        s, v = graph.message(kind)
         assert not s.any() and not v.any()
-        np.testing.assert_array_equal(jac, graph.f_jac[:, :, kind.cols])
     iterate(graph)
     assert sum(rows) >= 2 * graph.n_measurement_factors
 

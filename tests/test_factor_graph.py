@@ -16,7 +16,7 @@ from gbp_ba import (
 )
 from gbp_ba.camera import DEPTH_EPSILON, camera_center, jacobian_many, project_many
 from gbp_ba.dense_oracle import stack_states
-from gbp_ba.factor_graph import FACTOR_FIELDS, TABLES, huber_energy, huber_weight
+from gbp_ba.factor_graph import FACTOR_FIELDS, KEYFRAME, KINDS, TABLES, huber_energy, huber_weight
 
 
 def one_factor_problem(z=(0.0, 0.0), sigma=1.0):
@@ -163,7 +163,7 @@ class TestPriors:
         run(graph, ScheduleParams(max_iters=30), n=15)
         np.testing.assert_array_equal(graph.kf_prior_mean, mean_before)
         # current prior eta / diag still encode the same mean
-        eta, diag = graph.prior_information("keyframe")
+        eta, diag = graph.prior_information(KEYFRAME)
         np.testing.assert_allclose(eta / diag, mean_before, rtol=1e-12)
 
     def test_weakening_schedule(self):
@@ -655,6 +655,14 @@ class TestSchema:
         check_layout(graph)
         check_layout(graph.copy())
         check_layout(graph.astype(np.float32))
+
+    def test_messages_store_s_and_v_only(self):
+        # every message was sent with the factor's one stored J, `f_jac`
+        for kind in KINDS:
+            prefix = f"msg_{kind.key}_"
+            fields = {f.name: f.shape for f in FACTOR_FIELDS if f.name.startswith(prefix)}
+            assert fields == {prefix + "s": (3,), prefix + "v": (2,)}
+        assert [f.name for f in FACTOR_FIELDS if len(f.shape) == 2] == ["jac"]
 
     def test_factor_stores_jacobian_not_information(self):
         from gbp_ba.engine import run
