@@ -21,10 +21,14 @@ import numpy as np
 
 PIVOT_RTOL = 1e-12
 
-# Per-factor work over the whole graph (phases B and C, the rank check)
-# runs over blocks of this many rows, so each of its temporaries is at most
-# a few MB whatever the size of the graph: they stay in cache, and the
-# memory the process holds does not swing with the graph size.
+# Per-factor work over the whole graph runs over blocks of this many rows,
+# so each of its temporaries is at most a few MB whatever the size of the
+# graph: they stay in cache, and the memory the process holds does not swing
+# with the graph size.  The blocked passes: `FactorGraph.linearize_factors`
+# (at build, in relinearising rounds and in the LM baseline), the squared
+# Jacobian column sums of `refresh_priors`, the projection of `residuals`
+# behind the ARE, the energy and the behind-camera count, the engine's
+# phase A selection, phases B and C, and the rank check of `validate`.
 BLOCK_ROWS = 4096
 
 

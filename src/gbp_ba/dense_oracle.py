@@ -215,8 +215,9 @@ def lm_solve(graph: FactorGraph) -> LMReport:
     states with `linearize_factors`, which re-evaluates the Huber weights
     (iteratively reweighted) and leaves behind-camera factors out of the
     step, and takes the normal equations H dx = g from `assemble`, with
-    g = eta - H x.  It solves them densely with Marquardt scaling
-    lambda * diag(H) and retracts each kind's states.
+    g = eta - H x.  It solves them by dense Cholesky with Marquardt scaling
+    lambda * diag(H), raising the damping where that system is not positive
+    definite, and retracts each kind's states.
 
     Runs on a float64 copy of the graph; the graph itself is never mutated.
     """
@@ -241,8 +242,8 @@ def lm_solve(graph: FactorGraph) -> LMReport:
             damped = system.lam.copy()
             damped.flat[:: system.dim + 1] += lam_damp * np.diag(system.lam)
             try:
-                delta = np.linalg.solve(damped, grad)
-            except np.linalg.LinAlgError:
+                delta = cho_solve(cho_factor(damped, lower=True, overwrite_a=True), grad)
+            except np.linalg.LinAlgError:  # not positive definite
                 lam_damp *= LM_LAMBDA_UP
                 continue
             parts = np.split(delta, np.cumsum([s.size for s in states])[:-1])

@@ -10,8 +10,9 @@ of the factor's 9-vector:
      rounds after its birth at the earliest and then every c + 1 rounds)
      and the distance from those means to its linearisation point exceeds
      beta.  The cooldown is tested first, and the distance only for the
-     factors past it.  Phase A writes only `f_last_relin` besides the
-     relinearisations, and hands phase B the `f_jac` of before the round;
+     factors past it, a block of `BLOCK_ROWS` factors at a time.  Phase A
+     writes only `f_last_relin` besides the relinearisations, and hands
+     phase B the `f_jac` of before the round;
   B. a factor joins one variable of each kind, and its message to one side
      K eliminates the other side E: it conditions its information on its
      input from E, that variable's belief minus the factor's own last
@@ -197,9 +198,13 @@ def _update_prior_scales(graph: FactorGraph, schedule: ScheduleParams, t: int) -
 def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
     if graph.n_measurement_factors == 0 or schedule.beta is None:
         return 0, 0, graph.f_jac
-    idx = np.flatnonzero(graph.iters_since_relin() >= schedule.relin_cooldown)
-    stacked = np.concatenate(graph.adjacent_states(idx), axis=1)
-    idx = idx[np.linalg.norm(stacked - graph.f_lin[idx], axis=1) > schedule.beta]
+    picked = []
+    for start in range(0, graph.n_measurement_factors, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        due = start + np.flatnonzero(graph.iters_since_relin(rows) >= schedule.relin_cooldown)
+        stacked = np.concatenate(graph.adjacent_states(due), axis=1)
+        picked.append(due[np.linalg.norm(stacked - graph.f_lin[due], axis=1) > schedule.beta])
+    idx = np.concatenate(picked)
     if idx.size == 0:
         return 0, 0, graph.f_jac
     jac_sent = graph.f_jac.copy(order="K")  # the J of the stored messages, node-last
@@ -261,8 +266,14 @@ def _conditioned(cov, eta, jac, w_eye, w_target, jac_sent, s_sent, v_sent, stale
     g, u = gram[0][0], proj[0]
     idx = np.flatnonzero(stale)
     if 0 < idx.size < stale.size:
+        # a lone stale row is gathered twice: gathered once, each of its sums
+        # would run over one contiguous vector, which einsum adds in another
+        # order than a row's sums in a block, so its messages would depend
+        # on the rows beside it
+        take = np.resize(idx, max(idx.size, 2))
         args = (cov, eta, jac, w_eye, w_target, jac_sent, s_sent, v_sent, stale)
-        g[..., idx], u[:, idx], ok[idx] = _conditioned(*(np.take(a, idx, axis=-1) for a in args))
+        g_s, u_s, ok_s = _conditioned(*(np.take(a, take, axis=-1) for a in args))
+        g[..., idx], u[:, idx], ok[idx] = g_s[..., : idx.size], u_s[:, : idx.size], ok_s[: idx.size]
     return g, u, ok
 
 

@@ -328,31 +328,37 @@ class FactorGraph:
         parameters are kept and the row of the returned mask is False).
         Freshly created factors with an invalid initial point get zero
         information until a later attempt succeeds.
+
+        Runs over blocks of `BLOCK_ROWS` of the factors in `idx`, each
+        written into the factor arrays in place.
         """
         idx = np.asarray(idx, dtype=int)
-        if idx.size == 0:
-            return np.zeros(0, dtype=bool)
-        lin_points = np.concatenate(self.adjacent_states(idx), axis=1)
-        parts = [lin_points[:, kind.cols] for kind in KINDS]
+        ok = np.zeros(idx.size, dtype=bool)
         # R(w) and J_l(w) once per keyframe, gathered by factor
-        kf, axis_angles = self.f_kf[idx], self.kf_state[:, :3]
-        rot = rotation_matrix(axis_angles)[kf]
-        uv_hat, depth = project_many(*parts, self.intrinsics, rot)
-        ok = depth > DEPTH_EPSILON
-        if not ok.all():  # only the rows in front of the camera; no copies when all are
-            idx, rot, kf, uv_hat, lin_points = (a[ok] for a in (idx, rot, kf, uv_hat, lin_points))
-            parts = [part[ok] for part in parts]
-        if idx.size:
-            jl = left_jacobian(axis_angles)[kf]
-            jac = jacobian_many(*parts, self.intrinsics, rot, jl)
-            residual = self.f_z[idx] - uv_hat
-            mahal = np.linalg.norm(residual, axis=1) / self.f_sigma[idx]
-            weight = huber_weight(mahal, self.huber_nsigma)
-            self.f_jac[idx] = jac
-            self.f_target[idx] = np.einsum("fij,fj->fi", jac, lin_points) + residual
-            self.f_lin[idx] = lin_points
-            self.f_weight[idx] = weight
-            self.f_valid[idx] = True
+        axis_angles = self.kf_state[:, :3]
+        rot_kf, jl_kf = rotation_matrix(axis_angles), left_jacobian(axis_angles)
+        for start in range(0, idx.size, BLOCK_ROWS):
+            rows = idx[start : start + BLOCK_ROWS]
+            lin_points = np.concatenate(self.adjacent_states(rows), axis=1)
+            parts = [lin_points[:, kind.cols] for kind in KINDS]
+            kf = self.f_kf[rows]
+            rot = rot_kf[kf]
+            uv_hat, depth = project_many(*parts, self.intrinsics, rot)
+            good = depth > DEPTH_EPSILON
+            ok[start : start + BLOCK_ROWS] = good
+            if not good.all():  # only the rows in front of the camera; no copies when all are
+                rows, rot, kf, uv_hat, lin_points = (a[good] for a in (rows, rot, kf, uv_hat, lin_points))
+                parts = [part[good] for part in parts]
+            if rows.size == 0:
+                continue
+            jac = jacobian_many(*parts, self.intrinsics, rot, jl_kf[kf])
+            residual = self.f_z[rows] - uv_hat
+            mahal = np.linalg.norm(residual, axis=1) / self.f_sigma[rows]
+            self.f_jac[rows] = jac
+            self.f_target[rows] = np.einsum("fij,fj->fi", jac, lin_points) + residual
+            self.f_lin[rows] = lin_points
+            self.f_weight[rows] = huber_weight(mahal, self.huber_nsigma)
+            self.f_valid[rows] = True
         return ok
 
     def factor_precision(self, idx=slice(None)) -> np.ndarray:
@@ -390,10 +396,17 @@ class FactorGraph:
         PRIOR_FLOOR_RTOL of the row's largest entry, or a flagged unit
         fallback where the row has no positive entry.  Every factor adjacent
         to such a variable was born in this iteration too, so only the last
-        rows, those born in it, are read."""
+        rows, those born in it, are read.  The squared column sums are formed
+        over blocks of `BLOCK_ROWS` of those rows, and each kind's are summed
+        in one scatter over all of them."""
         rows = np.arange(np.searchsorted(self.f_birth, self.iteration), self.n_measurement_factors)
         rows = rows[self.f_valid[rows]]
-        colsq = np.sum(self.f_jac[rows] ** 2, axis=1) / self.f_sigma[rows, None] ** 2
+        colsq = np.empty((rows.size, FACTOR_DIM), self.dtype)
+        for start in range(0, rows.size, BLOCK_ROWS):
+            block = rows[start : start + BLOCK_ROWS]
+            colsq[start : start + BLOCK_ROWS] = (
+                np.sum(self.f_jac[block] ** 2, axis=1) / self.f_sigma[block, None] ** 2
+            )
         for kind in KINDS:
             ids = np.flatnonzero(self.var(kind, "birth") == self.iteration)
             sums = scatter_sum(self.adjacent(kind)[rows], colsq[:, kind.cols], self.size(kind))
@@ -429,14 +442,21 @@ class FactorGraph:
             self._projection = None
 
     def residuals(self):
-        """(residuals (F,2), depths (F,)) at current states.  Read-only."""
+        """(residuals (F,2), depths (F,)) at current states.  Read-only.
+        Projected over blocks of `BLOCK_ROWS` factors into the two arrays,
+        with R(w) formed once per keyframe."""
         if self._projection is not None:
             return self._projection
-        if self.n_measurement_factors == 0:
-            return np.zeros((0, 2)), np.zeros(0)
-        rot = rotation_matrix(self.kf_state[:, :3])[self.f_kf]
-        uv_hat, depth = project_many(*self.adjacent_states(), self.intrinsics, rot)
-        return self.f_z - uv_hat, depth
+        n = self.n_measurement_factors
+        residual, depth = np.empty((n, 2), self.dtype), np.empty(n, self.dtype)
+        rot_kf = rotation_matrix(self.kf_state[:, :3])
+        for start in range(0, n, BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            uv_hat, depth[rows] = project_many(
+                *self.adjacent_states(rows), self.intrinsics, rot_kf[self.f_kf[rows]]
+            )
+            np.subtract(self.f_z[rows], uv_hat, out=residual[rows])
+        return residual, depth
 
     def average_reprojection_error(self) -> float:
         """Mean Euclidean pixel error over all measurements at current states.
@@ -463,13 +483,19 @@ class FactorGraph:
             total += float(np.sum(diag * delta**2))
         if self.n_measurement_factors:
             residual, depth = self.residuals()
-            behind = depth <= DEPTH_EPSILON
-            if np.any(behind):
-                # the residual at the linearisation point, z - h(lin) =
-                # target - jac lin, which is zero before the first one
-                stale = self.f_target - np.einsum("fij,fj->fi", self.f_jac, self.f_lin)
-                residual = np.where(behind[:, None], stale, residual)
             mahal = np.linalg.norm(residual, axis=1) / self.f_sigma
+            behind = np.flatnonzero(depth <= DEPTH_EPSILON)
+            if behind.size:
+                # the residual at the linearisation point, z - h(lin) =
+                # target - jac lin, which is zero before the first one; jac
+                # lin is summed over the columns in ascending order, the order
+                # of an einsum over every row of the factor-last arrays
+                jac, lin = self.f_jac[behind], self.f_lin[behind]
+                jac_lin = jac[:, :, 0] * lin[:, None, 0]
+                for j in range(1, FACTOR_DIM):
+                    jac_lin += jac[:, :, j] * lin[:, None, j]
+                stale = self.f_target[behind] - jac_lin
+                mahal[behind] = np.linalg.norm(stale, axis=1) / self.f_sigma[behind]
             total += float(np.sum(huber_energy(mahal, self.huber_nsigma)))
         return total
 
@@ -529,12 +555,13 @@ class FactorGraph:
         check_measurement_values(zs, sigmas, BuildError)
 
         start = self.n_measurement_factors
-        # phase A measures from `f_lin` also where the linearisation fails
-        lin = np.concatenate([self.var(kind, "state")[i] for kind, i in zip(KINDS, ids)], axis=1)
         self._grow(
-            "f_", len(zs), z=zs, sigma=sigmas, lin=lin, last_relin=self.iteration,
+            "f_", len(zs), z=zs, sigma=sigmas, last_relin=self.iteration,
             **{kind.key: i for kind, i in zip(KINDS, ids)},
         )
+        # phase A measures from `f_lin` also where the linearisation fails
+        for kind, i in zip(KINDS, ids):
+            self.f_lin[start:, kind.cols] = self.var(kind, "state")[i]
         self.linearize_factors(np.arange(start, self.n_measurement_factors))
 
         # a prior mean left at a state the solve has since moved away from

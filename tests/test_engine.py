@@ -8,6 +8,8 @@ on each factor's 2x9 Jacobian, while the scalar path conditions the factor's
 the scalar path and compare.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -228,29 +230,88 @@ def test_report_phase_times():
 
 
 def test_row_blocks_do_not_change_results(monkeypatch):
-    # phases B and C and the rank check in validate() run over blocks of rows;
-    # blocks of 7 rows cut every array mid-stream, and the singular
-    # keep-previous rule and a factor added mid-solve cross block edges
+    # every pass over all factors runs over blocks of rows: the linearisation,
+    # the prior refresh, the shared projection, phases A, B and C and the
+    # rank check in validate(); blocks of 7 rows cut every array mid-stream.
+    # The singular keep-previous rule, the relinearising round 11 and a
+    # factor added mid-solve cross block edges, and so do behind-camera rows,
+    # which abort the linearisation and take the energy's residual at the
+    # linearisation point: measurement 40's landmark starts behind its
+    # camera, and factor 10's is mirrored behind its camera before round 11
     problem = outlier_problem()
+    lm, kf = problem.meas_lm[40], problem.meas_kf[40]
+    problem.lm_init[lm] = 2 * camera_center(problem.kf_init[kf]) - problem.lm_init[lm]
+    built_names = ("f_jac", "f_target", "f_lin", "f_weight", "f_valid",
+                   *(f"{kind.key}_prior_{name}" for kind in factor_graph.KINDS
+                     for name in ("diag0", "fallback")))
     graphs = {}
     for block in (engine.BLOCK_ROWS, 7):
         monkeypatch.setattr(engine, "BLOCK_ROWS", block)
         monkeypatch.setattr(factor_graph, "BLOCK_ROWS", block)
         graph = build(problem)
-        reports = run(graph, ScheduleParams(), n=12)
+        built = [getattr(graph, name).copy() for name in built_names]
+        reports = run(graph, ScheduleParams(), n=10)
+        lm = graph.f_lm[10]
+        graph.lm_state[lm] = 2 * camera_center(graph.kf_state[graph.f_kf[10]]) - graph.lm_state[lm]
+        behind = np.flatnonzero(graph.residuals()[1] <= DEPTH_EPSILON)
+        evaluated = (graph.average_reprojection_error(), graph.energy())
+        reports += run(graph, ScheduleParams(), n=2)
         add_observed_landmark(graph)
         reports += run(graph, ScheduleParams(), n=3)
-        graphs[block] = (graph, reports, graph.validate())
-    (big, big_reports, big_bad), (small, small_reports, small_bad) = graphs.values()
+        graphs[block] = (graph, built, behind, evaluated, reports, graph.validate())
+    (big, big_built, big_behind, big_evaluated, big_reports, big_bad), \
+        (small, small_built, small_behind, small_evaluated, small_reports, small_bad) = graphs.values()
     assert big.n_measurement_factors > 7 * 10
     assert sum(r.n_singular_messages for r in big_reports) > 0
     assert big_bad == small_bad
+    for name, a, b in zip(built_names, big_built, small_built):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert not big_built[built_names.index("f_valid")].all()
+    assert big_behind.size > 0 and big_behind.min() // 7 != big_behind.max() // 7
+    np.testing.assert_array_equal(big_behind, small_behind)
+    assert big_evaluated == small_evaluated
+    assert big_reports[10].n_relinearized > 0 and big_reports[10].n_relin_aborted > 0
+    assert len(big_reports) == len(small_reports) == 15
     for a, b in zip(big_reports, small_reports):
         a.phase_ms = b.phase_ms = {}
         assert a == b
     for name in ("kf_state", "lm_state", "kf_belief_lam", "lm_belief_eta", "f_msg_kf_v",
                  "f_msg_kf_s", "f_msg_lm_v", "f_msg_lm_s"):
         np.testing.assert_array_equal(getattr(big, name), getattr(small, name))
+
+
+def test_whole_graph_passes_hold_bounded_temporaries():
+    # heap a pass allocates above its inputs and outputs, per factor, on
+    # ~30k factors: the passes over all factors work in blocks of rows, so
+    # their temporaries do not scale with the graph, except for the copy of
+    # f_jac a relinearising round hands to phase B (144 B/factor)
+    problem = perturb(synthesize(20, 1500, seed=41, pixel_sigma=1), 0.05, "backproject", seed=41)
+
+    def extra_heap(call):
+        """(result, peak heap during `call` above the heap before it)"""
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+
+    def evaluate(graph):
+        with graph.shared_projection():
+            return graph.average_reprojection_error(), graph.energy()
+
+    tracemalloc.start()
+    try:
+        graph, build_bytes = extra_heap(lambda: build(problem))
+        graph_bytes = sum(a.nbytes for a in vars(graph).values() if isinstance(a, np.ndarray))
+        _, evaluate_bytes = extra_heap(lambda: evaluate(graph))
+        run(graph, n=10)
+        report, round_bytes = extra_heap(lambda: iterate(graph))
+    finally:
+        tracemalloc.stop()
+    n = graph.n_measurement_factors
+    assert n > 29000 and report.n_relinearized > n // 2
+    assert (build_bytes - graph_bytes) / n <= 256
+    assert evaluate_bytes / n <= 96
+    assert round_bytes / n <= 400
 
 
 def test_first_round_factors_skip_the_message_kernel(monkeypatch):
