@@ -29,7 +29,16 @@ PIVOT_RTOL = 1e-12
 # Jacobian column sums of `refresh_priors`, the projection of `residuals`
 # behind the ARE, the energy and the behind-camera count, the engine's
 # phase A selection, phases B and C, and the rank check of `validate`.
+# Phases B and C take the rows of dense runs, at least DENSE_RUN_ROWS
+# consecutive rows of one variable, as a keyframe's, by that variable
+# instead: phase B's run rows within a block contract its own B^-1, and phase
+# C sums each whole run in one matrix product, whatever the block size.  A
+# run costs some 30 us of calls in each phase, so a short run is cheaper
+# row by row: phases B and C together break even between 128 and 192 rows
+# per run (12k-factor scenes of 64-320 rows per keyframe, 2 vCPU, one BLAS
+# thread), and a run is dense from 192.
 BLOCK_ROWS = 4096
+DENSE_RUN_ROWS = 192
 
 
 def component_major(stack: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ of the factor's 9-vector:
      beta.  The cooldown is tested first, and the distance only for the
      factors past it, a block of `BLOCK_ROWS` factors at a time.  Phase A
      writes only `f_last_relin` besides the relinearisations, and hands
-     phase B the `f_jac` of before the round;
+     phase B the rows it relinearised with their `f_jac` of before the
+     round;
   B. a factor joins one variable of each kind, and its message to one side
      K eliminates the other side E: it conditions its information on its
      input from E, that variable's belief minus the factor's own last
@@ -37,12 +38,22 @@ of the factor's 9-vector:
      undamped window after a relinearisation, which holds at least that
      round, so both were sent with the current J_K.  Each step is one vector
      operation over a block of `BLOCK_ROWS` factors of the graph's
-     component-major arrays, written in place;
+     component-major arrays, written in place.  B^-1 and eta are gathered
+     per factor, except on the rows of a dense run: at least
+     `DENSE_RUN_ROWS` consecutive rows before the factors born this round
+     that share their variable E, as a keyframe's do.  There B_E^-1 J_E' is
+     one contraction with E's own B^-1 over the run's rows in the block,
+     and J_E B_E^-1 eta_E is J_E mu_E, with mu_E = B_E^-1 eta_E formed once
+     per variable.  Runs are found each round by comparing neighbouring
+     rows' ids;
   C. every variable's belief is rebuilt in place as prior + sum of incoming
-     messages, expanded a block of factors at a time and summed in
-     ascending factor-id order, and one masked solve gives its mean and
-     B^-1.  Its state moves to the mean when B is invertible; keyframe
-     rotations are then wrapped to angle-axis magnitudes in [0, pi].
+     messages in float64, and one masked solve gives its mean and B^-1.  A
+     dense run adds its rows' messages in two matrix products over the whole
+     run, A P' + B Q' with A, B the rows of J_K' and P, Q those of (S J_K)',
+     and A v_0 + B v_1; the other rows are expanded a block of factors at a
+     time and summed in ascending factor-id order.  The state moves to the
+     mean when B is invertible; keyframe rotations are then wrapped to
+     angle-axis magnitudes in [0, pi].
 
 `iterate` then evaluates the ARE and the energy, and counts the
 measurements behind their camera, from one shared projection, and reports
@@ -61,7 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch_linalg import BLOCK_ROWS, component_major, solve_spd_masked
+from .batch_linalg import BLOCK_ROWS, DENSE_RUN_ROWS, component_major, solve_spd_masked
 from .camera import DEPTH_EPSILON, canonicalize_axis_angle
 from .factor_graph import KEYFRAME, KINDS, PRIOR_TARGET_RATIO, FactorGraph
 from .info_gaussian import InfoGaussian, marginalize_onto
@@ -196,8 +207,12 @@ def _update_prior_scales(graph: FactorGraph, schedule: ScheduleParams, t: int) -
 
 
 def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
+    """Relinearises the factors due; returns the counts of those relinearised
+    and aborted, and the ascending rows relinearised with the J their stored
+    messages were sent with, component-major (2, 9, rows)."""
+    none = np.zeros(0, dtype=int), component_major(graph.f_jac[:0])
     if graph.n_measurement_factors == 0 or schedule.beta is None:
-        return 0, 0, graph.f_jac
+        return 0, 0, none
     picked = []
     for start in range(0, graph.n_measurement_factors, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
@@ -206,11 +221,13 @@ def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
         picked.append(due[np.linalg.norm(stacked - graph.f_lin[due], axis=1) > schedule.beta])
     idx = np.concatenate(picked)
     if idx.size == 0:
-        return 0, 0, graph.f_jac
-    jac_sent = graph.f_jac.copy(order="K")  # the J of the stored messages, node-last
+        return 0, 0, none
+    jac_sent = np.take(component_major(graph.f_jac), idx, axis=-1)
     ok = graph.linearize_factors(idx)
     graph.f_last_relin[idx[ok]] = t
-    return int(ok.sum()), int((~ok).sum()), jac_sent
+    if not ok.all():  # an aborted row keeps its J
+        idx, jac_sent = idx[ok], jac_sent[..., ok]
+    return int(ok.sum()), int((~ok).sum()), (idx, jac_sent)
 
 
 def _mm(a, b):  # stacks of 2x2 matrices, component-major (2, 2, n)
@@ -246,52 +263,110 @@ def _fold(gram, proj, c, mat, vec):
     return gram, proj, ok
 
 
-def _conditioned(cov, eta, jac, w_eye, w_target, jac_sent, s_sent, v_sent, stale):
-    """(J_E cond^-1 J_E', J_E cond^-1 (w J_E't + input eta), ok), with the
-    input the belief (eta, B = cov^-1) less the last message to E, (J_sent'
-    v_sent, J_sent' S_sent J_sent); all component-major, `jac` J_E.  The
-    factor's and the input's rank-2 terms are one fold where J_sent = J_E,
-    and two on the `stale` rows."""
-    if stale.all():
+def _dense_runs(ids):
+    """The runs of at least DENSE_RUN_ROWS consecutive rows that share their
+    variable `ids`, as [start, stop) pairs, and the mask of their rows.  They
+    are sought only where enough rows equal the row before them to make one."""
+    change = ids[1:] != ids[:-1]
+    mask = np.zeros(ids.size, dtype=bool)
+    if change.size - np.count_nonzero(change) < DENSE_RUN_ROWS - 1:
+        return [], mask
+    bounds = np.concatenate(([0], np.flatnonzero(change) + 1, [ids.size]))
+    long = np.flatnonzero(np.diff(bounds) >= DENSE_RUN_ROWS)
+    runs = list(zip(bounds[long].tolist(), bounds[long + 1].tolist()))
+    for a, b in runs:
+        mask[a:b] = True
+    return runs, mask
+
+
+def _probed(belief, ids, dense, probes):
+    """gram[a][b] = J_a B^-1 J_b' and proj[a] = J_a B^-1 eta of the rows whose
+    variables are `ids`, for the probes J_a; `belief` is their kind's (B^-1,
+    eta, mu = B^-1 eta), component-major.  A stretch of `dense` rows of one
+    variable contracts that variable's own B^-1 and mu; the other rows
+    gather B^-1 and eta row by row.  Every sum runs over the variable's
+    dimension in one order, so a row's results do not depend on the rows
+    beside it."""
+    cov, eta, mu = belief
+    cuts = []
+    if dense.any():
+        cut = (dense[1:] != dense[:-1]) | (dense[1:] & (ids[1:] != ids[:-1]))
+        cuts = (np.flatnonzero(cut) + 1).tolist()
+    parts = []
+    for a, b in zip([0, *cuts], [*cuts, ids.size]):
+        seg = [probe[..., a:b] for probe in probes]
+        if dense[a]:
+            cov_jac = [np.einsum("ij,ajn->ian", cov[..., ids[a]], probe) for probe in seg]
+            proj = [np.einsum("ain,i->an", probe, mu[:, ids[a]]) for probe in seg]
+        else:
+            cov_b, eta_b = (np.take(x, ids[a:b], axis=-1) for x in (cov, eta))
+            cov_jac = [np.einsum("ijn,ajn->ian", cov_b, probe) for probe in seg]  # B^-1 J_a'
+            proj = [np.einsum("ian,in->an", cj, eta_b) for cj in cov_jac]
+        gram = [[np.einsum("ain,ibn->abn", probe, cj) for cj in cov_jac] for probe in seg]
+        parts.append((gram, proj))
+    if len(parts) == 1:
+        return parts[0]
+    grams, projs = zip(*parts)
+    n = range(len(probes))
+    gram = [[np.concatenate([g[x][y] for g in grams], axis=-1) for y in n] for x in n]
+    return gram, [np.concatenate([p[x] for p in projs], axis=-1) for x in n]
+
+
+def _conditioned(ids, dense, jac, w_eye, w_target, s_sent, v_sent, jac_sent, belief, stale):
+    """(J_E cond^-1 J_E', J_E cond^-1 (w J_E't + input eta), ok) of the rows
+    whose E are `ids`, with the input E's belief (eta, B) less the last
+    message to E, (J_sent' v_sent, J_sent' S_sent J_sent); all
+    component-major, `jac` J_E, and `jac_sent` J_sent of the `stale` rows
+    alone, one column each.  The factor's and the input's rank-2 terms are
+    one fold where J_sent = J_E, and two on the stale rows.  `belief` and
+    `dense` are `_probed`'s."""
+    idx = np.flatnonzero(stale)
+    both = idx.size == stale.size > 1
+    if both:
         probes, folds = [jac, jac_sent], [(0, w_eye, w_target), (1, -s_sent, -v_sent)]
     else:
         probes, folds = [jac], [(0, w_eye - s_sent, w_target - v_sent)]
-    cov_jac = [np.einsum("ijn,ajn->ian", cov, probe) for probe in probes]  # B^-1 J_a'
-    gram = [[np.einsum("ain,ibn->abn", probe, cj) for cj in cov_jac] for probe in probes]
-    proj = [np.einsum("ian,in->an", cj, eta) for cj in cov_jac]
+    gram, proj = _probed(belief, ids, dense, probes)
     ok = True
     for fold in folds:
         gram, proj, ok_fold = _fold(gram, proj, *fold)
         ok = ok & ok_fold
     g, u = gram[0][0], proj[0]
-    idx = np.flatnonzero(stale)
-    if 0 < idx.size < stale.size:
-        # a lone stale row is gathered twice: gathered once, each of its sums
-        # would run over one contiguous vector, which einsum adds in another
-        # order than a row's sums in a block, so its messages would depend
-        # on the rows beside it
-        take = np.resize(idx, max(idx.size, 2))
-        args = (cov, eta, jac, w_eye, w_target, jac_sent, s_sent, v_sent, stale)
-        g_s, u_s, ok_s = _conditioned(*(np.take(a, take, axis=-1) for a in args))
+    if idx.size and not both:
+        # a lone stale row, among others or alone in its block, is gathered
+        # twice: gathered once, each of its sums would run over one
+        # contiguous vector, which einsum adds in another order than a row's
+        # sums in a block, so its messages would depend on the rows beside it
+        take = np.resize(np.arange(idx.size), max(idx.size, 2))
+        per_row = (ids, dense, jac, w_eye, w_target, s_sent, v_sent)
+        g_s, u_s, ok_s = _conditioned(
+            *(np.take(a, idx[take], axis=-1) for a in per_row),
+            np.take(jac_sent, take, axis=-1), belief, stale[idx[take]],
+        )
         g[..., idx], u[:, idx], ok[idx] = g_s[..., : idx.size], u_s[:, : idx.size], ok_s[: idx.size]
     return g, u, ok
 
 
-def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old: int, jac_sent):
-    """Messages of the factors before row `n_old`, last sent with `jac_sent`;
-    the rest keep their zero first messages."""
+def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old: int,
+                    relinearized, dense):
+    """Messages of the factors before row `n_old`; the rest keep their zero
+    first messages.  `relinearized` holds the rows phase A relinearised and
+    the J their messages were last sent with, `dense` each kind's
+    `_dense_runs`."""
     n_singular = len(KINDS) * (graph.n_measurement_factors - n_old)
     damp = np.where(
         (t - graph.f_last_relin[:n_old]) < schedule.undamped_window, 0.0, schedule.damping
     ).astype(graph.dtype)
     eye = np.eye(2, dtype=graph.dtype)[:, :, None]
-    # component-major views: per kind its beliefs' B^-1 and eta, and the
-    # messages to it, which are overwritten in place
-    jac, jac_sent, target = (component_major(a) for a in (graph.f_jac, jac_sent, graph.f_target))
-    beliefs = {
-        kind: [component_major(graph.var(kind, name)) for name in ("belief_cov", "belief_eta")]
-        for kind in KINDS
-    }
+    stale_rows, jac_old = relinearized
+    # component-major views: per kind its beliefs' B^-1 and eta, with mu =
+    # B^-1 eta where it has dense runs, and the messages to it, which are
+    # overwritten in place
+    jac, target = (component_major(a) for a in (graph.f_jac, graph.f_target))
+    beliefs = {}
+    for kind in KINDS:
+        cov, eta = (component_major(graph.var(kind, name)) for name in ("belief_cov", "belief_eta"))
+        beliefs[kind] = cov, eta, np.einsum("ijn,jn->in", cov, eta) if dense[kind][0] else None
     messages = {kind: [component_major(m) for m in graph.message(kind)] for kind in KINDS}
     max_delta = 0.0
     # blocks of BLOCK_ROWS factors; a factor's messages do not depend on
@@ -302,20 +377,23 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old:
         w_target = w_b * target[:, rows]
         sent = {kind: [m[..., rows] for m in messages[kind]] for kind in KINDS}
         stale = graph.f_last_relin[rows] == t  # relinearised by phase A
+        jac_sent = jac_old[..., slice(*np.searchsorted(stale_rows, (rows.start, rows.stop)))]
         new = []
         # a factor joins one variable of each kind: the message to one side
         # eliminates the other; both are formed before either is written
         for keep, elim in zip(KINDS, KINDS[::-1]):
-            cov, eta = (np.take(b, graph.adjacent(elim)[rows], axis=-1) for b in beliefs[elim])
+            ids = graph.adjacent(elim)[rows]
             (s00, s01, s11), v_sent = sent[elim]
             g, u, ok = _conditioned(
-                cov, eta, jac[:, elim.cols, rows], w_b * eye, w_target,
-                jac_sent[:, elim.cols, rows], np.array([[s00, s01], [s01, s11]]), v_sent, stale,
+                ids, dense[elim][1][rows], jac[:, elim.cols, rows], w_b * eye, w_target,
+                np.array([[s00, s01], [s01, s11]]), v_sent, jac_sent[:, elim.cols],
+                beliefs[elim], stale,
             )
             w2 = w_b * w_b
             s = np.stack([w_b - w2 * g[0, 0], -w2 * g[0, 1], w_b - w2 * g[1, 1]])
             # B^-1 is zero where phase C could not invert B
-            new.append((keep, s, w_target - w_b * u, ~ok | (cov[0, 0] == 0)))
+            singular = ~ok | (np.take(beliefs[elim][0][0, 0], ids) == 0)
+            new.append((keep, s, w_target - w_b * u, singular))
         for keep, s, v, singular in new:
             prev_s, prev_v = sent[keep]
             v = (1.0 - damp[rows]) * v + damp[rows] * prev_v
@@ -329,8 +407,9 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old:
     return n_singular, float(max_delta)
 
 
-def _phase_beliefs(graph: FactorGraph, n_old: int) -> int:
-    """Beliefs from the messages of the factors before row `n_old`: the rest are zero."""
+def _phase_beliefs(graph: FactorGraph, n_old: int, dense) -> int:
+    """Beliefs from the messages of the factors before row `n_old`: the rest
+    are zero.  `dense` holds each kind's `_dense_runs`."""
     frozen = 0
     jac = component_major(graph.f_jac)
     for kind in KINDS:
@@ -339,24 +418,36 @@ def _phase_beliefs(graph: FactorGraph, n_old: int) -> int:
         )
         n, dim = eta.shape
         ids = graph.adjacent(kind)
-        # the incoming messages J'v and the lower triangles of J'SJ, row by
-        # row, summed in float64 in ascending factor order
+        runs, in_run = dense[kind]
+        i, j = np.tril_indices(dim)
+        # the incoming messages J'v and the lower triangles of J'SJ, summed
+        # in float64: a dense run's with one product over the run, A P' +
+        # B Q' with A, B the rows of J' and P, Q those of (SJ)', then the
+        # other rows' row by row in ascending factor order
         sums = np.zeros((dim + dim * (dim + 1) // 2, n))
+        msg_s, msg_v = (component_major(m) for m in graph.message(kind))
+        for first, stop in runs:
+            s, v, (a, b) = (x[..., first:stop].astype(float, copy=False)
+                            for x in (msg_s, msg_v, jac[:, kind.cols]))
+            p, q = s[0] * a + s[1] * b, s[1] * a + s[2] * b
+            sums[:dim, ids[first]] += a @ v[0] + b @ v[1]
+            sums[dim:, ids[first]] += (a @ p.T + b @ q.T)[i, j]
         index = np.arange(len(sums))[:, None] * n
         for start in range(0, n_old, BLOCK_ROWS):
             rows = slice(start, min(start + BLOCK_ROWS, n_old))
-            s, v = (component_major(m)[..., rows] for m in graph.message(kind))
+            if in_run[rows].any():
+                rows = start + np.flatnonzero(~in_run[rows])
+            s, v = msg_s[..., rows], msg_v[..., rows]
             a, b = jac[:, kind.cols, rows]
             p, q = s[0] * a + s[1] * b, s[1] * a + s[2] * b  # the rows of S J
             entries = np.empty((len(sums), a.shape[1]))
             np.multiply(v[0], a, out=entries[:dim])
             entries[:dim] += v[1] * b
-            for i in range(dim):
-                row = entries[dim + i * (i + 1) // 2 :][: i + 1]
-                np.multiply(a[i], p[: i + 1], out=row)
-                row += b[i] * q[: i + 1]
+            for r in range(dim):
+                row = entries[dim + r * (r + 1) // 2 :][: r + 1]
+                np.multiply(a[r], p[: r + 1], out=row)
+                row += b[r] * q[: r + 1]
             np.add.at(sums.reshape(-1), (index + ids[rows]).reshape(-1), entries.reshape(-1))
-        i, j = np.tril_indices(dim)
         lam_cm = component_major(lam)
         lam_cm[i, j] = lam_cm[j, i] = sums[dim:]
         prior_eta, prior_diag = graph.prior_information(kind)
@@ -382,12 +473,13 @@ def iterate(graph: FactorGraph, schedule: ScheduleParams | None = None) -> Itera
     t = graph.iteration
     clock = [time.perf_counter()]
     prior_scale = _update_prior_scales(graph, schedule, t)
-    n_relin, n_aborted, jac_sent = _phase_relinearize(graph, schedule, t)
+    n_relin, n_aborted, relinearized = _phase_relinearize(graph, schedule, t)
     clock.append(time.perf_counter())
     n_old = int(np.searchsorted(graph.f_birth, t))  # the factors born before this round
-    n_singular, max_delta = _phase_messages(graph, schedule, t, n_old, jac_sent)
+    dense = {kind: _dense_runs(graph.adjacent(kind)[:n_old]) for kind in KINDS}
+    n_singular, max_delta = _phase_messages(graph, schedule, t, n_old, relinearized, dense)
     clock.append(time.perf_counter())
-    n_frozen = _phase_beliefs(graph, n_old)
+    n_frozen = _phase_beliefs(graph, n_old, dense)
     graph.iteration = t + 1
     clock.append(time.perf_counter())
     with graph.shared_projection():

@@ -432,10 +432,11 @@ class FactorGraph:
 
     @contextmanager
     def shared_projection(self):
-        """Within the block, `residuals()`, and so the ARE and the energy,
-        reuse one projection of every factor taken on entry.  The states must
-        not change inside the block."""
-        self._projection = self.residuals()
+        """Within the block, `residuals()` and the residual norms, and so the
+        ARE and the energy, reuse one projection of every factor taken on
+        entry.  The states must not change inside the block."""
+        residual, depth = self.residuals()
+        self._projection = residual, depth, _row_norms(residual)
         try:
             yield
         finally:
@@ -446,7 +447,7 @@ class FactorGraph:
         Projected over blocks of `BLOCK_ROWS` factors into the two arrays,
         with R(w) formed once per keyframe."""
         if self._projection is not None:
-            return self._projection
+            return self._projection[:2]
         n = self.n_measurement_factors
         residual, depth = np.empty((n, 2), self.dtype), np.empty(n, self.dtype)
         rot_kf = rotation_matrix(self.kf_state[:, :3])
@@ -458,6 +459,14 @@ class FactorGraph:
             np.subtract(self.f_z[rows], uv_hat, out=residual[rows])
         return residual, depth
 
+    def _residual_norms(self):
+        """(|residual| (F,), depths (F,)) at current states; read-only, as
+        the shared projection's."""
+        if self._projection is not None:
+            return self._projection[2], self._projection[1]
+        residual, depth = self.residuals()
+        return _row_norms(residual), depth
+
     def average_reprojection_error(self) -> float:
         """Mean Euclidean pixel error over all measurements at current states.
 
@@ -466,10 +475,8 @@ class FactorGraph:
         """
         if self.n_measurement_factors == 0:
             return 0.0
-        residual, depth = self.residuals()
-        norms = np.linalg.norm(residual, axis=1)
-        norms[depth <= DEPTH_EPSILON] = ARE_SENTINEL_PX
-        return float(np.mean(norms))
+        norms, depth = self._residual_norms()
+        return float(np.mean(np.where(depth <= DEPTH_EPSILON, ARE_SENTINEL_PX, norms)))
 
     def energy(self) -> float:
         """The objective: prior Mahalanobis terms plus Huber-modified
@@ -482,8 +489,8 @@ class FactorGraph:
             delta = self.var(kind, "state") - self.var(kind, "prior_mean")
             total += float(np.sum(diag * delta**2))
         if self.n_measurement_factors:
-            residual, depth = self.residuals()
-            mahal = np.linalg.norm(residual, axis=1) / self.f_sigma
+            norms, depth = self._residual_norms()
+            mahal = norms / self.f_sigma
             behind = np.flatnonzero(depth <= DEPTH_EPSILON)
             if behind.size:
                 # the residual at the linearisation point, z - h(lin) =
@@ -501,9 +508,8 @@ class FactorGraph:
 
     def classify_outliers(self) -> np.ndarray:
         """Measurements currently in the linear (outlier) loss regime."""
-        residual, depth = self.residuals()
-        mahal = np.linalg.norm(residual, axis=1) / self.f_sigma
-        mahal = np.where(depth <= DEPTH_EPSILON, np.inf, mahal)
+        norms, depth = self._residual_norms()
+        mahal = np.where(depth <= DEPTH_EPSILON, np.inf, norms / self.f_sigma)
         return mahal > self.huber_nsigma
 
     # ------------------------------------------------------------ mutation
@@ -624,14 +630,25 @@ class FactorGraph:
             eigs = np.linalg.eigvalsh(0.5 * (lam + np.swapaxes(lam, 1, 2)))
             trace = np.einsum("nii->n", lam)
             bad["belief_not_psd"] += int(np.sum(eigs[:, 0] < -PSD_RTOL * np.maximum(1.0, trace)))
-        # rank <= 2 right after linearisation: third-largest eigenvalue ~ 0;
+        # rank <= 2 right after linearisation: third-largest eigenvalue ~ 0,
+        # at most 1e-9 of the largest.  In float32, rounding leaves up to
+        # 0.53 eps (six scenes, about 50k factors), so there it is 4 eps;
         # checked in blocks, so no (F, 9, 9) stack is formed
+        rtol = max(1e-9, 4 * float(np.finfo(self.dtype).eps))
         fresh = np.flatnonzero(self.f_valid & (self.iters_since_relin() == 0))
         for start in range(0, fresh.size, BLOCK_ROWS):
             eigs = np.linalg.eigvalsh(self.factor_information(fresh[start : start + BLOCK_ROWS])[1])
             scale = np.maximum(eigs[:, -1], 1.0)
-            bad["factor_rank"] += int(np.sum(eigs[:, -3] > 1e-9 * scale))
+            bad["factor_rank"] += int(np.sum(eigs[:, -3] > rtol * scale))
         return bad
+
+
+def _row_norms(residual):
+    """Euclidean norm of each row of an (F, 2) array, equal bit for bit to
+    `np.linalg.norm(residual, axis=1)`, which takes five times as long."""
+    norms = residual[:, 0] * residual[:, 0]
+    norms += residual[:, 1] * residual[:, 1]
+    return np.sqrt(norms, out=norms)
 
 
 def huber_weight(mahal, nsigma):

@@ -15,6 +15,7 @@ import pytest
 
 from gbp_ba import (
     InfoGaussian,
+    ProblemSpec,
     ScheduleParams,
     assemble,
     build,
@@ -280,11 +281,88 @@ def test_row_blocks_do_not_change_results(monkeypatch):
         np.testing.assert_array_equal(getattr(big, name), getattr(small, name))
 
 
+def dense_problem():
+    # each keyframe sees all 400 landmarks: its factors are one run of 400 rows
+    return perturb(synthesize(6, 400, seed=11, pixel_sigma=1), 0.05, "backproject", seed=12)
+
+
+def test_dense_runs_match_the_gathered_path(monkeypatch):
+    # with every run dense, landmark runs of one row included, phase B
+    # contracts each variable's own B^-1 and phase C sums each run in one
+    # product; with none dense, every row gathers and scatters.  The sums
+    # differ only in their order
+    problem = dense_problem()
+    keys = ("n_relinearized", "n_relin_aborted", "n_singular_messages", "n_frozen_states", "n_behind_camera")
+    results = []
+    for rows in (1, 10**9):
+        monkeypatch.setattr(engine, "DENSE_RUN_ROWS", rows)
+        graph = build(problem)
+        runs, _ = engine._dense_runs(graph.f_kf)
+        assert len(runs) == (6 if rows == 1 else 0)
+        reports = run(graph, n=12)
+        results.append((graph, [[getattr(r, key) for key in keys] for r in reports]))
+    (dense, dense_counts), (gathered, gathered_counts) = results
+    assert dense_counts == gathered_counts
+    assert gathered_counts[10][0] == gathered.n_measurement_factors  # round 11 relinearises
+    for name in ("kf_state", "lm_state", "kf_belief_eta", "kf_belief_lam", "lm_belief_eta", "lm_belief_lam"):
+        want, got = getattr(gathered, name), getattr(dense, name)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+
+
+def test_dense_runs_do_not_depend_on_row_blocks(monkeypatch):
+    # keyframe runs of 400 rows cross the edges of 7-row blocks.  Before
+    # round 11, which relinearises, factor 5's landmark is mirrored behind
+    # its cameras, so its rows abort among stale rows, and keyframe 2's B^-1
+    # is cleared, as where phase C could not invert it, so its rows' messages
+    # are singular
+    monkeypatch.setattr(engine, "DENSE_RUN_ROWS", 100)
+    problem = dense_problem()
+    graphs = {}
+    for block in (engine.BLOCK_ROWS, 7):
+        monkeypatch.setattr(engine, "BLOCK_ROWS", block)
+        monkeypatch.setattr(factor_graph, "BLOCK_ROWS", block)
+        graph = build(problem)
+        reports = run(graph, ScheduleParams(), n=10)
+        lm = graph.f_lm[5]
+        graph.lm_state[lm] = 2 * camera_center(graph.kf_state[graph.f_kf[5]]) - graph.lm_state[lm]
+        graph.kf_belief_cov[2] = 0
+        reports += run(graph, ScheduleParams(), n=3)
+        for report in reports:
+            report.phase_ms = {}
+        graphs[block] = graph, reports
+    (big, big_reports), (small, small_reports) = graphs.values()
+    runs, _ = engine._dense_runs(big.f_kf)
+    assert len(runs) == 6 and any(start % 7 for start, _ in runs)
+    assert big_reports[10].n_relinearized > 0 and big_reports[10].n_relin_aborted > 0
+    assert big_reports[10].n_singular_messages >= 400
+    assert big_reports == small_reports
+    for name in ("kf_state", "lm_state", "kf_belief_lam", "lm_belief_eta", "f_msg_kf_v",
+                 "f_msg_kf_s", "f_msg_lm_v", "f_msg_lm_s"):
+        np.testing.assert_array_equal(getattr(big, name), getattr(small, name), err_msg=name)
+
+
+def test_float32_dense_runs_take_the_float64_iterations(monkeypatch):
+    # phase C sums a float32 graph's dense runs in float64, as its other rows
+    monkeypatch.setattr(engine, "DENSE_RUN_ROWS", 100)
+    problem = dense_problem()
+    reports = {}
+    for dtype in (np.float64, np.float32):
+        graph = build(problem).astype(dtype)
+        assert len(engine._dense_runs(graph.f_kf)[0]) == 6
+        reports[dtype] = solve(graph, ScheduleParams(are_target=1.5))
+        assert graph.kf_state.dtype == graph.f_msg_kf_s.dtype == dtype
+    want, got = reports[np.float64], reports[np.float32]
+    assert want.converged and got.converged
+    assert want.iterations == got.iterations == 44
+    assert got.final_are == pytest.approx(want.final_are, rel=1e-4)
+
+
 def test_whole_graph_passes_hold_bounded_temporaries():
     # heap a pass allocates above its inputs and outputs, per factor, on
     # ~30k factors: the passes over all factors work in blocks of rows, so
-    # their temporaries do not scale with the graph, except for the copy of
-    # f_jac a relinearising round hands to phase B (144 B/factor)
+    # their temporaries do not scale with the graph, except for the old J
+    # of the relinearised factors phase A hands to phase B (144 B each,
+    # every factor in round 11)
     problem = perturb(synthesize(20, 1500, seed=41, pixel_sigma=1), 0.05, "backproject", seed=41)
 
     def extra_heap(call):
@@ -312,6 +390,39 @@ def test_whole_graph_passes_hold_bounded_temporaries():
     assert (build_bytes - graph_bytes) / n <= 256
     assert evaluate_bytes / n <= 96
     assert round_bytes / n <= 400
+
+
+def test_relinearising_a_few_factors_holds_no_copy_of_every_jacobian():
+    # a keyframe of 1,500 measurements joins a graph of 30,000 factors
+    # after round 14; round 25 relinearises its factors alone, and phase A
+    # hands phase B the J those few sent their messages with, not a copy of
+    # every factor's
+    problem = perturb(synthesize(21, 1500, seed=41, pixel_sigma=1), 0.05, "backproject", seed=41)
+    old = problem.meas_kf < 20
+    graph = build(ProblemSpec(
+        problem.intrinsics, problem.kf_init[:20], problem.lm_init, meas_kf=problem.meas_kf[old],
+        meas_lm=problem.meas_lm[old], meas_uv=problem.meas_uv[old], meas_sigma=problem.meas_sigma[old],
+    ))
+    run(graph, n=14)
+    graph.add_keyframe(problem.kf_init[20])
+    new = ~old
+    graph.add_measurements(problem.meas_kf[new], problem.meas_lm[new], problem.meas_uv[new], problem.meas_sigma[new])
+    run(graph, n=9)
+    rounds = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report = iterate(graph)
+            rounds.append((report, tracemalloc.get_traced_memory()[1] - before))
+    finally:
+        tracemalloc.stop()
+    (plain, plain_bytes), (relin, relin_bytes) = rounds
+    n = graph.n_measurement_factors
+    assert (plain.iteration, plain.n_relinearized) == (24, 0)
+    assert (relin.iteration, relin.n_relinearized, n) == (25, 1500, 31500)
+    assert relin_bytes / n <= plain_bytes / n + 32
 
 
 def test_first_round_factors_skip_the_message_kernel(monkeypatch):

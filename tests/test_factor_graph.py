@@ -91,6 +91,27 @@ class TestBuild:
         assert np.all(eigs[:, -3] < 1e-9 * np.maximum(eigs[:, -1], 1.0))
         assert graph.validate() == {"belief_not_psd": 0, "factor_rank": 0, "asymmetry": 0}
 
+    def test_factor_rank_tolerance_follows_the_dtype(self, monkeypatch):
+        # float32 rounding leaves a fresh factor's third eigenvalue at up to
+        # 0.53 eps of its largest, which a float32 graph does not flag; a
+        # float64 graph still flags anything above 1e-9 of it
+        clean = {"belief_not_psd": 0, "factor_rank": 0, "asymmetry": 0}
+        problem = perturb(synthesize(8, 200, seed=3, pixel_sigma=1), 0.05, "backproject", seed=3)
+        graph = build(problem)
+        assert graph.astype(np.float32).validate() == graph.validate() == clean
+        n = graph.n_measurement_factors
+        for ratio, flagged in ((5e-10, (0, 0)), (1e-8, (n, 0)), (1e-6, (n, n))):
+            # every factor's information diag(0, ..., 0, 10 ratio, 10, 10)
+            diag = np.zeros(9)
+            diag[6:] = 10 * ratio, 10, 10
+            monkeypatch.setattr(
+                type(graph), "factor_information",
+                lambda self, idx: (None, np.broadcast_to(np.diag(diag).astype(self.dtype), (len(idx), 9, 9))),
+            )
+            got = tuple(g.validate()["factor_rank"] for g in (graph, graph.astype(np.float32)))
+            assert got == flagged, ratio
+            monkeypatch.undo()
+
     def test_messages_start_at_zero_information(self):
         graph = build(synthesize(3, 20, seed=1))
         assert not graph.f_msg_kf_v.any() and not graph.f_msg_kf_s.any()
