@@ -29,22 +29,27 @@ PIVOT_RTOL = 1e-12
 # Jacobian column sums of `refresh_priors`, the projection of `residuals`
 # behind the ARE, the energy and the behind-camera count, the engine's
 # phase A selection, phases B and C, and the rank check of `validate`.
+# Each numpy call of phase B costs about 1 us besides its rows, so longer
+# blocks pay: on 30k factors phase B takes a fifth less time in blocks of
+# 6144 rows than of 4096, 8192 rows gain nothing more, and a relinearising
+# round's extra heap then passes 400 B per factor (2 vCPU, one BLAS thread).
 # Phases B and C take the rows of dense runs, at least DENSE_RUN_ROWS
 # consecutive rows of one variable, as a keyframe's, by that variable
-# instead: phase B's run rows within a block contract its own B^-1, and phase
-# C sums each whole run in one matrix product, whatever the block size.  A
-# run costs some 30 us of calls in each phase, so a short run is cheaper
-# row by row: phases B and C together break even between 128 and 192 rows
+# instead: phase B multiplies each whole run's J by its own B^-1, and phase
+# C sums each whole run in one matrix product, so neither depends on the
+# block size (phase B's stretches of rows end where no run is cut).  A run
+# costs some tens of us of calls in each phase, so a short run is cheaper
+# row by row: phases B and C together break even between 112 and 128 rows
 # per run (12k-factor scenes of 64-320 rows per keyframe, 2 vCPU, one BLAS
-# thread), and a run is dense from 192.
-BLOCK_ROWS = 4096
-DENSE_RUN_ROWS = 192
+# thread), and a run is dense from 128.
+BLOCK_ROWS = 6144
+DENSE_RUN_ROWS = 128
 
 
 def component_major(stack: np.ndarray) -> np.ndarray:
     """(N, ...) -> (..., N), a view: the base itself for an (N, ...) view of
     a contiguous component-major array."""
-    return np.moveaxis(stack, 0, -1)
+    return stack.transpose(*range(1, stack.ndim), 0)
 
 
 def _dot(pairs):

@@ -23,29 +23,31 @@ of the factor's 9-vector:
      J_E cond^-1 J_E' and v = w (t - J_E cond^-1 (w J_E't + input eta)),
      (J_K'v, J_K'S J_K) in information form.  cond is E's belief B plus
      rank-2 terms, so by the Woodbury identity (Hager, "Updating the
-     inverse of a matrix", 1989) both come from the B^-1 of phase C and
-     2x2 solves in closed form.  Every stored message was sent with the
-     factor's current J, so one solve per message, except on the stale rows,
-     those relinearised this round, whose last messages were sent with the
-     old J phase A hands over: two there, the 4x4 system of [J_E; J_old] by
-     block elimination.  Where cond is not positive definite or phase C
-     could not invert B, the previous message is kept, or restarts at zero
-     on a stale row, as a new factor's.  In its first round a factor's zero
-     input would leave cond singular, so it keeps its zero messages and is
-     counted singular without being solved: factors are only appended, at
-     the current iteration, so phases B and C run over the rows before
-     those born this round.  v is damped against the previous v outside the
-     undamped window after a relinearisation, which holds at least that
-     round, so both were sent with the current J_K.  Each step is one vector
-     operation over a block of `BLOCK_ROWS` factors of the graph's
-     component-major arrays, written in place.  B^-1 and eta are gathered
-     per factor, except on the rows of a dense run: at least
-     `DENSE_RUN_ROWS` consecutive rows before the factors born this round
-     that share their variable E, as a keyframe's do.  There B_E^-1 J_E' is
-     one contraction with E's own B^-1 over the run's rows in the block,
-     and J_E B_E^-1 eta_E is J_E mu_E, with mu_E = B_E^-1 eta_E formed once
-     per variable.  Runs are found each round by comparing neighbouring
-     rows' ids;
+     inverse of a matrix", 1989) both come in closed form, over the three
+     entries of symmetric 2x2 matrices, from g = J_E B^-1 J_E' and p = J_E
+     B^-1 eta with the B^-1 of phase C: one fold, g' = (I + g M)^-1 g and
+     u = (I + g M)^-1 (p + g c) with M = w I - S_sent and c = w t - v_sent,
+     where the last message was sent with the current J.  Every stored
+     message was, except on the stale rows, those relinearised this round,
+     whose last messages were sent with the old J phase A hands over: two
+     folds there, the factor's and then the input's.  Where cond is not
+     positive definite or phase C could not invert B, the previous message
+     is kept, or restarts at zero on a stale row, as a new factor's.  In its
+     first round a factor's zero input would leave cond singular, so it
+     keeps its zero messages and is counted singular without being solved:
+     factors are only appended, at the current iteration, so phases B and C
+     run over the rows before those born this round.  v is damped against
+     the previous v outside the undamped window after a relinearisation,
+     which holds at least that round, so both were sent with the current
+     J_K.  Phase B walks stretches of about `BLOCK_ROWS` rows that cut no
+     dense run, at least `DENSE_RUN_ROWS` consecutive rows that share their
+     variable E, as a keyframe's do, and forms both sides' messages of a
+     stretch before it writes either, each step one vector operation.  A
+     run's B^-1 J_E' is one matrix product with E's own B^-1 over the whole
+     run, and J_E mu_E one with mu_E = B^-1 eta_E, formed once per variable;
+     the other rows gather B^-1 and mu.  Every other sum is taken row by row
+     in a fixed order, so no message depends on BLOCK_ROWS.  Runs are found
+     each round by comparing neighbouring rows' ids;
   C. every variable's belief is rebuilt in place as prior + sum of incoming
      messages in float64, and one masked solve gives its mean and B^-1.  A
      dense run adds its rows' messages in two matrix products over the whole
@@ -61,7 +63,7 @@ the wall time of each phase in `IterationReport.phase_ms`.
 
 Within a phase all reads target the pre-phase snapshot, so results do not
 depend on intra-phase execution order: phase B reads both sides' inputs
-and messages of a block before it writes either.  Every phase keeps the
+and messages of a stretch of rows before it writes either.  Every phase keeps the
 graph's float dtype.
 """
 
@@ -230,39 +232,6 @@ def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
     return int(ok.sum()), int((~ok).sum()), (idx, jac_sent)
 
 
-def _mm(a, b):  # stacks of 2x2 matrices, component-major (2, 2, n)
-    return np.einsum("ijn,jkn->ikn", a, b)
-
-
-def _mv(a, x):  # (2, 2, n) matrices times (2, n) vectors
-    return np.einsum("ijn,jn->in", a, x)
-
-
-def _fold(gram, proj, c, mat, vec):
-    """Add (J_c' vec, J_c' mat J_c) to a positive-definite information form
-    (eta, P) known by gram[a][b] = J_a P^-1 J_b' and proj[a] = J_a P^-1 eta.
-    By Woodbury, with X = I + mat gram[c][c] and h_a = gram[a][c] X^-1 (the
-    new gram[a][c]), gram[a][b] loses h_a mat gram[c][b] and proj[a] gains
-    gram[a][c] vec - h_a mat (proj[c] + gram[c][c] vec).  The sum stays
-    positive definite iff X's real eigenvalues are positive, that is its
-    trace and determinant; the returned mask is False where not."""
-    x = _mm(mat, gram[c][c])
-    x[0, 0] += 1.0
-    x[1, 1] += 1.0
-    det = x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]
-    ok = (x[0, 0] + x[1, 1] > 0) & (det > 0)
-    x_inv = np.array([[x[1, 1], -x[0, 1]], [-x[1, 0], x[0, 0]]]) / np.where(ok, det, 1.0)
-    g_vec = [_mv(g[c], vec) for g in gram]
-    mat_r = _mv(mat, proj[c] + g_vec[c])
-    h = [_mm(g[c], x_inv) for g in gram]
-    proj = [p + g_v - _mv(h_a, mat_r) for p, g_v, h_a in zip(proj, g_vec, h)]
-    gram = [
-        [h_a if b == c else g_ab - _mm(h_a, _mm(mat, gram[c][b])) for b, g_ab in enumerate(g)]
-        for g, h_a in zip(gram, h)
-    ]
-    return gram, proj, ok
-
-
 def _dense_runs(ids):
     """The runs of at least DENSE_RUN_ROWS consecutive rows that share their
     variable `ids`, as [start, stop) pairs, and the mask of their rows.  They
@@ -279,72 +248,222 @@ def _dense_runs(ids):
     return runs, mask
 
 
-def _probed(belief, ids, dense, probes):
-    """gram[a][b] = J_a B^-1 J_b' and proj[a] = J_a B^-1 eta of the rows whose
-    variables are `ids`, for the probes J_a; `belief` is their kind's (B^-1,
-    eta, mu = B^-1 eta), component-major.  A stretch of `dense` rows of one
-    variable contracts that variable's own B^-1 and mu; the other rows
-    gather B^-1 and eta row by row.  Every sum runs over the variable's
-    dimension in one order, so a row's results do not depend on the rows
-    beside it."""
-    cov, eta, mu = belief
-    cuts = []
-    if dense.any():
-        cut = (dense[1:] != dense[:-1]) | (dense[1:] & (ids[1:] != ids[:-1]))
-        cuts = (np.flatnonzero(cut) + 1).tolist()
-    parts = []
-    for a, b in zip([0, *cuts], [*cuts, ids.size]):
-        seg = [probe[..., a:b] for probe in probes]
-        if dense[a]:
-            cov_jac = [np.einsum("ij,ajn->ian", cov[..., ids[a]], probe) for probe in seg]
-            proj = [np.einsum("ain,i->an", probe, mu[:, ids[a]]) for probe in seg]
+def _segments(n_old, dense):
+    """The rows before `n_old` as [start, stop) stretches of about
+    BLOCK_ROWS rows that cut no dense run of either kind, each with every
+    kind's runs inside it, relative to its start.  A stretch is cut short at
+    the start of a run that crosses its end, or holds the runs that overlap
+    it whole."""
+    spans = []  # the dense runs of both kinds, overlapping ones merged
+    for a, b in sorted(run for kind in KINDS for run in dense[kind][0]):
+        if spans and a < spans[-1][1]:
+            spans[-1][1] = max(spans[-1][1], b)
         else:
-            cov_b, eta_b = (np.take(x, ids[a:b], axis=-1) for x in (cov, eta))
-            cov_jac = [np.einsum("ijn,ajn->ian", cov_b, probe) for probe in seg]  # B^-1 J_a'
-            proj = [np.einsum("ian,in->an", cj, eta_b) for cj in cov_jac]
-        gram = [[np.einsum("ain,ibn->abn", probe, cj) for cj in cov_jac] for probe in seg]
-        parts.append((gram, proj))
-    if len(parts) == 1:
-        return parts[0]
-    grams, projs = zip(*parts)
-    n = range(len(probes))
-    gram = [[np.concatenate([g[x][y] for g in grams], axis=-1) for y in n] for x in n]
-    return gram, [np.concatenate([p[x] for p in projs], axis=-1) for x in n]
+            spans.append([a, b])
+    start, k = 0, 0
+    while start < n_old:
+        stop = min(start + BLOCK_ROWS, n_old)
+        while k < len(spans) and spans[k][1] <= stop:
+            k += 1
+        if k < len(spans) and spans[k][0] < stop:
+            stop = spans[k][0] if spans[k][0] > start else spans[k][1]
+        yield start, stop, {
+            kind: [(a - start, b - start) for a, b in dense[kind][0] if start <= a and b <= stop]
+            for kind in KINDS
+        }
+        start = stop
 
 
-def _conditioned(ids, dense, jac, w_eye, w_target, s_sent, v_sent, jac_sent, belief, stale):
-    """(J_E cond^-1 J_E', J_E cond^-1 (w J_E't + input eta), ok) of the rows
-    whose E are `ids`, with the input E's belief (eta, B) less the last
-    message to E, (J_sent' v_sent, J_sent' S_sent J_sent); all
-    component-major, `jac` J_E, and `jac_sent` J_sent of the `stale` rows
-    alone, one column each.  The factor's and the input's rank-2 terms are
-    one fold where J_sent = J_E, and two on the stale rows.  `belief` and
-    `dense` are `_probed`'s."""
-    idx = np.flatnonzero(stale)
-    both = idx.size == stale.size > 1
-    if both:
-        probes, folds = [jac, jac_sent], [(0, w_eye, w_target), (1, -s_sent, -v_sent)]
+# Phase B forms the messages of a stretch of factor rows to both sides at
+# once: an array (entries, 2, n) holds per entry one row of n factors for
+# each receiving side, in the order of KINDS.  A symmetric 2x2 matrix has
+# the entries 00, 01 and 11, a vector two and any other 2x2 matrix 2 x 2.
+
+def _sym_mv(a, x):
+    out = np.empty_like(x)
+    np.multiply(a[0], x[0], out=out[0])
+    out[0] += a[1] * x[1]
+    np.multiply(a[1], x[0], out=out[1])
+    out[1] += a[2] * x[1]
+    return out
+
+
+def _inverse_sum(a, b):
+    """(I + A B)^-1 A, that is (A^-1 + B)^-1, of symmetric A and B in closed
+    form, (A + det(A) adj(B)) / det(I + A B), and the mask of the rows where
+    I + A B has a positive trace and determinant: there A^-1 + B is positive
+    definite for a positive-definite A."""
+    det_a, det_b, trace, cross = a[0] * a[2], b[0] * b[2], a[0] * b[0], a[1] * b[1]
+    det_a -= a[1] * a[1]
+    det_b -= b[1] * b[1]
+    trace += a[2] * b[2]
+    cross *= 2
+    trace += cross
+    det = det_a * det_b
+    det += trace
+    det += 1
+    ok = det > 0
+    ok &= trace > -2
+    if not ok.all():
+        det[~ok] = 1
+    out = np.empty_like(a)
+    np.multiply(det_a, b[2], out=out[0])
+    out[0] += a[0]
+    np.multiply(det_a, b[1], out=out[1])
+    np.subtract(a[1], out[1], out=out[1])
+    np.multiply(det_a, b[0], out=out[2])
+    out[2] += a[2]
+    scale = np.reciprocal(det, out=det)
+    for row in out:
+        row *= scale
+    return out, ok
+
+
+def _fold_in(g, p, m, c):
+    """Add (J' c, J' M J) to a positive-definite information form (eta, B)
+    known by g = J B^-1 J' and p = J B^-1 eta: by Woodbury the new g is
+    (I + g M)^-1 g and the new p (I + g M)^-1 (p + g c) = q - g' M q, q =
+    p + g c.  Also returns where the sum is positive definite."""
+    g_new, ok = _inverse_sum(g, m)
+    q = _sym_mv(g, c)
+    q += p
+    u = _sym_mv(g_new, _sym_mv(m, q))
+    np.subtract(q, u, out=u)
+    return g_new, u, ok
+
+
+def _fold_in_stale(g, p, g_ab, g_bb, p_b, w, w_target, s_sent, v_sent):
+    """`_fold_in` of the factor's (J' w t, J' w J) and then of the input's
+    (-J_b' v_sent, -J_b' S_sent J_b), J_b the old J of a stale row, with
+    g_ab = J B^-1 J_b', g_bb = J_b B^-1 J_b' and p_b = J_b B^-1 eta.  The
+    first fold turns g_ab into h = Y g_ab, Y = (I + w g)^-1 = I - w g', g_bb
+    into g_bb - w g_ab' h and p_b into p_b + g_ab' (w t - w p').  With N =
+    (I + M g_bb)^-1 M, M = -S_sent and c = -v_sent, the second leaves g' -
+    h N h' and p' + h (c - N (p_b + g_bb c))."""
+    g1, p1, ok1 = _fold_in(g, p, np.stack([w, 0 * w, w]), w_target)
+    y0, y1, y2 = 1 - w * g1[0], -w * g1[1], 1 - w * g1[2]
+    (a00, a01), (a10, a11) = g_ab
+    h00, h01 = y0 * a00 + y1 * a10, y0 * a01 + y1 * a11
+    h10, h11 = y1 * a00 + y2 * a10, y1 * a01 + y2 * a11
+    g_bb = np.stack([
+        g_bb[0] - w * (a00 * h00 + a10 * h10),
+        g_bb[1] - w * (a00 * h01 + a10 * h11),
+        g_bb[2] - w * (a01 * h01 + a11 * h11),
+    ])
+    e0, e1 = w_target[0] - w * p1[0], w_target[1] - w * p1[1]
+    q0 = p_b[0] + a00 * e0 + a10 * e1 - (g_bb[0] * v_sent[0] + g_bb[1] * v_sent[1])
+    q1 = p_b[1] + a01 * e0 + a11 * e1 - (g_bb[1] * v_sent[0] + g_bb[2] * v_sent[1])
+    (n0, n1, n2), ok2 = _inverse_sum(-s_sent, g_bb)
+    r0, r1 = -v_sent[0] - (n0 * q0 + n1 * q1), -v_sent[1] - (n1 * q0 + n2 * q1)
+    k00, k01 = h00 * n0 + h01 * n1, h00 * n1 + h01 * n2  # the rows of h N
+    k10, k11 = h10 * n0 + h11 * n1, h10 * n1 + h11 * n2
+    g2 = np.stack([
+        g1[0] - (k00 * h00 + k01 * h01), g1[1] - (k00 * h10 + k01 * h11), g1[2] - (k10 * h10 + k11 * h11),
+    ])
+    return g2, np.stack([p1[0] + h00 * r0 + h01 * r1, p1[1] + h10 * r0 + h11 * r1]), ok1 & ok2
+
+
+def _sum_rows(x, out):
+    """The sum of x over its second-to-last axis into `out`, in ascending
+    order."""
+    np.copyto(out, x[..., 0, :])
+    for i in range(1, x.shape[-2]):
+        out += x[..., i, :]
+    return out
+
+
+def _gram(x, y, out):
+    """x_a . y_b into the rows of `out` for (a, b) = 00, 01, 11, of stacks
+    (2, d, n) of two d-vectors."""
+    _sum_rows(x[0] * y, out[:2])
+    return _sum_rows(x[1] * y[1], out[2])
+
+
+def _cov_jac(jac, ids, belief, runs, proj):
+    """B^-1 J' of each row (2, d, n), and J mu into `proj` (2, n), for its J
+    (2, d, n) and the B^-1 and mu of its variable `ids`, from the kind's
+    component-major (B^-1 (d, d, variables), mu (d, variables)).  Each of
+    `runs`, [start, stop) rows of one variable, takes one matrix product
+    with its B^-1 and its mu; the other rows gather them and sum in
+    ascending order."""
+    cov, mu = belief
+    cov_jac = np.empty(jac.shape, jac.dtype)
+    rest = np.ones(ids.size, dtype=bool)
+    for a, b in runs:
+        cov_jac[..., a:b] = np.ascontiguousarray(cov[..., ids[a]]) @ jac[..., a:b]
+        proj[:, a:b] = mu[:, ids[a]] @ jac[..., a:b]
+        rest[a:b] = False
+    rest = np.flatnonzero(rest) if runs else slice(None)
+    ids = ids[rest]
+    if ids.size:
+        probe = jac[..., rest]
+        gathered = np.take(cov, ids, axis=-1)
+        acc = gathered[:, 0] * probe[:, None, 0]
+        for j in range(1, len(gathered)):
+            acc += gathered[:, j] * probe[:, None, j]
+        cov_jac[..., rest] = acc
+        proj[:, rest] = _sum_rows(probe * np.take(mu, ids, axis=-1), np.empty((2, ids.size), jac.dtype))
+    return cov_jac
+
+
+def _side_terms(ids, runs, jac, jac_sent, belief, out, stale):
+    """The terms of B^-1 that the messages of factor rows need on the side
+    that eliminates E, written into `out`: g = J B^-1 J' (3, n), p = J mu
+    (2, n) and where B^-1 is zero, as where phase C could not invert B,
+    and for the `stale` rows, with their `jac_sent` J_b, J B^-1 J_b' (4, m),
+    J_b B^-1 J_b' (3, m) and J_b mu (2, m).  `ids` are the rows' E, `runs`
+    its dense runs, [start, stop) pairs, `jac` J_E (2, d, n), and `belief`
+    E's kind's (B^-1, mu = B^-1 eta), component-major."""
+    g, p, singular, g_ab, g_bb, p_b = out
+    _gram(jac, _cov_jac(jac, ids, belief, runs, p), g)
+    np.equal(np.take(belief[0][0, 0], ids), 0, out=singular)
+    if stale.all():
+        rows = slice(None)
+    elif stale.any():
+        rows = np.flatnonzero(stale)
+        runs = [(i, j) for i, j in (np.searchsorted(rows, run).tolist() for run in runs) if j > i]
     else:
-        probes, folds = [jac], [(0, w_eye - s_sent, w_target - v_sent)]
-    gram, proj = _probed(belief, ids, dense, probes)
-    ok = True
-    for fold in folds:
-        gram, proj, ok_fold = _fold(gram, proj, *fold)
-        ok = ok & ok_fold
-    g, u = gram[0][0], proj[0]
-    if idx.size and not both:
-        # a lone stale row, among others or alone in its block, is gathered
-        # twice: gathered once, each of its sums would run over one
-        # contiguous vector, which einsum adds in another order than a row's
-        # sums in a block, so its messages would depend on the rows beside it
-        take = np.resize(np.arange(idx.size), max(idx.size, 2))
-        per_row = (ids, dense, jac, w_eye, w_target, s_sent, v_sent)
-        g_s, u_s, ok_s = _conditioned(
-            *(np.take(a, idx[take], axis=-1) for a in per_row),
-            np.take(jac_sent, take, axis=-1), belief, stale[idx[take]],
+        return
+    cov_jac_b = _cov_jac(jac_sent, ids[rows], belief, runs, p_b)
+    _sum_rows(jac[..., rows][:, None] * cov_jac_b, g_ab.reshape(2, 2, -1))  # every pair
+    _gram(jac_sent, cov_jac_b, g_bb)
+
+
+def _new_messages(g, p, w, w_target, sent, stale, stale_terms):
+    """The messages (5, 2, n), S's entries and v, of each side, and where
+    the conditioned block is positive definite, from `_side_terms`, the
+    factors' w and w t and their last messages `sent` (5, 2, n) to the
+    eliminated side: one fold of w I - S_sent and w t - v_sent, or two on
+    the `stale` rows, whose messages were sent with the old J."""
+    n_stale = np.count_nonzero(stale)
+    if n_stale < stale.size:  # every row, though the stale ones are overwritten
+        m = np.negative(sent[:3])
+        m[0] += w
+        m[2] += w
+        new_g, u, ok = _fold_in(g, p, m, w_target - sent[3:])
+    if n_stale:
+        rows = slice(None) if n_stale == stale.size else np.flatnonzero(stale)
+        stale_part = _fold_in_stale(
+            g[..., rows], p[..., rows], *stale_terms, w[:, rows], w_target[..., rows],
+            sent[:3, :, rows], sent[3:, :, rows],
         )
-        g[..., idx], u[:, idx], ok[idx] = g_s[..., : idx.size], u_s[:, : idx.size], ok_s[: idx.size]
-    return g, u, ok
+        if n_stale == stale.size:
+            new_g, u, ok = stale_part
+        else:
+            new_g[..., rows], u[..., rows], ok[:, rows] = stale_part
+    g = new_g
+    out = np.empty((5,) + w.shape, w.dtype)  # w I - w^2 g and w t - w u
+    w_sq = w * w
+    np.multiply(w_sq, g[0], out=out[0])
+    np.subtract(w, out[0], out=out[0])
+    np.multiply(w_sq, g[1], out=out[1])
+    np.negative(out[1], out=out[1])
+    np.multiply(w_sq, g[2], out=out[2])
+    np.subtract(w, out[2], out=out[2])
+    for i in range(2):
+        np.multiply(w, u[i], out=out[3 + i])
+        np.subtract(w_target[i], out[3 + i], out=out[3 + i])
+    return out, ok
 
 
 def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old: int,
@@ -354,56 +473,60 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old:
     the J their messages were last sent with, `dense` each kind's
     `_dense_runs`."""
     n_singular = len(KINDS) * (graph.n_measurement_factors - n_old)
-    damp = np.where(
-        (t - graph.f_last_relin[:n_old]) < schedule.undamped_window, 0.0, schedule.damping
-    ).astype(graph.dtype)
-    eye = np.eye(2, dtype=graph.dtype)[:, :, None]
     stale_rows, jac_old = relinearized
-    # component-major views: per kind its beliefs' B^-1 and eta, with mu =
-    # B^-1 eta where it has dense runs, and the messages to it, which are
-    # overwritten in place
     jac, target = (component_major(a) for a in (graph.f_jac, graph.f_target))
     beliefs = {}
     for kind in KINDS:
         cov, eta = (component_major(graph.var(kind, name)) for name in ("belief_cov", "belief_eta"))
-        beliefs[kind] = cov, eta, np.einsum("ijn,jn->in", cov, eta) if dense[kind][0] else None
+        beliefs[kind] = cov, np.einsum("ijn,jn->in", cov, eta)
+    # the messages to each kind, overwritten in place
     messages = {kind: [component_major(m) for m in graph.message(kind)] for kind in KINDS}
     max_delta = 0.0
-    # blocks of BLOCK_ROWS factors; a factor's messages do not depend on
-    # the block it falls in
-    for start in range(0, n_old, BLOCK_ROWS):
-        rows = slice(start, min(start + BLOCK_ROWS, n_old))
-        w_b = graph.factor_precision(rows)
-        w_target = w_b * target[:, rows]
-        sent = {kind: [m[..., rows] for m in messages[kind]] for kind in KINDS}
+    for start, stop, runs in _segments(n_old, dense):
+        rows, n = slice(start, stop), stop - start
+        w = np.empty((2, n), graph.dtype)  # one row per side
+        w[0] = graph.factor_precision(rows)
+        w[1] = w[0]
+        w_target = np.empty((2, 2, n), graph.dtype)
+        np.multiply(w[0], target[:, rows], out=w_target[:, 0])
+        w_target[:, 1] = w_target[:, 0]
         stale = graph.f_last_relin[rows] == t  # relinearised by phase A
-        jac_sent = jac_old[..., slice(*np.searchsorted(stale_rows, (rows.start, rows.stop)))]
-        new = []
-        # a factor joins one variable of each kind: the message to one side
-        # eliminates the other; both are formed before either is written
-        for keep, elim in zip(KINDS, KINDS[::-1]):
-            ids = graph.adjacent(elim)[rows]
-            (s00, s01, s11), v_sent = sent[elim]
-            g, u, ok = _conditioned(
-                ids, dense[elim][1][rows], jac[:, elim.cols, rows], w_b * eye, w_target,
-                np.array([[s00, s01], [s01, s11]]), v_sent, jac_sent[:, elim.cols],
-                beliefs[elim], stale,
+        jac_sent = jac_old[..., slice(*np.searchsorted(stale_rows, (start, stop)))]
+        # a factor joins one variable of each kind, and its message to one
+        # eliminates the other: side k sends to KINDS[k], and its inputs are
+        # the stored messages to the other kind
+        g, p = np.empty((3, 2, n), graph.dtype), np.empty((2, 2, n), graph.dtype)
+        singular = np.empty((2, n), dtype=bool)
+        m = int(np.count_nonzero(stale))
+        stale_terms = tuple(np.empty((size, 2, m), graph.dtype) for size in (4, 3, 2))
+        for k, elim in enumerate(KINDS[::-1]):
+            _side_terms(
+                graph.adjacent(elim)[rows], runs[elim], jac[:, elim.cols, rows], jac_sent[:, elim.cols],
+                beliefs[elim], (g[:, k], p[:, k], singular[k], *(x[:, k] for x in stale_terms)), stale,
             )
-            w2 = w_b * w_b
-            s = np.stack([w_b - w2 * g[0, 0], -w2 * g[0, 1], w_b - w2 * g[1, 1]])
-            # B^-1 is zero where phase C could not invert B
-            singular = ~ok | (np.take(beliefs[elim][0][0, 0], ids) == 0)
-            new.append((keep, s, w_target - w_b * u, singular))
-        for keep, s, v, singular in new:
-            prev_s, prev_v = sent[keep]
-            v = (1.0 - damp[rows]) * v + damp[rows] * prev_v
-            np.copyto(s, prev_s, where=singular)
-            np.copyto(v, prev_v, where=singular)
-            restart = singular & stale  # the kept message was sent with the old J
-            s[:, restart] = v[:, restart] = 0.0
-            n_singular += int(singular.sum())
-            max_delta = max(max_delta, np.abs(s - prev_s).max(), np.abs(v - prev_v).max())
-            prev_s[...], prev_v[...] = s, v
+        stored = np.empty((5, 2, n), graph.dtype)
+        for k, kind in enumerate(KINDS):
+            s, v = messages[kind]
+            stored[:3, k], stored[3:, k] = s[:, rows], v[:, rows]
+        g_ab, g_bb, p_b = stale_terms
+        new, ok = _new_messages(g, p, w, w_target, stored[:, ::-1], stale, (g_ab.reshape(2, 2, 2, m), g_bb, p_b))
+        singular |= ~ok
+        undamped = t - graph.f_last_relin[rows] < schedule.undamped_window
+        if schedule.damping and not undamped.all():
+            damp = schedule.damping
+            if undamped.any():
+                damp = np.where(undamped, 0.0, damp).astype(graph.dtype)
+            new[3:] *= 1.0 - damp
+            new[3:] += damp * stored[3:]
+        if singular.any():
+            np.copyto(new, stored, where=singular)
+            new[:, singular & stale] = 0.0  # the kept message was sent with the old J
+            n_singular += int(np.count_nonzero(singular))
+        delta = new - stored
+        max_delta = max(max_delta, delta.max(), -delta.min())
+        for k, kind in enumerate(KINDS):
+            s, v = messages[kind]
+            s[:, rows], v[:, rows] = new[:3, k], new[3:, k]
     return n_singular, float(max_delta)
 
 

@@ -51,14 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch_linalg import BLOCK_ROWS, component_major, scatter_sum
-from .camera import (
-    DEPTH_EPSILON,
-    Intrinsics,
-    jacobian_many,
-    left_jacobian,
-    project_many,
-    rotation_matrix,
-)
+from .camera import DEPTH_EPSILON, Intrinsics, camera_terms, jacobian_many, project_many
 from .dataset_io import (
     ProblemSpec, RowError, check_ids, check_measurement_values, check_state_values,
 )
@@ -330,34 +323,38 @@ class FactorGraph:
         information until a later attempt succeeds.
 
         Runs over blocks of `BLOCK_ROWS` of the factors in `idx`, each
-        written into the factor arrays in place.
+        projected from columns of the `camera_terms` table, formed once per
+        keyframe, and written into the factor arrays' component-major bases
+        in place.
         """
         idx = np.asarray(idx, dtype=int)
         ok = np.zeros(idx.size, dtype=bool)
-        # R(w) and J_l(w) once per keyframe, gathered by factor
-        axis_angles = self.kf_state[:, :3]
-        rot_kf, jl_kf = rotation_matrix(axis_angles), left_jacobian(axis_angles)
+        table = camera_terms(self.kf_state)
+        kf_cm, lm_cm, z_cm, lin_cm, jac_cm, target_cm = (component_major(a) for a in (
+            self.kf_state, self.lm_state, self.f_z, self.f_lin, self.f_jac, self.f_target))
         for start in range(0, idx.size, BLOCK_ROWS):
             rows = idx[start : start + BLOCK_ROWS]
-            lin_points = np.concatenate(self.adjacent_states(rows), axis=1)
-            parts = [lin_points[:, kind.cols] for kind in KINDS]
             kf = self.f_kf[rows]
-            rot = rot_kf[kf]
-            uv_hat, depth = project_many(*parts, self.intrinsics, rot)
+            terms, points = np.take(table, kf, axis=1), np.take(lm_cm, self.f_lm[rows], axis=1)
+            uv_hat, depth = project_many(terms.T, points.T, self.intrinsics)
             good = depth > DEPTH_EPSILON
             ok[start : start + BLOCK_ROWS] = good
             if not good.all():  # only the rows in front of the camera; no copies when all are
-                rows, rot, kf, uv_hat, lin_points = (a[good] for a in (rows, rot, kf, uv_hat, lin_points))
-                parts = [part[good] for part in parts]
+                rows, kf, terms, points, uv_hat = rows[good], kf[good], terms[:, good], points[:, good], uv_hat[good]
             if rows.size == 0:
                 continue
-            jac = jacobian_many(*parts, self.intrinsics, rot, jl_kf[kf])
-            residual = self.f_z[rows] - uv_hat
-            mahal = np.linalg.norm(residual, axis=1) / self.f_sigma[rows]
-            self.f_jac[rows] = jac
-            self.f_target[rows] = np.einsum("fij,fj->fi", jac, lin_points) + residual
-            self.f_lin[rows] = lin_points
-            self.f_weight[rows] = huber_weight(mahal, self.huber_nsigma)
+            if rows[-1] - rows[0] == rows.size - 1:  # consecutive: write through views
+                rows = slice(rows[0], rows[-1] + 1)
+            jac = component_major(jacobian_many(terms.T, points.T, self.intrinsics))
+            lin = np.concatenate([np.take(kf_cm, kf, axis=1), points])
+            residual = z_cm[:, rows] - uv_hat.T
+            jac_cm[..., rows] = jac
+            target = jac[:, 0] * lin[0]  # jac lin + residual, jac lin summed in column order
+            for j in range(1, FACTOR_DIM):
+                target += jac[:, j] * lin[j]
+            target_cm[:, rows] = target + residual
+            lin_cm[:, rows] = lin
+            self.f_weight[rows] = huber_weight(_row_norms(residual.T) / self.f_sigma[rows], self.huber_nsigma)
             self.f_valid[rows] = True
         return ok
 
@@ -445,19 +442,20 @@ class FactorGraph:
     def residuals(self):
         """(residuals (F,2), depths (F,)) at current states.  Read-only.
         Projected over blocks of `BLOCK_ROWS` factors into the two arrays,
-        with R(w) formed once per keyframe."""
+        from columns of the `camera_terms` table, formed once per keyframe."""
         if self._projection is not None:
             return self._projection[:2]
         n = self.n_measurement_factors
-        residual, depth = np.empty((n, 2), self.dtype), np.empty(n, self.dtype)
-        rot_kf = rotation_matrix(self.kf_state[:, :3])
+        residual, depth = np.empty((2, n), self.dtype), np.empty(n, self.dtype)
+        table = camera_terms(self.kf_state, jacobian=False)
+        lm_cm, z_cm = component_major(self.lm_state), component_major(self.f_z)
         for start in range(0, n, BLOCK_ROWS):
             rows = slice(start, start + BLOCK_ROWS)
-            uv_hat, depth[rows] = project_many(
-                *self.adjacent_states(rows), self.intrinsics, rot_kf[self.f_kf[rows]]
-            )
-            np.subtract(self.f_z[rows], uv_hat, out=residual[rows])
-        return residual, depth
+            terms = np.take(table, self.f_kf[rows], axis=1)
+            points = np.take(lm_cm, self.f_lm[rows], axis=1)
+            uv_hat, depth[rows] = project_many(terms.T, points.T, self.intrinsics)
+            np.subtract(z_cm[:, rows], uv_hat.T, out=residual[:, rows])
+        return residual.T, depth
 
     def _residual_norms(self):
         """(|residual| (F,), depths (F,)) at current states; read-only, as

@@ -7,6 +7,7 @@ from gbp_ba.camera import (
     DEPTH_EPSILON,
     canonicalize_axis_angle,
     camera_center,
+    camera_terms,
     jacobian_many,
     left_jacobian,
     project_many,
@@ -257,3 +258,124 @@ class TestBatchHelpers:
             c = camera_center(state)
             p = transform_many(state[None], c[None])[0]
             np.testing.assert_allclose(p, np.zeros(3), atol=1e-12)
+
+
+def skew(v):
+    """Cross-product matrices for (..., 3) vectors."""
+    out = np.zeros(v.shape[:-1] + (3, 3), v.dtype)
+    out[..., 0, 1], out[..., 0, 2], out[..., 1, 2] = -v[..., 2], v[..., 1], -v[..., 0]
+    out[..., 1, 0], out[..., 2, 0], out[..., 2, 1] = v[..., 2], -v[..., 1], v[..., 0]
+    return out
+
+
+def reference_so3(w):
+    """R(w) and J_l(w) row by row from the skew matrix, I + c1 [w]x + c2
+    [w]x^2, with the series below 1e-8."""
+    theta2 = np.sum(w * w, axis=-1)
+    theta = np.sqrt(theta2)
+    small = theta < 1e-8
+    safe, safe2 = np.where(small, 1.0, theta), np.where(small, 1.0, theta2)
+    a = np.where(small, 1.0 - theta2 / 6.0, np.sin(theta) / safe)
+    b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(theta)) / safe2)
+    c = np.where(small, 1.0 / 6.0 - theta2 / 120.0, (theta - np.sin(theta)) / (safe2 * safe))
+    wx = skew(w)
+    wx2 = wx @ wx
+    eye = np.eye(3, dtype=w.dtype)
+    return (eye + a[..., None, None] * wx + b[..., None, None] * wx2,
+            eye + b[..., None, None] * wx + c[..., None, None] * wx2)
+
+
+def reference_camera(states, points, k):
+    """Pixels, depths and 2x9 Jacobians row by row: p = R l + t by einsum,
+    d(pixel)/dp = D, and the blocks D (-[R l]_x J_l), D and D R."""
+    rot, jl = reference_so3(states[:, :3])
+    rl = np.einsum("nij,nj->ni", rot, points)
+    p = rl + states[:, 3:]
+    z = p[:, 2]
+    safe = np.where(np.abs(z) > DEPTH_EPSILON, z, 1.0)
+    uv = np.stack([k.fx * p[:, 0] / safe + k.cx, k.fy * p[:, 1] / safe + k.cy], axis=1)
+    dpix = np.zeros((len(z), 2, 3), z.dtype)
+    dpix[:, 0, 0], dpix[:, 0, 2] = k.fx / safe, -k.fx * p[:, 0] / safe**2
+    dpix[:, 1, 1], dpix[:, 1, 2] = k.fy / safe, -k.fy * p[:, 1] / safe**2
+    jac = np.concatenate([dpix @ (-skew(rl) @ jl), dpix, dpix @ rot], axis=2)
+    return uv, z, jac
+
+
+class TestColumnKernel:
+    """`project_many` and `jacobian_many` are one column-major kernel; these
+    check it against the per-row formulas above at the edges of its cases."""
+
+    @staticmethod
+    def configs(rng, magnitudes):
+        """Keyframe states with the given rotation magnitudes about random
+        axes, and points in front of them at depths 0.5-3."""
+        axes = rng.normal(size=(len(magnitudes), 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        states = np.hstack([axes * np.asarray(magnitudes)[:, None], rng.normal(0, 0.3, (len(magnitudes), 3))])
+        rot, _ = reference_so3(states[:, :3])
+        cam = np.column_stack([rng.normal(0, 0.5, (len(magnitudes), 2)), rng.uniform(0.5, 3, len(magnitudes))])
+        points = np.einsum("nji,nj->ni", rot, cam - states[:, 3:])  # R' (p - t)
+        return states, points
+
+    @staticmethod
+    def assert_rows_close(got, want, rtol):
+        """Each row within rtol of its largest entry."""
+        scale = np.abs(want).reshape(len(want), -1).max(axis=1)
+        err = np.abs(got - want).reshape(len(want), -1).max(axis=1)
+        assert np.all(err <= rtol * scale), (err / scale).max()
+
+    @pytest.mark.parametrize("magnitudes", [
+        [0.0, 1e-12, 3e-9, 9.9e-9],  # the series branch
+        [1.01e-8, 1e-6, 1e-3, 0.5],
+        [np.pi - 1e-3, np.pi - 1e-9, np.pi, 2.0],  # near pi
+    ])
+    def test_matches_per_row_formulas(self, magnitudes):
+        states, points = self.configs(np.random.default_rng(31), magnitudes * 25)
+        uv, depth, jac = reference_camera(states, points, K_VGA)
+        got_uv, got_depth = project_many(states, points, K_VGA)
+        self.assert_rows_close(got_uv, uv, 1e-12)
+        self.assert_rows_close(got_depth[:, None], depth[:, None], 1e-12)
+        self.assert_rows_close(jacobian_many(states, points, K_VGA), jac, 1e-12)
+        for got, want in zip(reference_so3(states[:, :3]), (rotation_matrix, left_jacobian)):
+            self.assert_rows_close(want(states[:, :3]), got, 1e-12)
+
+    def test_depth_at_the_epsilon(self):
+        # just in front of and behind DEPTH_EPSILON only the depth counts:
+        # the pixels and Jacobians of rows at or behind it are garbage
+        states, points = self.configs(np.random.default_rng(32), [0.3] * 6)
+        rot, _ = reference_so3(states[:, :3])
+        depths = DEPTH_EPSILON * np.array([1 - 1e-6, 1 + 1e-6, 1 - 1e-3, 1 + 1e-3, 0.5, 2.0])
+        cam = np.column_stack([np.full((6, 2), 1e-7), depths])
+        points = np.einsum("nji,nj->ni", rot, cam - states[:, 3:])
+        _, depth, _ = reference_camera(states, points, K_VGA)
+        _, got = project_many(states, points, K_VGA)
+        # the depth is R l + t less cancellation, so its error scales with
+        # the terms summed
+        scale = np.linalg.norm(points, axis=1) + np.linalg.norm(states[:, 3:], axis=1)
+        assert np.all(np.abs(got - depth) <= 1e-12 * scale)
+        np.testing.assert_array_equal(got <= DEPTH_EPSILON, depth <= DEPTH_EPSILON)
+        assert np.all(np.isfinite(jacobian_many(states, points, K_VGA)))
+
+    def test_float32(self):
+        states, points = self.configs(np.random.default_rng(33), [1e-9, 0.4, 2.5, np.pi - 1e-3] * 25)
+        states, points = states.astype(np.float32), points.astype(np.float32)
+        uv, depth, jac = reference_camera(states, points, K_VGA)
+        got_uv, got_depth = project_many(states, points, K_VGA)
+        got_jac = jacobian_many(states, points, K_VGA)
+        assert got_uv.dtype == got_depth.dtype == got_jac.dtype == np.float32
+        eps = float(np.finfo(np.float32).eps)
+        self.assert_rows_close(got_uv, uv, 64 * eps)
+        self.assert_rows_close(got_depth[:, None], depth[:, None], 64 * eps)
+        self.assert_rows_close(got_jac, jac, 64 * eps)
+
+    def test_gathered_terms_equal_per_row_states(self):
+        # the (N, 21) view of a per-keyframe table's gathered columns gives
+        # the per-row results bit for bit
+        states, points = self.configs(np.random.default_rng(34), [0.2, 1.0, 3.0])
+        rows = np.array([0, 2, 1, 1, 0])
+        table = camera_terms(states)
+        terms = np.take(table, rows, axis=1).T
+        for got, want in zip(project_many(terms, points[rows], K_VGA), project_many(states[rows], points[rows], K_VGA)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            jacobian_many(terms, points[rows], K_VGA), jacobian_many(states[rows], points[rows], K_VGA))

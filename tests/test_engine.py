@@ -182,13 +182,13 @@ def test_relinearisation_round_with_an_aborted_row_matches_scalar_path(monkeypat
     # are unchanged, so it stays on the one-solve path of the rows that
     # phase A left alone, and relinearises the rest
     stale = []
-    conditioned = engine._conditioned
+    side_terms = engine._side_terms
 
     def recording(*args):
         stale.append(args[-1].copy())
-        return conditioned(*args)
+        return side_terms(*args)
 
-    monkeypatch.setattr(engine, "_conditioned", recording)
+    monkeypatch.setattr(engine, "_side_terms", recording)
     graph = perturbed_graph()
     schedule = ScheduleParams()
     run(graph, schedule, n=10)
@@ -198,7 +198,8 @@ def test_relinearisation_round_with_an_aborted_row_matches_scalar_path(monkeypat
     _, n_singular, report = check_round(graph, schedule, np.arange(graph.n_measurement_factors))
     assert (report.n_relinearized, report.n_relin_aborted) == (graph.n_measurement_factors - 1, 1)
     assert n_singular == report.n_singular_messages
-    # per side, one call over every row and one over the stale rows
+    # per side, one call over every row
+    assert len(stale) == 2
     top = [mask for mask in stale if mask.size == graph.n_measurement_factors]
     assert len(top) == 2
     for mask in top:
@@ -429,13 +430,13 @@ def test_first_round_factors_skip_the_message_kernel(monkeypatch):
     # in the round after build every factor is in its first round: each
     # keeps its zero messages, counted singular, and none is solved
     rows = []
-    conditioned = engine._conditioned
+    side_terms = engine._side_terms
 
-    def counting(cov, *args):
-        rows.append(cov.shape[-1])
-        return conditioned(cov, *args)
+    def counting(ids, *args):
+        rows.append(ids.shape[-1])
+        return side_terms(ids, *args)
 
-    monkeypatch.setattr(engine, "_conditioned", counting)
+    monkeypatch.setattr(engine, "_side_terms", counting)
     graph = perturbed_graph()
     report = iterate(graph)
     assert sum(rows) == 0
