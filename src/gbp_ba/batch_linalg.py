@@ -37,7 +37,12 @@ PIVOT_RTOL = 1e-12
 # consecutive rows of one variable, as a keyframe's, by that variable
 # instead: phase B multiplies each whole run's J by its own B^-1, and phase
 # C sums each whole run in one matrix product, so neither depends on the
-# block size (phase B's stretches of rows end where no run is cut).  A run
+# block size (phase B's stretches of rows end where no run is cut).  Their
+# temporaries are therefore bounded by the longest run where it is longer
+# than BLOCK_ROWS, not by BLOCK_ROWS: phase B holds about 650 B per row of
+# its longest stretch in a plain float64 round, so 2 keyframes of 15,000
+# points each take 9.3 MB, 326 B per factor, where 20 keyframes of 1,500
+# points take 3.7 MB, 128 B per factor.  A run
 # costs some tens of us of calls in each phase, so a short run is cheaper
 # row by row: phases B and C together break even between 112 and 128 rows
 # per run (12k-factor scenes of 64-320 rows per keyframe, 2 vCPU, one BLAS

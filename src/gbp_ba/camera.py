@@ -152,12 +152,16 @@ def camera_terms(kf_states: np.ndarray, jacobian: bool = True) -> np.ndarray:
 
 def _columns(kf_states, points, jacobian: bool):
     """The camera terms and points of (N, 6) states or their rows of
-    `camera_terms`, and (N, 3) points, as component-major columns."""
+    `camera_terms` (N, 21), or (N, 12) without J_l where no Jacobian is
+    formed, and (N, 3) points, as component-major columns."""
     kf_states, points = (np.atleast_2d(_as_float(x)) for x in (kf_states, points))
-    terms = kf_states.T
+    widths = (6, 21) if jacobian else (6, 12, 21)
+    if kf_states.shape[-1] not in widths:
+        raise ValueError(f"keyframe rows (states or camera_terms rows) must be {widths} wide, "
+                         f"got {kf_states.shape[-1]}")
     if kf_states.shape[-1] == 6:
-        terms = camera_terms(kf_states, jacobian)
-    return terms, points.T
+        return camera_terms(kf_states, jacobian), points.T
+    return kf_states.T, points.T
 
 
 def _rotated(terms, points):
@@ -224,8 +228,9 @@ def jacobian_many(
     kf_states: np.ndarray, points: np.ndarray, k: Intrinsics
 ) -> np.ndarray:
     """Batch 2x9 measurement Jacobians (N, 2, 9) at the given states (no
-    depth check), with `kf_states` as for `project_many`.  The result is
-    the view of a component-major (2, 9, N) array."""
+    depth check), with `kf_states` (N, 6) states or their (N, 21) rows of
+    `camera_terms`.  The result is the view of a component-major (2, 9, N)
+    array."""
     terms, points = _columns(kf_states, points, True)
     jac = np.empty((2, 9, points.shape[-1]), np.result_type(terms, points))
     _pixels(terms, points, k, jac)

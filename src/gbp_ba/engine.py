@@ -253,7 +253,8 @@ def _segments(n_old, dense):
     BLOCK_ROWS rows that cut no dense run of either kind, each with every
     kind's runs inside it, relative to its start.  A stretch is cut short at
     the start of a run that crosses its end, or holds the runs that overlap
-    it whole."""
+    it whole: a run longer than BLOCK_ROWS makes a stretch as long, and
+    phase B's temporaries grow with it."""
     spans = []  # the dense runs of both kinds, overlapping ones merged
     for a, b in sorted(run for kind in KINDS for run in dense[kind][0]):
         if spans and a < spans[-1][1]:
@@ -299,11 +300,12 @@ def _inverse_sum(a, b):
     trace += a[2] * b[2]
     cross *= 2
     trace += cross
-    det = det_a * det_b
+    det = np.multiply(det_a, det_b, out=det_b)
     det += trace
     det += 1
     ok = det > 0
     ok &= trace > -2
+    del trace, cross  # freed before `out`: a stretch of stale rows peaks in here
     if not ok.all():
         det[~ok] = 1
     out = np.empty_like(a)
@@ -332,7 +334,7 @@ def _fold_in(g, p, m, c):
     return g_new, u, ok
 
 
-def _fold_in_stale(g, p, g_ab, g_bb, p_b, w, w_target, s_sent, v_sent):
+def _fold_in_stale(g_ab, g_bb, p_b, g, p, w, w_target, s_sent, v_sent):
     """`_fold_in` of the factor's (J' w t, J' w J) and then of the input's
     (-J_b' v_sent, -J_b' S_sent J_b), J_b the old J of a stale row, with
     g_ab = J B^-1 J_b', g_bb = J_b B^-1 J_b' and p_b = J_b B^-1 eta.  The
@@ -340,11 +342,14 @@ def _fold_in_stale(g, p, g_ab, g_bb, p_b, w, w_target, s_sent, v_sent):
     into g_bb - w g_ab' h and p_b into p_b + g_ab' (w t - w p').  With N =
     (I + M g_bb)^-1 M, M = -S_sent and c = -v_sent, the second leaves g' -
     h N h' and p' + h (c - N (p_b + g_bb c))."""
-    g1, p1, ok1 = _fold_in(g, p, np.stack([w, 0 * w, w]), w_target)
+    # the stale rows can be a whole stretch: the temporaries of the first
+    # fold are dropped before the second, and g' and p' take it in place
+    g1, p1, ok = _fold_in(g, p, np.stack([w, 0 * w, w]), w_target)
     y0, y1, y2 = 1 - w * g1[0], -w * g1[1], 1 - w * g1[2]
     (a00, a01), (a10, a11) = g_ab
     h00, h01 = y0 * a00 + y1 * a10, y0 * a01 + y1 * a11
     h10, h11 = y1 * a00 + y2 * a10, y1 * a01 + y2 * a11
+    del y0, y1, y2
     g_bb = np.stack([
         g_bb[0] - w * (a00 * h00 + a10 * h10),
         g_bb[1] - w * (a00 * h01 + a10 * h11),
@@ -353,14 +358,21 @@ def _fold_in_stale(g, p, g_ab, g_bb, p_b, w, w_target, s_sent, v_sent):
     e0, e1 = w_target[0] - w * p1[0], w_target[1] - w * p1[1]
     q0 = p_b[0] + a00 * e0 + a10 * e1 - (g_bb[0] * v_sent[0] + g_bb[1] * v_sent[1])
     q1 = p_b[1] + a01 * e0 + a11 * e1 - (g_bb[1] * v_sent[0] + g_bb[2] * v_sent[1])
+    del e0, e1
     (n0, n1, n2), ok2 = _inverse_sum(-s_sent, g_bb)
+    del g_bb
+    ok &= ok2
     r0, r1 = -v_sent[0] - (n0 * q0 + n1 * q1), -v_sent[1] - (n1 * q0 + n2 * q1)
     k00, k01 = h00 * n0 + h01 * n1, h00 * n1 + h01 * n2  # the rows of h N
     k10, k11 = h10 * n0 + h11 * n1, h10 * n1 + h11 * n2
-    g2 = np.stack([
-        g1[0] - (k00 * h00 + k01 * h01), g1[1] - (k00 * h10 + k01 * h11), g1[2] - (k10 * h10 + k11 * h11),
-    ])
-    return g2, np.stack([p1[0] + h00 * r0 + h01 * r1, p1[1] + h10 * r0 + h11 * r1]), ok1 & ok2
+    g1[0] -= k00 * h00 + k01 * h01
+    g1[1] -= k00 * h10 + k01 * h11
+    g1[2] -= k10 * h10 + k11 * h11
+    p1[0] += h00 * r0
+    p1[0] += h01 * r1
+    p1[1] += h10 * r0
+    p1[1] += h11 * r1
+    return g1, p1, ok
 
 
 def _sum_rows(x, out):
@@ -417,15 +429,12 @@ def _side_terms(ids, runs, jac, jac_sent, belief, out, stale):
     g, p, singular, g_ab, g_bb, p_b = out
     _gram(jac, _cov_jac(jac, ids, belief, runs, p), g)
     np.equal(np.take(belief[0][0, 0], ids), 0, out=singular)
-    if stale.all():
-        rows = slice(None)
-    elif stale.any():
-        rows = np.flatnonzero(stale)
-        runs = [(i, j) for i, j in (np.searchsorted(rows, run).tolist() for run in runs) if j > i]
-    else:
+    if not stale.any():
         return
+    rows = np.flatnonzero(stale)
+    runs = [(i, j) for i, j in (np.searchsorted(rows, run).tolist() for run in runs) if j > i]
     cov_jac_b = _cov_jac(jac_sent, ids[rows], belief, runs, p_b)
-    _sum_rows(jac[..., rows][:, None] * cov_jac_b, g_ab.reshape(2, 2, -1))  # every pair
+    _sum_rows(np.take(jac, rows, axis=-1)[:, None] * cov_jac_b, g_ab.reshape(2, 2, -1))  # every pair
     _gram(jac_sent, cov_jac_b, g_bb)
 
 
@@ -435,23 +444,21 @@ def _new_messages(g, p, w, w_target, sent, stale, stale_terms):
     factors' w and w t and their last messages `sent` (5, 2, n) to the
     eliminated side: one fold of w I - S_sent and w t - v_sent, or two on
     the `stale` rows, whose messages were sent with the old J."""
-    n_stale = np.count_nonzero(stale)
-    if n_stale < stale.size:  # every row, though the stale ones are overwritten
-        m = np.negative(sent[:3])
+    rows = np.flatnonzero(stale)
+    if rows.size:  # first, so that the temporaries of the two never meet
+        # np.take keeps the gathered rows the last, contiguous axis, where
+        # x[..., rows] would lay them out first and slow every step
+        stale_part = _fold_in_stale(
+            *stale_terms, *(np.take(x, rows, axis=-1) for x in (g, p, w, w_target, sent[:3], sent[3:])))
+    if rows.size == stale.size:  # no row takes the one fold
+        g, u, ok = stale_part
+    else:
+        m = np.negative(sent[:3])  # every row, though the stale ones are overwritten
         m[0] += w
         m[2] += w
-        new_g, u, ok = _fold_in(g, p, m, w_target - sent[3:])
-    if n_stale:
-        rows = slice(None) if n_stale == stale.size else np.flatnonzero(stale)
-        stale_part = _fold_in_stale(
-            g[..., rows], p[..., rows], *stale_terms, w[:, rows], w_target[..., rows],
-            sent[:3, :, rows], sent[3:, :, rows],
-        )
-        if n_stale == stale.size:
-            new_g, u, ok = stale_part
-        else:
-            new_g[..., rows], u[..., rows], ok[:, rows] = stale_part
-    g = new_g
+        g, u, ok = _fold_in(g, p, m, w_target - sent[3:])
+        if rows.size:
+            g[..., rows], u[..., rows], ok[:, rows] = stale_part
     out = np.empty((5,) + w.shape, w.dtype)  # w I - w^2 g and w t - w u
     w_sq = w * w
     np.multiply(w_sq, g[0], out=out[0])
@@ -511,13 +518,11 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old:
         g_ab, g_bb, p_b = stale_terms
         new, ok = _new_messages(g, p, w, w_target, stored[:, ::-1], stale, (g_ab.reshape(2, 2, 2, m), g_bb, p_b))
         singular |= ~ok
-        undamped = t - graph.f_last_relin[rows] < schedule.undamped_window
-        if schedule.damping and not undamped.all():
-            damp = schedule.damping
-            if undamped.any():
-                damp = np.where(undamped, 0.0, damp).astype(graph.dtype)
-            new[3:] *= 1.0 - damp
-            new[3:] += damp * stored[3:]
+        damp = np.where(
+            t - graph.f_last_relin[rows] < schedule.undamped_window, 0.0, schedule.damping
+        ).astype(graph.dtype)
+        new[3:] *= 1.0 - damp
+        new[3:] += damp * stored[3:]
         if singular.any():
             np.copyto(new, stored, where=singular)
             new[:, singular & stale] = 0.0  # the kept message was sent with the old J

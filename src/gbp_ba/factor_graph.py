@@ -343,7 +343,7 @@ class FactorGraph:
                 rows, kf, terms, points, uv_hat = rows[good], kf[good], terms[:, good], points[:, good], uv_hat[good]
             if rows.size == 0:
                 continue
-            if rows[-1] - rows[0] == rows.size - 1:  # consecutive: write through views
+            if (np.diff(rows) == 1).all():  # consecutive: write through views
                 rows = slice(rows[0], rows[-1] + 1)
             jac = component_major(jacobian_many(terms.T, points.T, self.intrinsics))
             lin = np.concatenate([np.take(kf_cm, kf, axis=1), points])

@@ -379,3 +379,15 @@ class TestColumnKernel:
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(
             jacobian_many(terms, points[rows], K_VGA), jacobian_many(states[rows], points[rows], K_VGA))
+
+    def test_rows_of_another_width_are_rejected(self):
+        # states are 6 wide and table rows 21, or 12 without J_l where only
+        # projecting; J_l cannot come from 12-wide rows
+        states, points = self.configs(np.random.default_rng(35), [0.2, 1.0])
+        terms = camera_terms(states).T
+        np.testing.assert_array_equal(project_many(terms[:, :12], points, K_VGA)[0], project_many(states, points, K_VGA)[0])
+        with pytest.raises(ValueError, match="wide"):
+            jacobian_many(terms[:, :12], points, K_VGA)
+        for width in (3, 7, 20):
+            with pytest.raises(ValueError, match="wide"):
+                project_many(terms[:, :width], points, K_VGA)

@@ -611,6 +611,23 @@ def test_per_keyframe_camera_terms_match_per_row_calls(dtype):
     np.testing.assert_array_equal(graph.f_jac[idx], want)
 
 
+def test_linearize_factors_does_not_depend_on_the_order_of_idx():
+    # rows given out of order, or twice, land in their own rows: a block
+    # whose first and last rows span its size is not contiguous for that
+    problem = perturb(synthesize(4, 30, seed=21, pixel_sigma=0.5), 0.05, "backproject", seed=22)
+    graphs = [build(problem) for _ in range(2)]
+    for graph in graphs:
+        run(graph, ScheduleParams(), n=3)
+    n = graphs[0].n_measurement_factors
+    shuffled = np.concatenate([[0], np.random.default_rng(5).permutation(np.arange(1, n - 2)), [1, n - 1]])
+    idx = np.unique(shuffled)
+    ok = graphs[0].linearize_factors(idx)
+    np.testing.assert_array_equal(graphs[1].linearize_factors(shuffled), ok[np.searchsorted(idx, shuffled)])
+    for field in FACTOR_FIELDS:
+        name = f"f_{field.name}"
+        np.testing.assert_array_equal(getattr(graphs[1], name), getattr(graphs[0], name), err_msg=name)
+
+
 def test_huber_keeps_dtype_and_disables_at_infinite_threshold():
     mahal = np.array([0.0, 1.0, 2.0, 3.0, 50.0], np.float32)
     assert huber_weight(mahal, 2.0).dtype == np.float32
