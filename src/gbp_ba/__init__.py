@@ -1,9 +1,11 @@
 """Gaussian belief propagation for bundle adjustment.
 
-A factor graph of keyframes and landmarks is solved by synchronous,
-bulk-synchronous-parallel message passing in information form, with Huber
-robust factors, local relinearisation, message damping and automatically
-generated weakening priors.  A dense MAP/marginal oracle and an internal
+A factor graph of keyframes and landmarks, held as one columnar layout of
+stacked per-node arrays (`FactorGraph`), is solved by synchronous,
+bulk-synchronous-parallel message passing in information form, three
+vectorised phases per round over those arrays, with Huber robust factors,
+local relinearisation, message damping and automatically generated
+weakening priors.  A dense MAP/marginal oracle and an internal
 Levenberg-Marquardt baseline verify every claim the solver makes.
 """
 
@@ -26,7 +28,6 @@ from .dense_oracle import (
     OracleScaleError,
     SingularSystemError,
     assemble,
-    finite_diff_jacobian,
     lm_solve,
     map_solve,
     marginals,
@@ -36,7 +37,6 @@ from .engine import (
     ScheduleParams,
     SolveReport,
     iterate,
-    pairwise_message,
     run,
     solve,
 )
@@ -46,14 +46,6 @@ from .factor_graph import (
     build,
     huber_energy,
     huber_weight,
-)
-from .info_gaussian import (
-    DimensionMismatchError,
-    InfoGaussian,
-    SingularMarginalizationError,
-    marginalize_onto,
-    product,
-    quotient,
 )
 
 __version__ = "0.1.0"

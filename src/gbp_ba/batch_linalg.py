@@ -35,20 +35,20 @@ PIVOT_RTOL = 1e-12
 # round's extra heap then passes 400 B per factor (2 vCPU, one BLAS thread).
 # Phases B and C take the rows of dense runs, at least DENSE_RUN_ROWS
 # consecutive rows of one variable, as a keyframe's, by that variable
-# instead: phase B multiplies each whole run's J by its own B^-1, and phase
-# C sums each whole run in one matrix product, so neither depends on the
-# block size (phase B's stretches of rows end where no run is cut).  Their
-# temporaries are therefore bounded by the longest run where it is longer
-# than BLOCK_ROWS, not by BLOCK_ROWS: phase B holds about 650 B per row of
-# its longest stretch in a plain float64 round, so 2 keyframes of 15,000
-# points each take 9.3 MB, 326 B per factor, where 20 keyframes of 1,500
-# points take 3.7 MB, 128 B per factor.  A run
-# costs some tens of us of calls in each phase, so a short run is cheaper
-# row by row: phases B and C together break even between 112 and 128 rows
-# per run (12k-factor scenes of 64-320 rows per keyframe, 2 vCPU, one BLAS
-# thread), and a run is dense from 128.
+# instead: phase B multiplies the J of each piece of a run by the variable's
+# own B^-1, and phase C sums each piece in one matrix product.  The pieces
+# are cut every DENSE_RUN_PIECE rows from the run's start, so neither phase
+# depends on the block size (phase B's stretches of rows end where no piece
+# is cut), and their temporaries are bounded by the longer of BLOCK_ROWS
+# and DENSE_RUN_PIECE, not by the longest run: phase B holds about 650 B per
+# row of its longest stretch in a plain float64 round.  A run costs some
+# tens of us of calls in each phase, so a short run is cheaper row by row:
+# phases B and C together break even between 112 and 128 rows per run
+# (12k-factor scenes of 64-320 rows per keyframe, 2 vCPU, one BLAS thread),
+# and a run is dense from 128.
 BLOCK_ROWS = 6144
 DENSE_RUN_ROWS = 128
+DENSE_RUN_PIECE = 6144
 
 
 def component_major(stack: np.ndarray) -> np.ndarray:

@@ -104,11 +104,6 @@ def rotation_matrix(w: np.ndarray) -> np.ndarray:
     return _matrices(_so3(np.moveaxis(_as_float(w), -1, 0), False)[0])
 
 
-def left_jacobian(w: np.ndarray) -> np.ndarray:
-    """SO(3) left Jacobian J_l(w) for (..., 3) angle-axis vectors."""
-    return _matrices(_so3(np.moveaxis(_as_float(w), -1, 0), True)[1])
-
-
 def canonicalize_axis_angle(w: np.ndarray) -> np.ndarray:
     """Wrap (..., 3) angle-axis vectors so the magnitude lies in [0, pi]."""
     w = _as_float(w)
@@ -202,12 +197,6 @@ def _pixels(terms, points, k: Intrinsics, jac=None):
             jac[r, 3 + r] = d_diag
             jac[r, 5] = d_z
     return uv, depth
-
-
-def transform_many(kf_states: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Camera-frame coordinates R(w) @ l + t for stacked states/points (N, 6)/(N, 3)."""
-    terms, points = _columns(kf_states, points, False)
-    return (_rotated(terms, points) + terms[9:12]).T
 
 
 def project_many(

@@ -478,9 +478,6 @@ def synthesize(
     trajectory: str = "arc",
     vis_radius: float = 3.0,
     pixel_sigma: float = 1.0,
-    model_sigma: float = 1.0,
-    image_size: tuple[int, int] = IMAGE_SIZE,
-    intrinsics: Intrinsics = DEFAULT_INTRINSICS,
 ) -> ProblemSpec:
     """Generate a desk-scale scene with ground truth.
 
@@ -488,14 +485,15 @@ def synthesize(
     sit on a wide arc of radius 1.2 m around the box (or a straight dolly
     line in front of it) facing its centre, so every view carries depth
     diversity and pairs of views triangulate landmarks at wide angles.
-    Measurements are the projections of landmarks that fall inside the image
-    with positive depth and within `vis_radius` of the camera, plus isotropic
-    Gaussian pixel noise of std `pixel_sigma`.  Landmarks seen fewer than
-    twice are discarded.  Everything is deterministic in the seed.
+    Measurements are the projections of landmarks that fall inside the
+    IMAGE_SIZE image of DEFAULT_INTRINSICS with positive depth and within
+    `vis_radius` of the camera, plus isotropic Gaussian pixel noise of std
+    `pixel_sigma`.  Landmarks seen fewer than twice are discarded.
+    Everything is deterministic in the seed.
 
-    `model_sigma` is the measurement-noise model written into the problem
-    (the sigma column); it is deliberately independent of the injected noise,
-    as a solver never knows the true noise of its front end.
+    The measurement-noise model written into the problem (the sigma column)
+    is 1 px, deliberately independent of the injected noise, as a solver
+    never knows the true noise of its front end.
     """
     if n_keyframes < 1 or n_landmarks < 1:
         raise GenerationError("need at least one keyframe and one landmark")
@@ -519,10 +517,10 @@ def synthesize(
 
     kf_gt = np.stack([_look_at(c, box_center) for c in centers])
 
-    width, height = image_size
+    width, height = IMAGE_SIZE
     meas = []
     for i in range(n_keyframes):
-        uv, depth = project_many(np.repeat(kf_gt[i : i + 1], n_landmarks, axis=0), landmarks, intrinsics)
+        uv, depth = project_many(np.repeat(kf_gt[i : i + 1], n_landmarks, axis=0), landmarks, DEFAULT_INTRINSICS)
         dist = np.linalg.norm(landmarks - centers[i], axis=1)
         visible = (
             (depth > 0.1)
@@ -552,7 +550,7 @@ def synthesize(
         uv = uv + rng.normal(0.0, pixel_sigma, size=uv.shape)
 
     return ProblemSpec(
-        intrinsics=intrinsics,
+        intrinsics=DEFAULT_INTRINSICS,
         kf_init=kf_gt.copy(),
         lm_init=landmarks.copy(),
         kf_gt=kf_gt,
@@ -560,13 +558,12 @@ def synthesize(
         meas_kf=meas[:, 0].astype(int),
         meas_lm=remap[meas[:, 1].astype(int)],
         meas_uv=uv,
-        meas_sigma=np.full(meas.shape[0], float(model_sigma)),
+        meas_sigma=np.ones(meas.shape[0]),
         metadata={
             "generator": "synthesize",
             "seed": str(seed),
             "trajectory": trajectory,
             "pixel_sigma": _fmt(pixel_sigma),
-            "model_sigma": _fmt(model_sigma),
             "vis_radius": _fmt(vis_radius),
         },
     )

@@ -2,12 +2,12 @@
 
 Assembles the full stacked information form of a (linearised) graph, solves
 the MAP system by dense factorisation, recovers exact per-variable marginals,
-and provides a Levenberg-Marquardt baseline plus finite difference
-Jacobians.  The baseline is not independent of the graph: each of its steps
-takes the linearisation of `FactorGraph.linearize_factors` and the normal
-equations of `assemble`, the code the oracle uses, so it minimises exactly
-the graph's objective; the camera math under both stays checked against
-finite differences.  Everything here trades speed for trustworthiness: the
+and provides a Levenberg-Marquardt baseline.  The baseline is not
+independent of the graph: each of its steps takes the linearisation of
+`FactorGraph.linearize_factors` and the normal equations of `assemble`, the
+code the oracle uses, so it minimises exactly the graph's objective; the
+camera math under both is checked against finite differences in the
+tests.  Everything here trades speed for trustworthiness: the
 marginal oracle refuses systems beyond a configurable size because it exists
 for desk-scale verification, not production.
 """
@@ -150,18 +150,6 @@ def marginals(system: DenseSystem, max_dim: int = MARGINALS_MAX_DIM):
         for j in range(system.n_lm)
     ]
     return kf, lm
-
-
-def finite_diff_jacobian(fun, point: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of `fun` at `point`, one column per input
-    dimension.  Exceptions from `fun` (e.g. behind-camera) propagate."""
-    point = np.asarray(point, float).reshape(-1)
-    cols = []
-    for i in range(point.shape[0]):
-        delta = np.zeros_like(point)
-        delta[i] = step
-        cols.append((np.asarray(fun(point + delta)) - np.asarray(fun(point - delta))) / (2 * step))
-    return np.stack(cols, axis=-1)
 
 
 # --------------------------------------------------------------------- LM

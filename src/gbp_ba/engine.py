@@ -39,19 +39,20 @@ of the factor's 9-vector:
      run over the rows before those born this round.  v is damped against
      the previous v outside the undamped window after a relinearisation,
      which holds at least that round, so both were sent with the current
-     J_K.  Phase B walks stretches of about `BLOCK_ROWS` rows that cut no
-     dense run, at least `DENSE_RUN_ROWS` consecutive rows that share their
-     variable E, as a keyframe's do, and forms both sides' messages of a
-     stretch before it writes either, each step one vector operation.  A
-     run's B^-1 J_E' is one matrix product with E's own B^-1 over the whole
-     run, and J_E mu_E one with mu_E = B^-1 eta_E, formed once per variable;
-     the other rows gather B^-1 and mu.  Every other sum is taken row by row
-     in a fixed order, so no message depends on BLOCK_ROWS.  Runs are found
-     each round by comparing neighbouring rows' ids;
+     J_K.  A dense run is at least `DENSE_RUN_ROWS` consecutive rows that
+     share their variable E, as a keyframe's do, cut into pieces every
+     `DENSE_RUN_PIECE` rows from its start.  Phase B walks stretches of
+     about `BLOCK_ROWS` rows that cut no piece, and forms both sides'
+     messages of a stretch before it writes either, each step one vector
+     operation.  A piece's B^-1 J_E' is one matrix product with E's own
+     B^-1, and J_E mu_E one with mu_E = B^-1 eta_E, formed once per
+     variable; the other rows gather B^-1 and mu.  Every other sum is taken
+     row by row in a fixed order, so no message depends on BLOCK_ROWS.  Runs
+     are found each round by comparing neighbouring rows' ids;
   C. every variable's belief is rebuilt in place as prior + sum of incoming
      messages in float64, and one masked solve gives its mean and B^-1.  A
-     dense run adds its rows' messages in two matrix products over the whole
-     run, A P' + B Q' with A, B the rows of J_K' and P, Q those of (S J_K)',
+     piece of a dense run adds its rows' messages in two matrix products,
+     A P' + B Q' with A, B the rows of J_K' and P, Q those of (S J_K)',
      and A v_0 + B v_1; the other rows are expanded a block of factors at a
      time and summed in ascending factor-id order.  The state moves to the
      mean when B is invertible; keyframe rotations are then wrapped to
@@ -74,16 +75,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch_linalg import BLOCK_ROWS, DENSE_RUN_ROWS, component_major, solve_spd_masked
+from .batch_linalg import BLOCK_ROWS, DENSE_RUN_PIECE, DENSE_RUN_ROWS, component_major, solve_spd_masked
 from .camera import DEPTH_EPSILON, canonicalize_axis_angle
 from .factor_graph import KEYFRAME, KINDS, PRIOR_TARGET_RATIO, FactorGraph
-from .info_gaussian import InfoGaussian, marginalize_onto
 
 __all__ = [
     "ScheduleParams",
     "IterationReport",
     "SolveReport",
-    "pairwise_message",
     "iterate",
     "run",
     "solve",
@@ -165,38 +164,6 @@ class SolveReport:
     reports: list = field(default_factory=list)
 
 
-def pairwise_message(
-    factor: InfoGaussian,
-    target_dims,
-    incoming: InfoGaussian,
-    prev: InfoGaussian | None = None,
-    damping: float = 0.0,
-) -> InfoGaussian:
-    """One factor-to-variable message, for factors of any block structure.
-
-    Folds `incoming` (the other side's variable-to-factor input) into the
-    eliminated block, Schur-marginalises onto `target_dims`, then damps the
-    information vector against `prev`: eta <- (1-d) eta_new + d eta_prev.
-    The information matrix is never damped.  This scalar path is the
-    reference the batched message phase is tested against.
-    """
-    target = np.atleast_1d(np.asarray(target_dims, dtype=int)) \
-        if not isinstance(target_dims, slice) else np.arange(factor.dim)[target_dims]
-    elim = np.setdiff1d(np.arange(factor.dim), target)
-    if incoming.dim != elim.size:
-        raise ValueError(
-            f"incoming message dim {incoming.dim} != eliminated block size {elim.size}"
-        )
-    lam = factor.lam.copy()
-    eta = factor.eta.copy()
-    lam[np.ix_(elim, elim)] += incoming.lam
-    eta[elim] += incoming.eta
-    marg = marginalize_onto(InfoGaussian(eta, lam), target)
-    if damping > 0.0 and prev is not None:
-        return InfoGaussian((1.0 - damping) * marg.eta + damping * prev.eta, marg.lam)
-    return marg
-
-
 def _update_prior_scales(graph: FactorGraph, schedule: ScheduleParams, t: int) -> float:
     """Set every prior's strength for round `t`, 1 at its variable's birth
     down to PRIOR_TARGET_RATIO `prior_weaken_iters` rounds later (a window of
@@ -234,28 +201,31 @@ def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
 
 def _dense_runs(ids):
     """The runs of at least DENSE_RUN_ROWS consecutive rows that share their
-    variable `ids`, as [start, stop) pairs, and the mask of their rows.  They
-    are sought only where enough rows equal the row before them to make one."""
+    variable `ids`, cut at every DENSE_RUN_PIECE rows from their start, as
+    [start, stop) pieces, and the mask of their rows.  They are sought only
+    where enough rows equal the row before them to make one."""
     change = ids[1:] != ids[:-1]
     mask = np.zeros(ids.size, dtype=bool)
     if change.size - np.count_nonzero(change) < DENSE_RUN_ROWS - 1:
         return [], mask
     bounds = np.concatenate(([0], np.flatnonzero(change) + 1, [ids.size]))
     long = np.flatnonzero(np.diff(bounds) >= DENSE_RUN_ROWS)
-    runs = list(zip(bounds[long].tolist(), bounds[long + 1].tolist()))
-    for a, b in runs:
+    runs = []
+    for a, b in zip(bounds[long].tolist(), bounds[long + 1].tolist()):
         mask[a:b] = True
+        runs += [(i, min(i + DENSE_RUN_PIECE, b)) for i in range(a, b, DENSE_RUN_PIECE)]
     return runs, mask
 
 
 def _segments(n_old, dense):
     """The rows before `n_old` as [start, stop) stretches of about
-    BLOCK_ROWS rows that cut no dense run of either kind, each with every
-    kind's runs inside it, relative to its start.  A stretch is cut short at
-    the start of a run that crosses its end, or holds the runs that overlap
-    it whole: a run longer than BLOCK_ROWS makes a stretch as long, and
-    phase B's temporaries grow with it."""
-    spans = []  # the dense runs of both kinds, overlapping ones merged
+    BLOCK_ROWS rows that cut no piece of a dense run of either kind, each
+    with every kind's pieces inside it, relative to its start.  A stretch is
+    cut short at the start of a piece that crosses its end, or holds the
+    pieces that overlap it whole, so the run bound is DENSE_RUN_PIECE: a
+    stretch is at most max(BLOCK_ROWS, DENSE_RUN_PIECE) rows long unless
+    pieces of both kinds overlap."""
+    spans = []  # the pieces of both kinds, overlapping ones merged
     for a, b in sorted(run for kind in KINDS for run in dense[kind][0]):
         if spans and a < spans[-1][1]:
             spans[-1][1] = max(spans[-1][1], b)

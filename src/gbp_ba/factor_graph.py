@@ -23,8 +23,7 @@ its trailing shape, kind and fill value: `VARIABLE_FIELDS`, shared by every
 kind (`kf_*`, `lm_*`), and `FACTOR_FIELDS` for the measurement factors
 (`f_*`), whose per-kind fields come from `KINDS`.  Construction, growth,
 `copy` and `astype` follow the schema, and every float array has the
-graph's one float `dtype`.  `keyframe()`, `landmark()` and `factor()` return
-snapshot views for inspection.
+graph's one float `dtype`.
 
 Each array is the `(n, trailing...)` view of a contiguous node-last base
 `(trailing..., n)`: rows index as usual, `batch_linalg.component_major`
@@ -55,7 +54,6 @@ from .camera import DEPTH_EPSILON, Intrinsics, camera_terms, jacobian_many, proj
 from .dataset_io import (
     ProblemSpec, RowError, check_ids, check_measurement_values, check_state_values,
 )
-from .info_gaussian import InfoGaussian
 
 PRIOR_TARGET_RATIO = 0.01
 PRIOR_FLOOR_RTOL = 1e-12
@@ -83,40 +81,6 @@ FACTOR_DIM = sum(kind.dim for kind in KINDS)
 
 class BuildError(RowError):
     pass
-
-
-@dataclass(frozen=True)
-class VariableView:
-    """Read-only snapshot of a variable node."""
-
-    id: int
-    kind: str  # "keyframe" | "landmark"
-    dim: int
-    state: np.ndarray
-    belief: InfoGaussian
-    prior: InfoGaussian
-    prior_initial: InfoGaussian
-    prior_target: InfoGaussian
-    prior_is_fallback: bool
-
-
-@dataclass(frozen=True)
-class FactorView:
-    """Read-only snapshot of a measurement factor node."""
-
-    id: int
-    keyframe_id: int
-    landmark_id: int
-    z: np.ndarray
-    sigma_meas: np.ndarray  # 2x2 measurement noise covariance
-    huber_nsigma: float
-    lin_point: np.ndarray
-    factor: InfoGaussian
-    msg_to_keyframe: InfoGaussian
-    msg_to_landmark: InfoGaussian
-    iters_since_relin: int
-    huber_weight: float
-    linearization_valid: bool
 
 
 @dataclass(frozen=True)
@@ -175,10 +139,6 @@ FACTOR_FIELDS = (
 # attribute prefix -> (fields, variable dimension)
 TABLES = {kind.key + "_": (VARIABLE_FIELDS, kind.dim) for kind in KINDS}
 TABLES["f_"] = (FACTOR_FIELDS, None)
-
-
-def _diag_gaussian(diag: np.ndarray, mean: np.ndarray) -> InfoGaussian:
-    return InfoGaussian(diag * mean, np.diag(diag))
 
 
 class FactorGraph:
@@ -267,50 +227,6 @@ class FactorGraph:
         another: equal neighbours among the sorted keys kf n_landmarks + lm."""
         keys = np.sort(self.f_kf * self.n_landmarks + self.f_lm)
         return int(np.count_nonzero(keys[1:] == keys[:-1]))
-
-    # ------------------------------------------------------------------ views
-
-    def keyframe(self, i: int) -> VariableView:
-        return self._variable_view(KEYFRAME, i)
-
-    def landmark(self, j: int) -> VariableView:
-        return self._variable_view(LANDMARK, j)
-
-    def _variable_view(self, kind: Kind, idx: int) -> VariableView:
-        diag0, mean = self.var(kind, "prior_diag0")[idx], self.var(kind, "prior_mean")[idx]
-        lam = self.var(kind, "belief_lam")[idx]
-        return VariableView(
-            id=idx,
-            kind=kind.name,
-            dim=kind.dim,
-            state=self.var(kind, "state")[idx].copy(),
-            belief=InfoGaussian(self.var(kind, "belief_eta")[idx].copy(), 0.5 * (lam + lam.T)),
-            prior=_diag_gaussian(self.var(kind, "prior_scale")[idx] * diag0, mean),
-            prior_initial=_diag_gaussian(diag0, mean),
-            prior_target=_diag_gaussian(PRIOR_TARGET_RATIO * diag0, mean),
-            prior_is_fallback=bool(self.var(kind, "prior_fallback")[idx]),
-        )
-
-    def factor(self, m: int) -> FactorView:
-        sides = {}
-        for kind in KINDS:
-            s, v = (a[m] for a in self.message(kind))
-            jac = self.f_jac[m, :, kind.cols]
-            lam = jac.T @ np.array([[s[0], s[1]], [s[1], s[2]]]) @ jac
-            sides[f"{kind.name}_id"] = int(self.adjacent(kind)[m])
-            sides[f"msg_to_{kind.name}"] = InfoGaussian(jac.T @ v, 0.5 * (lam + lam.T))
-        return FactorView(
-            id=m,
-            z=self.f_z[m].copy(),
-            sigma_meas=self.f_sigma[m] ** 2 * np.eye(2),
-            huber_nsigma=self.huber_nsigma,
-            lin_point=self.f_lin[m].copy(),
-            factor=InfoGaussian(*(a[0] for a in self.factor_information([m]))),
-            iters_since_relin=int(self.iters_since_relin(m)),
-            huber_weight=float(self.f_weight[m]),
-            linearization_valid=bool(self.f_valid[m]),
-            **sides,
-        )
 
     # ----------------------------------------------------------- linearisation
 

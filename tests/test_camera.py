@@ -9,12 +9,9 @@ from gbp_ba.camera import (
     camera_center,
     camera_terms,
     jacobian_many,
-    left_jacobian,
     project_many,
     rotation_matrix,
-    transform_many,
 )
-from gbp_ba.dense_oracle import finite_diff_jacobian
 
 K_UNIT = Intrinsics(1.0, 1.0, 0.0, 0.0)
 K_VGA = Intrinsics(350.0, 350.0, 320.0, 240.0)
@@ -28,7 +25,7 @@ def random_visible_config(rng, min_depth=0.3):
         t = rng.normal(0, 0.4, 3)
         l = rng.normal(0, 0.8, 3) + np.array([0, 0, 1.5])
         state = np.concatenate([w, t])
-        p = transform_many(state[None], l[None])[0]
+        p = rotation_matrix(w) @ l + t
         if p[2] > min_depth:
             return state, l
 
@@ -37,6 +34,23 @@ def project_one(state, point, k):
     """Pixel and depth of one point through `project_many`."""
     uv, depth = project_many(state[None], np.asarray(point, float)[None], k)
     return uv[0], depth[0]
+
+
+def left_jacobian(w):
+    """J_l(w) of (N, 3) angle-axis vectors, from rows 12-20 of `camera_terms`."""
+    w = np.atleast_2d(w)
+    return camera_terms(np.hstack([w, np.zeros_like(w)]))[12:].T.reshape(-1, 3, 3)
+
+
+def finite_diff_jacobian(fun, point, step):
+    """Central-difference Jacobian of `fun` at `point`, one column per input
+    dimension."""
+    cols = []
+    for i in range(point.shape[0]):
+        delta = np.zeros_like(point)
+        delta[i] = step
+        cols.append((fun(point + delta) - fun(point - delta)) / (2 * step))
+    return np.stack(cols, axis=-1)
 
 
 IDENTITY = np.zeros(6)
@@ -71,7 +85,7 @@ class TestRotations:
         rng = np.random.default_rng(1)
         for _ in range(20):
             w = rng.normal(0, 1.0, 3)
-            jl = left_jacobian(w)
+            jl = left_jacobian(w)[0]
             for k in range(3):
                 d = np.zeros(3)
                 d[k] = 1e-7
@@ -256,7 +270,7 @@ class TestBatchHelpers:
         for _ in range(20):
             state = np.concatenate([rng.normal(0, 1, 3), rng.normal(0, 1, 3)])
             c = camera_center(state)
-            p = transform_many(state[None], c[None])[0]
+            p = rotation_matrix(state[:3]) @ c + state[3:]
             np.testing.assert_allclose(p, np.zeros(3), atol=1e-12)
 
 

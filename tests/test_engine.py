@@ -1,11 +1,12 @@
-"""The batched message phase against the scalar `pairwise_message`.
+"""The batched message phase against the scalar reference.
 
 Phase B derives each variable-to-factor input as the variable's belief minus
 the factor's own last message (zero in the round the factor was added in)
 and damps the new information vector outside the undamped window.  It works
-on each factor's 2x9 Jacobian, while the scalar path conditions the factor's
-9x9 information form.  These tests replay one round factor by factor through
-the scalar path and compare.
+on each factor's 2x9 Jacobian, while the scalar reference of
+`scalar_reference` conditions the factor's 9x9 information form.  These
+tests replay one round factor by factor through the scalar reference and
+compare.
 """
 
 import tracemalloc
@@ -13,8 +14,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import scalar_reference
 from gbp_ba import (
-    InfoGaussian,
     ProblemSpec,
     ScheduleParams,
     assemble,
@@ -25,18 +26,17 @@ from gbp_ba import (
     OracleScaleError,
     map_solve,
     marginals,
-    pairwise_message,
     perturb,
-    quotient,
     run,
     solve,
     synthesize,
 )
+from gbp_ba.batch_linalg import PIVOT_RTOL
 from gbp_ba.camera import DEPTH_EPSILON, camera_center, project_many
 from gbp_ba import engine, factor_graph
 from gbp_ba.dense_oracle import stack_states
 from gbp_ba.engine import PHASES
-from gbp_ba.info_gaussian import PIVOT_RTOL, SingularMarginalizationError
+from gbp_ba.factor_graph import KEYFRAME, LANDMARK
 
 KF, LM = slice(0, 6), slice(6, 9)
 
@@ -53,23 +53,23 @@ def outlier_problem():
 
 
 def scalar_message(factor, keep, elim, incoming, prev, damping):
-    """(`pairwise_message`, False), or (`prev`, True) where the conditioned
-    eliminated block is not positive definite (the batched solve keeps the
-    last message there)."""
-    cond = factor.lam[elim, elim] + incoming.lam
+    """(`scalar_reference.message`, False), or (`prev`, True) where the
+    conditioned eliminated block is not positive definite (the batched solve
+    keeps the last message there)."""
+    cond = factor[1][elim, elim] + incoming[1]
     eigs = np.linalg.eigvalsh(cond)
     if eigs[0] <= PIVOT_RTOL * abs(np.trace(cond)):
         return prev, True
     try:
-        return pairwise_message(factor, keep, incoming, prev, damping), False
-    except SingularMarginalizationError:
+        return scalar_reference.message(factor, keep, incoming, prev, damping), False
+    except scalar_reference.SingularBlockError:
         return prev, True
 
 
 def check_round(graph, schedule, factor_ids):
     """Run one round on `graph` and check the messages of `factor_ids`
-    against the scalar path.  Returns the damping each factor used, the
-    number of their messages the scalar path found singular, and the
+    against the scalar reference.  Returns the damping each factor used, the
+    number of their messages the scalar reference found singular, and the
     round's report."""
     before = graph.copy()
     t = graph.iteration
@@ -78,24 +78,24 @@ def check_round(graph, schedule, factor_ids):
     n_singular = 0
     for m in factor_ids:
         # phase A may relinearise, phases B and C leave the factor alone
-        after = graph.factor(m)
-        old = before.factor(m)
+        factor = tuple(a[0] for a in graph.factor_information([m]))
         in_window = t - graph.f_last_relin[m] < schedule.undamped_window
         damping = 0.0 if in_window else schedule.damping
         dampings.append(damping)
-        for keep, elim, belief, own_msg, prev, got in (
-            (KF, LM, before.landmark(old.landmark_id).belief, old.msg_to_landmark,
-             old.msg_to_keyframe, after.msg_to_keyframe),
-            (LM, KF, before.keyframe(old.keyframe_id).belief, old.msg_to_keyframe,
-             old.msg_to_landmark, after.msg_to_landmark),
-        ):
-            first_round = before.f_birth[m] == t
-            incoming = InfoGaussian.zero(belief.dim) if first_round else quotient(belief, own_msg)
-            want, singular = scalar_message(after.factor, keep, elim, incoming, prev, damping)
+        for keep, elim, kind, other in ((KF, LM, KEYFRAME, LANDMARK), (LM, KF, LANDMARK, KEYFRAME)):
+            if before.f_birth[m] == t:  # its first round
+                incoming = np.zeros(other.dim), np.zeros((other.dim, other.dim))
+            else:
+                belief = scalar_reference.belief(before, other, before.adjacent(other)[m])
+                own_msg = scalar_reference.stored_message(before, other, m)
+                incoming = belief[0] - own_msg[0], belief[1] - own_msg[1]
+            prev = scalar_reference.stored_message(before, kind, m)
+            want, singular = scalar_message(factor, keep, elim, incoming, prev, damping)
             n_singular += singular
-            scale = max(np.abs(want.lam).max(), np.abs(want.eta).max(), 1.0)
-            np.testing.assert_allclose(got.lam, want.lam, rtol=1e-7, atol=1e-9 * scale, err_msg=f"factor {m}")
-            np.testing.assert_allclose(got.eta, want.eta, rtol=1e-7, atol=1e-9 * scale, err_msg=f"factor {m}")
+            got = scalar_reference.stored_message(graph, kind, m)
+            scale = max(np.abs(want[1]).max(), np.abs(want[0]).max(), 1.0)
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=1e-7, atol=1e-9 * scale, err_msg=f"factor {m}")
     return dampings, n_singular, report
 
 
@@ -133,16 +133,17 @@ def test_factor_added_mid_solve_starts_from_zero_input():
     # rank-2 factor singular on either side, so their messages stay zero
     dampings, _, _ = check_round(graph, schedule, np.concatenate([old, new]))
     assert set(dampings) == {0.0, schedule.damping}
-    for m in new:
-        view = graph.factor(m)
-        assert not view.msg_to_keyframe.lam.any() and not view.msg_to_landmark.lam.any()
+    for kind in factor_graph.KINDS:
+        s, v = graph.message(kind)
+        assert not s[new].any() and not v[new].any()
     # an input derived from the belief would not have been singular
-    view = graph.factor(new[0])
-    assert pairwise_message(view.factor, KF, graph.landmark(view.landmark_id).belief).lam.any()
+    factor = tuple(a[0] for a in graph.factor_information(new[:1]))
+    belief = scalar_reference.belief(graph, LANDMARK, graph.f_lm[new[0]])
+    assert scalar_reference.message(factor, KF, belief)[1].any()
 
     # later rounds: inputs are belief minus message, as for every factor
     check_round(graph, schedule, np.concatenate([old, new]))
-    assert graph.factor(new[0]).msg_to_keyframe.lam.any()
+    assert graph.f_msg_kf_s[new[0]].any()
 
 
 def test_every_factor_with_outliers_and_growth_matches_scalar_path():
@@ -308,6 +309,45 @@ def test_dense_runs_match_the_gathered_path(monkeypatch):
     for name in ("kf_state", "lm_state", "kf_belief_eta", "kf_belief_lam", "lm_belief_eta", "lm_belief_lam"):
         want, got = getattr(gathered, name), getattr(dense, name)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+
+
+def test_dense_runs_match_scalar_path(monkeypatch):
+    # keyframe runs of 400 rows: round 10 is plain and damped, and round 11
+    # relinearises every factor, so its stale rows lie inside the runs
+    monkeypatch.setattr(engine, "DENSE_RUN_ROWS", 100)
+    graph = build(dense_problem())
+    schedule = ScheduleParams()
+    run(graph, schedule, n=9)
+    assert len(engine._dense_runs(graph.f_kf)[0]) == 6
+    rows = np.arange(0, graph.n_measurement_factors, 10)
+    dampings, _, report = check_round(graph, schedule, rows)
+    assert set(dampings) == {schedule.damping} and report.n_relinearized == 0
+    dampings, _, report = check_round(graph, schedule, rows)
+    assert set(dampings) == {0.0} and report.n_relinearized == graph.n_measurement_factors
+
+
+def test_long_dense_runs_hold_bounded_temporaries():
+    # each keyframe's factors are one run of about 15,000 or 30,000 rows,
+    # longer than BLOCK_ROWS: phase B takes a run in pieces of
+    # DENSE_RUN_PIECE rows, so its heap in a plain round does not grow with
+    # the run
+    schedule = ScheduleParams()
+    heap = []
+    for n_landmarks in (15000, 30000):
+        graph = build(synthesize(2, n_landmarks, seed=1))
+        run(graph, schedule, n=2)
+        t = graph.iteration
+        relinearized = engine._phase_relinearize(graph, schedule, t)[2]
+        dense = {kind: engine._dense_runs(graph.adjacent(kind)) for kind in factor_graph.KINDS}
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            engine._phase_messages(graph, schedule, t, graph.n_measurement_factors, relinearized, dense)
+            heap.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert dense[KEYFRAME][1].all() and graph.n_measurement_factors > 4 * engine.BLOCK_ROWS
+    assert heap[1] <= 1.25 * heap[0]
 
 
 def test_dense_runs_do_not_depend_on_row_blocks(monkeypatch):
@@ -551,6 +591,33 @@ def test_linear_gbp_reaches_dense_map():
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("shape, rounds, dtype, rtol", [
+    ((2, 300), 24, np.float64, 1e-12),
+    ((3, 200), 31, np.float64, 1e-12),
+    pytest.param((2, 300), 24, np.float32, 1e-6, marks=pytest.mark.xfail(strict=True, reason=(
+        "3.6e-3 from the MAP: the float32 pivot tolerance of batch_linalg._cholesky_cm, 4500 eps "
+        "(5.4e-4 of the trace), freezes landmarks 181 and 291, whose beliefs have condition numbers "
+        "7.5e3 and 2.0e3 and float64 pivot ratios 7.6e-5 and 3.0e-4"))),
+    ((3, 200), 31, np.float32, 1e-6),
+])
+def test_linear_gbp_on_dense_runs_reaches_dense_map(shape, rounds, dtype, rtol):
+    # every keyframe's factors are one dense run.  float64 meets message_tol
+    # in `rounds`; float32 messages jitter at rounding and never meet it, so
+    # a float32 copy runs as many rounds
+    graph = build(synthesize(*shape, seed=21))
+    assert len(engine._dense_runs(graph.f_kf)[0]) == shape[0]
+    want = map_solve(assemble(graph))
+    schedule = ScheduleParams(
+        beta=None, damping=0.0, prior_weaken_iters=0, are_target=0.0, max_iters=2000, message_tol=1e-10
+    )
+    report = solve(graph.copy(), schedule)
+    assert (report.reason, report.iterations) == ("message_tol", rounds)
+    graph = graph.astype(dtype)
+    run(graph, schedule, n=rounds)
+    got = stack_states(graph)
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("seed", [21, 23])
 def test_linear_gbp_marginals_against_dense_oracle(seed):
     # on the loopy linear graph GBP means are exact at convergence and its
@@ -583,5 +650,4 @@ def test_default_cadence_relinearises_every_factor_at_rounds_11_22_33():
     assert counts == {t: 2000 if t in (11, 22, 33) else 0 for t in range(1, 41)}
     # factors added mid-solve start their count at zero
     new = add_observed_landmark(graph)
-    assert [graph.factor(m).iters_since_relin for m in new] == [0, 0, 0]
     assert np.all(graph.iters_since_relin(new) == 0)

@@ -317,31 +317,6 @@ class TestEnergyAndAre:
         assert graph.energy() == pytest.approx(want, rel=1e-12)
 
 
-class TestViews:
-    def test_variable_views(self):
-        graph = build(synthesize(2, 10, seed=12))
-        kf = graph.keyframe(1)
-        assert kf.kind == "keyframe" and kf.dim == 6 and kf.id == 1
-        np.testing.assert_array_equal(kf.state, graph.kf_state[1])
-        lm = graph.landmark(0)
-        assert lm.kind == "landmark" and lm.dim == 3
-        # target prior is 1/100 of initial
-        np.testing.assert_allclose(
-            lm.prior_target.lam, lm.prior_initial.lam / 100.0, rtol=1e-12
-        )
-
-    def test_factor_view(self):
-        graph = build(one_factor_problem(z=(0.25, -0.5), sigma=2.0))
-        f = graph.factor(0)
-        assert f.keyframe_id == 0 and f.landmark_id == 0
-        np.testing.assert_array_equal(f.z, [0.25, -0.5])
-        np.testing.assert_array_equal(f.sigma_meas, 4.0 * np.eye(2))
-        assert f.huber_nsigma == 2.0
-        assert f.iters_since_relin == 0
-        assert f.linearization_valid
-        assert f.factor.dim == 9 and f.msg_to_keyframe.dim == 6 and f.msg_to_landmark.dim == 3
-
-
 class TestIncrementalMutation:
     def test_add_keyframe_copies_latest_pose(self):
         graph = build(synthesize(3, 15, seed=13))
@@ -355,8 +330,9 @@ class TestIncrementalMutation:
         n_before = graph.n_measurement_factors
         fid = graph.add_measurement(0, 1, np.array([320.0, 240.0]), sigma=1.0)
         assert graph.n_measurement_factors == n_before + 1
-        f = graph.factor(fid)
-        assert not f.msg_to_keyframe.lam.any() and not f.msg_to_landmark.lam.any()
+        for kind in KINDS:
+            s, v = graph.message(kind)
+            assert not s[fid].any() and not v[fid].any()
 
     def test_duplicate_measurement_allowed_and_flagged(self):
         graph = build(synthesize(3, 15, seed=13))
@@ -719,10 +695,10 @@ class TestSchema:
         target = np.einsum("fij,fj->fi", jac, lin) + graph.f_z - uv
         w = graph.f_weight / graph.f_sigma**2
         assert np.any(w < 1.0)
+        eta, lam = graph.factor_information(np.arange(graph.n_measurement_factors))
         for m in range(graph.n_measurement_factors):
-            factor = graph.factor(m).factor
-            np.testing.assert_allclose(factor.lam, w[m] * jac[m].T @ jac[m], rtol=1e-12, atol=1e-9)
-            np.testing.assert_allclose(factor.eta, w[m] * jac[m].T @ target[m], rtol=1e-10, atol=1e-6)
+            np.testing.assert_allclose(lam[m], w[m] * jac[m].T @ jac[m], rtol=1e-12, atol=1e-9)
+            np.testing.assert_allclose(eta[m], w[m] * jac[m].T @ target[m], rtol=1e-10, atol=1e-6)
 
 
 def test_huber_classifies_reassigned_measurements():
