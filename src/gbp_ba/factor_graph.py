@@ -462,12 +462,15 @@ class FactorGraph:
         and linearisations of the older variables and factors are left as
         they are.  A repeated (keyframe, landmark) pair is accepted, and
         counted by `n_duplicate_measurements`.  Returns the id of the last
-        factor added.  Raises BuildError, before changing the graph, for a
-        variable id that is missing or not a whole number, or a value
-        `check_measurement_values` rejects."""
+        factor added.  Raises BuildError, before changing the graph, for
+        arguments of different lengths, a variable id that is missing or not
+        a whole number, or a value `check_measurement_values` rejects."""
         ids = [check_ids(f"{k.name} id", i, BuildError) for k, i in zip(KINDS, (kf_ids, lm_ids))]
         zs = np.asarray(zs, float).reshape(-1, 2)
         sigmas = np.asarray(sigmas, float).reshape(-1)
+        lengths = [len(a) for a in (*ids, zs, sigmas)]
+        if len(set(lengths)) > 1:
+            raise BuildError(f"keyframe ids, landmark ids, z and sigma differ in length: {lengths}")
         for kind, i in zip(KINDS, ids):
             bad = i[(i < 0) | (i >= self.size(kind))]
             if bad.size:

@@ -20,13 +20,14 @@ class SingularBlockError(np.linalg.LinAlgError):
 
 
 def marginalize(eta, lam, keep):
-    """(eta, lam) marginalised onto the indices `keep` by Schur complement:
-    eta_a - lam_ab lam_bb^-1 eta_b and lam_aa - lam_ab lam_bb^-1 lam_ba.
+    """(eta, lam) marginalised onto `keep`, indices or a slice, by Schur
+    complement: eta_a - lam_ab lam_bb^-1 eta_b and lam_aa - lam_ab lam_bb^-1
+    lam_ba.
 
     The eliminated block is solved through an LU factorisation, never
     inverted; a pivot below PIVOT_RTOL times its trace raises
     SingularBlockError.  The result's matrix is symmetrised."""
-    keep = np.asarray(keep)
+    keep = np.arange(len(eta))[keep]
     elim = np.setdiff1d(np.arange(len(eta)), keep)
     lam_bb = lam[np.ix_(elim, elim)]
     threshold = PIVOT_RTOL * max(abs(float(np.trace(lam_bb))), 1e-100)
@@ -65,6 +66,18 @@ def stored_message(graph, kind, m):
     jac = graph.f_jac[m, :, kind.cols]
     lam = jac.T @ np.array([[s[0], s[1]], [s[1], s[2]]]) @ jac
     return jac.T @ v, 0.5 * (lam + lam.T)
+
+
+def rest_of_star(graph, kind, m):
+    """The belief of factor `m`'s `kind` variable without `m`'s message: the
+    variable's prior times the stored messages of its other factors."""
+    ids = graph.adjacent(kind)
+    prior_eta, prior_diag = (a[ids[m]] for a in graph.prior_information(kind))
+    eta, lam = prior_eta.copy(), np.diag(prior_diag)
+    for j in np.flatnonzero(ids == ids[m]):
+        if j != m:
+            eta, lam = (a + b for a, b in zip((eta, lam), stored_message(graph, kind, j)))
+    return eta, lam
 
 
 def belief(graph, kind, i):

@@ -9,6 +9,7 @@ tests replay one round factor by factor through the scalar reference and
 compare.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -66,11 +67,13 @@ def scalar_message(factor, keep, elim, incoming, prev, damping):
         return prev, True
 
 
-def check_round(graph, schedule, factor_ids):
+def check_round(graph, schedule, factor_ids, input_from_rest=False):
     """Run one round on `graph` and check the messages of `factor_ids`
-    against the scalar reference.  Returns the damping each factor used, the
-    number of their messages the scalar reference found singular, and the
-    round's report."""
+    against the scalar reference, whose input to a factor is the belief
+    without the factor's own message, or with `input_from_rest` the
+    variable's prior times its other factors' messages.  Returns the damping
+    each factor used, the number of their messages the scalar reference
+    found singular, and the round's report."""
     before = graph.copy()
     t = graph.iteration
     report = iterate(graph, schedule)
@@ -85,6 +88,8 @@ def check_round(graph, schedule, factor_ids):
         for keep, elim, kind, other in ((KF, LM, KEYFRAME, LANDMARK), (LM, KF, LANDMARK, KEYFRAME)):
             if before.f_birth[m] == t:  # its first round
                 incoming = np.zeros(other.dim), np.zeros((other.dim, other.dim))
+            elif input_from_rest:
+                incoming = scalar_reference.rest_of_star(before, other, m)
             else:
                 belief = scalar_reference.belief(before, other, before.adjacent(other)[m])
                 own_msg = scalar_reference.stored_message(before, other, m)
@@ -119,6 +124,16 @@ def test_messages_match_scalar_path(warmup, damped):
     run(graph, schedule, n=warmup)
     dampings, _, _ = check_round(graph, schedule, np.arange(0, graph.n_measurement_factors, 5))
     assert set(dampings) == {schedule.damping if damped else 0.0}
+
+
+@pytest.mark.parametrize("warmup", [3, 9])
+def test_inputs_are_the_rest_of_the_star(warmup):
+    # phase B forms a factor's input as the belief without the factor's own
+    # message, which is the variable's prior times its other factors'
+    graph = perturbed_graph()
+    schedule = ScheduleParams()
+    run(graph, schedule, n=warmup)
+    check_round(graph, schedule, np.arange(0, graph.n_measurement_factors, 5), input_from_rest=True)
 
 
 def test_factor_added_mid_solve_starts_from_zero_input():
@@ -486,6 +501,77 @@ def test_first_round_factors_skip_the_message_kernel(monkeypatch):
         assert not s.any() and not v.any()
     iterate(graph)
     assert sum(rows) >= 2 * graph.n_measurement_factors
+
+
+def runs_problem():
+    # each keyframe's factors are one run of 300 rows
+    return perturb(synthesize(2, 300, seed=21, pixel_sigma=0.5), 0.05, "backproject", seed=22)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("dense", [True, False])
+def test_beliefs_are_priors_times_stored_messages(monkeypatch, dense, dtype):
+    # phase C sums each variable's prior and its factors' messages (J'v,
+    # J'SJ), over dense runs or row by row; each entry is checked against
+    # the sum of its terms formed from magnitudes, |J|'|v| and |J|'|S||J|,
+    # at 16 eps of the graph's dtype: 5.3 were seen in float64, 1.3 in
+    # float32
+    graph = build(runs_problem()).astype(dtype)
+    if not dense:
+        monkeypatch.setattr(engine, "DENSE_RUN_ROWS", graph.n_measurement_factors + 1)
+    run(graph, ScheduleParams(), n=12)
+    assert bool(engine._dense_runs(graph.f_kf)[0]) == dense
+    for kind in factor_graph.KINDS:
+        s, v = (m.astype(float) for m in graph.message(kind))
+        s = np.stack([s[:, :2], s[:, 1:]], axis=1)
+        jac = graph.f_jac[:, :, kind.cols].astype(float)
+        terms = [(np.einsum("fji,fj->fi", j, x), np.swapaxes(j, 1, 2) @ y @ j)
+                 for j, x, y in ((jac, v, s), (np.abs(jac), np.abs(v), np.abs(s)))]
+        prior_eta, prior_diag = (a.astype(float) for a in graph.prior_information(kind))
+        priors = prior_eta, prior_diag[:, :, None] * np.eye(kind.dim)
+        for name, prior, term, magnitude in zip(("belief_eta", "belief_lam"), priors, *terms):
+            want, bound = prior.copy(), np.abs(prior)
+            np.add.at(want, graph.adjacent(kind), term)
+            np.add.at(bound, graph.adjacent(kind), magnitude)
+            got = graph.var(kind, name)
+            assert np.all(np.abs(got - want) <= 16 * np.finfo(dtype).eps * bound), (kind.name, name)
+
+
+def test_beliefs_do_not_depend_on_factor_order():
+    # phase C's sums commute: shuffled measurements, which leave no dense
+    # run, move every message and belief by rounding only
+    problem = runs_problem()
+    order = np.random.default_rng(5).permutation(len(problem.meas_kf))
+    shuffled = dataclasses.replace(problem, **{
+        name: getattr(problem, name)[order] for name in ("meas_kf", "meas_lm", "meas_uv", "meas_sigma")
+    })
+    graphs = build(problem), build(shuffled)
+    assert [bool(engine._dense_runs(g.f_kf)[0]) for g in graphs] == [True, False]
+    for graph in graphs:
+        run(graph, ScheduleParams(), n=4)
+    names = [f"{kind.key}_{name}" for kind in factor_graph.KINDS for name in ("belief_eta", "belief_lam", "state")]
+    for name in names:
+        want, got = (getattr(g, name) for g in graphs)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max(), err_msg=name)
+    for kind in factor_graph.KINDS:
+        for want, got in zip(graphs[0].message(kind), graphs[1].message(kind)):
+            np.testing.assert_allclose(got, want[order], rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_first_round_factors_add_nothing_to_beliefs():
+    # phase C leaves out the factors in their first round; their messages
+    # are zero, so summing them in changes no belief
+    graph = perturbed_graph()
+    run(graph, ScheduleParams(), n=3)
+    add_observed_landmark(graph)
+    n_old = int(np.searchsorted(graph.f_birth, graph.iteration))
+    assert n_old < graph.n_measurement_factors
+    skipped, summed = graph.copy(), graph.copy()
+    for g, n in ((skipped, n_old), (summed, graph.n_measurement_factors)):
+        engine._phase_beliefs(g, n, {kind: engine._dense_runs(g.adjacent(kind)[:n]) for kind in factor_graph.KINDS})
+    for kind in factor_graph.KINDS:
+        for name in ("belief_eta", "belief_lam", "belief_cov", "state"):
+            np.testing.assert_array_equal(summed.var(kind, name), skipped.var(kind, name))
 
 
 def test_phases_update_the_graph_arrays_in_place():

@@ -390,6 +390,21 @@ class TestIncrementalMutation:
                 np.testing.assert_array_equal(getattr(graph, name), value, err_msg=name)
 
     @pytest.mark.parametrize(
+        "kf_ids, lm_ids, n_z, n_sigma",
+        [([0, 1], [0], 1, 1), ([0], [0], 2, 2), ([0], [0], 1, 2)],
+    )
+    def test_mismatched_lengths_raise_and_leave_graph(self, kf_ids, lm_ids, n_z, n_sigma):
+        # one id against two measurements would otherwise be broadcast, and
+        # a sigma too many would fail with the first columns already grown
+        graph = build(synthesize(3, 15, seed=13))
+        before = graph.copy()
+        with pytest.raises(BuildError, match="differ in length"):
+            graph.add_measurements(kf_ids, lm_ids, np.full((n_z, 2), 300.0), np.ones(n_sigma))
+        for name, value in vars(before).items():
+            if isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(getattr(graph, name), value, err_msg=name)
+
+    @pytest.mark.parametrize(
         "z, sigma", [((0.0, 0.0), 0.0), ((0.0, 0.0), -1.0), ((0.0, 0.0), np.inf), ((np.nan, 0.0), 1.0)]
     )
     def test_degenerate_measurement_raises_and_leaves_graph(self, z, sigma):
