@@ -25,9 +25,9 @@ their (N, 21) view, or (N, 12) without J_l to project.  Given (N, 6)
 states, those functions form the table row by row themselves, with the same
 formulas, so either way a row gets the same bits.
 
-Nothing here raises for a point at or behind the camera plane: `project_many`
-returns each row's depth, and callers set the policy for rows with depth
-<= DEPTH_EPSILON, whose pixels and Jacobians are garbage.
+Nothing here raises for a point at or behind the camera plane: both
+functions return each row's depth, and callers set the policy for rows with
+depth <= DEPTH_EPSILON, whose pixels and Jacobians are garbage.
 """
 
 from __future__ import annotations
@@ -215,15 +215,15 @@ def project_many(
 
 def jacobian_many(
     kf_states: np.ndarray, points: np.ndarray, k: Intrinsics
-) -> np.ndarray:
-    """Batch 2x9 measurement Jacobians (N, 2, 9) at the given states (no
-    depth check), with `kf_states` (N, 6) states or their (N, 21) rows of
-    `camera_terms`.  The result is the view of a component-major (2, 9, N)
-    array."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batch projection and 2x9 measurement Jacobians (no depth check) at
+    (N, 6) states or their (N, 21) rows of `camera_terms`: pixels (N, 2) and
+    depths (N,), those of `project_many`, and Jacobians (N, 2, 9), the view
+    of a component-major (2, 9, N) array, all from one pass."""
     terms, points = _columns(kf_states, points, True)
     jac = np.empty((2, 9, points.shape[-1]), np.result_type(terms, points))
-    _pixels(terms, points, k, jac)
-    return jac.transpose(2, 0, 1)
+    uv, depth = _pixels(terms, points, k, jac)
+    return uv.T, depth, jac.transpose(2, 0, 1)
 
 
 def camera_center(kf_state: np.ndarray) -> np.ndarray:

@@ -263,10 +263,11 @@ def load(path) -> ProblemSpec:
 
     Malformed input raises ParseError whose `line` is the 1-based number of
     the offending line: a missing, misspelt or unknown header, a bad count,
-    gt flag or version tag, intrinsics that `Intrinsics` rejects, a row with
-    the wrong number of fields or a field its column cannot read as its
-    dtype, an id out of order, an outlier index out of range, or a section
-    cut short by the end of the file.  A file that parses into a problem
+    gt flag (or one on a header other than keyframes and landmarks) or
+    version tag, intrinsics that `Intrinsics` rejects, a row with the wrong
+    number of fields or a field its column cannot read as its dtype, an id
+    out of order, an outlier index out of range, or a section cut short by
+    the end of the file.  A file that parses into a problem
     `ProblemSpec.validate` rejects (a reference to a missing keyframe or
     landmark, a non-finite state or pixel, a sigma that is not positive)
     raises ParseError with validate's message, which names the row, and its line.
@@ -292,7 +293,8 @@ def load(path) -> ProblemSpec:
         if tok[0] not in names:
             raise ParseError(f"expected section {' or '.join(names)}, got {tok[0]!r}", lineno)
         flag = tok[2] if len(tok) == 3 else "gt=0"
-        if len(tok) not in (2, 3) or not tok[1].isdecimal() or flag not in ("gt=0", "gt=1"):
+        n_tokens = (2, 3) if tok[0] in ID_SECTIONS else (2,)  # only they take a gt flag
+        if len(tok) not in n_tokens or not tok[1].isdecimal() or flag not in ("gt=0", "gt=1"):
             raise ParseError(f"bad {tok[0]} header {line.strip()!r}", lineno)
         return tok[0], int(tok[1]), flag == "gt=1"
 

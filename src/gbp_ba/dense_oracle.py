@@ -28,7 +28,6 @@ from .factor_graph import (
     LANDMARK,
     PRIOR_TARGET_RATIO,
     FactorGraph,
-    huber_energy,
 )
 
 MARGINALS_MAX_DIM = 600
@@ -97,19 +96,19 @@ def assemble(graph: FactorGraph) -> DenseSystem:
         lam[idx, idx] += prior_diag.ravel()
         const += float(np.sum(prior_diag * graph.var(kind, "prior_mean") ** 2))
 
-    valid = np.flatnonzero(graph.f_valid)
-    if valid.size:
-        # the rows of the stacked vector that each factor's 9-vector maps to
-        rows = np.empty((valid.size, FACTOR_DIM), dtype=int)
-        for kind, start in zip(KINDS, offsets):
-            rows[:, kind.cols] = start + kind.dim * graph.adjacent(kind)[valid, None] + np.arange(kind.dim)
-        factor_eta, factor_lam = graph.factor_information(valid)
-        np.add.at(eta, rows, factor_eta)
-        np.add.at(lam, (rows[:, :, None], rows[:, None, :]), factor_lam)
-        # per-factor constant: w t't with the stored target
-        # t = J lin + z - h(lin)
-        target = graph.f_target[valid]
-        const += float(np.sum(graph.factor_precision(valid) * np.sum(target**2, axis=1)))
+    # every factor: one that never linearised has a zero J and target
+    factors = np.arange(graph.n_measurement_factors)
+    # the rows of the stacked vector that each factor's 9-vector maps to
+    rows = np.empty((factors.size, FACTOR_DIM), dtype=int)
+    for kind, start in zip(KINDS, offsets):
+        rows[:, kind.cols] = start + kind.dim * graph.adjacent(kind)[:, None] + np.arange(kind.dim)
+    factor_eta, factor_lam = graph.factor_information(factors)
+    np.add.at(eta, rows, factor_eta)
+    np.add.at(lam, (rows[:, :, None], rows[:, None, :]), factor_lam)
+    # per-factor constant: w t't with the stored target
+    # t = J lin + z - h(lin)
+    target = graph.f_target[factors]
+    const += float(np.sum(graph.factor_precision(factors) * np.sum(target**2, axis=1)))
     return DenseSystem(eta, lam, const, graph.n_keyframes, graph.n_landmarks)
 
 
@@ -183,14 +182,8 @@ def _lm_energy(graph: FactorGraph) -> float:
     the ARE sentinel residual, a barrier against steps that move points
     behind a camera, where `energy` takes its residual at its
     linearisation point."""
-    total = 0.0
-    for kind in KINDS:
-        _, diag = graph.prior_information(kind)
-        total += float(np.sum(diag * (graph.var(kind, "state") - graph.var(kind, "prior_mean")) ** 2))
-    residual, depth = graph.residuals()
-    mahal = np.linalg.norm(residual, axis=1) / graph.f_sigma
-    mahal = np.where(depth <= DEPTH_EPSILON, ARE_SENTINEL_PX / graph.f_sigma, mahal)
-    return total + float(np.sum(huber_energy(mahal, graph.huber_nsigma)))
+    norms, depth = graph._residual_norms()
+    return graph._objective(np.where(depth <= DEPTH_EPSILON, ARE_SENTINEL_PX, norms) / graph.f_sigma)
 
 
 def lm_solve(graph: FactorGraph) -> LMReport:
@@ -201,9 +194,10 @@ def lm_solve(graph: FactorGraph) -> LMReport:
     message-passing solver settles on, so final-error comparisons are
     like-for-like.  Each step relinearises every factor at the current
     states with `linearize_factors`, which re-evaluates the Huber weights
-    (iteratively reweighted) and leaves behind-camera factors out of the
-    step, and takes the normal equations H dx = g from `assemble`, with
-    g = eta - H x.  It solves them by dense Cholesky with Marquardt scaling
+    (iteratively reweighted), and zeroes the J and target of the
+    behind-camera factors that could not be relinearised, so they drop out
+    of the step.  It takes the normal equations H dx = g from `assemble`,
+    with g = eta - H x, solves them by dense Cholesky with Marquardt scaling
     lambda * diag(H), raising the damping where that system is not positive
     definite, and retracts each kind's states.
 
@@ -219,7 +213,8 @@ def lm_solve(graph: FactorGraph) -> LMReport:
     accepted = attempts = 0
     reason = "are_target" if are_trace[-1] < LM_ARE_TARGET else "max_steps"
     while reason == "max_steps" and accepted < LM_MAX_STEPS and attempts < 8 * LM_MAX_STEPS:
-        work.f_valid[:] = work.linearize_factors(np.arange(work.n_measurement_factors))
+        behind = ~work.linearize_factors(np.arange(work.n_measurement_factors))
+        work.f_jac[behind], work.f_target[behind] = 0.0, 0.0
         system = assemble(work)
         grad = system.eta - system.lam @ stack_states(work)
         if np.max(np.abs(grad)) <= LM_GRADIENT_TOL:

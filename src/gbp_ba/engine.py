@@ -43,12 +43,13 @@ of the factor's 9-vector:
      share their variable E, as a keyframe's do, cut into pieces every
      `DENSE_RUN_PIECE` rows from its start.  Phase B walks stretches of
      about `BLOCK_ROWS` rows that cut no piece, and forms both sides'
-     messages of a stretch before it writes either, each step one vector
-     operation.  A piece's B^-1 J_E' is one matrix product with E's own
-     B^-1, and J_E mu_E one with mu_E = B^-1 eta_E, formed once per
-     variable; the other rows gather B^-1 and mu.  Every other sum is taken
-     row by row in a fixed order, so no message depends on BLOCK_ROWS.  Runs
-     are found each round by comparing neighbouring rows' ids;
+     messages of a stretch before it writes either, in place in `f_msg`,
+     each step one vector operation.  A piece's B^-1 J_E' is one matrix
+     product with E's own B^-1, and J_E mu_E one with mu_E = B^-1 eta_E,
+     formed once per variable; the other rows gather B^-1 and mu.  Every
+     other sum is taken row by row in a fixed order, so no message depends
+     on BLOCK_ROWS.  Runs are found each round by comparing neighbouring
+     rows' ids;
   C. every variable's belief is rebuilt in place as prior + sum of incoming
      messages in float64, and one masked solve gives its mean and B^-1.  A
      piece of a dense run adds its rows' messages in two matrix products,
@@ -249,6 +250,9 @@ def _segments(n_old, dense):
 # once: an array (entries, 2, n) holds per entry one row of n factors for
 # each receiving side, in the order of KINDS.  A symmetric 2x2 matrix has
 # the entries 00, 01 and 11, a vector two and any other 2x2 matrix 2 x 2.
+# The messages themselves, S's entries and v, are the graph's `f_msg` in
+# this layout, (5, 2, F) component-major, so a stretch reads its stored
+# messages as a view and writes the new ones with one assignment.
 
 def _sym_mv(a, x):
     out = np.empty_like(x)
@@ -451,13 +455,11 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old:
     `_dense_runs`."""
     n_singular = len(KINDS) * (graph.n_measurement_factors - n_old)
     stale_rows, jac_old = relinearized
-    jac, target = (component_major(a) for a in (graph.f_jac, graph.f_target))
+    jac, target, msg = (component_major(a) for a in (graph.f_jac, graph.f_target, graph.f_msg))
     beliefs = {}
     for kind in KINDS:
         cov, eta = (component_major(graph.var(kind, name)) for name in ("belief_cov", "belief_eta"))
         beliefs[kind] = cov, np.einsum("ijn,jn->in", cov, eta)
-    # the messages to each kind, overwritten in place
-    messages = {kind: [component_major(m) for m in graph.message(kind)] for kind in KINDS}
     max_delta = 0.0
     for start, stop, runs in _segments(n_old, dense):
         rows, n = slice(start, stop), stop - start
@@ -481,10 +483,7 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old:
                 graph.adjacent(elim)[rows], runs[elim], jac[:, elim.cols, rows], jac_sent[:, elim.cols],
                 beliefs[elim], (g[:, k], p[:, k], singular[k], *(x[:, k] for x in stale_terms)), stale,
             )
-        stored = np.empty((5, 2, n), graph.dtype)
-        for k, kind in enumerate(KINDS):
-            s, v = messages[kind]
-            stored[:3, k], stored[3:, k] = s[:, rows], v[:, rows]
+        stored = msg[..., rows]  # a view, read before `new` overwrites it
         g_ab, g_bb, p_b = stale_terms
         new, ok = _new_messages(g, p, w, w_target, stored[:, ::-1], stale, (g_ab.reshape(2, 2, 2, m), g_bb, p_b))
         singular |= ~ok
@@ -499,9 +498,7 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old:
             n_singular += int(np.count_nonzero(singular))
         delta = new - stored
         max_delta = max(max_delta, delta.max(), -delta.min())
-        for k, kind in enumerate(KINDS):
-            s, v = messages[kind]
-            s[:, rows], v[:, rows] = new[:3, k], new[3:, k]
+        msg[..., rows] = new
     return n_singular, float(max_delta)
 
 

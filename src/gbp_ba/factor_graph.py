@@ -10,12 +10,14 @@ linearised residual, and its Huber weight.  Its information form is rank 2,
 `(w J' t, w J' J)` with `w = weight / sigma^2`, so it is not stored:
 `factor_information` derives it for any rows, and the engine works on J.
 Its message to each side K, `(J_K' v, J_K' S J_K)` with a symmetric 2x2
-S, is stored as S's three entries and v (`f_msg_<key>_s`, `_v`): it was
-sent with the current J_K.  Each variable stores its belief and the
-inverse of its matrix (zero where there is none) for the engine.  Nor are
-variable-to-factor messages stored (the engine derives each as the
-variable's belief minus the factor's own last message), or the Huber
-threshold, which is the graph's `huber_nsigma`.
+S, is stored as S's three entries and v in `f_msg` (F, 5, 2), a column
+per receiving kind: it was sent with the current J_K.  A factor that never
+linearised (its point behind its camera at every attempt) keeps a zero J
+and target, so zero information, and needs no validity flag.  Each variable
+stores its belief and the inverse of its matrix (zero where there is none)
+for the engine.  Nor are variable-to-factor messages stored (the engine
+derives each as the variable's belief minus the factor's own last message),
+or the Huber threshold, which is the graph's `huber_nsigma`.
 
 Storage is columnar: stacked numpy arrays indexed by id, so the engine can
 vectorise across factors.  One schema per node type lists every array with
@@ -65,7 +67,7 @@ PSD_RTOL = 1e-8
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class Kind:
     """A variable kind: arrays `<key>_*`, and in the factor table `f_<key>`
-    (each factor's variable) and `f_msg_<key>_s`, `_v` (its last message)."""
+    (each factor's variable) and a column of `f_msg` (its last message)."""
 
     name: str
     key: str
@@ -112,15 +114,16 @@ VARIABLE_FIELDS = (
     Field("birth", (), "int"),  # the iteration the variable was added in
 )
 
-# A new factor has a zero Jacobian, so zero information, until it is
-# linearised.  Its messages stay zero through its first round, which phases
-# B and C skip: factors are only appended, with `birth` the current
-# iteration, so `birth` never decreases and the factors in their first round
-# are the last rows.  Linearised at `lin`, its residual is z - h(x) ~
+# A new factor has a zero Jacobian and target, so zero information, until
+# it is linearised.  Its messages stay zero through its first round, which
+# phases B and C skip: factors are only appended, with `birth` the current
+# iteration, so `birth` never decreases and the factors in their first
+# round are the last rows.  Linearised at `lin`, its residual is z - h(x) ~
 # target - jac x with target = jac lin + z - h(lin); so z - h(lin) = target
-# - jac lin, which is zero before the first linearisation.  Per kind: the
-# variable's id and the last message to it, (J' v, J' S J) with S's entries
-# 00, 01, 11 in `s` and J the kind's columns of the current `jac`.
+# - jac lin, which is zero before the first linearisation.  Per kind, in
+# `KINDS` order: the variable's id, and a column of `msg`, the last message
+# to it, (J' v, J' S J) with S's entries 00, 01, 11 and then v, J the
+# kind's columns of the current `jac`.
 FACTOR_FIELDS = (
     *(Field(kind.key, (), "int") for kind in KINDS),
     Field("z", (2,), "float"),
@@ -129,11 +132,9 @@ FACTOR_FIELDS = (
     Field("jac", (2, FACTOR_DIM), "float"),
     Field("target", (2,), "float"),
     Field("weight", (), "float", 1.0),
-    Field("valid", (), "bool", False),
     Field("last_relin", (), "int"),  # the last round it was relinearised in, else its birth
     Field("birth", (), "int"),  # the iteration it was added in: its inputs are zero then
-    *(Field(f"msg_{kind.key}_s", (3,), "float") for kind in KINDS),
-    *(Field(f"msg_{kind.key}_v", (2,), "float") for kind in KINDS),
+    Field("msg", (5, len(KINDS)), "float"),
 )
 
 # attribute prefix -> (fields, variable dimension)
@@ -194,9 +195,10 @@ class FactorGraph:
         return [self.var(kind, "state")[self.adjacent(kind)[idx]] for kind in KINDS]
 
     def message(self, kind: Kind) -> tuple:
-        """The stored messages to `kind`: S's entries (F, 3) and v (F, 2),
-        sent with `f_jac[:, :, kind.cols]`."""
-        return tuple(getattr(self, f"f_msg_{kind.key}_{name}") for name in ("s", "v"))
+        """The stored messages to `kind`, views of `f_msg`: S's entries
+        (F, 3) and v (F, 2), sent with `f_jac[:, :, kind.cols]`."""
+        msg = self.f_msg[:, :, KINDS.index(kind)]
+        return msg[:, :3], msg[:, 3:]
 
     # ------------------------------------------------------------------ sizes
 
@@ -239,40 +241,40 @@ class FactorGraph:
         information until a later attempt succeeds.
 
         Runs over blocks of `BLOCK_ROWS` of the factors in `idx`, each
-        projected from columns of the `camera_terms` table, formed once per
-        keyframe, and written into the factor arrays' component-major bases
-        in place.
+        projected once, with its Jacobians, from columns of the
+        `camera_terms` table, formed once per keyframe, and written into the
+        factor arrays' component-major bases in place.
         """
         idx = np.asarray(idx, dtype=int)
         ok = np.zeros(idx.size, dtype=bool)
         table = camera_terms(self.kf_state)
-        kf_cm, lm_cm, z_cm, lin_cm, jac_cm, target_cm = (component_major(a) for a in (
-            self.kf_state, self.lm_state, self.f_z, self.f_lin, self.f_jac, self.f_target))
+        kf_cm, z_cm, lin_cm, jac_cm, target_cm = (component_major(a) for a in (
+            self.kf_state, self.f_z, self.f_lin, self.f_jac, self.f_target))
         for start in range(0, idx.size, BLOCK_ROWS):
             rows = idx[start : start + BLOCK_ROWS]
-            kf = self.f_kf[rows]
-            terms, points = np.take(table, kf, axis=1), np.take(lm_cm, self.f_lm[rows], axis=1)
-            uv_hat, depth = project_many(terms.T, points.T, self.intrinsics)
+            terms, points = self._gather(table, rows)
+            uv_hat, depth, jac = jacobian_many(terms.T, points.T, self.intrinsics)
+            jac = component_major(jac)
             good = depth > DEPTH_EPSILON
             ok[start : start + BLOCK_ROWS] = good
             if not good.all():  # only the rows in front of the camera; no copies when all are
-                rows, kf, terms, points, uv_hat = rows[good], kf[good], terms[:, good], points[:, good], uv_hat[good]
+                rows, points, uv_hat, jac = rows[good], points[:, good], uv_hat[good], jac[..., good]
             if rows.size == 0:
                 continue
+            lin = np.concatenate([np.take(kf_cm, self.f_kf[rows], axis=1), points])
             if (np.diff(rows) == 1).all():  # consecutive: write through views
                 rows = slice(rows[0], rows[-1] + 1)
-            jac = component_major(jacobian_many(terms.T, points.T, self.intrinsics))
-            lin = np.concatenate([np.take(kf_cm, kf, axis=1), points])
             residual = z_cm[:, rows] - uv_hat.T
             jac_cm[..., rows] = jac
-            target = jac[:, 0] * lin[0]  # jac lin + residual, jac lin summed in column order
-            for j in range(1, FACTOR_DIM):
-                target += jac[:, j] * lin[j]
-            target_cm[:, rows] = target + residual
+            target_cm[:, rows] = _jac_lin(jac, lin) + residual
             lin_cm[:, rows] = lin
             self.f_weight[rows] = huber_weight(_row_norms(residual.T) / self.f_sigma[rows], self.huber_nsigma)
-            self.f_valid[rows] = True
         return ok
+
+    def _gather(self, table, rows):
+        """The `table` columns and landmark positions (3, n) of the factors in `rows`."""
+        lm_cm = component_major(self.lm_state)
+        return np.take(table, self.f_kf[rows], axis=1), np.take(lm_cm, self.f_lm[rows], axis=1)
 
     def factor_precision(self, idx=slice(None)) -> np.ndarray:
         """w = weight / sigma^2 of the factors in `idx`: the Huber-weighted
@@ -313,7 +315,6 @@ class FactorGraph:
         over blocks of `BLOCK_ROWS` of those rows, and each kind's are summed
         in one scatter over all of them."""
         rows = np.arange(np.searchsorted(self.f_birth, self.iteration), self.n_measurement_factors)
-        rows = rows[self.f_valid[rows]]
         colsq = np.empty((rows.size, FACTOR_DIM), self.dtype)
         for start in range(0, rows.size, BLOCK_ROWS):
             block = rows[start : start + BLOCK_ROWS]
@@ -364,11 +365,10 @@ class FactorGraph:
         n = self.n_measurement_factors
         residual, depth = np.empty((2, n), self.dtype), np.empty(n, self.dtype)
         table = camera_terms(self.kf_state, jacobian=False)
-        lm_cm, z_cm = component_major(self.lm_state), component_major(self.f_z)
+        z_cm = component_major(self.f_z)
         for start in range(0, n, BLOCK_ROWS):
             rows = slice(start, start + BLOCK_ROWS)
-            terms = np.take(table, self.f_kf[rows], axis=1)
-            points = np.take(lm_cm, self.f_lm[rows], axis=1)
+            terms, points = self._gather(table, rows)
             uv_hat, depth[rows] = project_many(terms.T, points.T, self.intrinsics)
             np.subtract(z_cm[:, rows], uv_hat.T, out=residual[:, rows])
         return residual.T, depth
@@ -397,28 +397,25 @@ class FactorGraph:
         measurement terms, at current states and current prior strengths.  A
         behind-camera measurement's term takes its residual at its
         linearisation point."""
+        norms, depth = self._residual_norms()
+        mahal = norms / self.f_sigma
+        behind = np.flatnonzero(depth <= DEPTH_EPSILON)
+        if behind.size:  # the residual at the linearisation point, z - h(lin)
+            # = target - jac lin, which is zero before the first one
+            jac, lin, target = (np.take(component_major(a), behind, axis=-1)
+                                for a in (self.f_jac, self.f_lin, self.f_target))
+            mahal[behind] = _row_norms((target - _jac_lin(jac, lin)).T) / self.f_sigma[behind]
+        return self._objective(mahal)
+
+    def _objective(self, mahal) -> float:
+        """Prior Mahalanobis terms at current states and prior strengths plus
+        Huber terms of the measurements' Mahalanobis distances `mahal`."""
         total = 0.0
         for kind in KINDS:
             _, diag = self.prior_information(kind)
             delta = self.var(kind, "state") - self.var(kind, "prior_mean")
             total += float(np.sum(diag * delta**2))
-        if self.n_measurement_factors:
-            norms, depth = self._residual_norms()
-            mahal = norms / self.f_sigma
-            behind = np.flatnonzero(depth <= DEPTH_EPSILON)
-            if behind.size:
-                # the residual at the linearisation point, z - h(lin) =
-                # target - jac lin, which is zero before the first one; jac
-                # lin is summed over the columns in ascending order, the order
-                # of an einsum over every row of the factor-last arrays
-                jac, lin = self.f_jac[behind], self.f_lin[behind]
-                jac_lin = jac[:, :, 0] * lin[:, None, 0]
-                for j in range(1, FACTOR_DIM):
-                    jac_lin += jac[:, :, j] * lin[:, None, j]
-                stale = self.f_target[behind] - jac_lin
-                mahal[behind] = np.linalg.norm(stale, axis=1) / self.f_sigma[behind]
-            total += float(np.sum(huber_energy(mahal, self.huber_nsigma)))
-        return total
+        return total + float(np.sum(huber_energy(mahal, self.huber_nsigma)))
 
     def classify_outliers(self) -> np.ndarray:
         """Measurements currently in the linear (outlier) loss regime."""
@@ -532,8 +529,8 @@ class FactorGraph:
         graph is that messages are zero, every factor is linearised at the
         current states, prior strengths are regenerated from those
         linearisations, beliefs restart at the full-strength priors, and the
-        weakening schedule starts again for every variable."""
-        return build(self.to_problem(), huber_nsigma=self.huber_nsigma)
+        weakening schedule starts again for every variable, in its dtype."""
+        return build(self.to_problem(), huber_nsigma=self.huber_nsigma).astype(self.dtype)
 
     def validate(self) -> dict:
         """Invariant check; returns violation counts (all zero when healthy)."""
@@ -552,7 +549,7 @@ class FactorGraph:
         # 0.53 eps (six scenes, about 50k factors), so there it is 4 eps;
         # checked in blocks, so no (F, 9, 9) stack is formed
         rtol = max(1e-9, 4 * float(np.finfo(self.dtype).eps))
-        fresh = np.flatnonzero(self.f_valid & (self.iters_since_relin() == 0))
+        fresh = np.flatnonzero(self.iters_since_relin() == 0)
         for start in range(0, fresh.size, BLOCK_ROWS):
             eigs = np.linalg.eigvalsh(self.factor_information(fresh[start : start + BLOCK_ROWS])[1])
             scale = np.maximum(eigs[:, -1], 1.0)
@@ -566,6 +563,14 @@ def _row_norms(residual):
     norms = residual[:, 0] * residual[:, 0]
     norms += residual[:, 1] * residual[:, 1]
     return np.sqrt(norms, out=norms)
+
+
+def _jac_lin(jac, lin):
+    """J lin (2, n) of component-major J (2, 9, n) and lin (9, n), in column order."""
+    out = jac[:, 0] * lin[0]
+    for j in range(1, FACTOR_DIM):
+        out += jac[:, j] * lin[j]
+    return out
 
 
 def huber_weight(mahal, nsigma):

@@ -183,14 +183,14 @@ class TestProject:
 
 class TestJacobian:
     def test_translation_block_at_axis(self):
-        jac = jacobian_many(IDENTITY, [0.0, 0.0, 1.0], K_UNIT)[0]
+        jac = jacobian_many(IDENTITY, [0.0, 0.0, 1.0], K_UNIT)[2][0]
         np.testing.assert_allclose(jac[:, 3:6], [[1, 0, 0], [0, 1, 0]], atol=1e-15)
 
     def test_landmark_block_is_translation_times_rotation(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             state, lm = random_visible_config(rng)
-            jac = jacobian_many(state, lm, K_VGA)[0]
+            jac = jacobian_many(state, lm, K_VGA)[2][0]
             rot = rotation_matrix(state[:3])
             np.testing.assert_allclose(jac[:, 6:9], jac[:, 3:6] @ rot, rtol=1e-12, atol=1e-12)
 
@@ -200,7 +200,7 @@ class TestJacobian:
         for _ in range(1000):
             state, lm = random_visible_config(rng, min_depth=0.1)
             point = np.concatenate([state, lm])
-            jac = jacobian_many(point[None, :6], point[None, 6:], K_VGA)[0]
+            jac = jacobian_many(point[None, :6], point[None, 6:], K_VGA)[2][0]
             fd = finite_diff_jacobian(lambda x: project_one(x[:6], x[6:], K_VGA)[0], point, step=1e-6)
             rel = np.abs(jac - fd) / np.maximum(np.abs(fd), 1.0)
             assert rel.max() < 1e-5
@@ -349,7 +349,11 @@ class TestColumnKernel:
         got_uv, got_depth = project_many(states, points, K_VGA)
         self.assert_rows_close(got_uv, uv, 1e-12)
         self.assert_rows_close(got_depth[:, None], depth[:, None], 1e-12)
-        self.assert_rows_close(jacobian_many(states, points, K_VGA), jac, 1e-12)
+        got_all = jacobian_many(states, points, K_VGA)
+        self.assert_rows_close(got_all[2], jac, 1e-12)
+        # the pixels and depths it projected are project_many's, bit for bit
+        np.testing.assert_array_equal(got_all[0], got_uv)
+        np.testing.assert_array_equal(got_all[1], got_depth)
         for got, want in zip(reference_so3(states[:, :3]), (rotation_matrix, left_jacobian)):
             self.assert_rows_close(want(states[:, :3]), got, 1e-12)
 
@@ -368,14 +372,14 @@ class TestColumnKernel:
         scale = np.linalg.norm(points, axis=1) + np.linalg.norm(states[:, 3:], axis=1)
         assert np.all(np.abs(got - depth) <= 1e-12 * scale)
         np.testing.assert_array_equal(got <= DEPTH_EPSILON, depth <= DEPTH_EPSILON)
-        assert np.all(np.isfinite(jacobian_many(states, points, K_VGA)))
+        assert np.all(np.isfinite(jacobian_many(states, points, K_VGA)[2]))
 
     def test_float32(self):
         states, points = self.configs(np.random.default_rng(33), [1e-9, 0.4, 2.5, np.pi - 1e-3] * 25)
         states, points = states.astype(np.float32), points.astype(np.float32)
         uv, depth, jac = reference_camera(states, points, K_VGA)
         got_uv, got_depth = project_many(states, points, K_VGA)
-        got_jac = jacobian_many(states, points, K_VGA)
+        got_jac = jacobian_many(states, points, K_VGA)[2]
         assert got_uv.dtype == got_depth.dtype == got_jac.dtype == np.float32
         eps = float(np.finfo(np.float32).eps)
         self.assert_rows_close(got_uv, uv, 64 * eps)
@@ -391,8 +395,8 @@ class TestColumnKernel:
         terms = np.take(table, rows, axis=1).T
         for got, want in zip(project_many(terms, points[rows], K_VGA), project_many(states[rows], points[rows], K_VGA)):
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(
-            jacobian_many(terms, points[rows], K_VGA), jacobian_many(states[rows], points[rows], K_VGA))
+        for got, want in zip(jacobian_many(terms, points[rows], K_VGA), jacobian_many(states[rows], points[rows], K_VGA)):
+            np.testing.assert_array_equal(got, want)
 
     def test_rows_of_another_width_are_rejected(self):
         # states are 6 wide and table rows 21, or 12 without J_l where only

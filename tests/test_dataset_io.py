@@ -124,6 +124,9 @@ class TestLoadErrors:
             ("intrinsics", 0, lambda line: "intrinsics 350 350 nan 240"),
             ("outliers", 2, lambda line: "99999"),
             ("keyframes", 0, lambda line: "keyframes 4 gt=2"),
+            ("measurements", 0, lambda line: line + " gt=0"),
+            ("outliers", 0, lambda line: line + " gt=1"),
+            ("metadata", 0, lambda line: line + " gt=0"),
             ("keyframes", 1, lambda line: line + " 0"),
             ("landmarks", 3, lambda line: line.rsplit(" ", 1)[0]),
             ("landmarks", 4, lambda line: line.replace(" ", " x", 1)),
@@ -135,7 +138,8 @@ class TestLoadErrors:
             "outliers-without-count", "metadata-without-count", "outliers-count-not-a-number",
             "outlier-index-not-a-number", "intrinsics-zero-focal", "intrinsics-non-finite",
             "outlier-index-out-of-range",
-            "bad-gt-flag", "keyframe-row-too-long", "landmark-row-too-short",
+            "bad-gt-flag", "measurements-gt-flag", "outliers-gt-flag", "metadata-gt-flag",
+            "keyframe-row-too-long", "landmark-row-too-short",
             "landmark-field-not-a-number", "landmark-ids-not-contiguous",
             "measurement-trailing-comment", "measurement-fractional-id",
         ],

@@ -158,7 +158,7 @@ def test_factor_added_mid_solve_starts_from_zero_input():
 
     # later rounds: inputs are belief minus message, as for every factor
     check_round(graph, schedule, np.concatenate([old, new]))
-    assert graph.f_msg_kf_s[new[0]].any()
+    assert graph.message(KEYFRAME)[0][new[0]].any()
 
 
 def test_every_factor_with_outliers_and_growth_matches_scalar_path():
@@ -235,7 +235,7 @@ def test_message_kept_singular_across_a_relinearisation_restarts_at_zero():
     assert report.n_relinearized == graph.n_measurement_factors == 120
     rows = np.flatnonzero(graph.f_lm == 0)
     assert rows.size == 4 and report.n_singular_messages == 4
-    assert not graph.f_msg_kf_s[rows].any() and not graph.f_msg_kf_v[rows].any()
+    assert not graph.f_msg[rows, :, 0].any()
     check_round(graph, schedule, np.arange(graph.n_measurement_factors))
 
 
@@ -259,7 +259,7 @@ def test_row_blocks_do_not_change_results(monkeypatch):
     problem = outlier_problem()
     lm, kf = problem.meas_lm[40], problem.meas_kf[40]
     problem.lm_init[lm] = 2 * camera_center(problem.kf_init[kf]) - problem.lm_init[lm]
-    built_names = ("f_jac", "f_target", "f_lin", "f_weight", "f_valid",
+    built_names = ("f_jac", "f_target", "f_lin", "f_weight",
                    *(f"{kind.key}_prior_{name}" for kind in factor_graph.KINDS
                      for name in ("diag0", "fallback")))
     graphs = {}
@@ -284,7 +284,7 @@ def test_row_blocks_do_not_change_results(monkeypatch):
     assert big_bad == small_bad
     for name, a, b in zip(built_names, big_built, small_built):
         np.testing.assert_array_equal(a, b, err_msg=name)
-    assert not big_built[built_names.index("f_valid")].all()
+    assert not big_built[built_names.index("f_jac")].any(axis=(1, 2)).all()  # some never linearised
     assert big_behind.size > 0 and big_behind.min() // 7 != big_behind.max() // 7
     np.testing.assert_array_equal(big_behind, small_behind)
     assert big_evaluated == small_evaluated
@@ -293,8 +293,7 @@ def test_row_blocks_do_not_change_results(monkeypatch):
     for a, b in zip(big_reports, small_reports):
         a.phase_ms = b.phase_ms = {}
         assert a == b
-    for name in ("kf_state", "lm_state", "kf_belief_lam", "lm_belief_eta", "f_msg_kf_v",
-                 "f_msg_kf_s", "f_msg_lm_v", "f_msg_lm_s"):
+    for name in ("kf_state", "lm_state", "kf_belief_lam", "lm_belief_eta", "f_msg"):
         np.testing.assert_array_equal(getattr(big, name), getattr(small, name))
 
 
@@ -392,8 +391,7 @@ def test_dense_runs_do_not_depend_on_row_blocks(monkeypatch):
     assert big_reports[10].n_relinearized > 0 and big_reports[10].n_relin_aborted > 0
     assert big_reports[10].n_singular_messages >= 400
     assert big_reports == small_reports
-    for name in ("kf_state", "lm_state", "kf_belief_lam", "lm_belief_eta", "f_msg_kf_v",
-                 "f_msg_kf_s", "f_msg_lm_v", "f_msg_lm_s"):
+    for name in ("kf_state", "lm_state", "kf_belief_lam", "lm_belief_eta", "f_msg"):
         np.testing.assert_array_equal(getattr(big, name), getattr(small, name), err_msg=name)
 
 
@@ -406,7 +404,7 @@ def test_float32_dense_runs_take_the_float64_iterations(monkeypatch):
         graph = build(problem).astype(dtype)
         assert len(engine._dense_runs(graph.f_kf)[0]) == 6
         reports[dtype] = solve(graph, ScheduleParams(are_target=1.5))
-        assert graph.kf_state.dtype == graph.f_msg_kf_s.dtype == dtype
+        assert graph.kf_state.dtype == graph.f_msg.dtype == dtype
     want, got = reports[np.float64], reports[np.float32]
     assert want.converged and got.converged
     assert want.iterations == got.iterations == 44
@@ -576,7 +574,7 @@ def test_first_round_factors_add_nothing_to_beliefs():
 
 def test_phases_update_the_graph_arrays_in_place():
     graph = perturbed_graph()
-    names = [name for name in vars(graph) if name.startswith("f_msg_")]
+    names = ["f_msg"]
     names += [f"{key}_{field}" for key in ("kf", "lm") for field in ("belief_eta", "belief_lam", "state")]
     arrays = {name: getattr(graph, name) for name in names}
     before = {name: value.copy() for name, value in arrays.items()}
@@ -605,7 +603,7 @@ def test_float32_first_round_messages_are_singular_as_in_float64():
             graph = build(problem).astype(dtype)
             report = iterate(graph)
             assert report.n_singular_messages == 2 * graph.n_measurement_factors == 4000, (seed, dtype)
-            assert not graph.f_msg_kf_s.any() and not graph.f_msg_lm_s.any()
+            assert not graph.f_msg[:, :3].any()
 
 
 @pytest.mark.parametrize("seed", [5, 8])
@@ -646,9 +644,9 @@ def test_lm_steps_leave_out_behind_camera_factors():
     center = camera_center(graph.kf_state[graph.f_kf[m]])
     graph.lm_state[0] = 2 * center - graph.lm_state[0]
     behind = graph.residuals()[1] <= DEPTH_EPSILON
-    assert behind[m] and graph.f_valid[m]
+    assert behind[m] and graph.f_jac[m].any()
     clean = graph.copy()
-    clean.f_jac[behind], clean.f_target[behind], clean.f_valid[behind] = 0.0, 0.0, False
+    clean.f_jac[behind], clean.f_target[behind] = 0.0, 0.0
     want, got = lm_solve(clean), lm_solve(graph)
     assert got.steps == want.steps > 0
     np.testing.assert_array_equal(got.kf_states, want.kf_states)

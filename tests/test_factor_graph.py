@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from gbp_ba import (
     solve,
     synthesize,
 )
-from gbp_ba.camera import DEPTH_EPSILON, camera_center, jacobian_many, project_many
+from gbp_ba.camera import DEPTH_EPSILON, camera_center, jacobian_many, project_many, rotation_matrix
 from gbp_ba.dense_oracle import stack_states
 from gbp_ba.factor_graph import FACTOR_FIELDS, KEYFRAME, KINDS, TABLES, huber_energy, huber_weight
 
@@ -115,8 +117,7 @@ class TestBuild:
 
     def test_messages_start_at_zero_information(self):
         graph = build(synthesize(3, 20, seed=1))
-        assert not graph.f_msg_kf_v.any() and not graph.f_msg_kf_s.any()
-        assert not graph.f_msg_lm_v.any() and not graph.f_msg_lm_s.any()
+        assert not graph.f_msg.any()
 
 
 class TestPriors:
@@ -124,7 +125,7 @@ class TestPriors:
         prob = synthesize(2, 12, seed=3, pixel_sigma=0.0)
         graph = build(prob)
         # landmark observed exactly twice: prior diag == summed J' Sigma^-1 J diag
-        jac = jacobian_many(graph.f_lin[:, :6], graph.f_lin[:, 6:], graph.intrinsics)
+        jac = jacobian_many(graph.f_lin[:, :6], graph.f_lin[:, 6:], graph.intrinsics)[2]
         for j in range(graph.n_landmarks):
             rows = np.flatnonzero(graph.f_lm == j)
             expect = np.zeros(3)
@@ -136,7 +137,7 @@ class TestPriors:
     def test_keyframe_prior_matches_information_diag(self):
         prob = synthesize(2, 12, seed=3, pixel_sigma=0.0)
         graph = build(prob)
-        jac = jacobian_many(graph.f_lin[:, :6], graph.f_lin[:, 6:], graph.intrinsics)
+        jac = jacobian_many(graph.f_lin[:, :6], graph.f_lin[:, 6:], graph.intrinsics)[2]
         for i in range(graph.n_keyframes):
             rows = np.flatnonzero(graph.f_kf == i)
             expect = np.zeros(6)
@@ -207,6 +208,35 @@ class TestPriors:
         diag_before = graph.lm_prior_diag0.copy()
         graph.refresh_priors()  # every variable and factor was born in this iteration
         np.testing.assert_array_equal(graph.lm_prior_diag0, diag_before)
+
+    def test_factors_never_linearised_add_nothing(self):
+        # keyframe 0 moved 5 m past the scene, and landmark 0 behind every
+        # camera: each measurement of either is behind its camera at build,
+        # so it is never linearised.  Both variables get the flagged unit
+        # fallback prior, as if they had no measurements, their factors add
+        # nothing to the dense system, and validate() reports nothing
+        problem = synthesize(4, 30, seed=21, pixel_sigma=0.5, trajectory="line")
+        center = camera_center(problem.kf_init[0]) + [0.0, 0.0, 5.0]
+        problem.kf_init[0, 3:] = -rotation_matrix(problem.kf_init[0, :3]) @ center
+        problem.lm_init[0] = [0.0, 0.0, -2.0]
+        graph = build(problem)
+        dead = (problem.meas_kf == 0) | (problem.meas_lm == 0)
+        depth = graph.residuals()[1]
+        assert np.all(depth[dead] <= DEPTH_EPSILON) and np.all(depth[~dead] > DEPTH_EPSILON)
+        for kind in KINDS:
+            assert graph.var(kind, "prior_fallback").tolist() == [True] + [False] * (graph.size(kind) - 1)
+            np.testing.assert_array_equal(graph.var(kind, "prior_diag0")[0], np.ones(kind.dim))
+        alive = dataclasses.replace(problem, **{
+            name: getattr(problem, name)[~dead] for name in ("meas_kf", "meas_lm", "meas_uv", "meas_sigma")
+        })
+        want, got = assemble(build(alive)), assemble(graph)
+        np.testing.assert_array_equal(got.eta, want.eta)
+        np.testing.assert_array_equal(got.lam, want.lam)
+        assert got.const == pytest.approx(want.const, rel=1e-14)
+        clean = {"belief_not_psd": 0, "factor_rank": 0, "asymmetry": 0}
+        assert graph.validate() == clean
+        run(graph, ScheduleParams(), n=11)  # relinearises at round 10
+        assert graph.validate() == clean
 
 
 class TestEnergyAndAre:
@@ -283,11 +313,11 @@ class TestEnergyAndAre:
         prob = one_factor_problem()
         prob.lm_init = np.array([[0.0, 0.0, -1.0]])
         graph = build(prob)
-        assert not graph.f_valid[0]  # never linearised, so never moves
+        assert not graph.f_jac[0].any()  # never linearised, so never moves
         reports = run(graph, ScheduleParams(), n=12)
         assert [r.n_behind_camera for r in reports] == [1] * 12
         assert [r.are for r in reports] == [pytest.approx(1e6)] * 12
-        assert not graph.f_valid[0]
+        assert not graph.f_jac[0].any()
         normal = run(build(synthesize(3, 20, seed=11, pixel_sigma=0.5)), ScheduleParams(), n=3)
         assert [r.n_behind_camera for r in normal] == [0] * 3
 
@@ -296,7 +326,7 @@ class TestEnergyAndAre:
 
         graph = build(perturb(synthesize(4, 30, seed=21, pixel_sigma=0.5), 0.05, "backproject", seed=22))
         run(graph, ScheduleParams(), n=3)
-        assert graph.f_valid.all()
+        assert graph.f_jac.any(axis=(1, 2)).all()
         # mirror 5 landmarks through the centre of a camera that sees each
         for j in range(5):
             kf = graph.f_kf[np.flatnonzero(graph.f_lm == j)[0]]
@@ -442,7 +472,7 @@ class TestIncrementalMutation:
 
         run(graph, ScheduleParams(), n=12)
         beliefs = graph.kf_belief_eta.copy()
-        msgs = graph.f_msg_kf_v.copy()
+        msgs = graph.f_msg.copy()
         lins = graph.f_lin.copy()
         it = graph.iteration
         fields = ("state", "prior_mean", "prior_diag0", "prior_scale")
@@ -454,7 +484,7 @@ class TestIncrementalMutation:
         lm = graph.add_landmark(np.array([0.0, 0.0, 1.2]))
         graph.add_measurement(kf, lm, np.array([320.0, 240.0]))
         np.testing.assert_array_equal(graph.kf_belief_eta[:3], beliefs)
-        np.testing.assert_array_equal(graph.f_msg_kf_v[: msgs.shape[0]], msgs)
+        np.testing.assert_array_equal(graph.f_msg[: msgs.shape[0]], msgs)
         np.testing.assert_array_equal(graph.f_lin[: lins.shape[0]], lins)
         assert graph.iteration == it  # no reset
         # older variables' prior means are re-anchored at their states at the
@@ -476,7 +506,7 @@ class TestIncrementalMutation:
         )
         graph.add_measurement(0, lm_id, uv[0])
         assert not graph.lm_prior_fallback[lm_id]
-        jac = jacobian_many(graph.f_lin[-1:, :6], graph.f_lin[-1:, 6:], graph.intrinsics)[0]
+        jac = jacobian_many(graph.f_lin[-1:, :6], graph.f_lin[-1:, 6:], graph.intrinsics)[2][0]
         expect = np.diag(jac[:, 6:].T @ jac[:, 6:])
         np.testing.assert_allclose(graph.lm_prior_diag0[lm_id], expect, rtol=1e-12)
 
@@ -572,12 +602,23 @@ def test_float32_mode():
     assert np.isfinite(graph.average_reprojection_error())
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_cold_restart_keeps_the_float_dtype(dtype):
+    graph = build(synthesize(3, 20, seed=17, pixel_sigma=0.5)).astype(dtype)
+    run(graph, ScheduleParams(), n=5)
+    cold = graph.cold_restart()
+    assert cold.dtype == dtype
+    assert set(float_dtypes(cold).values()) == {np.dtype(dtype)}
+    np.testing.assert_array_equal(cold.kf_state, graph.kf_state)
+    np.testing.assert_array_equal(cold.lm_state, graph.lm_state)
+
+
 def test_float32_graph_evaluates_in_float32():
     graph = build(synthesize(3, 20, seed=17, pixel_sigma=0.5)).astype(np.float32)
     residual, depth = graph.residuals()
     assert residual.dtype == np.float32 and depth.dtype == np.float32
-    jac = jacobian_many(graph.f_lin[:, :6], graph.f_lin[:, 6:], graph.intrinsics)
-    assert jac.dtype == np.float32
+    uv, depth, jac = jacobian_many(graph.f_lin[:, :6], graph.f_lin[:, 6:], graph.intrinsics)
+    assert uv.dtype == depth.dtype == jac.dtype == np.float32
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -597,7 +638,7 @@ def test_per_keyframe_camera_terms_match_per_row_calls(dtype):
     idx = np.arange(1, graph.n_measurement_factors, 3)
     assert graph.linearize_factors(idx).all()
     assert not np.array_equal(graph.f_lin[idx], build(problem).astype(dtype).f_lin[idx])
-    want = jacobian_many(graph.f_lin[idx, :6], graph.f_lin[idx, 6:], graph.intrinsics)
+    want = jacobian_many(graph.f_lin[idx, :6], graph.f_lin[idx, 6:], graph.intrinsics)[2]
     assert graph.f_jac.dtype == dtype and want.dtype == dtype
     np.testing.assert_array_equal(graph.f_jac[idx], want)
 
@@ -687,12 +728,18 @@ class TestSchema:
         check_layout(graph.astype(np.float32))
 
     def test_messages_store_s_and_v_only(self):
-        # every message was sent with the factor's one stored J, `f_jac`
-        for kind in KINDS:
-            prefix = f"msg_{kind.key}_"
-            fields = {f.name: f.shape for f in FACTOR_FIELDS if f.name.startswith(prefix)}
-            assert fields == {prefix + "s": (3,), prefix + "v": (2,)}
-        assert [f.name for f in FACTOR_FIELDS if len(f.shape) == 2] == ["jac"]
+        # every message was sent with the factor's one stored J, `f_jac`:
+        # one field holds S's three entries and v for each receiving kind
+        fields = {f.name: f.shape for f in FACTOR_FIELDS if f.name.startswith("msg")}
+        assert fields == {"msg": (5, len(KINDS))}
+        assert [f.name for f in FACTOR_FIELDS if len(f.shape) == 2] == ["jac", "msg"]
+        graph = build(synthesize(3, 20, seed=18, pixel_sigma=0.5))
+        for k, kind in enumerate(KINDS):
+            s, v = graph.message(kind)
+            assert s.shape == (graph.n_measurement_factors, 3) and v.shape == (graph.n_measurement_factors, 2)
+            s[:] = 1 + k
+            v[:] = 3 + k
+        np.testing.assert_array_equal(graph.f_msg[0], [[1, 2]] * 3 + [[3, 4]] * 2)
 
     def test_factor_stores_jacobian_not_information(self):
         from gbp_ba.engine import run
@@ -705,7 +752,7 @@ class TestSchema:
         graph = build(problem)
         run(graph, ScheduleParams(), n=11)  # relinearised at round 10
         lin = graph.f_lin
-        jac = jacobian_many(lin[:, :6], lin[:, 6:], graph.intrinsics)
+        jac = jacobian_many(lin[:, :6], lin[:, 6:], graph.intrinsics)[2]
         uv, _ = project_many(lin[:, :6], lin[:, 6:], graph.intrinsics)
         target = np.einsum("fij,fj->fi", jac, lin) + graph.f_z - uv
         w = graph.f_weight / graph.f_sigma**2
