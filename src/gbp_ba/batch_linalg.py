@@ -28,27 +28,15 @@ PIVOT_RTOL = 1e-12
 # (at build, in relinearising rounds and in the LM baseline), the squared
 # Jacobian column sums of `refresh_priors`, the projection of `residuals`
 # behind the ARE, the energy and the behind-camera count, the engine's
-# phase A selection, phases B and C, and the rank check of `validate`.
-# Each numpy call of phase B costs about 1 us besides its rows, so longer
-# blocks pay: on 30k factors phase B takes a fifth less time in blocks of
-# 6144 rows than of 4096, 8192 rows gain nothing more, and a relinearising
-# round's extra heap then passes 400 B per factor (2 vCPU, one BLAS thread).
-# Phases B and C take the rows of dense runs, at least DENSE_RUN_ROWS
-# consecutive rows of one variable, as a keyframe's, by that variable
-# instead: phase B multiplies the J of each piece of a run by the variable's
-# own B^-1, and phase C sums each piece in one matrix product.  The pieces
-# are cut every DENSE_RUN_PIECE rows from the run's start, so neither phase
-# depends on the block size (phase B's stretches of rows end where no piece
-# is cut), and their temporaries are bounded by the longer of BLOCK_ROWS
-# and DENSE_RUN_PIECE, not by the longest run: phase B holds about 650 B per
-# row of its longest stretch in a plain float64 round.  A run costs some
-# tens of us of calls in each phase, so a short run is cheaper row by row:
-# phases B and C together break even between 112 and 128 rows per run
-# (12k-factor scenes of 64-320 rows per keyframe, 2 vCPU, one BLAS thread),
-# and a run is dense from 128.
+# phase A selection, the stretches that the engine's phases B and C both
+# walk, and the rank check of `validate`.  A stretch is a block cut short
+# or stretched so that it cuts no piece of a keyframe's dense run (see
+# `engine`).  Each numpy call of phase B costs about 1 us besides its rows,
+# so longer blocks pay: on 30k factors phase B takes a fifth less time in
+# blocks of 6144 rows than of 4096, 8192 rows gain nothing more, and a
+# relinearising round's extra heap then passes 400 B per factor (2 vCPU, one
+# BLAS thread).
 BLOCK_ROWS = 6144
-DENSE_RUN_ROWS = 128
-DENSE_RUN_PIECE = 6144
 
 
 def component_major(stack: np.ndarray) -> np.ndarray:

@@ -39,25 +39,25 @@ of the factor's 9-vector:
      run over the rows before those born this round.  v is damped against
      the previous v outside the undamped window after a relinearisation,
      which holds at least that round, so both were sent with the current
-     J_K.  A dense run is at least `DENSE_RUN_ROWS` consecutive rows that
-     share their variable E, as a keyframe's do, cut into pieces every
-     `DENSE_RUN_PIECE` rows from its start.  Phase B walks stretches of
-     about `BLOCK_ROWS` rows that cut no piece, and forms both sides'
-     messages of a stretch before it writes either, in place in `f_msg`,
-     each step one vector operation.  A piece's B^-1 J_E' is one matrix
-     product with E's own B^-1, and J_E mu_E one with mu_E = B^-1 eta_E,
-     formed once per variable; the other rows gather B^-1 and mu.  Every
-     other sum is taken row by row in a fixed order, so no message depends
-     on BLOCK_ROWS.  Runs are found each round by comparing neighbouring
-     rows' ids;
+     J_K.  A dense run is at least `DENSE_RUN_ROWS` consecutive rows of one
+     keyframe, as its measurements are added together, cut into pieces
+     every `DENSE_RUN_PIECE` rows from its start.  `iterate` finds the runs
+     from neighbouring rows' keyframes and plans stretches of about
+     `BLOCK_ROWS` rows that cut no piece, which phases B and C both walk.
+     Phase B forms both sides' messages of a stretch before it writes
+     either, in place in `f_msg`, each step one vector operation.  Where E
+     is the keyframe, a piece's B^-1 J_E' is one matrix product with E's own
+     B^-1, and J_E mu_E one with mu_E = B^-1 eta_E, formed once per
+     variable; the other rows gather B^-1 and mu.  Every other sum is taken
+     row by row in a fixed order, so no message depends on BLOCK_ROWS;
   C. every variable's belief is rebuilt in place as prior + sum of incoming
-     messages in float64, and one masked solve gives its mean and B^-1.  A
-     piece of a dense run adds its rows' messages in two matrix products,
-     A P' + B Q' with A, B the rows of J_K' and P, Q those of (S J_K)',
-     and A v_0 + B v_1; the other rows are expanded a block of factors at a
-     time and summed in ascending factor-id order.  The state moves to the
-     mean when B is invertible; keyframe rotations are then wrapped to
-     angle-axis magnitudes in [0, pi].
+     messages in float64, a stretch at a time, and one masked solve gives
+     its mean and B^-1.  A keyframe's piece adds its rows' messages in two
+     matrix products, A P' + B Q' with A, B the rows of J_K' and P, Q those
+     of (S J_K)', and A v_0 + B v_1; the other rows, the landmarks' all,
+     are expanded and summed in ascending factor-id order.  The state
+     moves to the mean when B is invertible; keyframe rotations are then
+     wrapped to angle-axis magnitudes in [0, pi].
 
 `iterate` then evaluates the ARE and the energy, and counts the
 measurements behind their camera, from one shared projection, and reports
@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch_linalg import BLOCK_ROWS, DENSE_RUN_PIECE, DENSE_RUN_ROWS, component_major, solve_spd_masked
+from .batch_linalg import BLOCK_ROWS, component_major, solve_spd_masked
 from .camera import DEPTH_EPSILON, canonicalize_axis_angle
 from .factor_graph import KEYFRAME, KINDS, PRIOR_TARGET_RATIO, FactorGraph
 
@@ -88,6 +88,16 @@ __all__ = [
     "run",
     "solve",
 ]
+
+# The pieces of dense runs bound the temporaries of phases B and C by the
+# longer of BLOCK_ROWS and DENSE_RUN_PIECE, not by the longest run: phase B
+# holds about 650 B per row of its longest stretch in a plain float64 round.
+# A run costs some tens of us of calls in each phase, so a short run is
+# cheaper row by row: phases B and C together break even between 112 and
+# 128 rows per run (12k-factor scenes of 64-320 rows per keyframe, 2 vCPU,
+# one BLAS thread), and a run is dense from 128.
+DENSE_RUN_ROWS = 128
+DENSE_RUN_PIECE = 6144
 
 
 @dataclass
@@ -103,7 +113,8 @@ class ScheduleParams:
         initial strength (0 keeps priors at full strength).
     message_tol: optional early stop when the largest change of a stored
         message entry (of S or v) falls below this (useful for pure linear
-        runs); None disables it.
+        runs), checked after every round but one that kept every message
+        as singular, as the first after `build` does; None disables it.
     """
 
     beta: float | None = 0.01
@@ -202,48 +213,50 @@ def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
 
 def _dense_runs(ids):
     """The runs of at least DENSE_RUN_ROWS consecutive rows that share their
-    variable `ids`, cut at every DENSE_RUN_PIECE rows from their start, as
-    [start, stop) pieces, and the mask of their rows.  They are sought only
-    where enough rows equal the row before them to make one."""
+    keyframe `ids`, cut at every DENSE_RUN_PIECE rows from their start, as
+    sorted [start, stop) pieces.  They are sought only where enough rows
+    equal the row before them to make one."""
     change = ids[1:] != ids[:-1]
-    mask = np.zeros(ids.size, dtype=bool)
     if change.size - np.count_nonzero(change) < DENSE_RUN_ROWS - 1:
-        return [], mask
+        return []
     bounds = np.concatenate(([0], np.flatnonzero(change) + 1, [ids.size]))
     long = np.flatnonzero(np.diff(bounds) >= DENSE_RUN_ROWS)
-    runs = []
-    for a, b in zip(bounds[long].tolist(), bounds[long + 1].tolist()):
-        mask[a:b] = True
-        runs += [(i, min(i + DENSE_RUN_PIECE, b)) for i in range(a, b, DENSE_RUN_PIECE)]
-    return runs, mask
+    return [
+        (i, min(i + DENSE_RUN_PIECE, b))
+        for a, b in zip(bounds[long].tolist(), bounds[long + 1].tolist())
+        for i in range(a, b, DENSE_RUN_PIECE)
+    ]
 
 
-def _segments(n_old, dense):
-    """The rows before `n_old` as [start, stop) stretches of about
-    BLOCK_ROWS rows that cut no piece of a dense run of either kind, each
-    with every kind's pieces inside it, relative to its start.  A stretch is
-    cut short at the start of a piece that crosses its end, or holds the
-    pieces that overlap it whole, so the run bound is DENSE_RUN_PIECE: a
-    stretch is at most max(BLOCK_ROWS, DENSE_RUN_PIECE) rows long unless
-    pieces of both kinds overlap."""
-    spans = []  # the pieces of both kinds, overlapping ones merged
-    for a, b in sorted(run for kind in KINDS for run in dense[kind][0]):
-        if spans and a < spans[-1][1]:
-            spans[-1][1] = max(spans[-1][1], b)
-        else:
-            spans.append([a, b])
-    start, k = 0, 0
+def _segments(n_old, pieces):
+    """The round's plan, which phases B and C both walk: the rows before
+    `n_old` as [start, stop) stretches of about BLOCK_ROWS rows that cut none
+    of the sorted, disjoint `pieces`, each with the pieces inside it,
+    relative to its start.  A stretch is cut short at the start of a piece
+    that crosses its end, or is the one piece that starts at its start, so
+    it is at most max(BLOCK_ROWS, DENSE_RUN_PIECE) rows long."""
+    plan, start, k = [], 0, 0
     while start < n_old:
-        stop = min(start + BLOCK_ROWS, n_old)
-        while k < len(spans) and spans[k][1] <= stop:
+        stop, first = min(start + BLOCK_ROWS, n_old), k
+        while k < len(pieces) and pieces[k][1] <= stop:
             k += 1
-        if k < len(spans) and spans[k][0] < stop:
-            stop = spans[k][0] if spans[k][0] > start else spans[k][1]
-        yield start, stop, {
-            kind: [(a - start, b - start) for a, b in dense[kind][0] if start <= a and b <= stop]
-            for kind in KINDS
-        }
+        if k < len(pieces) and pieces[k][0] < stop:
+            if pieces[k][0] > start:
+                stop = pieces[k][0]
+            else:
+                stop, k = pieces[k][1], k + 1
+        plan.append((start, stop, [(a - start, b - start) for a, b in pieces[first:k]]))
         start = stop
+    return plan
+
+
+def _outside(n, pieces):
+    """The rows of a stretch of `n` rows outside its [start, stop) `pieces`,
+    all of them as a slice when there are none."""
+    rest = np.ones(n, dtype=bool)
+    for a, b in pieces:
+        rest[a:b] = False
+    return np.flatnonzero(rest) if pieces else slice(None)
 
 
 # Phase B forms the messages of a stretch of factor rows to both sides at
@@ -374,12 +387,10 @@ def _cov_jac(jac, ids, belief, runs, proj):
     ascending order."""
     cov, mu = belief
     cov_jac = np.empty(jac.shape, jac.dtype)
-    rest = np.ones(ids.size, dtype=bool)
     for a, b in runs:
         cov_jac[..., a:b] = np.ascontiguousarray(cov[..., ids[a]]) @ jac[..., a:b]
         proj[:, a:b] = mu[:, ids[a]] @ jac[..., a:b]
-        rest[a:b] = False
-    rest = np.flatnonzero(rest) if runs else slice(None)
+    rest = _outside(ids.size, runs)
     ids = ids[rest]
     if ids.size:
         probe = jac[..., rest]
@@ -448,11 +459,11 @@ def _new_messages(g, p, w, w_target, sent, stale, stale_terms):
 
 
 def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old: int,
-                    relinearized, dense):
-    """Messages of the factors before row `n_old`; the rest keep their zero
-    first messages.  `relinearized` holds the rows phase A relinearised and
-    the J their messages were last sent with, `dense` each kind's
-    `_dense_runs`."""
+                    relinearized, plan):
+    """Messages of the factors before row `n_old`, over the stretches of
+    `plan`, the round's `_segments`; the rest keep their zero first
+    messages.  `relinearized` holds the rows phase A relinearised and the J
+    their messages were last sent with."""
     n_singular = len(KINDS) * (graph.n_measurement_factors - n_old)
     stale_rows, jac_old = relinearized
     jac, target, msg = (component_major(a) for a in (graph.f_jac, graph.f_target, graph.f_msg))
@@ -461,7 +472,7 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old:
         cov, eta = (component_major(graph.var(kind, name)) for name in ("belief_cov", "belief_eta"))
         beliefs[kind] = cov, np.einsum("ijn,jn->in", cov, eta)
     max_delta = 0.0
-    for start, stop, runs in _segments(n_old, dense):
+    for start, stop, pieces in plan:
         rows, n = slice(start, stop), stop - start
         w = np.empty((2, n), graph.dtype)  # one row per side
         w[0] = graph.factor_precision(rows)
@@ -480,8 +491,9 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old:
         stale_terms = tuple(np.empty((size, 2, m), graph.dtype) for size in (4, 3, 2))
         for k, elim in enumerate(KINDS[::-1]):
             _side_terms(
-                graph.adjacent(elim)[rows], runs[elim], jac[:, elim.cols, rows], jac_sent[:, elim.cols],
-                beliefs[elim], (g[:, k], p[:, k], singular[k], *(x[:, k] for x in stale_terms)), stale,
+                graph.adjacent(elim)[rows], pieces if elim is KEYFRAME else [], jac[:, elim.cols, rows],
+                jac_sent[:, elim.cols], beliefs[elim], (g[:, k], p[:, k], singular[k], *(x[:, k] for x in stale_terms)),
+                stale,
             )
         stored = msg[..., rows]  # a view, read before `new` overwrites it
         g_ab, g_bb, p_b = stale_terms
@@ -502,9 +514,10 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old:
     return n_singular, float(max_delta)
 
 
-def _phase_beliefs(graph: FactorGraph, n_old: int, dense) -> int:
-    """Beliefs from the messages of the factors before row `n_old`: the rest
-    are zero.  `dense` holds each kind's `_dense_runs`."""
+def _phase_beliefs(graph: FactorGraph, plan) -> int:
+    """Beliefs from the messages of the factors in the stretches of `plan`,
+    the round's `_segments`: the factors born this round are left out, their
+    messages are zero."""
     frozen = 0
     jac = component_major(graph.f_jac)
     for kind in KINDS:
@@ -513,27 +526,24 @@ def _phase_beliefs(graph: FactorGraph, n_old: int, dense) -> int:
         )
         n, dim = eta.shape
         ids = graph.adjacent(kind)
-        runs, in_run = dense[kind]
         i, j = np.tril_indices(dim)
         # the incoming messages J'v and the lower triangles of J'SJ, summed
-        # in float64: a dense run's with one product over the run, A P' +
-        # B Q' with A, B the rows of J' and P, Q those of (SJ)', then the
-        # other rows' row by row in ascending factor order
+        # in float64 a stretch at a time: each keyframe piece in one
+        # product, then the other rows row by row in ascending factor order
         sums = np.zeros((dim + dim * (dim + 1) // 2, n))
-        msg_s, msg_v = (component_major(m) for m in graph.message(kind))
-        for first, stop in runs:
-            s, v, (a, b) = (x[..., first:stop].astype(float, copy=False)
-                            for x in (msg_s, msg_v, jac[:, kind.cols]))
-            p, q = s[0] * a + s[1] * b, s[1] * a + s[2] * b
-            sums[:dim, ids[first]] += a @ v[0] + b @ v[1]
-            sums[dim:, ids[first]] += (a @ p.T + b @ q.T)[i, j]
         index = np.arange(len(sums))[:, None] * n
-        for start in range(0, n_old, BLOCK_ROWS):
-            rows = slice(start, min(start + BLOCK_ROWS, n_old))
-            if in_run[rows].any():
-                rows = start + np.flatnonzero(~in_run[rows])
-            s, v = msg_s[..., rows], msg_v[..., rows]
-            a, b = jac[:, kind.cols, rows]
+        msg_s, msg_v = (component_major(m) for m in graph.message(kind))
+        for start, stop, pieces in plan:
+            rows = slice(start, stop)
+            stretch = msg_s[..., rows], msg_v[..., rows], jac[:, kind.cols, rows]
+            pieces = pieces if kind is KEYFRAME else []
+            for first, last in pieces:
+                s, v, (a, b) = (x[..., first:last].astype(float, copy=False) for x in stretch)
+                p, q = s[0] * a + s[1] * b, s[1] * a + s[2] * b
+                sums[:dim, ids[start + first]] += a @ v[0] + b @ v[1]
+                sums[dim:, ids[start + first]] += (a @ p.T + b @ q.T)[i, j]
+            rest = _outside(stop - start, pieces)
+            s, v, (a, b) = (x[..., rest] for x in stretch)
             p, q = s[0] * a + s[1] * b, s[1] * a + s[2] * b  # the rows of S J
             entries = np.empty((len(sums), a.shape[1]))
             np.multiply(v[0], a, out=entries[:dim])
@@ -542,7 +552,7 @@ def _phase_beliefs(graph: FactorGraph, n_old: int, dense) -> int:
                 row = entries[dim + r * (r + 1) // 2 :][: r + 1]
                 np.multiply(a[r], p[: r + 1], out=row)
                 row += b[r] * q[: r + 1]
-            np.add.at(sums.reshape(-1), (index + ids[rows]).reshape(-1), entries.reshape(-1))
+            np.add.at(sums.reshape(-1), (index + ids[rows][rest]).reshape(-1), entries.reshape(-1))
         lam_cm = component_major(lam)
         lam_cm[i, j] = lam_cm[j, i] = sums[dim:]
         prior_eta, prior_diag = graph.prior_information(kind)
@@ -571,10 +581,10 @@ def iterate(graph: FactorGraph, schedule: ScheduleParams | None = None) -> Itera
     n_relin, n_aborted, relinearized = _phase_relinearize(graph, schedule, t)
     clock.append(time.perf_counter())
     n_old = int(np.searchsorted(graph.f_birth, t))  # the factors born before this round
-    dense = {kind: _dense_runs(graph.adjacent(kind)[:n_old]) for kind in KINDS}
-    n_singular, max_delta = _phase_messages(graph, schedule, t, n_old, relinearized, dense)
+    plan = _segments(n_old, _dense_runs(graph.f_kf[:n_old]))
+    n_singular, max_delta = _phase_messages(graph, schedule, t, n_old, relinearized, plan)
     clock.append(time.perf_counter())
-    n_frozen = _phase_beliefs(graph, n_old, dense)
+    n_frozen = _phase_beliefs(graph, plan)
     graph.iteration = t + 1
     clock.append(time.perf_counter())
     with graph.shared_projection():
@@ -633,12 +643,12 @@ def solve(
             if report.are < schedule.are_target:
                 reason = "are_target"
                 break
-            # skip the delta check on the first round: before priors have
-            # propagated, every message is singular-suppressed and the
-            # delta is trivially zero
+            # a round that kept every message, as the first after `build`
+            # does, has a zero delta that says nothing of convergence; a
+            # graph without factors has none to keep
             if (
                 schedule.message_tol is not None
-                and len(reports) >= 2
+                and report.n_singular_messages < max(1, len(KINDS) * graph.n_measurement_factors)
                 and report.max_message_delta < schedule.message_tol
             ):
                 reason = "message_tol"

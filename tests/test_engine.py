@@ -14,6 +14,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalar_reference
 from gbp_ba import (
@@ -303,18 +305,17 @@ def dense_problem():
 
 
 def test_dense_runs_match_the_gathered_path(monkeypatch):
-    # with every run dense, landmark runs of one row included, phase B
-    # contracts each variable's own B^-1 and phase C sums each run in one
-    # product; with none dense, every row gathers and scatters.  The sums
-    # differ only in their order
+    # with every run dense, each keyframe's 400 rows are one run: phase B
+    # contracts the keyframe's own B^-1 and phase C sums the run in one
+    # product.  Landmarks take no runs, so their rows, and with none dense
+    # every row, gather and scatter.  The sums differ only in their order
     problem = dense_problem()
     keys = ("n_relinearized", "n_relin_aborted", "n_singular_messages", "n_frozen_states", "n_behind_camera")
     results = []
     for rows in (1, 10**9):
         monkeypatch.setattr(engine, "DENSE_RUN_ROWS", rows)
         graph = build(problem)
-        runs, _ = engine._dense_runs(graph.f_kf)
-        assert len(runs) == (6 if rows == 1 else 0)
+        assert len(engine._dense_runs(graph.f_kf)) == (6 if rows == 1 else 0)
         reports = run(graph, n=12)
         results.append((graph, [[getattr(r, key) for key in keys] for r in reports]))
     (dense, dense_counts), (gathered, gathered_counts) = results
@@ -332,7 +333,7 @@ def test_dense_runs_match_scalar_path(monkeypatch):
     graph = build(dense_problem())
     schedule = ScheduleParams()
     run(graph, schedule, n=9)
-    assert len(engine._dense_runs(graph.f_kf)[0]) == 6
+    assert len(engine._dense_runs(graph.f_kf)) == 6
     rows = np.arange(0, graph.n_measurement_factors, 10)
     dampings, _, report = check_round(graph, schedule, rows)
     assert set(dampings) == {schedule.damping} and report.n_relinearized == 0
@@ -352,15 +353,16 @@ def test_long_dense_runs_hold_bounded_temporaries():
         run(graph, schedule, n=2)
         t = graph.iteration
         relinearized = engine._phase_relinearize(graph, schedule, t)[2]
-        dense = {kind: engine._dense_runs(graph.adjacent(kind)) for kind in factor_graph.KINDS}
+        n = graph.n_measurement_factors
+        plan = engine._segments(n, engine._dense_runs(graph.f_kf))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            engine._phase_messages(graph, schedule, t, graph.n_measurement_factors, relinearized, dense)
+            engine._phase_messages(graph, schedule, t, n, relinearized, plan)
             heap.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
-        assert dense[KEYFRAME][1].all() and graph.n_measurement_factors > 4 * engine.BLOCK_ROWS
+        assert sum(b - a for *_, pieces in plan for a, b in pieces) == n > 4 * engine.BLOCK_ROWS
     assert heap[1] <= 1.25 * heap[0]
 
 
@@ -386,13 +388,47 @@ def test_dense_runs_do_not_depend_on_row_blocks(monkeypatch):
             report.phase_ms = {}
         graphs[block] = graph, reports
     (big, big_reports), (small, small_reports) = graphs.values()
-    runs, _ = engine._dense_runs(big.f_kf)
+    runs = engine._dense_runs(big.f_kf)
     assert len(runs) == 6 and any(start % 7 for start, _ in runs)
     assert big_reports[10].n_relinearized > 0 and big_reports[10].n_relin_aborted > 0
     assert big_reports[10].n_singular_messages >= 400
     assert big_reports == small_reports
     for name in ("kf_state", "lm_state", "kf_belief_lam", "lm_belief_eta", "f_msg"):
         np.testing.assert_array_equal(getattr(big, name), getattr(small, name), err_msg=name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    groups=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 12)), max_size=12),
+    block=st.integers(1, 9),
+    run_rows=st.integers(1, 5),
+    piece=st.integers(1, 9),
+)
+def test_segments_plan_keyframe_runs(groups, block, run_rows, piece):
+    # the plan of phases B and C tiles the rows in order; each maximal group
+    # of at least DENSE_RUN_ROWS equal keyframe ids is cut into pieces of
+    # DENSE_RUN_PIECE rows from its start, each inside one stretch, and a
+    # stretch outgrows BLOCK_ROWS only as one piece
+    ids = np.repeat(*np.array(groups, dtype=int).reshape(-1, 2).T)
+    bounds = np.flatnonzero(np.diff(ids, prepend=-1, append=-1))
+    want = [
+        (i, min(i + piece, b))
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()) if b - a >= run_rows
+        for i in range(a, b, piece)
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in (("BLOCK_ROWS", block), ("DENSE_RUN_ROWS", run_rows), ("DENSE_RUN_PIECE", piece)):
+            patch.setattr(engine, name, value)
+        plan = engine._segments(ids.size, engine._dense_runs(ids))
+    edges = [0] + [stop for _, stop, _ in plan]
+    assert [start for start, _, _ in plan] == edges[:-1] and edges[-1] == ids.size
+    got = []
+    for start, stop, pieces in plan:
+        assert start < stop
+        assert all(0 <= a < b <= stop - start for a, b in pieces)
+        assert stop - start <= block or pieces == [(0, stop - start)]
+        got += [(start + a, start + b) for a, b in pieces]
+    assert got == want
 
 
 def test_float32_dense_runs_take_the_float64_iterations(monkeypatch):
@@ -402,7 +438,7 @@ def test_float32_dense_runs_take_the_float64_iterations(monkeypatch):
     reports = {}
     for dtype in (np.float64, np.float32):
         graph = build(problem).astype(dtype)
-        assert len(engine._dense_runs(graph.f_kf)[0]) == 6
+        assert len(engine._dense_runs(graph.f_kf)) == 6
         reports[dtype] = solve(graph, ScheduleParams(are_target=1.5))
         assert graph.kf_state.dtype == graph.f_msg.dtype == dtype
     want, got = reports[np.float64], reports[np.float32]
@@ -518,7 +554,7 @@ def test_beliefs_are_priors_times_stored_messages(monkeypatch, dense, dtype):
     if not dense:
         monkeypatch.setattr(engine, "DENSE_RUN_ROWS", graph.n_measurement_factors + 1)
     run(graph, ScheduleParams(), n=12)
-    assert bool(engine._dense_runs(graph.f_kf)[0]) == dense
+    assert bool(engine._dense_runs(graph.f_kf)) == dense
     for kind in factor_graph.KINDS:
         s, v = (m.astype(float) for m in graph.message(kind))
         s = np.stack([s[:, :2], s[:, 1:]], axis=1)
@@ -544,7 +580,7 @@ def test_beliefs_do_not_depend_on_factor_order():
         name: getattr(problem, name)[order] for name in ("meas_kf", "meas_lm", "meas_uv", "meas_sigma")
     })
     graphs = build(problem), build(shuffled)
-    assert [bool(engine._dense_runs(g.f_kf)[0]) for g in graphs] == [True, False]
+    assert [bool(engine._dense_runs(g.f_kf)) for g in graphs] == [True, False]
     for graph in graphs:
         run(graph, ScheduleParams(), n=4)
     names = [f"{kind.key}_{name}" for kind in factor_graph.KINDS for name in ("belief_eta", "belief_lam", "state")]
@@ -554,6 +590,27 @@ def test_beliefs_do_not_depend_on_factor_order():
     for kind in factor_graph.KINDS:
         for want, got in zip(graphs[0].message(kind), graphs[1].message(kind)):
             np.testing.assert_allclose(got, want[order], rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_point_major_input_matches_keyframe_major():
+    # a BAL file lists measurements point by point: each of these 30
+    # landmarks is seen by all 140 keyframes, so its rows are consecutive,
+    # yet only a keyframe's rows form a dense run, and the point-major
+    # order gathers every row, as the keyframe-major order of runs of 30
+    problem = perturb(synthesize(140, 30, seed=11, pixel_sigma=1), 0.05, "backproject", seed=12)
+    order = np.lexsort((problem.meas_kf, problem.meas_lm))
+    point_major = dataclasses.replace(problem, **{
+        name: getattr(problem, name)[order] for name in ("meas_kf", "meas_lm", "meas_uv", "meas_sigma")
+    })
+    graphs = build(problem), build(point_major)
+    assert np.all(np.diff(graphs[1].f_lm) >= 0) and np.count_nonzero(np.diff(graphs[1].f_lm)) == 29
+    assert [engine._dense_runs(g.f_kf) for g in graphs] == [[], []]
+    counts = [[r.n_relinearized for r in run(g, ScheduleParams(), n=12)] for g in graphs]
+    assert counts[0] == counts[1] and counts[0][10] == graphs[0].n_measurement_factors
+    names = [f"{kind.key}_{name}" for kind in factor_graph.KINDS for name in ("belief_eta", "belief_lam", "state")]
+    for name in names:
+        want, got = (getattr(g, name) for g in graphs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
 
 
 def test_first_round_factors_add_nothing_to_beliefs():
@@ -566,7 +623,7 @@ def test_first_round_factors_add_nothing_to_beliefs():
     assert n_old < graph.n_measurement_factors
     skipped, summed = graph.copy(), graph.copy()
     for g, n in ((skipped, n_old), (summed, graph.n_measurement_factors)):
-        engine._phase_beliefs(g, n, {kind: engine._dense_runs(g.adjacent(kind)[:n]) for kind in factor_graph.KINDS})
+        engine._phase_beliefs(g, engine._segments(n, engine._dense_runs(g.f_kf[:n])))
     for kind in factor_graph.KINDS:
         for name in ("belief_eta", "belief_lam", "belief_cov", "state"):
             np.testing.assert_array_equal(summed.var(kind, name), skipped.var(kind, name))
@@ -689,7 +746,7 @@ def test_linear_gbp_on_dense_runs_reaches_dense_map(shape, rounds, dtype, rtol):
     # in `rounds`; float32 messages jitter at rounding and never meet it, so
     # a float32 copy runs as many rounds
     graph = build(synthesize(*shape, seed=21))
-    assert len(engine._dense_runs(graph.f_kf)[0]) == shape[0]
+    assert len(engine._dense_runs(graph.f_kf)) == shape[0]
     want = map_solve(assemble(graph))
     schedule = ScheduleParams(
         beta=None, damping=0.0, prior_weaken_iters=0, are_target=0.0, max_iters=2000, message_tol=1e-10
@@ -700,6 +757,44 @@ def test_linear_gbp_on_dense_runs_reaches_dense_map(shape, rounds, dtype, rtol):
     run(graph, schedule, n=rounds)
     got = stack_states(graph)
     assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+def linear_schedule():
+    return ScheduleParams(beta=None, damping=0.0, prior_weaken_iters=0, are_target=0.0, message_tol=1e-10)
+
+
+def test_message_tol_skips_a_round_that_kept_every_message():
+    # clearing every B^-1 after round 3 leaves round 4 unable to solve any
+    # message: it keeps all 240, so its delta of 0 says nothing, and the
+    # solve goes on to converge
+    graph = build(synthesize(3, 40, seed=21))
+
+    def clear_covariances(g, report):
+        if report.iteration == 3:
+            for kind in factor_graph.KINDS:
+                g.var(kind, "belief_cov")[:] = 0
+
+    report = solve(graph, linear_schedule(), callback=clear_covariances)
+    kept = report.reports[3]
+    assert kept.n_singular_messages == 2 * graph.n_measurement_factors == 240
+    assert kept.max_message_delta == 0.0
+    assert (report.reason, report.iterations) == ("message_tol", 31)
+
+
+def test_message_tol_stops_a_settled_graph_after_one_round():
+    # the first round of a second solve is checked like any other, and so
+    # is the first round of a graph without factors, which has no message
+    problem = synthesize(3, 40, seed=21)
+    graph = build(problem)
+    assert solve(graph, linear_schedule()).reason == "message_tol"
+    report = solve(graph, linear_schedule())
+    assert report.reports[0].max_message_delta < 1e-10
+    assert (report.reason, report.iterations) == ("message_tol", 1)
+    empty = build(dataclasses.replace(problem, **{
+        name: getattr(problem, name)[:0] for name in ("meas_kf", "meas_lm", "meas_uv", "meas_sigma")
+    }))
+    report = solve(empty, linear_schedule())
+    assert (report.reason, report.iterations, report.final_are) == ("message_tol", 1, 0.0)
 
 
 @pytest.mark.parametrize("seed", [21, 23])
