@@ -112,9 +112,10 @@ class ScheduleParams:
     prior_weaken_iters: iterations over which priors decay to 1/100 of their
         initial strength (0 keeps priors at full strength).
     message_tol: optional early stop when the largest change of a stored
-        message entry (of S or v) falls below this (useful for pure linear
-        runs), checked after every round but one that kept every message
-        as singular, as the first after `build` does; None disables it.
+        message entry (of S or v) falls below this (pure linear runs),
+        checked after a round that sent every factor's messages and did not
+        keep them all as singular, so not after the first round that follows
+        `build` or `add_measurements`; None disables it.
     """
 
     beta: float | None = 0.01
@@ -643,12 +644,12 @@ def solve(
             if report.are < schedule.are_target:
                 reason = "are_target"
                 break
-            # a round that kept every message, as the first after `build`
-            # does, has a zero delta that says nothing of convergence; a
-            # graph without factors has none to keep
-            if (
-                schedule.message_tol is not None
-                and report.n_singular_messages < max(1, len(KINDS) * graph.n_measurement_factors)
+            # the delta of a round that kept every message, or sent none from
+            # a factor born in it or since, says nothing of convergence; a
+            # graph without factors has no message to keep
+            n_sent = int(np.searchsorted(graph.f_birth, report.iteration - 1))
+            if schedule.message_tol is not None and n_sent == graph.n_measurement_factors and (
+                report.n_singular_messages < max(1, len(KINDS) * n_sent)
                 and report.max_message_delta < schedule.message_tol
             ):
                 reason = "message_tol"

@@ -797,6 +797,28 @@ def test_message_tol_stops_a_settled_graph_after_one_round():
     assert (report.reason, report.iterations, report.final_are) == ("message_tol", 1, 0.0)
 
 
+def test_message_tol_waits_for_the_messages_of_new_factors():
+    # a keyframe's measurements join a settled graph: the round they are
+    # born in sends none of their messages, and the old factors' messages,
+    # which read last round's beliefs, do not change in it, so its delta
+    # is below the tolerance; the solve must go on and send the new ones
+    problem = synthesize(4, 40, seed=21)
+    old = problem.meas_kf < 3
+    graph = build(ProblemSpec(
+        problem.intrinsics, problem.kf_init[:3], problem.lm_init, meas_kf=problem.meas_kf[old],
+        meas_lm=problem.meas_lm[old], meas_uv=problem.meas_uv[old], meas_sigma=problem.meas_sigma[old],
+    ))
+    assert solve(graph, linear_schedule()).reason == "message_tol"
+    start = graph.n_measurement_factors
+    graph.add_keyframe(problem.kf_init[3])
+    graph.add_measurements(problem.meas_kf[~old], problem.meas_lm[~old], problem.meas_uv[~old],
+                           problem.meas_sigma[~old])
+    report = solve(graph, linear_schedule())
+    assert report.reports[0].max_message_delta < 1e-10
+    assert report.reason == "message_tol" and report.iterations > 1
+    assert np.all(np.any(graph.f_msg[start:] != 0, axis=1))
+
+
 @pytest.mark.parametrize("seed", [21, 23])
 def test_linear_gbp_marginals_against_dense_oracle(seed):
     # on the loopy linear graph GBP means are exact at convergence and its
