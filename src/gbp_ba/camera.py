@@ -10,6 +10,10 @@ Conventions used throughout the package:
 - Keyframe states form a Euclidean space for messages and priors; updates are
   plain vector addition followed by canonicalisation of the rotation part.
 
+This is the package's one rotation implementation: `rotation_matrix` is the
+SO(3) exp map and `rotation_vector` its log map; nothing else in the
+package converts between angle-axis vectors and matrices.
+
 The measurement Jacobian is laid out as columns 0-2: rotation, 3-5:
 translation, 6-8: landmark position, all in the global parameterisation.
 The rotation block uses d(R(w) l)/dw = -[R l]_x J_l(w) with J_l the SO(3)
@@ -32,6 +36,7 @@ depth <= DEPTH_EPSILON, whose pixels and Jacobians are garbage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +107,50 @@ def _matrices(entries: np.ndarray) -> np.ndarray:
 def rotation_matrix(w: np.ndarray) -> np.ndarray:
     """Rodrigues formula for (..., 3) angle-axis vectors -> (..., 3, 3)."""
     return _matrices(_so3(np.moveaxis(_as_float(w), -1, 0), False)[0])
+
+
+def rotation_vector(rot: np.ndarray) -> np.ndarray:
+    """The SO(3) log map, inverse of `rotation_matrix`: (..., 3, 3) proper
+    rotations -> (..., 3) angle-axis vectors of magnitude in [0, pi].
+
+    Each matrix goes to a unit quaternion q by Markley's largest-of-four
+    branch (diagonal entries or trace), with q_w >= 0, and then to
+    (angle / sin(angle / 2)) q_xyz, angle = 2 atan2(|q_xyz|, q_w), by the
+    series 2 + angle^2 / 12 + 7 angle^4 / 2880 at angles up to 1e-3.  The
+    steps are scalar and in the order of scipy's
+    `Rotation.from_matrix(R).as_rotvec()`, each norm the square root of its
+    squares summed in index order and then divided by, so on orthonormal
+    input both give the same bits; a vectorised norm or a multiplication by
+    1 / norm does not.  Callers pass one matrix per camera.
+    """
+    rot = _as_float(rot)
+    out = np.empty(rot.shape[:-1], rot.dtype)
+    for index in np.ndindex(rot.shape[:-2]):
+        m = rot[index].tolist()
+        trace = m[0][0] + m[1][1] + m[2][2]
+        decision = [m[0][0], m[1][1], m[2][2], trace]
+        i = decision.index(max(decision))
+        if i == 3:
+            q = [m[2][1] - m[1][2], m[0][2] - m[2][0], m[1][0] - m[0][1], 1 + trace]
+        else:
+            j, k = (i + 1) % 3, (i + 2) % 3
+            q = [0.0] * 4
+            q[i] = 1 - trace + 2 * m[i][i]
+            q[j] = m[j][i] + m[i][j]
+            q[k] = m[k][i] + m[i][k]
+            q[3] = m[k][j] - m[j][k]
+        norm = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+        q = [c / norm for c in q]
+        if q[3] < 0:
+            q = [-c for c in q]
+        angle = 2 * math.atan2(math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2]), q[3])
+        if angle <= 1e-3:
+            angle2 = angle * angle
+            scale = 2 + angle2 / 12 + 7 * angle2 * angle2 / 2880
+        else:
+            scale = angle / math.sin(angle / 2)
+        out[index] = scale * q[0], scale * q[1], scale * q[2]
+    return out
 
 
 def canonicalize_axis_angle(w: np.ndarray) -> np.ndarray:

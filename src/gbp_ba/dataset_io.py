@@ -21,6 +21,10 @@ order.  Ids and indices are integers; every other field is a float, written
 with 17 significant digits so save/load round-trips are bit exact.  A header
 without a gt flag means gt=0.  Blank lines and whole-line '#' comments are
 ignored anywhere; a '#' after a row's fields is an error.
+
+Rotations, the look-at cameras of `synthesize` and the cameras `import_bal`
+flips into our convention, go through `camera.rotation_matrix` and
+`camera.rotation_vector`, so this module uses no scipy.
 """
 
 from __future__ import annotations
@@ -30,9 +34,8 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
-from .camera import Intrinsics, camera_center, project_many, rotation_matrix
+from .camera import Intrinsics, camera_center, project_many, rotation_matrix, rotation_vector
 
 FORMAT_TAG = "gbpba"
 FORMAT_VERSION = 1
@@ -421,12 +424,10 @@ def import_bal(path) -> ProblemSpec:
 
     if not np.isfinite(cams[:, :6]).all():
         raise ParseError("non-finite camera pose")
-    flip = np.diag([1.0, -1.0, -1.0])
-    kf_init = np.zeros((n_cam, 6))
-    for i in range(n_cam):
-        rot = flip @ Rotation.from_rotvec(cams[i, :3]).as_matrix()
-        kf_init[i, :3] = Rotation.from_matrix(rot).as_rotvec()
-        kf_init[i, 3:] = flip @ cams[i, 3:6]
+    flip = np.array([1.0, -1.0, -1.0])
+    kf_init = np.concatenate([
+        rotation_vector(flip[:, None] * rotation_matrix(cams[:, :3])), flip * cams[:, 3:6]
+    ], axis=1)
 
     focals = cams[:, 6]
     f0 = float(focals[0]) if n_cam else 1.0
@@ -469,8 +470,7 @@ def _look_at(center: np.ndarray, target: np.ndarray) -> np.ndarray:
     x_axis = x_axis / np.linalg.norm(x_axis)
     y_axis = np.cross(forward, x_axis)
     rot = np.stack([x_axis, y_axis, forward])
-    w = Rotation.from_matrix(rot).as_rotvec()
-    return np.concatenate([w, -rot @ center])
+    return np.concatenate([rotation_vector(rot), -rot @ center])
 
 
 def synthesize(

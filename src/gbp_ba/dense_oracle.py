@@ -10,6 +10,11 @@ camera math under both is checked against finite differences in the
 tests.  Everything here trades speed for trustworthiness: the
 marginal oracle refuses systems beyond a configurable size because it exists
 for desk-scale verification, not production.
+
+The dense Cholesky factorisations of `map_solve`, `marginals` and
+`lm_solve` are scipy's, imported inside them: they are the package's only
+use of scipy, so importing `gbp_ba` and solving with the engine load none
+of it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .camera import DEPTH_EPSILON, retract
 from .factor_graph import (
@@ -114,6 +118,8 @@ def assemble(graph: FactorGraph) -> DenseSystem:
 
 def map_solve(system: DenseSystem) -> np.ndarray:
     """Exact MAP mean of the stacked system by dense Cholesky."""
+    from scipy.linalg import cho_factor, cho_solve
+
     try:
         return cho_solve(cho_factor(system.lam, lower=True), system.eta)
     except np.linalg.LinAlgError:
@@ -134,6 +140,8 @@ def marginals(system: DenseSystem, max_dim: int = MARGINALS_MAX_DIM):
     """
     if system.dim > max_dim:
         raise OracleScaleError(f"system dim {system.dim} exceeds oracle limit {max_dim}")
+    from scipy.linalg import cho_factor, cho_solve
+
     try:
         factor = cho_factor(system.lam, lower=True)
     except np.linalg.LinAlgError:
@@ -203,6 +211,8 @@ def lm_solve(graph: FactorGraph) -> LMReport:
 
     Runs on a float64 copy of the graph; the graph itself is never mutated.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     work = graph.astype(np.float64)
     for kind in KINDS:
         work.var(kind, "prior_scale")[:] = PRIOR_TARGET_RATIO

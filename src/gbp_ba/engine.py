@@ -99,6 +99,9 @@ __all__ = [
 DENSE_RUN_ROWS = 128
 DENSE_RUN_PIECE = 6144
 
+# the lower triangle of each kind's belief matrix, as phase C sums it
+TRIL = {kind.dim: np.tril_indices(kind.dim) for kind in KINDS}
+
 
 @dataclass
 class ScheduleParams:
@@ -363,20 +366,26 @@ def _fold_in_stale(g_ab, g_bb, p_b, g, p, w, w_target, s_sent, v_sent):
     return g1, p1, ok
 
 
-def _sum_rows(x, out):
-    """The sum of x over its second-to-last axis into `out`, in ascending
-    order."""
-    np.copyto(out, x[..., 0, :])
-    for i in range(1, x.shape[-2]):
-        out += x[..., i, :]
+def _contract(spec, x, y, out=None):
+    """`np.einsum(spec, x, y)` of operands whose last axis, n factor rows,
+    it keeps and whose second-to-last it sums.  With n >= 2 the rows are
+    einsum's inner loop, so each row's sum runs in ascending order, the
+    bits of a loop of row-wise products; a single row would make the sum
+    the inner loop, in another order, so it is taken twice."""
+    if x.shape[-1] != 1:
+        return np.einsum(spec, x, y, out=out)
+    one = np.einsum(spec, *(np.concatenate((a, a), axis=-1) for a in (x, y)))[..., :1]
+    if out is None:
+        return one
+    out[...] = one
     return out
 
 
 def _gram(x, y, out):
     """x_a . y_b into the rows of `out` for (a, b) = 00, 01, 11, of stacks
     (2, d, n) of two d-vectors."""
-    _sum_rows(x[0] * y, out[:2])
-    return _sum_rows(x[1] * y[1], out[2])
+    _contract("dn,adn->an", x[0], y, out[:2])
+    _contract("dn,dn->n", x[1], y[1], out[2])
 
 
 def _cov_jac(jac, ids, belief, runs, proj):
@@ -395,12 +404,8 @@ def _cov_jac(jac, ids, belief, runs, proj):
     ids = ids[rest]
     if ids.size:
         probe = jac[..., rest]
-        gathered = np.take(cov, ids, axis=-1)
-        acc = gathered[:, 0] * probe[:, None, 0]
-        for j in range(1, len(gathered)):
-            acc += gathered[:, j] * probe[:, None, j]
-        cov_jac[..., rest] = acc
-        proj[:, rest] = _sum_rows(probe * np.take(mu, ids, axis=-1), np.empty((2, ids.size), jac.dtype))
+        cov_jac[..., rest] = _contract("ijn,ajn->ain", np.take(cov, ids, axis=-1), probe)
+        proj[:, rest] = _contract("ajn,jn->an", probe, np.take(mu, ids, axis=-1))
     return cov_jac
 
 
@@ -420,7 +425,7 @@ def _side_terms(ids, runs, jac, jac_sent, belief, out, stale):
     rows = np.flatnonzero(stale)
     runs = [(i, j) for i, j in (np.searchsorted(rows, run).tolist() for run in runs) if j > i]
     cov_jac_b = _cov_jac(jac_sent, ids[rows], belief, runs, p_b)
-    _sum_rows(np.take(jac, rows, axis=-1)[:, None] * cov_jac_b, g_ab.reshape(2, 2, -1))  # every pair
+    _contract("adm,bdm->abm", np.take(jac, rows, axis=-1), cov_jac_b, g_ab.reshape(2, 2, -1))  # every pair
     _gram(jac_sent, cov_jac_b, g_bb)
 
 
@@ -527,7 +532,7 @@ def _phase_beliefs(graph: FactorGraph, plan) -> int:
         )
         n, dim = eta.shape
         ids = graph.adjacent(kind)
-        i, j = np.tril_indices(dim)
+        i, j = TRIL[dim]
         # the incoming messages J'v and the lower triangles of J'SJ, summed
         # in float64 a stretch at a time: each keyframe piece in one
         # product, then the other rows row by row in ascending factor order
@@ -543,6 +548,8 @@ def _phase_beliefs(graph: FactorGraph, plan) -> int:
                 p, q = s[0] * a + s[1] * b, s[1] * a + s[2] * b
                 sums[:dim, ids[start + first]] += a @ v[0] + b @ v[1]
                 sums[dim:, ids[start + first]] += (a @ p.T + b @ q.T)[i, j]
+            if sum(last - first for first, last in pieces) == stop - start:
+                continue  # no row outside the pieces
             rest = _outside(stop - start, pieces)
             s, v, (a, b) = (x[..., rest] for x in stretch)
             p, q = s[0] * a + s[1] * b, s[1] * a + s[2] * b  # the rows of S J

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from gbp_ba import Intrinsics, retract
+from gbp_ba import Intrinsics, dataset_io, retract
 from gbp_ba.camera import (
     DEPTH_EPSILON,
     canonicalize_axis_angle,
@@ -11,6 +11,7 @@ from gbp_ba.camera import (
     jacobian_many,
     project_many,
     rotation_matrix,
+    rotation_vector,
 )
 
 K_UNIT = Intrinsics(1.0, 1.0, 0.0, 0.0)
@@ -102,9 +103,54 @@ class TestRotations:
             for fn in (rotation_matrix, left_jacobian, canonicalize_axis_angle):
                 assert fn(x).dtype == dtype, fn.__name__
             assert retract(np.zeros((2, 6), dtype), np.hstack([x, x])).dtype == dtype
+            assert rotation_vector(rotation_matrix(x)).dtype == dtype
         # integer and list inputs become float64
         assert rotation_matrix([0, 0, 1]).dtype == np.float64
+        assert rotation_vector(np.eye(3, dtype=int)).dtype == np.float64
         assert canonicalize_axis_angle(np.array([4, 0, 0])).dtype == np.float64
+
+
+class TestLogMap:
+    def test_matches_scipy_bit_for_bit_on_look_at_matrices(self, monkeypatch):
+        # every camera `synthesize` places goes through the log map, so its
+        # scenes are those scipy's conversion gave
+        seen = []
+
+        def spy(rot):
+            seen.append(np.array(rot))
+            return rotation_vector(rot)
+
+        monkeypatch.setattr(dataset_io, "rotation_vector", spy)
+        for seed in range(20):
+            for shape in ((20, 300), (44, 30), (7, 60)):
+                dataset_io.synthesize(*shape, seed=seed)
+        mats = np.array(seen)
+        assert mats.shape == (20 * (20 + 44 + 7), 3, 3)
+        np.testing.assert_array_equal(rotation_vector(mats), Rotation.from_matrix(mats).as_rotvec())
+
+    def test_matches_scipy_on_random_rotations(self):
+        rng = np.random.default_rng(3)
+        axes = rng.normal(size=(400, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        angles = np.concatenate([
+            [0.0], rng.uniform(0, 1e-3, 99), rng.uniform(0, np.pi, 200), np.pi - rng.uniform(0, 1e-6, 100)
+        ])
+        mats = rotation_matrix(axes * angles[:, None])
+        np.testing.assert_allclose(
+            rotation_vector(mats), Rotation.from_matrix(mats).as_rotvec(), rtol=0, atol=1e-15
+        )
+        np.testing.assert_array_equal(rotation_vector(np.eye(3)), np.zeros(3))
+
+    def test_inverts_rotation_matrix_up_to_canonicalisation(self):
+        rng = np.random.default_rng(4)
+        axes = rng.normal(size=(300, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        angles = rng.uniform(0, 3 * np.pi, 300)
+        angles = angles[np.abs(np.mod(angles, 2 * np.pi) - np.pi) > 1e-2]  # away from the angle-pi flip
+        ws = axes[: angles.size] * angles[:, None]
+        np.testing.assert_allclose(rotation_vector(rotation_matrix(ws)), canonicalize_axis_angle(ws), atol=1e-12)
+        np.testing.assert_allclose(rotation_vector(rotation_matrix(ws[:7].reshape(7, 1, 3))),
+                                   canonicalize_axis_angle(ws[:7]).reshape(7, 1, 3), atol=1e-12)
 
 
 class TestCanonicalize:

@@ -10,7 +10,12 @@ compare.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +252,30 @@ def test_report_phase_times():
         assert set(report.phase_ms) == set(PHASES)
         times = np.array(list(report.phase_ms.values()))
         assert np.all(np.isfinite(times)) and np.all(times >= 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_contractions_sum_rows_in_ascending_order(dtype):
+    # phase B's products sum over d in ascending order on every row, as a
+    # loop of row-wise products adds them, however many rows there are
+    def ascending(terms):
+        return sum(terms[1:], terms[0])
+
+    rng = np.random.default_rng(5)
+    for d in (3, 6):
+        for n in (0, 1, 2, 3, 7, 64):
+            x, y = (rng.normal(size=(2, d, n)).astype(dtype) for _ in range(2))
+            cov = rng.normal(size=(d, d, n)).astype(dtype)
+            cases = [
+                ("ijn,ajn->ain", cov, x, ascending([cov[:, j] * x[:, None, j] for j in range(d)])),
+                ("adm,bdm->abm", x, y, ascending([x[:, None, j] * y[:, j] for j in range(d)])),
+                ("dn,dn->n", x[0], y[0], ascending([x[0, j] * y[0, j] for j in range(d)])),
+            ]
+            for spec, a, b, want in cases:
+                np.testing.assert_array_equal(engine._contract(spec, a, b), want, err_msg=f"{spec} {d=} {n=}")
+                out = np.empty_like(want)
+                assert engine._contract(spec, a, b, out) is out
+                np.testing.assert_array_equal(out, want, err_msg=f"{spec} {d=} {n=}")
 
 
 def test_row_blocks_do_not_change_results(monkeypatch):
@@ -852,3 +881,28 @@ def test_default_cadence_relinearises_every_factor_at_rounds_11_22_33():
     # factors added mid-solve start their count at zero
     new = add_observed_landmark(graph)
     assert np.all(graph.iters_since_relin(new) == 0)
+
+
+SOLVE_PATH = textwrap.dedent("""
+    import sys
+    from gbp_ba import build, load, perturb, save, solve, synthesize
+    problem = perturb(synthesize(6, 60, seed=5, pixel_sigma=0.5), 0.05, "backproject", seed=6)
+    save(problem, sys.argv[1])
+    report = solve(build(load(sys.argv[1])))
+    assert report.converged, report.reason
+    print(sorted(name for name in sys.modules if name.startswith("scipy")))
+""")
+
+
+def test_solve_path_loads_no_scipy(tmp_path):
+    # scipy serves only the dense oracle and the LM baseline, which import
+    # it themselves: generating, storing, loading, building and solving a
+    # problem in a fresh interpreter leaves it unloaded
+    src = str(Path(engine.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run(
+        [sys.executable, "-c", SOLVE_PATH, str(tmp_path / "scene.gbpba")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
