@@ -1,5 +1,4 @@
-"""Batched kernels over stacks of small arrays: masked Cholesky solves and an
-order-preserving scatter-add.
+"""Batched kernels over stacks of small arrays: masked Cholesky solves.
 
 The belief phase needs one 3x3 or 6x6 factorisation per variable and
 iteration, with numerically singular members masked out instead of
@@ -13,6 +12,10 @@ of each matrix.  The public functions take and return the usual (N, d, d) /
 a stack that is the (N, ...) view of a contiguous component-major array
 (every factor-graph array is one) costs no copy and is read as contiguous
 vectors.  The results are views of component-major arrays.
+
+It also holds what the passes over every factor row share: `BLOCK_ROWS`,
+the dense keyframe runs with the plan of row stretches that walks them
+(`_dense_runs`, `_segments`), and `_contract`, a row-wise einsum.
 """
 
 from __future__ import annotations
@@ -24,19 +27,34 @@ PIVOT_RTOL = 1e-12
 # Per-factor work over the whole graph runs over blocks of this many rows,
 # so each of its temporaries is at most a few MB whatever the size of the
 # graph: they stay in cache, and the memory the process holds does not swing
-# with the graph size.  The blocked passes: `FactorGraph.linearize_factors`
-# (at build, in relinearising rounds and in the LM baseline), the squared
-# Jacobian column sums of `refresh_priors`, the projection of `residuals`
-# behind the ARE, the energy and the behind-camera count, the engine's
-# phase A selection, the stretches that the engine's phases B and C both
-# walk, and the rank check of `validate`.  A stretch is a block cut short
-# or stretched so that it cuts no piece of a keyframe's dense run (see
-# `engine`).  Each numpy call of phase B costs about 1 us besides its rows,
-# so longer blocks pay: on 30k factors phase B takes a fifth less time in
-# blocks of 6144 rows than of 4096, 8192 rows gain nothing more, and a
-# relinearising round's extra heap then passes 400 B per factor (2 vCPU, one
-# BLAS thread).
+# with the graph size.  The blocked passes: `camera.project_many` and
+# `jacobian_many`, and so `FactorGraph.linearize_factors` (at build, in
+# relinearising rounds and in the LM baseline) and the projection of
+# `residuals` behind the ARE, the energy and the behind-camera count, which
+# walk the stretches below; the engine's phase A selection, the stretches
+# that the engine's phases B and C both walk, and the rank check of
+# `validate`.  A stretch is a block cut short or stretched so that it cuts
+# no piece of a keyframe's dense run.  Each numpy call of phase B costs
+# about 1 us besides its rows, so longer blocks pay: on 30k factors phase B
+# takes a fifth less time in blocks of 6144 rows than of 4096, 8192 rows
+# gain nothing more, and a relinearising round's extra heap then passes
+# 400 B per factor (2 vCPU, one BLAS thread).
 BLOCK_ROWS = 6144
+
+# A dense run is at least DENSE_RUN_ROWS consecutive factor rows of one
+# keyframe, as its measurements are added together, cut into pieces every
+# DENSE_RUN_PIECE rows from its start.  A piece shares its keyframe's
+# camera, B^-1 and mean: the projection takes one camera column for it,
+# phase B one matrix product with its B^-1 and phase C sums its messages in
+# two products.  The pieces bound the temporaries of these passes by the
+# longer of BLOCK_ROWS and DENSE_RUN_PIECE, not by the longest run: phase B
+# holds about 650 B per row of its longest stretch in a plain float64 round.
+# A run costs some tens of us of calls in each phase, so a short run is
+# cheaper row by row: phases B and C together break even between 112 and
+# 128 rows per run (12k-factor scenes of 64-320 rows per keyframe, 2 vCPU,
+# one BLAS thread), and a run is dense from 128.
+DENSE_RUN_ROWS = 128
+DENSE_RUN_PIECE = 6144
 
 
 def component_major(stack: np.ndarray) -> np.ndarray:
@@ -121,16 +139,57 @@ def solve_spd_masked(mats: np.ndarray, rhs: np.ndarray):
     return x.transpose(2, 0, 1), ok
 
 
-def scatter_sum(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """out[i] = sum of values[m] over the rows m with ids[m] == i, shape
-    (n, *values.shape[1:]), in the dtype of `values`.
+def _dense_runs(ids):
+    """The runs of at least DENSE_RUN_ROWS consecutive rows that share their
+    keyframe `ids`, cut at every DENSE_RUN_PIECE rows from their start, as
+    sorted [start, stop) pieces.  They are sought only where some row
+    equals the row DENSE_RUN_ROWS - 1 after it, as the first and last rows
+    of a run do: a graph with no run pays that one comparison."""
+    if not np.any(ids[DENSE_RUN_ROWS - 1 :] == ids[: max(ids.size - DENSE_RUN_ROWS + 1, 0)]):
+        return []
+    change = ids[1:] != ids[:-1]
+    bounds = np.concatenate(([0], np.flatnonzero(change) + 1, [ids.size]))
+    long = np.flatnonzero(np.diff(bounds) >= DENSE_RUN_ROWS)
+    return [
+        (i, min(i + DENSE_RUN_PIECE, b))
+        for a, b in zip(bounds[long].tolist(), bounds[long + 1].tolist())
+        for i in range(a, b, DENSE_RUN_PIECE)
+    ]
 
-    Each output entry is summed in ascending row order starting from zero,
-    the order `np.add.at` uses on a zero array, so the two agree bit for bit
-    in float64.
-    """
-    columns = component_major(values.reshape(len(ids), int(np.prod(values.shape[1:]))))
-    out = np.empty((columns.shape[0], n), values.dtype)
-    for c, column in enumerate(columns):
-        out[c] = np.bincount(ids, weights=column, minlength=n)
-    return np.ascontiguousarray(out.T).reshape((n,) + values.shape[1:])
+
+def _segments(n, pieces):
+    """A plan of `n` rows as [start, stop) stretches of about BLOCK_ROWS rows
+    that cut none of the sorted, disjoint `pieces`, each with the pieces
+    inside it, relative to its start.  A stretch is cut short at the start
+    of a piece that crosses its end, or is the one piece that starts at its
+    start, so it is at most max(BLOCK_ROWS, DENSE_RUN_PIECE) rows long."""
+    plan, start, k = [], 0, 0
+    while start < n:
+        stop, first = min(start + BLOCK_ROWS, n), k
+        while k < len(pieces) and pieces[k][1] <= stop:
+            k += 1
+        if k < len(pieces) and pieces[k][0] < stop:
+            if pieces[k][0] > start:
+                stop = pieces[k][0]
+            else:
+                stop, k = pieces[k][1], k + 1
+        plan.append((start, stop, [(a - start, b - start) for a, b in pieces[first:k]]))
+        start = stop
+    return plan
+
+
+def _contract(spec, x, y, out=None):
+    """`np.einsum(spec, x, y)` of operands whose last axis, n factor rows,
+    it keeps and whose second-to-last it sums; an operand of one row there
+    broadcasts over the other's.  With n >= 2 rows contiguous in memory the
+    rows are einsum's inner loop, so each row's sum runs in ascending order,
+    the bits of a loop of row-wise products; strided rows, or a single row,
+    would make the sum the inner loop, in another order, so a single row is
+    taken twice."""
+    if x.shape[-1] != 1 or y.shape[-1] != 1:
+        return np.einsum(spec, x, y, out=out)
+    one = np.einsum(spec, *(np.concatenate((a, a), axis=-1) for a in (x, y)))[..., :1]
+    if out is None:
+        return one
+    out[...] = one
+    return out

@@ -20,14 +20,18 @@ The rotation block uses d(R(w) l)/dw = -[R l]_x J_l(w) with J_l the SO(3)
 left Jacobian.
 
 Projection and Jacobian are one kernel on component-major columns: every
-entry (a rotation entry, a point coordinate, a pixel) is one length-N
+entry (a rotation entry, a point coordinate, a pixel) is one length-n
 vector, and each step is one vector operation over them.  Its cameras come
 from a table `camera_terms` of K keyframes, (21, K): R(w) row by row, t and
-J_l(w) row by row, formed once per keyframe; a caller gathers the columns
-of its rows with one `np.take` and hands `project_many` and `jacobian_many`
-their (N, 21) view, or (N, 12) without J_l to project.  Given (N, 6)
-states, those functions form the table row by row themselves, with the same
-formulas, so either way a row gets the same bits.
+J_l(w) row by row, formed once per keyframe.  `project_many` and
+`jacobian_many` take one camera per point, as (N, 6) states or rows of that
+table, (N, 21) or (N, 12) without J_l to project, or one camera, a single
+row, for every point: a caller hands a keyframe's points its one table
+column, and gathers the columns of mixed rows with one `np.take`.  They
+work over blocks of `BLOCK_ROWS` points, forming the camera terms of a
+block of states there, with the same formulas, and write into outputs
+allocated once, so their temporaries do not grow with N and a row gets the
+same bits however it is passed.
 
 Nothing here raises for a point at or behind the camera plane: both
 functions return each row's depth, and callers set the policy for rows with
@@ -40,6 +44,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .batch_linalg import BLOCK_ROWS, _contract
 
 DEPTH_EPSILON = 1e-6
 
@@ -60,7 +66,12 @@ class Intrinsics:
 def _as_float(x) -> np.ndarray:
     """`x` as an array of its own float dtype; anything else becomes float64."""
     x = np.asarray(x)
-    return x if np.issubdtype(x.dtype, np.floating) else x.astype(float)
+    return x if x.dtype.kind == "f" else x.astype(float)
+
+
+# the rows of w that give the 9 entries of [w]x, before its signs and zero
+# diagonal, and the rows whose products w_i w_j give those of w w'
+_WX, _ROWS, _COLS = (np.array(x) for x in ([0, 2, 1, 2, 0, 0, 1, 0, 0], [0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 2] * 3))
 
 
 def _so3(w, jacobian: bool):
@@ -69,32 +80,31 @@ def _so3(w, jacobian: bool):
     are I + c1 [w]x + c2 [w]x^2, with [w]x^2 = w w' - |w|^2 I, and
     c1, c2 = sin(t)/t, (1 - cos t)/t^2 for R and (1 - cos t)/t^2,
     (t - sin t)/t^3 for J_l, t = |w|, by series below t = 1e-8."""
-    w0, w1, w2 = w
-    theta2 = w0 * w0 + w1 * w1 + w2 * w2
+    theta2 = np.add.reduce(w * w)  # (w0^2 + w1^2) + w2^2
     theta = np.sqrt(theta2)
-    small = theta < 1e-8
+    sine = np.sin(theta)
     with np.errstate(invalid="ignore", divide="ignore"):
-        sin_t = np.where(small, 1.0 - theta2 / 6.0, np.sin(theta) / np.where(small, 1.0, theta))
-        cos_t = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(theta)) / np.where(small, 1.0, theta2))
-        coefs = [(sin_t, cos_t)]
+        c = [sine / theta, (1.0 - np.cos(theta)) / theta2]
         if jacobian:
-            cubic = np.where(
-                small, 1.0 / 6.0 - theta2 / 120.0,
-                (theta - np.sin(theta)) / np.where(small, 1.0, theta2 * theta),
-            )
-            coefs.append((cos_t, cubic))
-    wx = ((None, -w2, w1), (w2, None, -w0), (-w1, w0, None))
-    wx2 = (
-        (-(w1 * w1 + w2 * w2), w0 * w1, w0 * w2),
-        (w1 * w0, -(w0 * w0 + w2 * w2), w1 * w2),
-        (w2 * w0, w2 * w1, -(w0 * w0 + w1 * w1)),
-    )
+            c.append((theta - sine) / (theta2 * theta))
+    small = theta < 1e-8
+    if np.any(small):
+        series = (1.0 - theta2 / 6.0, 0.5 - theta2 / 24.0, 1.0 / 6.0 - theta2 / 120.0)
+        c = [np.where(small, s, x) for s, x in zip(series, c)]
+    coefs = [(c[0], c[1]), (c[1], c[-1])][: 1 + jacobian]
+    # the 9 row-major entries of [w]x, zero on the diagonal, and of [w]x^2:
+    # w_i w_j off the diagonal and -(w_j^2 + w_k^2) on it, one array each
+    wx = w[_WX]
+    wx[[1, 5, 6]] *= -1  # -w2, -w0, -w1
+    wx[::4] = 0.0
+    wx2 = w[_ROWS] * w[_COLS]
+    wx2[::4] = -(wx2[[4, 0, 0]] + wx2[[8, 8, 4]])
     out = []
     for c1, c2 in coefs:
-        mat = np.empty((9,) + theta.shape, theta.dtype)
-        for i in range(3):
-            for j in range(3):
-                mat[3 * i + j] = 1.0 + c2 * wx2[i][j] if i == j else c1 * wx[i][j] + c2 * wx2[i][j]
+        # a diagonal entry is 1 + c2 [w]x^2, as c1 0 + c2 [w]x^2 leaves the product
+        mat = c1 * wx
+        mat += c2 * wx2
+        mat[::4] += 1.0
         out.append(mat)
     return out
 
@@ -194,44 +204,28 @@ def camera_terms(kf_states: np.ndarray, jacobian: bool = True) -> np.ndarray:
     return np.concatenate([so3[0], states[3:], *so3[1:]])
 
 
-def _columns(kf_states, points, jacobian: bool):
-    """The camera terms and points of (N, 6) states or their rows of
-    `camera_terms` (N, 21), or (N, 12) without J_l where no Jacobian is
-    formed, and (N, 3) points, as component-major columns."""
-    kf_states, points = (np.atleast_2d(_as_float(x)) for x in (kf_states, points))
-    widths = (6, 21) if jacobian else (6, 12, 21)
-    if kf_states.shape[-1] not in widths:
-        raise ValueError(f"keyframe rows (states or camera_terms rows) must be {widths} wide, "
-                         f"got {kf_states.shape[-1]}")
-    if kf_states.shape[-1] == 6:
-        return camera_terms(kf_states, jacobian), points.T
-    return kf_states.T, points.T
-
-
 def _rotated(terms, points):
-    """R l (3, N) from camera-term and point columns."""
-    rot = terms[:9]
-    return np.stack([
-        rot[3 * i] * points[0] + rot[3 * i + 1] * points[1] + rot[3 * i + 2] * points[2]
-        for i in range(3)
-    ])
+    """R l (3, n) from camera-term and point columns."""
+    return _contract("ijn,jn->in", terms[:9].reshape((3, 3) + terms.shape[1:]), points)
 
 
-def _pixels(terms, points, k: Intrinsics, jac=None):
-    """The projection kernel on component-major columns: pixels (2, N) and
-    depths (N,) of the points through the cameras of `terms`, and, given a
-    (2, 9, N) `jac`, their measurement Jacobians written into it:
-    d(pixel)/d(camera point) D, and D -[R l]_x J_l, D, D R by columns."""
+def _pixels(terms, points, k: Intrinsics, uv, depth, jac=None):
+    """The projection kernel on component-major columns: the pixels (2, n)
+    and depths (n,) of the points (3, n) through the cameras of `terms`,
+    one column per point or one for all, written into `uv` and `depth`,
+    and, given a (2, 9, n) `jac`, their measurement Jacobians written into
+    it: d(pixel)/d(camera point) D, and D -[R l]_x J_l, D, D R by columns."""
     rl = _rotated(terms, points)
-    p = rl + terms[9:12]
-    depth = p[2]
+    np.add(rl[2], terms[11], out=depth)
+    xy = rl[:2] + terms[9:11]  # camera x and y, then divided by the depth
     inv = 1.0 / np.where(np.abs(depth) > DEPTH_EPSILON, depth, 1.0)
-    x, y = p[0] * inv, p[1] * inv
-    uv = np.stack([k.fx * x + k.cx, k.fy * y + k.cy])
+    xy *= inv
+    np.multiply(xy, np.array([[k.fx], [k.fy]], xy.dtype), out=uv)
+    uv += np.array([[k.cx], [k.cy]], xy.dtype)
     if jac is not None:
         # D = [[a0, 0, a2], [0, b1, b2]]
         a0, b1 = k.fx * inv, k.fy * inv
-        a2, b2 = -a0 * x, -b1 * y
+        a2, b2 = -a0 * xy[0], -b1 * xy[1]
         rot, jl = terms[:9], terms[12:21]
         m = (  # D -[R l]_x
             (a2 * rl[1], a0 * rl[2] - a2 * rl[0], -a0 * rl[1]),
@@ -245,7 +239,35 @@ def _pixels(terms, points, k: Intrinsics, jac=None):
             jac[r, 3 : 6] = 0.0
             jac[r, 3 + r] = d_diag
             jac[r, 5] = d_z
-    return uv, depth
+
+
+def _project(kf_states, points, k: Intrinsics, jacobian: bool):
+    """Pixels (2, N), depths (N,) and, with `jacobian`, Jacobians (2, 9, N)
+    of points (N, 3) through keyframe states (N, 6) or their rows of
+    `camera_terms`, (N, 21) or, where no Jacobian is formed, (N, 12), or
+    one such row shared by every point.  The kernel runs over blocks of
+    BLOCK_ROWS rows, and the camera terms of states are formed there, a
+    block at a time."""
+    kf_states, points = (np.atleast_2d(_as_float(x)) for x in (kf_states, points))
+    widths = (6, 21) if jacobian else (6, 12, 21)
+    if kf_states.shape[-1] not in widths:
+        raise ValueError(f"keyframe rows (states or camera_terms rows) must be {widths} wide, "
+                         f"got {kf_states.shape[-1]}")
+    n = len(points)
+    if len(kf_states) not in (1, n):
+        raise ValueError(f"{len(kf_states)} keyframe rows do not match {n} points")
+    dtype = np.result_type(kf_states, points)
+    uv, depth = np.empty((2, n), dtype), np.empty(n, dtype)
+    jac = np.empty((2, 9, n), dtype) if jacobian else None
+    for start in range(0, n, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        # component-major columns, contiguous along the rows, which einsum
+        # then takes as its inner loop (see `batch_linalg._contract`)
+        cams = kf_states if len(kf_states) == 1 else kf_states[rows]
+        terms = camera_terms(cams, jacobian) if cams.shape[-1] == 6 else np.ascontiguousarray(cams.T)
+        _pixels(terms, np.ascontiguousarray(points[rows].T), k, uv[:, rows], depth[rows],
+                None if jac is None else jac[..., rows])
+    return uv, depth, jac
 
 
 def project_many(
@@ -253,12 +275,14 @@ def project_many(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch pinhole projection of points (N, 3) through keyframe states
     (N, 6), or through their rows of `camera_terms` (N, 12 or 21), for
-    example the (N, 21) view of a table's gathered (21, N) columns.
+    example the (N, 21) view of a table's gathered (21, N) columns, or
+    through one camera, a single such row, for every point.
 
-    Returns (pixels (N, 2), depths (N,)).  Rows with depth <= DEPTH_EPSILON
-    hold garbage pixels; callers decide policy from the depth array.
+    Returns (pixels (N, 2), depths (N,)), views of component-major arrays.
+    Rows with depth <= DEPTH_EPSILON hold garbage pixels; callers decide
+    policy from the depth array.
     """
-    uv, depth = _pixels(*_columns(kf_states, points, False), k)
+    uv, depth, _ = _project(kf_states, points, k, False)
     return uv.T, depth
 
 
@@ -266,12 +290,11 @@ def jacobian_many(
     kf_states: np.ndarray, points: np.ndarray, k: Intrinsics
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch projection and 2x9 measurement Jacobians (no depth check) at
-    (N, 6) states or their (N, 21) rows of `camera_terms`: pixels (N, 2) and
-    depths (N,), those of `project_many`, and Jacobians (N, 2, 9), the view
-    of a component-major (2, 9, N) array, all from one pass."""
-    terms, points = _columns(kf_states, points, True)
-    jac = np.empty((2, 9, points.shape[-1]), np.result_type(terms, points))
-    uv, depth = _pixels(terms, points, k, jac)
+    (N, 6) states or their (N, 21) rows of `camera_terms`, or one such row
+    for every point: pixels (N, 2) and depths (N,), those of `project_many`,
+    and Jacobians (N, 2, 9), the view of a component-major (2, 9, N) array,
+    all from one pass."""
+    uv, depth, jac = _project(kf_states, points, k, True)
     return uv.T, depth, jac.transpose(2, 0, 1)
 
 

@@ -522,7 +522,7 @@ def synthesize(
     width, height = IMAGE_SIZE
     meas = []
     for i in range(n_keyframes):
-        uv, depth = project_many(np.repeat(kf_gt[i : i + 1], n_landmarks, axis=0), landmarks, DEFAULT_INTRINSICS)
+        uv, depth = project_many(kf_gt[i], landmarks, DEFAULT_INTRINSICS)
         dist = np.linalg.norm(landmarks - centers[i], axis=1)
         visible = (
             (depth > 0.1)

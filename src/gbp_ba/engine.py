@@ -10,7 +10,8 @@ of the factor's 9-vector:
      rounds after its birth at the earliest and then every c + 1 rounds)
      and the distance from those means to its linearisation point exceeds
      beta.  The cooldown is tested first, and the distance only for the
-     factors past it, a block of `BLOCK_ROWS` factors at a time.  Phase A
+     factors past it, a block of `BLOCK_ROWS` factors at a time, from
+     component-major columns of the states and `f_lin`.  Phase A
      writes only `f_last_relin` besides the relinearisations, and hands
      phase B the rows it relinearised with their `f_jac` of before the
      round;
@@ -39,11 +40,11 @@ of the factor's 9-vector:
      run over the rows before those born this round.  v is damped against
      the previous v outside the undamped window after a relinearisation,
      which holds at least that round, so both were sent with the current
-     J_K.  A dense run is at least `DENSE_RUN_ROWS` consecutive rows of one
-     keyframe, as its measurements are added together, cut into pieces
-     every `DENSE_RUN_PIECE` rows from its start.  `iterate` finds the runs
-     from neighbouring rows' keyframes and plans stretches of about
-     `BLOCK_ROWS` rows that cut no piece, which phases B and C both walk.
+     J_K.  `iterate` finds the dense keyframe runs, cut into pieces, from
+     neighbouring rows' keyframes and plans stretches of about `BLOCK_ROWS`
+     rows that cut no piece, which phases B and C both walk: the one run
+     definition of `batch_linalg` (`_dense_runs`, `_segments`), which the
+     graph's projection passes walk too.
      Phase B forms both sides' messages of a stretch before it writes
      either, in place in `f_msg`, each step one vector operation.  Where E
      is the keyframe, a piece's B^-1 J_E' is one matrix product with E's own
@@ -76,9 +77,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch_linalg import BLOCK_ROWS, component_major, solve_spd_masked
+from .batch_linalg import (
+    BLOCK_ROWS, _contract, _dense_runs, _segments, component_major, solve_spd_masked,
+)
 from .camera import DEPTH_EPSILON, canonicalize_axis_angle
-from .factor_graph import KEYFRAME, KINDS, PRIOR_TARGET_RATIO, FactorGraph
+from .factor_graph import FACTOR_DIM, KEYFRAME, KINDS, PRIOR_TARGET_RATIO, FactorGraph
 
 __all__ = [
     "ScheduleParams",
@@ -88,16 +91,6 @@ __all__ = [
     "run",
     "solve",
 ]
-
-# The pieces of dense runs bound the temporaries of phases B and C by the
-# longer of BLOCK_ROWS and DENSE_RUN_PIECE, not by the longest run: phase B
-# holds about 650 B per row of its longest stretch in a plain float64 round.
-# A run costs some tens of us of calls in each phase, so a short run is
-# cheaper row by row: phases B and C together break even between 112 and
-# 128 rows per run (12k-factor scenes of 64-320 rows per keyframe, 2 vCPU,
-# one BLAS thread), and a run is dense from 128.
-DENSE_RUN_ROWS = 128
-DENSE_RUN_PIECE = 6144
 
 # the lower triangle of each kind's belief matrix, as phase C sums it
 TRIL = {kind.dim: np.tril_indices(kind.dim) for kind in KINDS}
@@ -191,6 +184,18 @@ def _update_prior_scales(graph: FactorGraph, schedule: ScheduleParams, t: int) -
     return float(PRIOR_TARGET_RATIO ** (min(t, window) / max(window, 1)))
 
 
+def _norms(squares):
+    """The square root of the sum of each column of `squares` (9, n), the
+    bits of `np.linalg.norm` over the rows of a contiguous (n, 9) array,
+    whose pairwise sum adds nine entries as ((s0 + s1) + (s2 + s3)) +
+    ((s4 + s5) + (s6 + s7)) + s8."""
+    s = squares
+    total = (s[0] + s[1]) + (s[2] + s[3])
+    total += (s[4] + s[5]) + (s[6] + s[7])
+    total += s[8]
+    return np.sqrt(total, out=total)
+
+
 def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
     """Relinearises the factors due; returns the counts of those relinearised
     and aborted, and the ascending rows relinearised with the J their stored
@@ -199,12 +204,23 @@ def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
     if graph.n_measurement_factors == 0 or schedule.beta is None:
         return 0, 0, none
     picked = []
+    lin = component_major(graph.f_lin)
     for start in range(0, graph.n_measurement_factors, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         due = start + np.flatnonzero(graph.iters_since_relin(rows) >= schedule.relin_cooldown)
-        stacked = np.concatenate(graph.adjacent_states(due), axis=1)
-        picked.append(due[np.linalg.norm(stacked - graph.f_lin[due], axis=1) > schedule.beta])
-    idx = np.concatenate(picked)
+        if due.size == 0:
+            continue
+        # the distance from the adjacent states to lin, a component at a time,
+        # through views where the rows due are consecutive
+        at = slice(due[0], due[-1] + 1) if due[-1] - due[0] + 1 == due.size else due
+        lin_due = lin[:, at] if isinstance(at, slice) else np.take(lin, due, axis=1)
+        squares = np.empty((FACTOR_DIM, due.size), graph.dtype)
+        for kind in KINDS:
+            states = np.take(component_major(graph.var(kind, "state")), graph.adjacent(kind)[at], axis=1)
+            np.subtract(states, lin_due[kind.cols], out=squares[kind.cols])
+        squares *= squares
+        picked.append(due[_norms(squares) > schedule.beta])
+    idx = np.concatenate(picked) if picked else np.zeros(0, dtype=int)
     if idx.size == 0:
         return 0, 0, none
     jac_sent = np.take(component_major(graph.f_jac), idx, axis=-1)
@@ -215,52 +231,15 @@ def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
     return int(ok.sum()), int((~ok).sum()), (idx, jac_sent)
 
 
-def _dense_runs(ids):
-    """The runs of at least DENSE_RUN_ROWS consecutive rows that share their
-    keyframe `ids`, cut at every DENSE_RUN_PIECE rows from their start, as
-    sorted [start, stop) pieces.  They are sought only where enough rows
-    equal the row before them to make one."""
-    change = ids[1:] != ids[:-1]
-    if change.size - np.count_nonzero(change) < DENSE_RUN_ROWS - 1:
-        return []
-    bounds = np.concatenate(([0], np.flatnonzero(change) + 1, [ids.size]))
-    long = np.flatnonzero(np.diff(bounds) >= DENSE_RUN_ROWS)
-    return [
-        (i, min(i + DENSE_RUN_PIECE, b))
-        for a, b in zip(bounds[long].tolist(), bounds[long + 1].tolist())
-        for i in range(a, b, DENSE_RUN_PIECE)
-    ]
-
-
-def _segments(n_old, pieces):
-    """The round's plan, which phases B and C both walk: the rows before
-    `n_old` as [start, stop) stretches of about BLOCK_ROWS rows that cut none
-    of the sorted, disjoint `pieces`, each with the pieces inside it,
-    relative to its start.  A stretch is cut short at the start of a piece
-    that crosses its end, or is the one piece that starts at its start, so
-    it is at most max(BLOCK_ROWS, DENSE_RUN_PIECE) rows long."""
-    plan, start, k = [], 0, 0
-    while start < n_old:
-        stop, first = min(start + BLOCK_ROWS, n_old), k
-        while k < len(pieces) and pieces[k][1] <= stop:
-            k += 1
-        if k < len(pieces) and pieces[k][0] < stop:
-            if pieces[k][0] > start:
-                stop = pieces[k][0]
-            else:
-                stop, k = pieces[k][1], k + 1
-        plan.append((start, stop, [(a - start, b - start) for a, b in pieces[first:k]]))
-        start = stop
-    return plan
-
-
 def _outside(n, pieces):
     """The rows of a stretch of `n` rows outside its [start, stop) `pieces`,
     all of them as a slice when there are none."""
+    if not pieces:
+        return slice(None)
     rest = np.ones(n, dtype=bool)
     for a, b in pieces:
         rest[a:b] = False
-    return np.flatnonzero(rest) if pieces else slice(None)
+    return np.flatnonzero(rest)
 
 
 # Phase B forms the messages of a stretch of factor rows to both sides at
@@ -364,21 +343,6 @@ def _fold_in_stale(g_ab, g_bb, p_b, g, p, w, w_target, s_sent, v_sent):
     p1[1] += h10 * r0
     p1[1] += h11 * r1
     return g1, p1, ok
-
-
-def _contract(spec, x, y, out=None):
-    """`np.einsum(spec, x, y)` of operands whose last axis, n factor rows,
-    it keeps and whose second-to-last it sums.  With n >= 2 the rows are
-    einsum's inner loop, so each row's sum runs in ascending order, the
-    bits of a loop of row-wise products; a single row would make the sum
-    the inner loop, in another order, so it is taken twice."""
-    if x.shape[-1] != 1:
-        return np.einsum(spec, x, y, out=out)
-    one = np.einsum(spec, *(np.concatenate((a, a), axis=-1) for a in (x, y)))[..., :1]
-    if out is None:
-        return one
-    out[...] = one
-    return out
 
 
 def _gram(x, y, out):

@@ -51,7 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch_linalg import BLOCK_ROWS, component_major, scatter_sum
+from .batch_linalg import (
+    BLOCK_ROWS, _contract, _dense_runs, _segments, component_major,
+)
 from .camera import DEPTH_EPSILON, Intrinsics, camera_terms, jacobian_many, project_many
 from .dataset_io import (
     ProblemSpec, RowError, check_ids, check_measurement_values, check_state_values,
@@ -190,10 +192,6 @@ class FactorGraph:
     def adjacent(self, kind: Kind) -> np.ndarray:
         return getattr(self, f"f_{kind.key}")
 
-    def adjacent_states(self, idx=slice(None)) -> list:
-        """Per kind, the states of the variables of the factors in `idx`."""
-        return [self.var(kind, "state")[self.adjacent(kind)[idx]] for kind in KINDS]
-
     def message(self, kind: Kind) -> tuple:
         """The stored messages to `kind`, views of `f_msg`: S's entries
         (F, 3) and v (F, 2), sent with `f_jac[:, :, kind.cols]`."""
@@ -240,23 +238,19 @@ class FactorGraph:
         Freshly created factors with an invalid initial point get zero
         information until a later attempt succeeds.
 
-        Runs over blocks of `BLOCK_ROWS` of the factors in `idx`, each
-        projected once, with its Jacobians, from columns of the
-        `camera_terms` table, formed once per keyframe, and written into the
-        factor arrays' component-major bases in place.
+        Projected with their Jacobians once, a part at a time (see
+        `_camera_parts`), and written into the factor arrays'
+        component-major bases in place.
         """
         idx = np.asarray(idx, dtype=int)
         ok = np.zeros(idx.size, dtype=bool)
-        table = camera_terms(self.kf_state)
         kf_cm, z_cm, lin_cm, jac_cm, target_cm = (component_major(a) for a in (
             self.kf_state, self.f_z, self.f_lin, self.f_jac, self.f_target))
-        for start in range(0, idx.size, BLOCK_ROWS):
-            rows = idx[start : start + BLOCK_ROWS]
-            terms, points = self._gather(table, rows)
+        for part, rows, terms, points in self._camera_parts(camera_terms(self.kf_state), idx):
             uv_hat, depth, jac = jacobian_many(terms.T, points.T, self.intrinsics)
             jac = component_major(jac)
             good = depth > DEPTH_EPSILON
-            ok[start : start + BLOCK_ROWS] = good
+            ok[part] = good
             if not good.all():  # only the rows in front of the camera; no copies when all are
                 rows, points, uv_hat, jac = rows[good], points[:, good], uv_hat[good], jac[..., good]
             if rows.size == 0:
@@ -271,10 +265,27 @@ class FactorGraph:
             self.f_weight[rows] = huber_weight(_row_norms(residual.T) / self.f_sigma[rows], self.huber_nsigma)
         return ok
 
-    def _gather(self, table, rows):
-        """The `table` columns and landmark positions (3, n) of the factors in `rows`."""
+    def _camera_parts(self, table, idx=None):
+        """The factors `idx`, every factor by default, as the parts that
+        `residuals` and `linearize_factors` project, in order: each piece of
+        a dense keyframe run among them (see `batch_linalg`) takes its
+        keyframe's one column of the `camera_terms` table, and the rows
+        between pieces, at most BLOCK_ROWS at a time, gather theirs.  Yields
+        per part its positions in `idx` (a slice), its factor rows (the same
+        slice where `idx` is None), its camera terms (rows of `table`, one
+        column or one per row) and its landmark positions (3, n)."""
+        kf = self.f_kf if idx is None else self.f_kf[idx]
         lm_cm = component_major(self.lm_state)
-        return np.take(table, self.f_kf[rows], axis=1), np.take(lm_cm, self.f_lm[rows], axis=1)
+        for start, stop, pieces in _segments(kf.size, _dense_runs(kf)):
+            # the edges alternate: rows between pieces, a piece, rows between ...
+            edges = [start, *(start + edge for piece in pieces for edge in piece), stop]
+            for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+                if a == b:
+                    continue
+                part = slice(a, b)
+                rows = part if idx is None else idx[part]
+                terms = table[:, kf[a], None] if k % 2 else np.take(table, kf[part], axis=1)
+                yield part, rows, terms, np.take(lm_cm, self.f_lm[rows], axis=1)
 
     def factor_precision(self, idx=slice(None)) -> np.ndarray:
         """w = weight / sigma^2 of the factors in `idx`: the Huber-weighted
@@ -311,20 +322,22 @@ class FactorGraph:
         PRIOR_FLOOR_RTOL of the row's largest entry, or a flagged unit
         fallback where the row has no positive entry.  Every factor adjacent
         to such a variable was born in this iteration too, so only the last
-        rows, those born in it, are read.  The squared column sums are formed
-        over blocks of `BLOCK_ROWS` of those rows, and each kind's are summed
-        in one scatter over all of them."""
-        rows = np.arange(np.searchsorted(self.f_birth, self.iteration), self.n_measurement_factors)
-        colsq = np.empty((rows.size, FACTOR_DIM), self.dtype)
-        for start in range(0, rows.size, BLOCK_ROWS):
-            block = rows[start : start + BLOCK_ROWS]
-            colsq[start : start + BLOCK_ROWS] = (
-                np.sum(self.f_jac[block] ** 2, axis=1) / self.f_sigma[block, None] ** 2
-            )
+        rows, those born in it, are read.  Each squared column is formed
+        from slices of `f_jac`'s component-major base and summed per
+        variable at once, in ascending row order in float64, the bits of
+        `np.add.at` on a zero float64 array."""
+        rows = slice(np.searchsorted(self.f_birth, self.iteration), None)
+        jac, sigma_sq = component_major(self.f_jac)[..., rows], self.f_sigma[rows] ** 2
         for kind in KINDS:
             ids = np.flatnonzero(self.var(kind, "birth") == self.iteration)
-            sums = scatter_sum(self.adjacent(kind)[rows], colsq[:, kind.cols], self.size(kind))
-            contrib = sums[ids]
+            adjacent = self.adjacent(kind)[rows]
+            sums = np.empty((kind.dim, self.size(kind)), self.dtype)
+            for c, col in enumerate(range(FACTOR_DIM)[kind.cols]):
+                colsq = jac[0, col] ** 2
+                colsq += jac[1, col] ** 2
+                colsq /= sigma_sq
+                sums[c] = np.bincount(adjacent, weights=colsq, minlength=self.size(kind))
+            contrib = sums[:, ids].T
             fallback = ~np.any(contrib > 0, axis=1)
             floored = np.maximum(contrib, PRIOR_FLOOR_RTOL * contrib.max(axis=1, keepdims=True))
             self.var(kind, "prior_diag0")[ids] = np.where(fallback[:, None], 1.0, floored)
@@ -358,17 +371,16 @@ class FactorGraph:
 
     def residuals(self):
         """(residuals (F,2), depths (F,)) at current states.  Read-only.
-        Projected over blocks of `BLOCK_ROWS` factors into the two arrays,
-        from columns of the `camera_terms` table, formed once per keyframe."""
+        Projected a part at a time (see `_camera_parts`) into the two arrays:
+        a piece of a dense keyframe run through its keyframe's one column of
+        the `camera_terms` table, formed once per keyframe, and the other
+        rows through their gathered columns."""
         if self._projection is not None:
             return self._projection[:2]
         n = self.n_measurement_factors
         residual, depth = np.empty((2, n), self.dtype), np.empty(n, self.dtype)
-        table = camera_terms(self.kf_state, jacobian=False)
         z_cm = component_major(self.f_z)
-        for start in range(0, n, BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
-            terms, points = self._gather(table, rows)
+        for rows, _, terms, points in self._camera_parts(camera_terms(self.kf_state, jacobian=False)):
             uv_hat, depth[rows] = project_many(terms.T, points.T, self.intrinsics)
             np.subtract(z_cm[:, rows], uv_hat.T, out=residual[:, rows])
         return residual.T, depth
@@ -567,10 +579,7 @@ def _row_norms(residual):
 
 def _jac_lin(jac, lin):
     """J lin (2, n) of component-major J (2, 9, n) and lin (9, n), in column order."""
-    out = jac[:, 0] * lin[0]
-    for j in range(1, FACTOR_DIM):
-        out += jac[:, j] * lin[j]
-    return out
+    return _contract("ajn,jn->an", jac, lin)
 
 
 def huber_weight(mahal, nsigma):

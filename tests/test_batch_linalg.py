@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbp_ba import build, perturb, synthesize
-from gbp_ba.batch_linalg import _cholesky_cm, component_major, scatter_sum, solve_spd_masked
+from gbp_ba.batch_linalg import _cholesky_cm, component_major, solve_spd_masked
 
 
 def random_spd_stack(rng, n, d, cond=100.0):
@@ -126,19 +126,6 @@ def test_masked_solve_property(d, k, dtype, kinds, seed):
         rtol = 1e-4 if dtype == np.float32 else 1e-10
         want = np.linalg.solve(mats[good].astype(float), rhs[good].astype(float))
         np.testing.assert_allclose(x[good], want, rtol=rtol, atol=rtol * np.abs(want).max())
-
-
-def test_scatter_sum_matches_add_at_bitwise():
-    rng = np.random.default_rng(6)
-    for rows, shape, n in ((3000, (6, 6), 40), (2500, (3,), 700), (0, (6,), 5)):
-        ids = rng.integers(0, n - 1, size=rows)  # the last id gets no row
-        values = rng.normal(size=(rows,) + shape) * 10.0 ** rng.integers(-3, 4, size=(rows,) + shape)
-        want = np.zeros((n,) + shape)
-        np.add.at(want, ids, values)
-        got = scatter_sum(ids, values, n)
-        assert got.shape == want.shape and got.flags.c_contiguous
-        np.testing.assert_array_equal(got, want)
-        assert scatter_sum(ids, values.astype(np.float32), n).dtype == np.float32
 
 
 def test_float32_rank_deficient_systems_are_masked_and_finite():

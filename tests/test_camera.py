@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
 from gbp_ba import Intrinsics, dataset_io, retract
+from gbp_ba.batch_linalg import BLOCK_ROWS
 from gbp_ba.camera import (
     DEPTH_EPSILON,
     canonicalize_axis_angle,
@@ -455,3 +458,50 @@ class TestColumnKernel:
         for width in (3, 7, 20):
             with pytest.raises(ValueError, match="wide"):
                 project_many(terms[:, :width], points, K_VGA)
+
+    @pytest.mark.parametrize("width", [6, 21])
+    def test_blocks_do_not_change_results(self, width):
+        # both functions run over blocks of BLOCK_ROWS rows: every row is
+        # what a call on its block alone gives, bit for bit, also in a
+        # last block of one row, for states and C-contiguous table rows
+        rng = np.random.default_rng(36)
+        states, points = self.configs(rng, rng.uniform(0, np.pi, 2 * BLOCK_ROWS + 1))
+        cams = states if width == 6 else camera_terms(states).T.copy()
+        for n in (1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1):
+            for fun in (project_many, jacobian_many):
+                got = fun(cams[:n], points[:n], K_VGA)
+                blocks = [fun(cams[a : min(a + BLOCK_ROWS, n)], points[a : min(a + BLOCK_ROWS, n)], K_VGA)
+                          for a in range(0, n, BLOCK_ROWS)]
+                for g, *want in zip(got, *blocks):
+                    assert len(g) == n
+                    np.testing.assert_array_equal(g, np.concatenate(want), err_msg=f"{fun.__name__} {n=}")
+
+    def test_one_camera_for_every_point_equals_its_copies(self):
+        # a keyframe's points take its one camera row, which the kernel
+        # broadcasts, with the bits of a row per point
+        states, points = self.configs(np.random.default_rng(37), [0.7] * (BLOCK_ROWS + 2))
+        for cam in (states[:1], camera_terms(states[:1]).T):
+            for n in (1, 2, BLOCK_ROWS + 2):
+                for fun in (project_many, jacobian_many):
+                    for got, want in zip(fun(cam, points[:n], K_VGA), fun(np.repeat(cam, n, axis=0), points[:n], K_VGA)):
+                        np.testing.assert_array_equal(got, want, err_msg=f"{fun.__name__} {n=}")
+        with pytest.raises(ValueError, match="match"):
+            project_many(states[:2], points[:3], K_VGA)
+
+    def test_blocked_calls_hold_bounded_temporaries(self):
+        # the heap either function allocates besides its outputs does not
+        # grow with the rows: camera terms and temporaries are a block's
+        heap = {}
+        for n in (4 * BLOCK_ROWS, 8 * BLOCK_ROWS):
+            states, points = self.configs(np.random.default_rng(38), np.full(n, 0.5))
+            for fun in (project_many, jacobian_many):
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    out = fun(states, points, K_VGA)
+                    peak = tracemalloc.get_traced_memory()[1] - before
+                finally:
+                    tracemalloc.stop()
+                heap[fun, n] = peak - sum(x.nbytes for x in out)
+        for fun in (project_many, jacobian_many):
+            assert 0 < heap[fun, 8 * BLOCK_ROWS] <= 1.25 * heap[fun, 4 * BLOCK_ROWS], fun.__name__

@@ -41,7 +41,7 @@ from gbp_ba import (
 )
 from gbp_ba.batch_linalg import PIVOT_RTOL
 from gbp_ba.camera import DEPTH_EPSILON, camera_center, project_many
-from gbp_ba import engine, factor_graph
+from gbp_ba import batch_linalg, camera, engine, factor_graph
 from gbp_ba.dense_oracle import stack_states
 from gbp_ba.engine import PHASES
 from gbp_ba.factor_graph import KEYFRAME, LANDMARK
@@ -272,22 +272,35 @@ def test_contractions_sum_rows_in_ascending_order(dtype):
                 ("dn,dn->n", x[0], y[0], ascending([x[0, j] * y[0, j] for j in range(d)])),
             ]
             for spec, a, b, want in cases:
-                np.testing.assert_array_equal(engine._contract(spec, a, b), want, err_msg=f"{spec} {d=} {n=}")
+                np.testing.assert_array_equal(batch_linalg._contract(spec, a, b), want, err_msg=f"{spec} {d=} {n=}")
                 out = np.empty_like(want)
-                assert engine._contract(spec, a, b, out) is out
+                assert batch_linalg._contract(spec, a, b, out) is out
                 np.testing.assert_array_equal(out, want, err_msg=f"{spec} {d=} {n=}")
 
 
-def test_row_blocks_do_not_change_results(monkeypatch):
-    # every pass over all factors runs over blocks of rows: the linearisation,
-    # the prior refresh, the shared projection, phases A, B and C and the
-    # rank check in validate(); blocks of 7 rows cut every array mid-stream.
-    # The singular keep-previous rule, the relinearising round 11 and a
-    # factor added mid-solve cross block edges, and so do behind-camera rows,
-    # which abort the linearisation and take the energy's residual at the
-    # linearisation point: measurement 40's landmark starts behind its
-    # camera, and factor 10's is mirrored behind its camera before round 11
+def set_block_rows(monkeypatch, rows):
+    """Every pass over factor rows in blocks of `rows`."""
+    for module in (batch_linalg, camera, engine, factor_graph):
+        monkeypatch.setattr(module, "BLOCK_ROWS", rows)
+
+
+@pytest.mark.parametrize("run_rows", [7, None])
+def test_row_blocks_do_not_change_results(monkeypatch, run_rows):
+    # every pass over all factors runs over blocks of rows: the linearisation
+    # and the shared projection, also inside project_many and jacobian_many,
+    # phases A, B and C and the rank check in validate(); blocks of 7 rows
+    # cut every array mid-stream.  The singular keep-previous rule, the
+    # relinearising round 11 and a factor added mid-solve cross block edges,
+    # and so do behind-camera rows, which abort the linearisation and take
+    # the energy's residual at the linearisation point: measurement 40's
+    # landmark starts behind its camera, and factor 10's is mirrored behind
+    # its camera before round 11.  With runs from 7 rows, cut into pieces of
+    # 8, the projections take a keyframe's one camera column for a piece
+    # and gather the rows between pieces, down to blocks of one row; with
+    # runs from one past every row there is no run
     problem = outlier_problem()
+    monkeypatch.setattr(batch_linalg, "DENSE_RUN_ROWS", run_rows or len(problem.meas_kf) + 1)
+    monkeypatch.setattr(batch_linalg, "DENSE_RUN_PIECE", 8)
     lm, kf = problem.meas_lm[40], problem.meas_kf[40]
     problem.lm_init[lm] = 2 * camera_center(problem.kf_init[kf]) - problem.lm_init[lm]
     built_names = ("f_jac", "f_target", "f_lin", "f_weight",
@@ -295,8 +308,7 @@ def test_row_blocks_do_not_change_results(monkeypatch):
                      for name in ("diag0", "fallback")))
     graphs = {}
     for block in (engine.BLOCK_ROWS, 7):
-        monkeypatch.setattr(engine, "BLOCK_ROWS", block)
-        monkeypatch.setattr(factor_graph, "BLOCK_ROWS", block)
+        set_block_rows(monkeypatch, block)
         graph = build(problem)
         built = [getattr(graph, name).copy() for name in built_names]
         reports = run(graph, ScheduleParams(), n=10)
@@ -311,6 +323,7 @@ def test_row_blocks_do_not_change_results(monkeypatch):
     (big, big_built, big_behind, big_evaluated, big_reports, big_bad), \
         (small, small_built, small_behind, small_evaluated, small_reports, small_bad) = graphs.values()
     assert big.n_measurement_factors > 7 * 10
+    assert len(batch_linalg._dense_runs(big.f_kf)) == (16 if run_rows else 0)
     assert sum(r.n_singular_messages for r in big_reports) > 0
     assert big_bad == small_bad
     for name, a, b in zip(built_names, big_built, small_built):
@@ -342,9 +355,9 @@ def test_dense_runs_match_the_gathered_path(monkeypatch):
     keys = ("n_relinearized", "n_relin_aborted", "n_singular_messages", "n_frozen_states", "n_behind_camera")
     results = []
     for rows in (1, 10**9):
-        monkeypatch.setattr(engine, "DENSE_RUN_ROWS", rows)
+        monkeypatch.setattr(batch_linalg, "DENSE_RUN_ROWS", rows)
         graph = build(problem)
-        assert len(engine._dense_runs(graph.f_kf)) == (6 if rows == 1 else 0)
+        assert len(batch_linalg._dense_runs(graph.f_kf)) == (6 if rows == 1 else 0)
         reports = run(graph, n=12)
         results.append((graph, [[getattr(r, key) for key in keys] for r in reports]))
     (dense, dense_counts), (gathered, gathered_counts) = results
@@ -358,11 +371,11 @@ def test_dense_runs_match_the_gathered_path(monkeypatch):
 def test_dense_runs_match_scalar_path(monkeypatch):
     # keyframe runs of 400 rows: round 10 is plain and damped, and round 11
     # relinearises every factor, so its stale rows lie inside the runs
-    monkeypatch.setattr(engine, "DENSE_RUN_ROWS", 100)
+    monkeypatch.setattr(batch_linalg, "DENSE_RUN_ROWS", 100)
     graph = build(dense_problem())
     schedule = ScheduleParams()
     run(graph, schedule, n=9)
-    assert len(engine._dense_runs(graph.f_kf)) == 6
+    assert len(batch_linalg._dense_runs(graph.f_kf)) == 6
     rows = np.arange(0, graph.n_measurement_factors, 10)
     dampings, _, report = check_round(graph, schedule, rows)
     assert set(dampings) == {schedule.damping} and report.n_relinearized == 0
@@ -383,7 +396,7 @@ def test_long_dense_runs_hold_bounded_temporaries():
         t = graph.iteration
         relinearized = engine._phase_relinearize(graph, schedule, t)[2]
         n = graph.n_measurement_factors
-        plan = engine._segments(n, engine._dense_runs(graph.f_kf))
+        plan = batch_linalg._segments(n, batch_linalg._dense_runs(graph.f_kf))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -401,12 +414,11 @@ def test_dense_runs_do_not_depend_on_row_blocks(monkeypatch):
     # its cameras, so its rows abort among stale rows, and keyframe 2's B^-1
     # is cleared, as where phase C could not invert it, so its rows' messages
     # are singular
-    monkeypatch.setattr(engine, "DENSE_RUN_ROWS", 100)
+    monkeypatch.setattr(batch_linalg, "DENSE_RUN_ROWS", 100)
     problem = dense_problem()
     graphs = {}
     for block in (engine.BLOCK_ROWS, 7):
-        monkeypatch.setattr(engine, "BLOCK_ROWS", block)
-        monkeypatch.setattr(factor_graph, "BLOCK_ROWS", block)
+        set_block_rows(monkeypatch, block)
         graph = build(problem)
         reports = run(graph, ScheduleParams(), n=10)
         lm = graph.f_lm[5]
@@ -417,7 +429,7 @@ def test_dense_runs_do_not_depend_on_row_blocks(monkeypatch):
             report.phase_ms = {}
         graphs[block] = graph, reports
     (big, big_reports), (small, small_reports) = graphs.values()
-    runs = engine._dense_runs(big.f_kf)
+    runs = batch_linalg._dense_runs(big.f_kf)
     assert len(runs) == 6 and any(start % 7 for start, _ in runs)
     assert big_reports[10].n_relinearized > 0 and big_reports[10].n_relin_aborted > 0
     assert big_reports[10].n_singular_messages >= 400
@@ -447,8 +459,8 @@ def test_segments_plan_keyframe_runs(groups, block, run_rows, piece):
     ]
     with pytest.MonkeyPatch.context() as patch:
         for name, value in (("BLOCK_ROWS", block), ("DENSE_RUN_ROWS", run_rows), ("DENSE_RUN_PIECE", piece)):
-            patch.setattr(engine, name, value)
-        plan = engine._segments(ids.size, engine._dense_runs(ids))
+            patch.setattr(batch_linalg, name, value)
+        plan = batch_linalg._segments(ids.size, batch_linalg._dense_runs(ids))
     edges = [0] + [stop for _, stop, _ in plan]
     assert [start for start, _, _ in plan] == edges[:-1] and edges[-1] == ids.size
     got = []
@@ -462,12 +474,12 @@ def test_segments_plan_keyframe_runs(groups, block, run_rows, piece):
 
 def test_float32_dense_runs_take_the_float64_iterations(monkeypatch):
     # phase C sums a float32 graph's dense runs in float64, as its other rows
-    monkeypatch.setattr(engine, "DENSE_RUN_ROWS", 100)
+    monkeypatch.setattr(batch_linalg, "DENSE_RUN_ROWS", 100)
     problem = dense_problem()
     reports = {}
     for dtype in (np.float64, np.float32):
         graph = build(problem).astype(dtype)
-        assert len(engine._dense_runs(graph.f_kf)) == 6
+        assert len(batch_linalg._dense_runs(graph.f_kf)) == 6
         reports[dtype] = solve(graph, ScheduleParams(are_target=1.5))
         assert graph.kf_state.dtype == graph.f_msg.dtype == dtype
     want, got = reports[np.float64], reports[np.float32]
@@ -581,9 +593,9 @@ def test_beliefs_are_priors_times_stored_messages(monkeypatch, dense, dtype):
     # float32
     graph = build(runs_problem()).astype(dtype)
     if not dense:
-        monkeypatch.setattr(engine, "DENSE_RUN_ROWS", graph.n_measurement_factors + 1)
+        monkeypatch.setattr(batch_linalg, "DENSE_RUN_ROWS", graph.n_measurement_factors + 1)
     run(graph, ScheduleParams(), n=12)
-    assert bool(engine._dense_runs(graph.f_kf)) == dense
+    assert bool(batch_linalg._dense_runs(graph.f_kf)) == dense
     for kind in factor_graph.KINDS:
         s, v = (m.astype(float) for m in graph.message(kind))
         s = np.stack([s[:, :2], s[:, 1:]], axis=1)
@@ -609,7 +621,7 @@ def test_beliefs_do_not_depend_on_factor_order():
         name: getattr(problem, name)[order] for name in ("meas_kf", "meas_lm", "meas_uv", "meas_sigma")
     })
     graphs = build(problem), build(shuffled)
-    assert [bool(engine._dense_runs(g.f_kf)) for g in graphs] == [True, False]
+    assert [bool(batch_linalg._dense_runs(g.f_kf)) for g in graphs] == [True, False]
     for graph in graphs:
         run(graph, ScheduleParams(), n=4)
     names = [f"{kind.key}_{name}" for kind in factor_graph.KINDS for name in ("belief_eta", "belief_lam", "state")]
@@ -633,7 +645,7 @@ def test_point_major_input_matches_keyframe_major():
     })
     graphs = build(problem), build(point_major)
     assert np.all(np.diff(graphs[1].f_lm) >= 0) and np.count_nonzero(np.diff(graphs[1].f_lm)) == 29
-    assert [engine._dense_runs(g.f_kf) for g in graphs] == [[], []]
+    assert [batch_linalg._dense_runs(g.f_kf) for g in graphs] == [[], []]
     counts = [[r.n_relinearized for r in run(g, ScheduleParams(), n=12)] for g in graphs]
     assert counts[0] == counts[1] and counts[0][10] == graphs[0].n_measurement_factors
     names = [f"{kind.key}_{name}" for kind in factor_graph.KINDS for name in ("belief_eta", "belief_lam", "state")]
@@ -652,7 +664,7 @@ def test_first_round_factors_add_nothing_to_beliefs():
     assert n_old < graph.n_measurement_factors
     skipped, summed = graph.copy(), graph.copy()
     for g, n in ((skipped, n_old), (summed, graph.n_measurement_factors)):
-        engine._phase_beliefs(g, engine._segments(n, engine._dense_runs(g.f_kf[:n])))
+        engine._phase_beliefs(g, batch_linalg._segments(n, batch_linalg._dense_runs(g.f_kf[:n])))
     for kind in factor_graph.KINDS:
         for name in ("belief_eta", "belief_lam", "belief_cov", "state"):
             np.testing.assert_array_equal(summed.var(kind, name), skipped.var(kind, name))
@@ -775,7 +787,7 @@ def test_linear_gbp_on_dense_runs_reaches_dense_map(shape, rounds, dtype, rtol):
     # in `rounds`; float32 messages jitter at rounding and never meet it, so
     # a float32 copy runs as many rounds
     graph = build(synthesize(*shape, seed=21))
-    assert len(engine._dense_runs(graph.f_kf)) == shape[0]
+    assert len(batch_linalg._dense_runs(graph.f_kf)) == shape[0]
     want = map_solve(assemble(graph))
     schedule = ScheduleParams(
         beta=None, damping=0.0, prior_weaken_iters=0, are_target=0.0, max_iters=2000, message_tol=1e-10

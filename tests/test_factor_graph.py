@@ -19,7 +19,9 @@ from gbp_ba import (
 )
 from gbp_ba.camera import DEPTH_EPSILON, camera_center, jacobian_many, project_many, rotation_matrix
 from gbp_ba.dense_oracle import stack_states
-from gbp_ba.factor_graph import FACTOR_FIELDS, KEYFRAME, KINDS, TABLES, huber_energy, huber_weight
+from gbp_ba.factor_graph import (
+    FACTOR_FIELDS, KEYFRAME, KINDS, PRIOR_FLOOR_RTOL, TABLES, huber_energy, huber_weight,
+)
 
 
 def one_factor_problem(z=(0.0, 0.0), sigma=1.0):
@@ -145,6 +147,21 @@ class TestPriors:
                 block = jac[m][:, :6].T @ jac[m][:, :6] / graph.f_sigma[m] ** 2
                 expect += np.diag(block)
             np.testing.assert_allclose(graph.kf_prior_diag0[i], expect, rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_priors_sum_squared_columns_in_ascending_order(self, dtype):
+        # each prior entry sums its factors' squared Jacobian column over
+        # sigma^2 in ascending factor order in float64: np.add.at's bits
+        graph = build(synthesize(6, 400, seed=5)).astype(dtype)
+        graph.refresh_priors()  # every variable was born in iteration 0
+        colsq = np.sum(graph.f_jac ** 2, axis=1) / graph.f_sigma[:, None] ** 2
+        for kind in KINDS:
+            want = np.zeros((graph.size(kind), kind.dim))
+            np.add.at(want, graph.adjacent(kind), colsq[:, kind.cols].astype(float))
+            want = want.astype(dtype)
+            want = np.maximum(want, PRIOR_FLOOR_RTOL * want.max(axis=1, keepdims=True))
+            assert not graph.var(kind, "prior_fallback").any()
+            np.testing.assert_array_equal(graph.var(kind, "prior_diag0"), want, err_msg=kind.name)
 
     def test_unobserved_variable_gets_unit_fallback(self):
         prob = ProblemSpec(
