@@ -525,15 +525,20 @@ def _phase_beliefs(graph: FactorGraph, plan) -> int:
                 np.multiply(a[r], p[: r + 1], out=row)
                 row += b[r] * q[: r + 1]
             np.add.at(sums.reshape(-1), (index + ids[rows][rest]).reshape(-1), entries.reshape(-1))
-        lam_cm = component_major(lam)
-        lam_cm[i, j] = lam_cm[j, i] = sums[dim:]
+        # the belief, prior added, is solved in float64 and stored in the
+        # graph's dtype: float32 rounding of a well-conditioned belief can
+        # leave a pivot under the float32 pivot tolerance, freezing its state
+        wide_lam = np.empty((dim, dim, n))
+        wide_lam[i, j] = wide_lam[j, i] = sums[dim:]
+        wide_lam, wide_eta = wide_lam.transpose(2, 0, 1), sums[:dim].T
         prior_eta, prior_diag = graph.prior_information(kind)
-        np.add(prior_eta, sums[:dim].T, out=eta)
+        wide_eta += prior_eta
         rng = np.arange(dim)
-        lam[:, rng, rng] += prior_diag
+        wide_lam[:, rng, rng] += prior_diag
+        eta[...], lam[...] = wide_eta, wide_lam
         # [eta | I] gives the mean and B^-1, left zero where B is not invertible
-        eye = np.broadcast_to(np.eye(dim, dtype=graph.dtype), (n, dim, dim))
-        solved, ok = solve_spd_masked(lam, np.concatenate([eta[:, :, None], eye], axis=2))
+        eye = np.broadcast_to(np.eye(dim), (n, dim, dim))
+        solved, ok = solve_spd_masked(wide_lam, np.concatenate([wide_eta[:, :, None], eye], axis=2))
         mean, inv = solved[:, :, 0], solved[:, :, 1:]
         cov[...] = np.where(ok[:, None, None], 0.5 * (inv + np.swapaxes(inv, 1, 2)), 0.0)
         if kind is KEYFRAME:

@@ -776,10 +776,7 @@ def test_linear_gbp_reaches_dense_map():
 @pytest.mark.parametrize("shape, rounds, dtype, rtol", [
     ((2, 300), 24, np.float64, 1e-12),
     ((3, 200), 31, np.float64, 1e-12),
-    pytest.param((2, 300), 24, np.float32, 1e-6, marks=pytest.mark.xfail(strict=True, reason=(
-        "3.6e-3 from the MAP: the float32 pivot tolerance of batch_linalg._cholesky_cm, 4500 eps "
-        "(5.4e-4 of the trace), freezes landmarks 181 and 291, whose beliefs have condition numbers "
-        "7.5e3 and 2.0e3 and float64 pivot ratios 7.6e-5 and 3.0e-4"))),
+    ((2, 300), 24, np.float32, 1e-6),
     ((3, 200), 31, np.float32, 1e-6),
 ])
 def test_linear_gbp_on_dense_runs_reaches_dense_map(shape, rounds, dtype, rtol):
