@@ -14,8 +14,8 @@ a stack that is the (N, ...) view of a contiguous component-major array
 vectors.  The results are views of component-major arrays.
 
 It also holds what the passes over every factor row share: `BLOCK_ROWS`,
-the dense keyframe runs with the plan of row stretches that walks them
-(`_dense_runs`, `_segments`), and `_contract`, a row-wise einsum.
+`_plan`, their stretches cut into dense keyframe runs' pieces and the rows
+between them, `_consecutive` rows as a slice, and `_contract`, an einsum.
 """
 
 from __future__ import annotations
@@ -28,17 +28,16 @@ PIVOT_RTOL = 1e-12
 # so each of its temporaries is at most a few MB whatever the size of the
 # graph: they stay in cache, and the memory the process holds does not swing
 # with the graph size.  The blocked passes: `camera.project_many` and
-# `jacobian_many`, and so `FactorGraph.linearize_factors` (at build, in
-# relinearising rounds and in the LM baseline) and the projection of
-# `residuals` behind the ARE, the energy and the behind-camera count, which
-# walk the stretches below; the engine's phase A selection, the stretches
-# that the engine's phases B and C both walk, and the rank check of
-# `validate`.  A stretch is a block cut short or stretched so that it cuts
-# no piece of a keyframe's dense run.  Each numpy call of phase B costs
-# about 1 us besides its rows, so longer blocks pay: on 30k factors phase B
-# takes a fifth less time in blocks of 6144 rows than of 4096, 8192 rows
-# gain nothing more, and a relinearising round's extra heap then passes
-# 400 B per factor (2 vCPU, one BLAS thread).
+# `jacobian_many`; those that walk `_plan`'s stretches, which cut no piece
+# of a dense run: `FactorGraph.linearize_factors` (at build, in
+# relinearising rounds and in the LM baseline), the projection of
+# `residuals` behind the ARE, the energy and the behind-camera count, and
+# the engine's phases B and C; the engine's phase A selection, and the rank
+# check of `validate`.  Each numpy call of phase B costs about 1 us besides
+# its rows, so longer blocks pay: on 30k factors phase B takes a fifth less
+# time in blocks of 6144 rows than of 4096, 8192 rows gain nothing more,
+# and a relinearising round's extra heap then passes 400 B per factor
+# (2 vCPU, one BLAS thread).
 BLOCK_ROWS = 6144
 
 # A dense run is at least DENSE_RUN_ROWS consecutive factor rows of one
@@ -46,13 +45,14 @@ BLOCK_ROWS = 6144
 # DENSE_RUN_PIECE rows from its start.  A piece shares its keyframe's
 # camera, B^-1 and mean: the projection takes one camera column for it,
 # phase B one matrix product with its B^-1 and phase C sums its messages in
-# two products.  The pieces bound the temporaries of these passes by the
-# longer of BLOCK_ROWS and DENSE_RUN_PIECE, not by the longest run: phase B
-# holds about 650 B per row of its longest stretch in a plain float64 round.
-# A run costs some tens of us of calls in each phase, so a short run is
-# cheaper row by row: phases B and C together break even between 112 and
-# 128 rows per run (12k-factor scenes of 64-320 rows per keyframe, 2 vCPU,
-# one BLAS thread), and a run is dense from 128.
+# two products; other rows are gathered one by one.  The pieces bound the
+# temporaries of these passes by the longer of BLOCK_ROWS and
+# DENSE_RUN_PIECE, not by the longest run: phase B holds about 650 B per
+# row of its longest stretch in a plain float64 round.  A run costs some
+# tens of us of calls in each phase, so a short run is cheaper row by row:
+# phases B and C together break even between 112 and 128 rows per run
+# (12k-factor scenes of 64-320 rows per keyframe, 2 vCPU, one BLAS thread),
+# and a run is dense from 128.
 DENSE_RUN_ROWS = 128
 DENSE_RUN_PIECE = 6144
 
@@ -157,25 +157,33 @@ def _dense_runs(ids):
     ]
 
 
-def _segments(n, pieces):
-    """A plan of `n` rows as [start, stop) stretches of about BLOCK_ROWS rows
-    that cut none of the sorted, disjoint `pieces`, each with the pieces
-    inside it, relative to its start.  A stretch is cut short at the start
-    of a piece that crosses its end, or is the one piece that starts at its
-    start, so it is at most max(BLOCK_ROWS, DENSE_RUN_PIECE) rows long."""
-    plan, start, k = [], 0, 0
-    while start < n:
-        stop, first = min(start + BLOCK_ROWS, n), k
-        while k < len(pieces) and pieces[k][1] <= stop:
-            k += 1
-        if k < len(pieces) and pieces[k][0] < stop:
-            if pieces[k][0] > start:
-                stop = pieces[k][0]
-            else:
-                stop, k = pieces[k][1], k + 1
-        plan.append((start, stop, [(a - start, b - start) for a, b in pieces[first:k]]))
+def _plan(ids):
+    """The plan of a pass over factor rows of keyframes `ids`: [start, stop)
+    stretches, each tiled in order by its parts (a, b, dense).  A dense part
+    is a piece of a `_dense_runs` run, rows of one keyframe; between pieces
+    lies at most one other part, rows to gather one by one.  A stretch is a
+    block of BLOCK_ROWS rows cut short at the start of a piece that crosses
+    its end, or that one piece where it starts at the block's start."""
+    pieces, plan, start, k = _dense_runs(ids), [], 0, 0
+    while start < ids.size:
+        stop, parts, at = min(start + BLOCK_ROWS, ids.size), [], start
+        for a, b in pieces[k:]:
+            if a >= stop or b > stop and a > start:  # past the end or across it
+                stop = min(stop, a)
+                break
+            parts += [(at, a, False)] * (a > at) + [(a, b, True)]
+            at, stop, k = b, max(stop, b), k + 1
+        plan.append((start, stop, parts + [(at, stop, False)] * (at < stop)))
         start = stop
     return plan
+
+
+def _consecutive(rows):
+    """Integer `rows` as a slice where they ascend one by one, so that they
+    index through views, else (also where there are none) as they are."""
+    if rows.size and rows[-1] - rows[0] + 1 == rows.size and (np.diff(rows) == 1).all():
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
 
 
 def _contract(spec, x, y, out=None):

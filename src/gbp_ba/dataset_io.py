@@ -270,10 +270,13 @@ def load(path) -> ProblemSpec:
     version tag, intrinsics that `Intrinsics` rejects, a row with the wrong
     number of fields or a field its column cannot read as its dtype, an id
     out of order, an outlier index out of range, or a section cut short by
-    the end of the file.  A file that parses into a problem
-    `ProblemSpec.validate` rejects (a reference to a missing keyframe or
-    landmark, a non-finite state or pixel, a sigma that is not positive)
-    raises ParseError with validate's message, which names the row, and its line.
+    the end of the file; and what `save` never writes, which would replace,
+    merge or override what came before: a second outliers or metadata
+    section, an outlier index or metadata key given twice.  A file that
+    parses into a problem `ProblemSpec.validate` rejects (a reference to a
+    missing keyframe or landmark, a non-finite state or pixel, a sigma that
+    is not positive) raises ParseError with validate's message, which names
+    the row, and its line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.readlines()
@@ -294,7 +297,7 @@ def load(path) -> ProblemSpec:
         (line,), (lineno,) = take(1)
         tok = line.split()
         if tok[0] not in names:
-            raise ParseError(f"expected section {' or '.join(names)}, got {tok[0]!r}", lineno)
+            raise ParseError(f"expected {' or '.join(names) or 'no'} section, got {tok[0]!r}", lineno)
         flag = tok[2] if len(tok) == 3 else "gt=0"
         n_tokens = (2, 3) if tok[0] in ID_SECTIONS else (2,)  # only they take a gt flag
         if len(tok) not in n_tokens or not tok[1].isdecimal() or flag not in ("gt=0", "gt=1"):
@@ -352,20 +355,25 @@ def load(path) -> ProblemSpec:
         table, lines_of[section] = rows(*header(section))
         arrays.update((name, table[name]) for name in table.dtype.names if name != "id")
     n_meas = len(arrays["meas_kf"])
-    metadata = {}
+    metadata, optional = {}, ["outliers", "metadata"]  # each at most once
     while pos < len(lines):
-        section, count, gt = header("outliers", "metadata")
+        section, count, gt = header(*optional)
+        optional.remove(section)
         if section == "outliers":
             table, where = rows(section, count, gt)
             idx = table["outlier_mask"]
             bad = np.flatnonzero((idx < 0) | (idx >= n_meas))
             if bad.size:
                 raise ParseError(f"outlier index {idx[bad[0]]} out of range", where[bad[0]])
-            arrays["outlier_mask"] = np.zeros(n_meas, dtype=bool)
-            arrays["outlier_mask"][idx] = True
+            again = np.setdiff1d(np.arange(count), np.unique(idx, return_index=True)[1])
+            if again.size:
+                raise ParseError(f"outlier index {idx[again[0]]} listed twice", where[again[0]])
+            arrays["outlier_mask"] = np.isin(np.arange(n_meas), idx)
         else:
-            for line in take(count)[0]:
+            for line, lineno in zip(*take(count)):
                 key, _, value = line.strip().partition(" ")
+                if key in metadata:
+                    raise ParseError(f"metadata key {key!r} given twice", lineno)
                 metadata[key] = value
 
     try:
@@ -387,8 +395,9 @@ def import_bal(path) -> ProblemSpec:
     diag(1,-1,-1) into our +z pinhole convention and measurement v is
     negated.  Per-camera focal lengths and radial distortion are dropped
     with a warning (the first camera's f becomes the shared intrinsics).
-    Malformed input, a first focal length `Intrinsics` rejects and a value
-    `ProblemSpec` rejects included, raises ParseError.
+    Malformed input, a first focal length `Intrinsics` rejects, a value
+    `ProblemSpec` rejects and tokens after the last point block (header
+    counts that disagree with the body) included, raises ParseError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
@@ -416,6 +425,8 @@ def import_bal(path) -> ProblemSpec:
     uv = parse(obs[:, 2:], "observation pixel")
     cams = parse(take(9 * n_cam, "camera blocks"), "camera block").reshape(n_cam, 9)
     pts = parse(take(3 * n_pts, "point blocks"), "point block").reshape(n_pts, 3)
+    if cursor < len(tokens):
+        raise ParseError(f"{len(tokens) - cursor} tokens after the last point block of header {n_cam} {n_pts} {n_obs}")
 
     if n_obs and (cam_idx.min() < 0 or cam_idx.max() >= n_cam):
         raise ParseError("observation camera index out of range")

@@ -40,23 +40,23 @@ of the factor's 9-vector:
      run over the rows before those born this round.  v is damped against
      the previous v outside the undamped window after a relinearisation,
      which holds at least that round, so both were sent with the current
-     J_K.  `iterate` finds the dense keyframe runs, cut into pieces, from
-     neighbouring rows' keyframes and plans stretches of about `BLOCK_ROWS`
-     rows that cut no piece, which phases B and C both walk: the one run
-     definition of `batch_linalg` (`_dense_runs`, `_segments`), which the
-     graph's projection passes walk too.
+     J_K.  Phases B and C walk the round's one `batch_linalg._plan`, as the
+     graph's projections do: stretches of about `BLOCK_ROWS` rows, each
+     tiled by dense keyframe runs' pieces and the rows between them.
      Phase B forms both sides' messages of a stretch before it writes
      either, in place in `f_msg`, each step one vector operation.  Where E
      is the keyframe, a piece's B^-1 J_E' is one matrix product with E's own
      B^-1, and J_E mu_E one with mu_E = B^-1 eta_E, formed once per
-     variable; the other rows gather B^-1 and mu.  Every other sum is taken
-     row by row in a fixed order, so no message depends on BLOCK_ROWS;
+     variable; other rows, and all where E is the landmark, gather B^-1 and
+     mu.  Every other sum is taken row by row in a fixed order, so no
+     message depends on BLOCK_ROWS;
   C. every variable's belief is rebuilt in place as prior + sum of incoming
-     messages in float64, a stretch at a time, and one masked solve gives
-     its mean and B^-1.  A keyframe's piece adds its rows' messages in two
-     matrix products, A P' + B Q' with A, B the rows of J_K' and P, Q those
-     of (S J_K)', and A v_0 + B v_1; the other rows, the landmarks' all,
-     are expanded and summed in ascending factor-id order.  The state
+     messages in float64, a part at a time in row order, and one masked
+     solve gives its mean and B^-1.  A keyframe's piece adds its rows'
+     messages in two matrix products, A P' + B Q' with A, B the rows of J_K'
+     and P, Q those of (S J_K)', and A v_0 + B v_1; the other rows, the
+     landmarks' all, are expanded and summed in ascending factor-id order.
+     The state
      moves to the mean when B is invertible; keyframe rotations are then
      wrapped to angle-axis magnitudes in [0, pi].
 
@@ -78,7 +78,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batch_linalg import (
-    BLOCK_ROWS, _contract, _dense_runs, _segments, component_major, solve_spd_masked,
+    BLOCK_ROWS, _consecutive, _contract, _plan, component_major, solve_spd_masked,
 )
 from .camera import DEPTH_EPSILON, canonicalize_axis_angle
 from .factor_graph import FACTOR_DIM, KEYFRAME, KINDS, PRIOR_TARGET_RATIO, FactorGraph
@@ -212,7 +212,7 @@ def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
             continue
         # the distance from the adjacent states to lin, a component at a time,
         # through views where the rows due are consecutive
-        at = slice(due[0], due[-1] + 1) if due[-1] - due[0] + 1 == due.size else due
+        at = _consecutive(due)
         lin_due = lin[:, at] if isinstance(at, slice) else np.take(lin, due, axis=1)
         squares = np.empty((FACTOR_DIM, due.size), graph.dtype)
         for kind in KINDS:
@@ -223,23 +223,13 @@ def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
     idx = np.concatenate(picked) if picked else np.zeros(0, dtype=int)
     if idx.size == 0:
         return 0, 0, none
-    jac_sent = np.take(component_major(graph.f_jac), idx, axis=-1)
+    at, jac = _consecutive(idx), component_major(graph.f_jac)
+    jac_sent = jac[..., at].copy() if isinstance(at, slice) else np.take(jac, idx, axis=-1)
     ok = graph.linearize_factors(idx)
     graph.f_last_relin[idx[ok]] = t
     if not ok.all():  # an aborted row keeps its J
         idx, jac_sent = idx[ok], jac_sent[..., ok]
     return int(ok.sum()), int((~ok).sum()), (idx, jac_sent)
-
-
-def _outside(n, pieces):
-    """The rows of a stretch of `n` rows outside its [start, stop) `pieces`,
-    all of them as a slice when there are none."""
-    if not pieces:
-        return slice(None)
-    rest = np.ones(n, dtype=bool)
-    for a, b in pieces:
-        rest[a:b] = False
-    return np.flatnonzero(rest)
 
 
 # Phase B forms the messages of a stretch of factor rows to both sides at
@@ -352,60 +342,56 @@ def _gram(x, y, out):
     _contract("dn,dn->n", x[1], y[1], out[2])
 
 
-def _cov_jac(jac, ids, belief, runs, proj):
+def _cov_jac(jac, ids, belief, parts, proj):
     """B^-1 J' of each row (2, d, n), and J mu into `proj` (2, n), for its J
     (2, d, n) and the B^-1 and mu of its variable `ids`, from the kind's
-    component-major (B^-1 (d, d, variables), mu (d, variables)).  Each of
-    `runs`, [start, stop) rows of one variable, takes one matrix product
-    with its B^-1 and its mu; the other rows gather them and sum in
-    ascending order."""
+    component-major (B^-1 (d, d, variables), mu (d, variables)).  Of the
+    `parts` (a, b, dense) that tile the rows, a dense one, rows of one
+    variable, takes one matrix product with its B^-1 and its mu; the others
+    gather them and sum in ascending order."""
     cov, mu = belief
     cov_jac = np.empty(jac.shape, jac.dtype)
-    for a, b in runs:
-        cov_jac[..., a:b] = np.ascontiguousarray(cov[..., ids[a]]) @ jac[..., a:b]
-        proj[:, a:b] = mu[:, ids[a]] @ jac[..., a:b]
-    rest = _outside(ids.size, runs)
-    ids = ids[rest]
-    if ids.size:
-        probe = jac[..., rest]
-        cov_jac[..., rest] = _contract("ijn,ajn->ain", np.take(cov, ids, axis=-1), probe)
-        proj[:, rest] = _contract("ajn,jn->an", probe, np.take(mu, ids, axis=-1))
+    for a, b, dense in parts:
+        probe = jac[..., a:b]
+        if dense:
+            cov_jac[..., a:b] = np.ascontiguousarray(cov[..., ids[a]]) @ probe
+            proj[:, a:b] = mu[:, ids[a]] @ probe
+        else:
+            cov_jac[..., a:b] = _contract("ijn,ajn->ain", np.take(cov, ids[a:b], axis=-1), probe)
+            proj[:, a:b] = _contract("ajn,jn->an", probe, np.take(mu, ids[a:b], axis=-1))
     return cov_jac
 
 
-def _side_terms(ids, runs, jac, jac_sent, belief, out, stale):
+def _side_terms(ids, parts, jac, jac_sent, belief, out, stale, stale_parts):
     """The terms of B^-1 that the messages of factor rows need on the side
     that eliminates E, written into `out`: g = J B^-1 J' (3, n), p = J mu
     (2, n) and where B^-1 is zero, as where phase C could not invert B,
-    and for the `stale` rows, with their `jac_sent` J_b, J B^-1 J_b' (4, m),
-    J_b B^-1 J_b' (3, m) and J_b mu (2, m).  `ids` are the rows' E, `runs`
-    its dense runs, [start, stop) pairs, `jac` J_E (2, d, n), and `belief`
-    E's kind's (B^-1, mu = B^-1 eta), component-major."""
+    and for the ascending `stale` rows, with their `jac_sent` J_b, J B^-1
+    J_b' (4, m), J_b B^-1 J_b' (3, m) and J_b mu (2, m).  `ids` are the
+    rows' E, `parts` and `stale_parts` (see `_cov_jac`) tile the rows and
+    the stale rows, `jac` is J_E (2, d, n), and `belief` E's kind's (B^-1,
+    mu = B^-1 eta), component-major."""
     g, p, singular, g_ab, g_bb, p_b = out
-    _gram(jac, _cov_jac(jac, ids, belief, runs, p), g)
+    _gram(jac, _cov_jac(jac, ids, belief, parts, p), g)
     np.equal(np.take(belief[0][0, 0], ids), 0, out=singular)
-    if not stale.any():
-        return
-    rows = np.flatnonzero(stale)
-    runs = [(i, j) for i, j in (np.searchsorted(rows, run).tolist() for run in runs) if j > i]
-    cov_jac_b = _cov_jac(jac_sent, ids[rows], belief, runs, p_b)
-    _contract("adm,bdm->abm", np.take(jac, rows, axis=-1), cov_jac_b, g_ab.reshape(2, 2, -1))  # every pair
-    _gram(jac_sent, cov_jac_b, g_bb)
+    if stale.size:
+        cov_jac_b = _cov_jac(jac_sent, ids[stale], belief, stale_parts, p_b)
+        _contract("adm,bdm->abm", np.take(jac, stale, axis=-1), cov_jac_b, g_ab.reshape(2, 2, -1))  # every pair
+        _gram(jac_sent, cov_jac_b, g_bb)
 
 
-def _new_messages(g, p, w, w_target, sent, stale, stale_terms):
+def _new_messages(g, p, w, w_target, sent, rows, stale_terms):
     """The messages (5, 2, n), S's entries and v, of each side, and where
     the conditioned block is positive definite, from `_side_terms`, the
     factors' w and w t and their last messages `sent` (5, 2, n) to the
     eliminated side: one fold of w I - S_sent and w t - v_sent, or two on
-    the `stale` rows, whose messages were sent with the old J."""
-    rows = np.flatnonzero(stale)
+    the stale `rows`, whose messages were sent with the old J."""
     if rows.size:  # first, so that the temporaries of the two never meet
         # np.take keeps the gathered rows the last, contiguous axis, where
         # x[..., rows] would lay them out first and slow every step
         stale_part = _fold_in_stale(
             *stale_terms, *(np.take(x, rows, axis=-1) for x in (g, p, w, w_target, sent[:3], sent[3:])))
-    if rows.size == stale.size:  # no row takes the one fold
+    if rows.size == w.shape[-1]:  # no row takes the one fold
         g, u, ok = stale_part
     else:
         m = np.negative(sent[:3])  # every row, though the stale ones are overwritten
@@ -430,10 +416,9 @@ def _new_messages(g, p, w, w_target, sent, stale, stale_terms):
 
 def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old: int,
                     relinearized, plan):
-    """Messages of the factors before row `n_old`, over the stretches of
-    `plan`, the round's `_segments`; the rest keep their zero first
-    messages.  `relinearized` holds the rows phase A relinearised and the J
-    their messages were last sent with."""
+    """Messages of the factors before row `n_old`, over the round's `plan`;
+    the rest keep their zero first messages.  `relinearized` holds the rows
+    phase A relinearised and the J their messages were last sent with."""
     n_singular = len(KINDS) * (graph.n_measurement_factors - n_old)
     stale_rows, jac_old = relinearized
     jac, target, msg = (component_major(a) for a in (graph.f_jac, graph.f_target, graph.f_msg))
@@ -442,7 +427,7 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old:
         cov, eta = (component_major(graph.var(kind, name)) for name in ("belief_cov", "belief_eta"))
         beliefs[kind] = cov, np.einsum("ijn,jn->in", cov, eta)
     max_delta = 0.0
-    for start, stop, pieces in plan:
+    for start, stop, parts in plan:
         rows, n = slice(start, stop), stop - start
         w = np.empty((2, n), graph.dtype)  # one row per side
         w[0] = graph.factor_precision(rows)
@@ -450,20 +435,25 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old:
         w_target = np.empty((2, 2, n), graph.dtype)
         np.multiply(w[0], target[:, rows], out=w_target[:, 0])
         w_target[:, 1] = w_target[:, 0]
-        stale = graph.f_last_relin[rows] == t  # relinearised by phase A
+        is_stale = graph.f_last_relin[rows] == t  # relinearised by phase A
+        stale = np.flatnonzero(is_stale)
+        m = stale.size
         jac_sent = jac_old[..., slice(*np.searchsorted(stale_rows, (start, stop)))]
+        # the keyframe side's parts of the rows and of the stale rows
+        parts = [(a - start, b - start, dense) for a, b, dense in parts]
+        edges = np.searchsorted(stale, [a for a, _, _ in parts] + [n]).tolist() if m else [0]
+        stale_parts = [(i, j, dense) for (*_, dense), i, j in zip(parts, edges, edges[1:]) if j > i]
         # a factor joins one variable of each kind, and its message to one
         # eliminates the other: side k sends to KINDS[k], and its inputs are
         # the stored messages to the other kind
         g, p = np.empty((3, 2, n), graph.dtype), np.empty((2, 2, n), graph.dtype)
         singular = np.empty((2, n), dtype=bool)
-        m = int(np.count_nonzero(stale))
         stale_terms = tuple(np.empty((size, 2, m), graph.dtype) for size in (4, 3, 2))
         for k, elim in enumerate(KINDS[::-1]):
+            side = (parts, stale_parts) if elim is KEYFRAME else ([(0, n, False)], [(0, m, False)])
             _side_terms(
-                graph.adjacent(elim)[rows], pieces if elim is KEYFRAME else [], jac[:, elim.cols, rows],
-                jac_sent[:, elim.cols], beliefs[elim], (g[:, k], p[:, k], singular[k], *(x[:, k] for x in stale_terms)),
-                stale,
+                graph.adjacent(elim)[rows], side[0], jac[:, elim.cols, rows], jac_sent[:, elim.cols], beliefs[elim],
+                (g[:, k], p[:, k], singular[k], *(x[:, k] for x in stale_terms)), stale, side[1],
             )
         stored = msg[..., rows]  # a view, read before `new` overwrites it
         g_ab, g_bb, p_b = stale_terms
@@ -476,7 +466,7 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old:
         new[3:] += damp * stored[3:]
         if singular.any():
             np.copyto(new, stored, where=singular)
-            new[:, singular & stale] = 0.0  # the kept message was sent with the old J
+            new[:, singular & is_stale] = 0.0  # the kept message was sent with the old J
             n_singular += int(np.count_nonzero(singular))
         delta = new - stored
         max_delta = max(max_delta, delta.max(), -delta.min())
@@ -485,8 +475,8 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old:
 
 
 def _phase_beliefs(graph: FactorGraph, plan) -> int:
-    """Beliefs from the messages of the factors in the stretches of `plan`,
-    the round's `_segments`: the factors born this round are left out, their
+    """Beliefs from the messages of the factors in the stretches of the
+    round's `plan`: the factors born this round are left out, their
     messages are zero."""
     frozen = 0
     jac = component_major(graph.f_jac)
@@ -498,33 +488,29 @@ def _phase_beliefs(graph: FactorGraph, plan) -> int:
         ids = graph.adjacent(kind)
         i, j = TRIL[dim]
         # the incoming messages J'v and the lower triangles of J'SJ, summed
-        # in float64 a stretch at a time: each keyframe piece in one
-        # product, then the other rows row by row in ascending factor order
+        # in float64 a part at a time in row order: a keyframe piece in one
+        # product, the other rows row by row
         sums = np.zeros((dim + dim * (dim + 1) // 2, n))
         index = np.arange(len(sums))[:, None] * n
         msg_s, msg_v = (component_major(m) for m in graph.message(kind))
-        for start, stop, pieces in plan:
-            rows = slice(start, stop)
-            stretch = msg_s[..., rows], msg_v[..., rows], jac[:, kind.cols, rows]
-            pieces = pieces if kind is KEYFRAME else []
-            for first, last in pieces:
-                s, v, (a, b) = (x[..., first:last].astype(float, copy=False) for x in stretch)
-                p, q = s[0] * a + s[1] * b, s[1] * a + s[2] * b
-                sums[:dim, ids[start + first]] += a @ v[0] + b @ v[1]
-                sums[dim:, ids[start + first]] += (a @ p.T + b @ q.T)[i, j]
-            if sum(last - first for first, last in pieces) == stop - start:
-                continue  # no row outside the pieces
-            rest = _outside(stop - start, pieces)
-            s, v, (a, b) = (x[..., rest] for x in stretch)
-            p, q = s[0] * a + s[1] * b, s[1] * a + s[2] * b  # the rows of S J
-            entries = np.empty((len(sums), a.shape[1]))
-            np.multiply(v[0], a, out=entries[:dim])
-            entries[:dim] += v[1] * b
-            for r in range(dim):
-                row = entries[dim + r * (r + 1) // 2 :][: r + 1]
-                np.multiply(a[r], p[: r + 1], out=row)
-                row += b[r] * q[: r + 1]
-            np.add.at(sums.reshape(-1), (index + ids[rows][rest]).reshape(-1), entries.reshape(-1))
+        for start, stop, parts in plan:
+            for first, last, dense in parts if kind is KEYFRAME else [(start, stop, False)]:
+                rows = slice(first, last)
+                s, v, (a, b) = (x[..., rows].astype(float, copy=False) if dense else x[..., rows]
+                                for x in (msg_s, msg_v, jac[:, kind.cols]))
+                p, q = s[0] * a + s[1] * b, s[1] * a + s[2] * b  # the rows of S J
+                if dense:
+                    sums[:dim, ids[first]] += a @ v[0] + b @ v[1]
+                    sums[dim:, ids[first]] += (a @ p.T + b @ q.T)[i, j]
+                    continue
+                entries = np.empty((len(sums), a.shape[1]))
+                np.multiply(v[0], a, out=entries[:dim])
+                entries[:dim] += v[1] * b
+                for r in range(dim):
+                    row = entries[dim + r * (r + 1) // 2 :][: r + 1]
+                    np.multiply(a[r], p[: r + 1], out=row)
+                    row += b[r] * q[: r + 1]
+                np.add.at(sums.reshape(-1), (index + ids[rows]).reshape(-1), entries.reshape(-1))
         # the belief, prior added, is solved in float64 and stored in the
         # graph's dtype: float32 rounding of a well-conditioned belief can
         # leave a pivot under the float32 pivot tolerance, freezing its state
@@ -558,7 +544,7 @@ def iterate(graph: FactorGraph, schedule: ScheduleParams | None = None) -> Itera
     n_relin, n_aborted, relinearized = _phase_relinearize(graph, schedule, t)
     clock.append(time.perf_counter())
     n_old = int(np.searchsorted(graph.f_birth, t))  # the factors born before this round
-    plan = _segments(n_old, _dense_runs(graph.f_kf[:n_old]))
+    plan = _plan(graph.f_kf[:n_old])
     n_singular, max_delta = _phase_messages(graph, schedule, t, n_old, relinearized, plan)
     clock.append(time.perf_counter())
     n_frozen = _phase_beliefs(graph, plan)

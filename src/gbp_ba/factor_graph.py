@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch_linalg import (
-    BLOCK_ROWS, _contract, _dense_runs, _segments, component_major,
+    BLOCK_ROWS, _consecutive, _contract, _plan, component_major,
 )
 from .camera import DEPTH_EPSILON, Intrinsics, camera_terms, jacobian_many, project_many
 from .dataset_io import (
@@ -103,7 +103,7 @@ class Field:
 
 
 # A new variable starts with a flagged unit fallback prior at full strength,
-# pinned at its state, until adjacent measurements regenerate the prior.
+# pinned at its state; only measurements added in its birth round renew it.
 VARIABLE_FIELDS = (
     Field("state", ("d",), "float"),
     Field("belief_eta", ("d",), "float"),
@@ -256,8 +256,7 @@ class FactorGraph:
             if rows.size == 0:
                 continue
             lin = np.concatenate([np.take(kf_cm, self.f_kf[rows], axis=1), points])
-            if (np.diff(rows) == 1).all():  # consecutive: write through views
-                rows = slice(rows[0], rows[-1] + 1)
+            rows = _consecutive(rows)  # consecutive rows are written through views
             residual = z_cm[:, rows] - uv_hat.T
             jac_cm[..., rows] = jac
             target_cm[:, rows] = _jac_lin(jac, lin) + residual
@@ -266,25 +265,20 @@ class FactorGraph:
         return ok
 
     def _camera_parts(self, table, idx=None):
-        """The factors `idx`, every factor by default, as the parts that
-        `residuals` and `linearize_factors` project, in order: each piece of
-        a dense keyframe run among them (see `batch_linalg`) takes its
-        keyframe's one column of the `camera_terms` table, and the rows
-        between pieces, at most BLOCK_ROWS at a time, gather theirs.  Yields
-        per part its positions in `idx` (a slice), its factor rows (the same
-        slice where `idx` is None), its camera terms (rows of `table`, one
-        column or one per row) and its landmark positions (3, n)."""
+        """The factors `idx`, every factor by default, as the parts of their
+        `batch_linalg._plan`, which `residuals` and `linearize_factors`
+        project in order: a dense part takes its keyframe's one column of
+        the `camera_terms` table, and any other part one column per row.
+        Yields per part its positions in `idx` (a slice), its factor rows
+        (the same slice where `idx` is None), its camera terms (rows of
+        `table`) and its landmark positions (3, n)."""
         kf = self.f_kf if idx is None else self.f_kf[idx]
         lm_cm = component_major(self.lm_state)
-        for start, stop, pieces in _segments(kf.size, _dense_runs(kf)):
-            # the edges alternate: rows between pieces, a piece, rows between ...
-            edges = [start, *(start + edge for piece in pieces for edge in piece), stop]
-            for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-                if a == b:
-                    continue
+        for _, _, parts in _plan(kf):
+            for a, b, dense in parts:
                 part = slice(a, b)
                 rows = part if idx is None else idx[part]
-                terms = table[:, kf[a], None] if k % 2 else np.take(table, kf[part], axis=1)
+                terms = table[:, kf[a], None] if dense else np.take(table, kf[part], axis=1)
                 yield part, rows, terms, np.take(lm_cm, self.f_lm[rows], axis=1)
 
     def factor_precision(self, idx=slice(None)) -> np.ndarray:

@@ -190,6 +190,36 @@ class TestLoadErrors:
                 load(path)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize(
+        "section, offset, extra",
+        [
+            (None, None, ["outliers 1", "0"]),
+            (None, None, ["metadata 1", "note again"]),
+            ("outliers", 2, None),
+            ("metadata", 2, None),
+        ],
+        ids=["second-outliers-section", "second-metadata-section", "outlier-index-twice", "metadata-key-twice"],
+    )
+    def test_what_save_never_writes_raises_with_its_line(self, small_problem, tmp_path, section, offset, extra):
+        # a repeated section, outlier index or metadata key would otherwise
+        # replace, merge or override what came before it
+        labelled = inject_outliers(small_problem, 0.1, "uniform", seed=3)
+        path = tmp_path / "bad.gbpba"
+        save(labelled, path)
+        lines = path.read_text().splitlines()
+        if extra:
+            line = len(lines) + 1
+            lines += extra
+        else:  # the row `offset` below the header repeats the key of the one above it
+            at = next(i for i, line in enumerate(lines) if line.split()[0] == section) + offset
+            lines[at] = lines[at - 1].split()[0] + " " + " ".join(lines[at].split()[1:])
+            line = at + 1
+        assert len(labelled.metadata) >= 2 and np.count_nonzero(labelled.outlier_mask) >= 2
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load(path)
+        assert exc.value.line == line
+
     def test_comment_lines_inside_sections(self, small_problem, tmp_path):
         path = tmp_path / "c.gbpba"
         save(small_problem, path)
@@ -575,6 +605,13 @@ class TestImportBal:
         path = tmp_path / "t.bal"
         path.write_text("2 3 6\n0 0 1.0 2.0\n")
         with pytest.raises(ParseError, match="truncated"):
+            import_bal(path)
+
+    def test_tokens_after_the_last_point_block_raise(self, tmp_path):
+        # header counts that disagree with the body leave tokens over
+        path = tmp_path / "long.bal"
+        path.write_text(BAL_TINY + "0.1 0.2 -2.0\n")
+        with pytest.raises(ParseError, match="after the last point block"):
             import_bal(path)
 
     def test_bad_index_raises(self, tmp_path):

@@ -207,9 +207,9 @@ def test_relinearisation_round_with_an_aborted_row_matches_scalar_path(monkeypat
     stale = []
     side_terms = engine._side_terms
 
-    def recording(*args):
-        stale.append(args[-1].copy())
-        return side_terms(*args)
+    def recording(ids, *args):
+        stale.append((ids.size, args[-2].copy()))
+        return side_terms(ids, *args)
 
     monkeypatch.setattr(engine, "_side_terms", recording)
     graph = perturbed_graph()
@@ -221,12 +221,11 @@ def test_relinearisation_round_with_an_aborted_row_matches_scalar_path(monkeypat
     _, n_singular, report = check_round(graph, schedule, np.arange(graph.n_measurement_factors))
     assert (report.n_relinearized, report.n_relin_aborted) == (graph.n_measurement_factors - 1, 1)
     assert n_singular == report.n_singular_messages
-    # per side, one call over every row
+    # per side, one call over every row, each row but factor 0 stale
     assert len(stale) == 2
-    top = [mask for mask in stale if mask.size == graph.n_measurement_factors]
-    assert len(top) == 2
-    for mask in top:
-        assert not mask[0] and mask[1:].all()
+    for n, rows in stale:
+        assert n == graph.n_measurement_factors
+        np.testing.assert_array_equal(rows, np.arange(1, n))
 
 
 def test_message_kept_singular_across_a_relinearisation_restarts_at_zero():
@@ -296,9 +295,12 @@ def test_row_blocks_do_not_change_results(monkeypatch, run_rows):
     # landmark starts behind its camera, and factor 10's is mirrored behind
     # its camera before round 11.  With runs from 7 rows, cut into pieces of
     # 8, the projections take a keyframe's one camera column for a piece
-    # and gather the rows between pieces, down to blocks of one row; with
+    # and gather the rows between pieces, down to blocks of one row, and
+    # phases B and C walk stretches of both, down to ranges of one row; with
     # runs from one past every row there is no run
     problem = outlier_problem()
+    plans = []
+    monkeypatch.setattr(engine, "_plan", lambda ids: plans.append(batch_linalg._plan(ids)) or plans[-1])
     monkeypatch.setattr(batch_linalg, "DENSE_RUN_ROWS", run_rows or len(problem.meas_kf) + 1)
     monkeypatch.setattr(batch_linalg, "DENSE_RUN_PIECE", 8)
     lm, kf = problem.meas_lm[40], problem.meas_kf[40]
@@ -324,6 +326,9 @@ def test_row_blocks_do_not_change_results(monkeypatch, run_rows):
         (small, small_built, small_behind, small_evaluated, small_reports, small_bad) = graphs.values()
     assert big.n_measurement_factors > 7 * 10
     assert len(batch_linalg._dense_runs(big.f_kf)) == (16 if run_rows else 0)
+    mixed = [b - a for plan in plans for *_, parts in plan if len({d for *_, d in parts}) == 2
+             for a, b, dense in parts if not dense]
+    assert (1 in mixed) == bool(run_rows)
     assert sum(r.n_singular_messages for r in big_reports) > 0
     assert big_bad == small_bad
     for name, a, b in zip(built_names, big_built, small_built):
@@ -396,7 +401,7 @@ def test_long_dense_runs_hold_bounded_temporaries():
         t = graph.iteration
         relinearized = engine._phase_relinearize(graph, schedule, t)[2]
         n = graph.n_measurement_factors
-        plan = batch_linalg._segments(n, batch_linalg._dense_runs(graph.f_kf))
+        plan = batch_linalg._plan(graph.f_kf)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -404,7 +409,7 @@ def test_long_dense_runs_hold_bounded_temporaries():
             heap.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
-        assert sum(b - a for *_, pieces in plan for a, b in pieces) == n > 4 * engine.BLOCK_ROWS
+        assert sum(b - a for *_, parts in plan for a, b, dense in parts if dense) == n > 4 * engine.BLOCK_ROWS
     assert heap[1] <= 1.25 * heap[0]
 
 
@@ -445,11 +450,13 @@ def test_dense_runs_do_not_depend_on_row_blocks(monkeypatch):
     run_rows=st.integers(1, 5),
     piece=st.integers(1, 9),
 )
-def test_segments_plan_keyframe_runs(groups, block, run_rows, piece):
-    # the plan of phases B and C tiles the rows in order; each maximal group
-    # of at least DENSE_RUN_ROWS equal keyframe ids is cut into pieces of
-    # DENSE_RUN_PIECE rows from its start, each inside one stretch, and a
-    # stretch outgrows BLOCK_ROWS only as one piece
+def test_plan_cuts_keyframe_runs_into_pieces(groups, block, run_rows, piece):
+    # the plan of phases B and C and of the projections tiles the rows in
+    # order with stretches, and each stretch with its parts, none empty: the
+    # pieces of each maximal group of at least DENSE_RUN_ROWS equal keyframe
+    # ids, cut every DENSE_RUN_PIECE rows from its start, and gathered
+    # ranges between them, never two adjacent.  A stretch outgrows
+    # BLOCK_ROWS only as one piece
     ids = np.repeat(*np.array(groups, dtype=int).reshape(-1, 2).T)
     bounds = np.flatnonzero(np.diff(ids, prepend=-1, append=-1))
     want = [
@@ -460,15 +467,17 @@ def test_segments_plan_keyframe_runs(groups, block, run_rows, piece):
     with pytest.MonkeyPatch.context() as patch:
         for name, value in (("BLOCK_ROWS", block), ("DENSE_RUN_ROWS", run_rows), ("DENSE_RUN_PIECE", piece)):
             patch.setattr(batch_linalg, name, value)
-        plan = batch_linalg._segments(ids.size, batch_linalg._dense_runs(ids))
+        plan = batch_linalg._plan(ids)
     edges = [0] + [stop for _, stop, _ in plan]
     assert [start for start, _, _ in plan] == edges[:-1] and edges[-1] == ids.size
     got = []
-    for start, stop, pieces in plan:
+    for start, stop, parts in plan:
         assert start < stop
-        assert all(0 <= a < b <= stop - start for a, b in pieces)
-        assert stop - start <= block or pieces == [(0, stop - start)]
-        got += [(start + a, start + b) for a, b in pieces]
+        assert [a for a, _, _ in parts] == [start] + [b for _, b, _ in parts[:-1]] and parts[-1][1] == stop
+        assert all(a < b for a, b, _ in parts)
+        assert not any(not x[2] and not y[2] for x, y in zip(parts, parts[1:]))
+        assert stop - start <= block or parts == [(start, stop, True)]
+        got += [(a, b) for a, b, dense in parts if dense]
     assert got == want
 
 
@@ -664,7 +673,7 @@ def test_first_round_factors_add_nothing_to_beliefs():
     assert n_old < graph.n_measurement_factors
     skipped, summed = graph.copy(), graph.copy()
     for g, n in ((skipped, n_old), (summed, graph.n_measurement_factors)):
-        engine._phase_beliefs(g, batch_linalg._segments(n, batch_linalg._dense_runs(g.f_kf[:n])))
+        engine._phase_beliefs(g, batch_linalg._plan(g.f_kf[:n]))
     for kind in factor_graph.KINDS:
         for name in ("belief_eta", "belief_lam", "belief_cov", "state"):
             np.testing.assert_array_equal(summed.var(kind, name), skipped.var(kind, name))
