@@ -28,16 +28,15 @@ PIVOT_RTOL = 1e-12
 # so each of its temporaries is at most a few MB whatever the size of the
 # graph: they stay in cache, and the memory the process holds does not swing
 # with the graph size.  The blocked passes: `camera.project_many` and
-# `jacobian_many`; those that walk `_plan`'s stretches, which cut no piece
-# of a dense run: `FactorGraph.linearize_factors` (at build, in
-# relinearising rounds and in the LM baseline), the projection of
-# `residuals` behind the ARE, the energy and the behind-camera count, and
-# the engine's phases B and C; the engine's phase A selection, and the rank
-# check of `validate`.  Each numpy call of phase B costs about 1 us besides
+# `jacobian_many`; the rank check of `validate`; and those that walk
+# `_plan`'s stretches, which cut no piece of a dense run: the engine's one
+# walk of phases A and B, whose A relinearises a stretch's due rows in one
+# `FactorGraph.linearize_factors`, phase C, and the projections of
+# `linearize_factors` and of `residuals` (the ARE, the energy and the
+# behind-camera count).  Each numpy call of phase B costs about 1 us besides
 # its rows, so longer blocks pay: on 30k factors phase B takes a fifth less
-# time in blocks of 6144 rows than of 4096, 8192 rows gain nothing more,
-# and a relinearising round's extra heap then passes 400 B per factor
-# (2 vCPU, one BLAS thread).
+# time in blocks of 6144 rows than of 4096, and 8192 rows gain nothing but
+# a quarter more heap in a relinearising round (2 vCPU, one BLAS thread).
 BLOCK_ROWS = 6144
 
 # A dense run is at least DENSE_RUN_ROWS consecutive factor rows of one

@@ -1,20 +1,22 @@
 """Synchronous GBP iteration over the bundle-adjustment graph.
 
 One call to `iterate` runs exactly one bulk-synchronous round of three
-barrier-separated phases.  Phases B and C loop over the variable kinds of
-`factor_graph.KINDS`, which give each side's arrays, dimension and columns
-of the factor's 9-vector:
+barrier-separated phases.  A and B walk the round's one `batch_linalg._plan`
+together, as the graph's projections do: stretches of about `BLOCK_ROWS`
+rows, each tiled by dense keyframe runs' pieces and the rows between them,
+each taking A and then B.  C walks the same plan after them.  B and C loop
+over the variable kinds of `factor_graph.KINDS`, which give each side's
+arrays, dimension and columns of the factor's 9-vector:
 
   A. a factor relinearises at the stacked adjacent belief means when
      `FactorGraph.iters_since_relin` is at least `relin_cooldown` c (so c
      rounds after its birth at the earliest and then every c + 1 rounds)
      and the distance from those means to its linearisation point exceeds
-     beta.  The cooldown is tested first, and the distance only for the
-     factors past it, a block of `BLOCK_ROWS` factors at a time, from
-     component-major columns of the states and `f_lin`.  Phase A
-     writes only `f_last_relin` besides the relinearisations, and hands
-     phase B the rows it relinearised with their `f_jac` of before the
-     round;
+     beta, tested only past the cooldown, from component-major columns of
+     the states and `f_lin`.  A reads the states and the stretch's rows,
+     writes only the relinearised rows' linearisation and `f_last_relin`,
+     and keeps their `f_jac` of before the round for B of the stretch.  The
+     factors born this round lie outside the plan and take A after the walk;
   B. a factor joins one variable of each kind, and its message to one side
      K eliminates the other side E: it conditions its information on its
      input from E, that variable's belief minus the factor's own last
@@ -30,7 +32,7 @@ of the factor's 9-vector:
      u = (I + g M)^-1 (p + g c) with M = w I - S_sent and c = w t - v_sent,
      where the last message was sent with the current J.  Every stored
      message was, except on the stale rows, those relinearised this round,
-     whose last messages were sent with the old J phase A hands over: two
+     whose last messages were sent with the old J that A kept: two
      folds there, the factor's and then the input's.  Where cond is not
      positive definite or phase C could not invert B, the previous message
      is kept, or restarts at zero on a stale row, as a new factor's.  In its
@@ -40,25 +42,23 @@ of the factor's 9-vector:
      run over the rows before those born this round.  v is damped against
      the previous v outside the undamped window after a relinearisation,
      which holds at least that round, so both were sent with the current
-     J_K.  Phases B and C walk the round's one `batch_linalg._plan`, as the
-     graph's projections do: stretches of about `BLOCK_ROWS` rows, each
-     tiled by dense keyframe runs' pieces and the rows between them.
-     Phase B forms both sides' messages of a stretch before it writes
-     either, in place in `f_msg`, each step one vector operation.  Where E
-     is the keyframe, a piece's B^-1 J_E' is one matrix product with E's own
-     B^-1, and J_E mu_E one with mu_E = B^-1 eta_E, formed once per
-     variable; other rows, and all where E is the landmark, gather B^-1 and
-     mu.  Every other sum is taken row by row in a fixed order, so no
-     message depends on BLOCK_ROWS;
+     J_K.  B reads the last round's beliefs and the stretch's rows, and
+     forms both sides' messages of the stretch before it writes either, in
+     place in `f_msg`, each step one vector operation.  Where E is the
+     keyframe, a piece's B^-1 J_E' is one matrix product with E's own B^-1,
+     and J_E mu_E one with mu_E = B^-1 eta_E, formed once per variable;
+     other rows, and all where E is the landmark, gather B^-1 and mu.  Every
+     other sum is taken row by row in a fixed order, so no message depends
+     on BLOCK_ROWS;
   C. every variable's belief is rebuilt in place as prior + sum of incoming
-     messages in float64, a part at a time in row order, and one masked
-     solve gives its mean and B^-1.  A keyframe's piece adds its rows'
-     messages in two matrix products, A P' + B Q' with A, B the rows of J_K'
-     and P, Q those of (S J_K)', and A v_0 + B v_1; the other rows, the
-     landmarks' all, are expanded and summed in ascending factor-id order.
-     The state
-     moves to the mean when B is invertible; keyframe rotations are then
-     wrapped to angle-axis magnitudes in [0, pi].
+     messages, a part at a time in row order from S, v and J widened to
+     float64, and one masked solve gives its mean and B^-1.  A keyframe's
+     piece adds its rows' messages in two matrix products, A P' + B Q' with
+     A, B the rows of J_K' and P, Q those of (S J_K)', and A v_0 + B v_1;
+     the other rows, the landmarks' all, are expanded and summed in
+     ascending factor-id order.  The state moves to the mean when B is
+     invertible; keyframe rotations are then wrapped to angle-axis
+     magnitudes in [0, pi].
 
 `iterate` then evaluates the ARE and the energy, and counts the
 measurements behind their camera, from one shared projection, and reports
@@ -66,20 +66,20 @@ the wall time of each phase in `IterationReport.phase_ms`.
 
 Within a phase all reads target the pre-phase snapshot, so results do not
 depend on intra-phase execution order: phase B reads both sides' inputs
-and messages of a stretch of rows before it writes either.  Every phase keeps the
-graph's float dtype.
+and messages of a stretch of rows before it writes either, and the walk
+gives A over every row and then B, as the states and beliefs that a
+stretch reads change only in C.  Every phase keeps the graph's float dtype.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch_linalg import (
-    BLOCK_ROWS, _consecutive, _contract, _plan, component_major, solve_spd_masked,
-)
+from .batch_linalg import _consecutive, _contract, _plan, component_major, solve_spd_masked
 from .camera import DEPTH_EPSILON, canonicalize_axis_angle
 from .factor_graph import FACTOR_DIM, KEYFRAME, KINDS, PRIOR_TARGET_RATIO, FactorGraph
 
@@ -129,8 +129,13 @@ class ScheduleParams:
         if self.beta is not None and not self.beta > 0:
             raise ValueError(f"beta must be positive or None, got {self.beta}")
         for name in ("relin_cooldown", "undamped_window", "prior_weaken_iters", "max_iters"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{name} must be a whole number >= 0, got {value!r}")
+        if np.isnan(self.are_target):
+            raise ValueError("are_target must not be NaN")
+        if self.message_tol is not None and not self.message_tol > 0:
+            raise ValueError(f"message_tol must be positive or None, got {self.message_tol}")
         if self.beta is not None and self.undamped_window < 1:  # see phase B
             raise ValueError("undamped_window must be >= 1 while beta is set")
 
@@ -145,7 +150,7 @@ class IterationReport:
     round, the rows of the ARE's sentinel and of the energy's residual at the
     linearisation point.  `phase_ms` holds the wall milliseconds of each of
     `PHASES`: A (with the prior weakening), B, C, and the ARE and energy
-    evaluation."""
+    evaluation; A and B are each summed over their steps of the walk."""
 
     iteration: int
     are: float
@@ -196,40 +201,31 @@ def _norms(squares):
     return np.sqrt(total, out=total)
 
 
-def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int):
-    """Relinearises the factors due; returns the counts of those relinearised
-    and aborted, and the ascending rows relinearised with the J their stored
-    messages were sent with, component-major (2, 9, rows)."""
-    none = np.zeros(0, dtype=int), component_major(graph.f_jac[:0])
-    if graph.n_measurement_factors == 0 or schedule.beta is None:
-        return 0, 0, none
-    picked = []
-    lin = component_major(graph.f_lin)
-    for start in range(0, graph.n_measurement_factors, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        due = start + np.flatnonzero(graph.iters_since_relin(rows) >= schedule.relin_cooldown)
-        if due.size == 0:
-            continue
-        # the distance from the adjacent states to lin, a component at a time,
-        # through views where the rows due are consecutive
-        at = _consecutive(due)
-        lin_due = lin[:, at] if isinstance(at, slice) else np.take(lin, due, axis=1)
-        squares = np.empty((FACTOR_DIM, due.size), graph.dtype)
-        for kind in KINDS:
-            states = np.take(component_major(graph.var(kind, "state")), graph.adjacent(kind)[at], axis=1)
-            np.subtract(states, lin_due[kind.cols], out=squares[kind.cols])
-        squares *= squares
-        picked.append(due[_norms(squares) > schedule.beta])
-    idx = np.concatenate(picked) if picked else np.zeros(0, dtype=int)
-    if idx.size == 0:
-        return 0, 0, none
-    at, jac = _consecutive(idx), component_major(graph.f_jac)
-    jac_sent = jac[..., at].copy() if isinstance(at, slice) else np.take(jac, idx, axis=-1)
-    ok = graph.linearize_factors(idx)
-    graph.f_last_relin[idx[ok]] = t
+def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int, rows: slice):
+    """Relinearises the factors due among `rows`; returns the counts of those
+    relinearised and aborted, the rows relinearised, ascending from
+    `rows.start`, and the J their messages were sent with (2, 9, m)."""
+    due = rows.start + np.flatnonzero(graph.iters_since_relin(rows) >= schedule.relin_cooldown)
+    jac = component_major(graph.f_jac)
+    if schedule.beta is None or due.size == 0:
+        return 0, 0, due[:0], jac[..., :0]
+    # the distance from the adjacent states to lin, a component at a time,
+    # through views where the rows due are consecutive
+    at, lin = _consecutive(due), component_major(graph.f_lin)
+    lin_due = lin[:, at] if isinstance(at, slice) else np.take(lin, due, axis=1)
+    squares = np.empty((FACTOR_DIM, due.size), graph.dtype)
+    for kind in KINDS:
+        states = np.take(component_major(graph.var(kind, "state")), graph.adjacent(kind)[at], axis=1)
+        np.subtract(states, lin_due[kind.cols], out=squares[kind.cols])
+    squares *= squares
+    due = due[_norms(squares) > schedule.beta]
+    at = _consecutive(due)
+    jac_sent = jac[..., at].copy() if isinstance(at, slice) else np.take(jac, due, axis=-1)
+    ok = graph.linearize_factors(due) if due.size else np.zeros(0, dtype=bool)
+    graph.f_last_relin[due[ok]] = t
     if not ok.all():  # an aborted row keeps its J
-        idx, jac_sent = idx[ok], jac_sent[..., ok]
-    return int(ok.sum()), int((~ok).sum()), (idx, jac_sent)
+        due, jac_sent = due[ok], jac_sent[..., ok]
+    return int(ok.sum()), int((~ok).sum()), due - rows.start, jac_sent
 
 
 # Phase B forms the messages of a stretch of factor rows to both sides at
@@ -414,31 +410,31 @@ def _new_messages(g, p, w, w_target, sent, rows, stale_terms):
     return out, ok
 
 
-def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old: int,
-                    relinearized, plan):
-    """Messages of the factors before row `n_old`, over the round's `plan`;
-    the rest keep their zero first messages.  `relinearized` holds the rows
-    phase A relinearised and the J their messages were last sent with."""
-    n_singular = len(KINDS) * (graph.n_measurement_factors - n_old)
-    stale_rows, jac_old = relinearized
+def _phase_factors(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old: int, plan, lap):
+    """Phases A and B of the rows before `n_old`, a stretch of `plan` at a
+    time, then A of those born this round, `lap(phase)` ending each step;
+    returns the counts relinearised, aborted and singular, and the largest
+    message change."""
     jac, target, msg = (component_major(a) for a in (graph.f_jac, graph.f_target, graph.f_msg))
     beliefs = {}
     for kind in KINDS:
         cov, eta = (component_major(graph.var(kind, name)) for name in ("belief_cov", "belief_eta"))
         beliefs[kind] = cov, np.einsum("ijn,jn->in", cov, eta)
-    max_delta = 0.0
+    lap("messages")
+    counts, max_delta = np.array([0, 0, len(KINDS) * (graph.n_measurement_factors - n_old)]), 0.0
     for start, stop, parts in plan:
         rows, n = slice(start, stop), stop - start
+        n_relin, n_aborted, stale, jac_sent = _phase_relinearize(graph, schedule, t, rows)
+        lap("relinearize")
+        # phase B: the stale rows, counted from `start`, were relinearised
+        # just now and sent their last messages with `jac_sent`
+        m = stale.size
         w = np.empty((2, n), graph.dtype)  # one row per side
         w[0] = graph.factor_precision(rows)
         w[1] = w[0]
         w_target = np.empty((2, 2, n), graph.dtype)
         np.multiply(w[0], target[:, rows], out=w_target[:, 0])
         w_target[:, 1] = w_target[:, 0]
-        is_stale = graph.f_last_relin[rows] == t  # relinearised by phase A
-        stale = np.flatnonzero(is_stale)
-        m = stale.size
-        jac_sent = jac_old[..., slice(*np.searchsorted(stale_rows, (start, stop)))]
         # the keyframe side's parts of the rows and of the stale rows
         parts = [(a - start, b - start, dense) for a, b, dense in parts]
         edges = np.searchsorted(stale, [a for a, _, _ in parts] + [n]).tolist() if m else [0]
@@ -466,12 +462,16 @@ def _phase_messages(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old:
         new[3:] += damp * stored[3:]
         if singular.any():
             np.copyto(new, stored, where=singular)
-            new[:, singular & is_stale] = 0.0  # the kept message was sent with the old J
-            n_singular += int(np.count_nonzero(singular))
+            new[..., stale] = np.where(singular[:, stale], 0.0, new[..., stale])  # kept, but sent with the old J
         delta = new - stored
         max_delta = max(max_delta, delta.max(), -delta.min())
         msg[..., rows] = new
-    return n_singular, float(max_delta)
+        lap("messages")
+        counts += n_relin, n_aborted, int(np.count_nonzero(singular))
+    if n_old < graph.n_measurement_factors:
+        counts[:2] += _phase_relinearize(graph, schedule, t, slice(n_old, None))[:2]
+    lap("relinearize")
+    return (*counts.tolist(), float(max_delta))
 
 
 def _phase_beliefs(graph: FactorGraph, plan) -> int:
@@ -488,16 +488,16 @@ def _phase_beliefs(graph: FactorGraph, plan) -> int:
         ids = graph.adjacent(kind)
         i, j = TRIL[dim]
         # the incoming messages J'v and the lower triangles of J'SJ, summed
-        # in float64 a part at a time in row order: a keyframe piece in one
-        # product, the other rows row by row
+        # a part at a time in row order, from S, v and J widened to float64
+        # (a float32 product written into float64 would be rounded first): a
+        # keyframe piece in one product, the other rows row by row
         sums = np.zeros((dim + dim * (dim + 1) // 2, n))
         index = np.arange(len(sums))[:, None] * n
         msg_s, msg_v = (component_major(m) for m in graph.message(kind))
         for start, stop, parts in plan:
             for first, last, dense in parts if kind is KEYFRAME else [(start, stop, False)]:
                 rows = slice(first, last)
-                s, v, (a, b) = (x[..., rows].astype(float, copy=False) if dense else x[..., rows]
-                                for x in (msg_s, msg_v, jac[:, kind.cols]))
+                s, v, (a, b) = (x[..., rows].astype(float, copy=False) for x in (msg_s, msg_v, jac[:, kind.cols]))
                 p, q = s[0] * a + s[1] * b, s[1] * a + s[2] * b  # the rows of S J
                 if dense:
                     sums[:dim, ids[first]] += a @ v[0] + b @ v[1]
@@ -539,22 +539,23 @@ def iterate(graph: FactorGraph, schedule: ScheduleParams | None = None) -> Itera
     weakening and the iteration counter and reports per-phase diagnostics."""
     schedule = schedule if schedule is not None else ScheduleParams()
     t = graph.iteration
-    clock = [time.perf_counter()]
+    phase_ms, clock = dict.fromkeys(PHASES, 0.0), [time.perf_counter()]
+    def lap(phase):  # ends a step of `phase`
+        clock.append(time.perf_counter())
+        phase_ms[phase] += 1e3 * (clock[-1] - clock[-2])
     prior_scale = _update_prior_scales(graph, schedule, t)
-    n_relin, n_aborted, relinearized = _phase_relinearize(graph, schedule, t)
-    clock.append(time.perf_counter())
+    lap("relinearize")
     n_old = int(np.searchsorted(graph.f_birth, t))  # the factors born before this round
     plan = _plan(graph.f_kf[:n_old])
-    n_singular, max_delta = _phase_messages(graph, schedule, t, n_old, relinearized, plan)
-    clock.append(time.perf_counter())
+    n_relin, n_aborted, n_singular, max_delta = _phase_factors(graph, schedule, t, n_old, plan, lap)
     n_frozen = _phase_beliefs(graph, plan)
     graph.iteration = t + 1
-    clock.append(time.perf_counter())
+    lap("beliefs")
     with graph.shared_projection():
         are = graph.average_reprojection_error()
         energy = graph.energy()
         n_behind = int(np.count_nonzero(graph.residuals()[1] <= DEPTH_EPSILON))
-    clock.append(time.perf_counter())
+    lap("evaluate")
     return IterationReport(
         iteration=graph.iteration,
         are=are,
@@ -566,7 +567,7 @@ def iterate(graph: FactorGraph, schedule: ScheduleParams | None = None) -> Itera
         n_behind_camera=n_behind,
         max_message_delta=max_delta,
         prior_scale=prior_scale,
-        phase_ms={name: 1e3 * (b - a) for name, a, b in zip(PHASES, clock, clock[1:])},
+        phase_ms=phase_ms,
     )
 
 

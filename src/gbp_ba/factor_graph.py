@@ -240,9 +240,17 @@ class FactorGraph:
 
         Projected with their Jacobians once, a part at a time (see
         `_camera_parts`), and written into the factor arrays'
-        component-major bases in place.
+        component-major bases in place.  Raises, before changing the graph,
+        TypeError for `idx` that are not integer rows, as a boolean mask, and
+        IndexError for a row outside [0, n_measurement_factors).
         """
-        idx = np.asarray(idx, dtype=int)
+        idx = np.asarray(idx)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise TypeError(f"linearize_factors takes integer factor rows, got {idx.dtype}")
+        idx = idx.astype(int, copy=False)
+        n = self.n_measurement_factors
+        if idx.size and not 0 <= idx.min() <= idx.max() < n:
+            raise IndexError(f"factor rows must lie in [0, {n}), got {idx.min()} to {idx.max()}")
         ok = np.zeros(idx.size, dtype=bool)
         kf_cm, z_cm, lin_cm, jac_cm, target_cm = (component_major(a) for a in (
             self.kf_state, self.f_z, self.f_lin, self.f_jac, self.f_target))

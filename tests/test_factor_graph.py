@@ -677,6 +677,25 @@ def test_linearize_factors_does_not_depend_on_the_order_of_idx():
         np.testing.assert_array_equal(getattr(graphs[1], name), getattr(graphs[0], name), err_msg=name)
 
 
+@pytest.mark.parametrize("idx, error", [
+    (np.arange(120) == 1, TypeError), ([5.7], TypeError), (np.array([1.0, 2.0]), TypeError),
+    ([-1], IndexError), ([3, 120], IndexError),
+])
+def test_linearize_factors_rejects_masks_and_rows_out_of_range(idx, error):
+    # read as integer rows, a mask with one True relinearised row 0 for
+    # every False and row 1 once, 5.7 relinearised row 5, and row -1 was
+    # reported relinearised while its write, through the slice -1:0, missed
+    graph = build(perturb(synthesize(4, 30, seed=21, pixel_sigma=0.5), 0.05, "backproject", seed=22))
+    run(graph, ScheduleParams(), n=3)
+    before = graph.copy()
+    with pytest.raises(error, match="factor rows"):
+        graph.linearize_factors(idx)
+    for field in FACTOR_FIELDS:
+        name = f"f_{field.name}"
+        np.testing.assert_array_equal(getattr(graph, name), getattr(before, name), err_msg=name)
+    assert graph.linearize_factors(np.array([], dtype=int)).size == 0
+
+
 def test_huber_keeps_dtype_and_disables_at_infinite_threshold():
     mahal = np.array([0.0, 1.0, 2.0, 3.0, 50.0], np.float32)
     assert huber_weight(mahal, 2.0).dtype == np.float32
