@@ -79,9 +79,11 @@ def _cholesky_cm(mats: np.ndarray):
     # The pivots of a rank-deficient member are pure rounding, so whether
     # they pass the test depends on these orders; they are the ones numpy's
     # einsum uses for such short sums.
-    # The pivot tolerance is PIVOT_RTOL in float64.  In float32, rounding
-    # leaves pivots of up to 3e-4 |trace| in the rank-2 systems w J'J of a
-    # factor's 3x3 and 6x6 blocks, so there it is 4500 eps, about 5.4e-4.
+    # The pivot tolerance is PIVOT_RTOL in float64 and 4500 eps, about
+    # 5.4e-4, in float32, where rounding leaves pivots of up to 3e-4 |trace|
+    # in a rank-2 3x3 or 6x6 system such as a factor's w J'J.  The engine
+    # solves no such system, and its one call, phase C's, is in float64, so
+    # the float32 rule serves direct callers only.
     rtol = max(PIVOT_RTOL, 4500 * float(np.finfo(mats.dtype).eps))
     d, _, n = mats.shape
     trace = sum(mats[i, i] for i in range(d))

@@ -32,10 +32,13 @@ arrays, dimension and columns of the factor's 9-vector:
      u = (I + g M)^-1 (p + g c) with M = w I - S_sent and c = w t - v_sent,
      where the last message was sent with the current J.  Every stored
      message was, except on the stale rows, those relinearised this round,
-     whose last messages were sent with the old J that A kept: two
-     folds there, the factor's and then the input's.  Where cond is not
-     positive definite or phase C could not invert B, the previous message
-     is kept, or restarts at zero on a stale row, as a new factor's.  In its
+     whose last messages were sent with the old J_b that A kept: their
+     input first leaves the old message out of g and p, by a Woodbury step
+     through J_b, and then every row takes the one fold, a stale row's
+     S_sent and v_sent counted as zero.  Where cond is not positive
+     definite, phase C could not invert B or a stale row's input is not
+     positive definite, the previous message is kept, or restarts at zero
+     on a stale row, as a new factor's.  In its
      first round a factor's zero input would leave cond singular, so it
      keeps its zero messages and is counted singular without being solved:
      factors are only appended, at the current iteration, so phases B and C
@@ -43,7 +46,7 @@ arrays, dimension and columns of the factor's 9-vector:
      the previous v outside the undamped window after a relinearisation,
      which holds at least that round, so both were sent with the current
      J_K.  B reads the last round's beliefs and the stretch's rows, and
-     forms both sides' messages of the stretch before it writes either, in
+     both sides' inputs of the stretch before it writes either side, in
      place in `f_msg`, each step one vector operation.  Where E is the
      keyframe, a piece's B^-1 J_E' is one matrix product with E's own B^-1,
      and J_E mu_E one with mu_E = B^-1 eta_E, formed once per variable;
@@ -223,8 +226,8 @@ def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int, row
     jac_sent = jac[..., at].copy() if isinstance(at, slice) else np.take(jac, due, axis=-1)
     ok = graph.linearize_factors(due) if due.size else np.zeros(0, dtype=bool)
     graph.f_last_relin[due[ok]] = t
-    if not ok.all():  # an aborted row keeps its J
-        due, jac_sent = due[ok], jac_sent[..., ok]
+    if not ok.all():  # an aborted row keeps its J; the rows stay the last, contiguous axis
+        due, jac_sent = due[ok], np.take(jac_sent, np.flatnonzero(ok), axis=-1)
     return int(ok.sum()), int((~ok).sum()), due - rows.start, jac_sent
 
 
@@ -261,7 +264,7 @@ def _inverse_sum(a, b):
     det += 1
     ok = det > 0
     ok &= trace > -2
-    del trace, cross  # freed before `out`: a stretch of stale rows peaks in here
+    del trace, cross  # freed before `out` is allocated
     if not ok.all():
         det[~ok] = 1
     out = np.empty_like(a)
@@ -288,47 +291,6 @@ def _fold_in(g, p, m, c):
     u = _sym_mv(g_new, _sym_mv(m, q))
     np.subtract(q, u, out=u)
     return g_new, u, ok
-
-
-def _fold_in_stale(g_ab, g_bb, p_b, g, p, w, w_target, s_sent, v_sent):
-    """`_fold_in` of the factor's (J' w t, J' w J) and then of the input's
-    (-J_b' v_sent, -J_b' S_sent J_b), J_b the old J of a stale row, with
-    g_ab = J B^-1 J_b', g_bb = J_b B^-1 J_b' and p_b = J_b B^-1 eta.  The
-    first fold turns g_ab into h = Y g_ab, Y = (I + w g)^-1 = I - w g', g_bb
-    into g_bb - w g_ab' h and p_b into p_b + g_ab' (w t - w p').  With N =
-    (I + M g_bb)^-1 M, M = -S_sent and c = -v_sent, the second leaves g' -
-    h N h' and p' + h (c - N (p_b + g_bb c))."""
-    # the stale rows can be a whole stretch: the temporaries of the first
-    # fold are dropped before the second, and g' and p' take it in place
-    g1, p1, ok = _fold_in(g, p, np.stack([w, 0 * w, w]), w_target)
-    y0, y1, y2 = 1 - w * g1[0], -w * g1[1], 1 - w * g1[2]
-    (a00, a01), (a10, a11) = g_ab
-    h00, h01 = y0 * a00 + y1 * a10, y0 * a01 + y1 * a11
-    h10, h11 = y1 * a00 + y2 * a10, y1 * a01 + y2 * a11
-    del y0, y1, y2
-    g_bb = np.stack([
-        g_bb[0] - w * (a00 * h00 + a10 * h10),
-        g_bb[1] - w * (a00 * h01 + a10 * h11),
-        g_bb[2] - w * (a01 * h01 + a11 * h11),
-    ])
-    e0, e1 = w_target[0] - w * p1[0], w_target[1] - w * p1[1]
-    q0 = p_b[0] + a00 * e0 + a10 * e1 - (g_bb[0] * v_sent[0] + g_bb[1] * v_sent[1])
-    q1 = p_b[1] + a01 * e0 + a11 * e1 - (g_bb[1] * v_sent[0] + g_bb[2] * v_sent[1])
-    del e0, e1
-    (n0, n1, n2), ok2 = _inverse_sum(-s_sent, g_bb)
-    del g_bb
-    ok &= ok2
-    r0, r1 = -v_sent[0] - (n0 * q0 + n1 * q1), -v_sent[1] - (n1 * q0 + n2 * q1)
-    k00, k01 = h00 * n0 + h01 * n1, h00 * n1 + h01 * n2  # the rows of h N
-    k10, k11 = h10 * n0 + h11 * n1, h10 * n1 + h11 * n2
-    g1[0] -= k00 * h00 + k01 * h01
-    g1[1] -= k00 * h10 + k01 * h11
-    g1[2] -= k10 * h10 + k11 * h11
-    p1[0] += h00 * r0
-    p1[0] += h01 * r1
-    p1[1] += h10 * r0
-    p1[1] += h11 * r1
-    return g1, p1, ok
 
 
 def _gram(x, y, out):
@@ -358,44 +320,54 @@ def _cov_jac(jac, ids, belief, parts, proj):
     return cov_jac
 
 
-def _side_terms(ids, parts, jac, jac_sent, belief, out, stale, stale_parts):
-    """The terms of B^-1 that the messages of factor rows need on the side
-    that eliminates E, written into `out`: g = J B^-1 J' (3, n), p = J mu
-    (2, n) and where B^-1 is zero, as where phase C could not invert B,
-    and for the ascending `stale` rows, with their `jac_sent` J_b, J B^-1
-    J_b' (4, m), J_b B^-1 J_b' (3, m) and J_b mu (2, m).  `ids` are the
-    rows' E, `parts` and `stale_parts` (see `_cov_jac`) tile the rows and
-    the stale rows, `jac` is J_E (2, d, n), and `belief` E's kind's (B^-1,
-    mu = B^-1 eta), component-major."""
-    g, p, singular, g_ab, g_bb, p_b = out
+def _side_terms(ids, parts, jac, jac_sent, belief, sent, out, stale, stale_parts):
+    """The terms of E's input that the messages of factor rows need on the
+    side that eliminates E, written into `out`: g = J B^-1 J' (3, n), p = J
+    B^-1 eta (2, n) and where the input is singular.  `ids` are the rows'
+    E, `parts` (see `_cov_jac`) tile the rows, `jac` is J_E (2, d, n),
+    `belief` E's kind's (B^-1, mu = B^-1 eta), component-major, and `sent`
+    (5, n) the rows' last messages to E.  The input is E's belief (eta, B),
+    singular where B^-1 is zero, as where phase C could not invert B.  On
+    the ascending `stale` rows, tiled by `stale_parts`, the last message
+    was sent with the old J `jac_sent` J_b, and the input leaves it out:
+    with g_ab = J B^-1 J_b', g_bb = J_b B^-1 J_b', p_b = J_b mu and N = (I
+    - S_sent g_bb)^-1 (-S_sent), by Woodbury g - g_ab N g_ab' and p - g_ab
+    (v_sent + N (p_b - g_bb v_sent)), singular also where B - J_b'S_sent
+    J_b is not positive definite."""
+    g, p, singular = out
     _gram(jac, _cov_jac(jac, ids, belief, parts, p), g)
     np.equal(np.take(belief[0][0, 0], ids), 0, out=singular)
     if stale.size:
-        cov_jac_b = _cov_jac(jac_sent, ids[stale], belief, stale_parts, p_b)
-        _contract("adm,bdm->abm", np.take(jac, stale, axis=-1), cov_jac_b, g_ab.reshape(2, 2, -1))  # every pair
+        at = _consecutive(stale)  # a view where consecutive, else np.take, which keeps the rows the last axis
+        s_sent, v_sent, jac_stale = (
+            x[..., at] if isinstance(at, slice) else np.take(x, stale, axis=-1) for x in (sent[:3], sent[3:], jac))
+        p_b = np.empty((2, stale.size), p.dtype)
+        cov_jac_b = _cov_jac(jac_sent, ids[at], belief, stale_parts, p_b)
+        g_ab = _contract("adm,bdm->abm", jac_stale, cov_jac_b)  # every pair
+        g_bb = np.empty((3, stale.size), p.dtype)
         _gram(jac_sent, cov_jac_b, g_bb)
+        del cov_jac_b
+        n, ok = _inverse_sum(-s_sent, g_bb)
+        r = _sym_mv(g_bb, v_sent)
+        np.subtract(p_b, r, out=r)
+        r = _sym_mv(n, r)
+        r += v_sent
+        g_ab_n = _contract("adm,bdm->abm", g_ab, n[[0, 1, 1, 2]].reshape(2, 2, -1))  # N in full
+        g[:, at] -= _contract("adm,bdm->abm", g_ab_n, g_ab).reshape(4, -1)[[0, 1, 3]]  # entries 00, 01, 11
+        p[:, at] -= _contract("adm,dm->am", g_ab, r)
+        singular[at] |= ~ok
 
 
-def _new_messages(g, p, w, w_target, sent, rows, stale_terms):
+def _new_messages(g, p, w, w_target, sent):
     """The messages (5, 2, n), S's entries and v, of each side, and where
     the conditioned block is positive definite, from `_side_terms`, the
     factors' w and w t and their last messages `sent` (5, 2, n) to the
-    eliminated side: one fold of w I - S_sent and w t - v_sent, or two on
-    the stale `rows`, whose messages were sent with the old J."""
-    if rows.size:  # first, so that the temporaries of the two never meet
-        # np.take keeps the gathered rows the last, contiguous axis, where
-        # x[..., rows] would lay them out first and slow every step
-        stale_part = _fold_in_stale(
-            *stale_terms, *(np.take(x, rows, axis=-1) for x in (g, p, w, w_target, sent[:3], sent[3:])))
-    if rows.size == w.shape[-1]:  # no row takes the one fold
-        g, u, ok = stale_part
-    else:
-        m = np.negative(sent[:3])  # every row, though the stale ones are overwritten
-        m[0] += w
-        m[2] += w
-        g, u, ok = _fold_in(g, p, m, w_target - sent[3:])
-        if rows.size:
-            g[..., rows], u[..., rows], ok[:, rows] = stale_part
+    eliminated side, zero where the input leaves them out: one fold of w I
+    - S_sent and w t - v_sent."""
+    m = np.negative(sent[:3])
+    m[0] += w
+    m[2] += w
+    g, u, ok = _fold_in(g, p, m, w_target - sent[3:])
     out = np.empty((5,) + w.shape, w.dtype)  # w I - w^2 g and w t - w u
     w_sq = w * w
     np.multiply(w_sq, g[0], out=out[0])
@@ -442,18 +414,22 @@ def _phase_factors(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old: 
         # a factor joins one variable of each kind, and its message to one
         # eliminates the other: side k sends to KINDS[k], and its inputs are
         # the stored messages to the other kind
+        stored = msg[..., rows]  # a view of `f_msg`
         g, p = np.empty((3, 2, n), graph.dtype), np.empty((2, 2, n), graph.dtype)
         singular = np.empty((2, n), dtype=bool)
-        stale_terms = tuple(np.empty((size, 2, m), graph.dtype) for size in (4, 3, 2))
         for k, elim in enumerate(KINDS[::-1]):
             side = (parts, stale_parts) if elim is KEYFRAME else ([(0, n, False)], [(0, m, False)])
             _side_terms(
                 graph.adjacent(elim)[rows], side[0], jac[:, elim.cols, rows], jac_sent[:, elim.cols], beliefs[elim],
-                (g[:, k], p[:, k], singular[k], *(x[:, k] for x in stale_terms)), stale, side[1],
+                stored[:, 1 - k], (g[:, k], p[:, k], singular[k]), stale, side[1],
             )
-        stored = msg[..., rows]  # a view, read before `new` overwrites it
-        g_ab, g_bb, p_b = stale_terms
-        new, ok = _new_messages(g, p, w, w_target, stored[:, ::-1], stale, (g_ab.reshape(2, 2, 2, m), g_bb, p_b))
+        # the stale rows' inputs left out their last messages: they fold, and
+        # restart where singular, from zero, but their change counts from them
+        if m:
+            at = _consecutive(stale)
+            sent_old = stored[..., at].copy()
+            stored[..., at] = 0  # in `f_msg`, whose stretch takes `new` below
+        new, ok = _new_messages(g, p, w, w_target, stored[:, ::-1])
         singular |= ~ok
         damp = np.where(
             t - graph.f_last_relin[rows] < schedule.undamped_window, 0.0, schedule.damping
@@ -462,8 +438,9 @@ def _phase_factors(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old: 
         new[3:] += damp * stored[3:]
         if singular.any():
             np.copyto(new, stored, where=singular)
-            new[..., stale] = np.where(singular[:, stale], 0.0, new[..., stale])  # kept, but sent with the old J
         delta = new - stored
+        if m:
+            delta[..., at] -= sent_old
         max_delta = max(max_delta, delta.max(), -delta.min())
         msg[..., rows] = new
         lap("messages")

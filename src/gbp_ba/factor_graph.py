@@ -514,10 +514,15 @@ class FactorGraph:
     def astype(self, dtype) -> "FactorGraph":
         """Copy with every float array in `dtype` (e.g. float32, the paper's
         on-chip precision, for studying reduced-precision behaviour).  The
-        copies keep the node-last layout (`astype` keeps the strides' order)."""
+        copies keep the node-last layout (`astype` keeps the strides' order).
+        Raises TypeError for a dtype the engine cannot run: one that is not
+        a real floating type, or narrower than float32."""
+        dtype = np.dtype(dtype)
+        if dtype.kind != "f" or dtype.itemsize < 4:
+            raise TypeError(f"the graph's dtype must be float32 or a wider real float, got {dtype}")
         out = FactorGraph(self.intrinsics, self.huber_nsigma)
         out.iteration = self.iteration
-        out.dtype = np.dtype(dtype)
+        out.dtype = dtype
         for prefix, (fields, _) in TABLES.items():
             for f in fields:
                 name = prefix + f.name

@@ -619,6 +619,19 @@ def test_float32_mode():
     assert np.isfinite(graph.average_reprojection_error())
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.complex128, np.float16, bool, np.float32, np.float64])
+def test_astype_takes_float32_or_wider_real_floats(dtype):
+    # an int32 graph failed in its first round with a TypeError of a cast,
+    # a complex128 one with a UFuncTypeError, and a float16 one overflowed
+    # its priors and ran to ARE NaN after 3 rounds
+    graph = build(synthesize(3, 20, seed=17, pixel_sigma=0.5))
+    if dtype in (np.float32, np.float64):
+        assert graph.astype(dtype).dtype == dtype
+        return
+    with pytest.raises(TypeError, match="float32 or a wider real float"):
+        graph.astype(dtype)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_cold_restart_keeps_the_float_dtype(dtype):
     graph = build(synthesize(3, 20, seed=17, pixel_sigma=0.5)).astype(dtype)

@@ -48,40 +48,53 @@ def _update(digest, graph, report) -> None:
             digest.update(f"{f.name} {getattr(report, f.name)!r}".encode())
 
 
-def main(argv=None) -> None:
-    args = _parse(argv)
-    tree = args.tree.resolve()
+def run_flows(tree: Path, dtype: str, seed: int, on_round):
+    """Runs one pass of each of FLOWS from the checkout at `tree`, calling
+    `on_round(graph, report)` after every round, and yields each flow's
+    name as it ends.  With dtype "float32" every graph that
+    `factor_graph.build` returns is cast to float32 first."""
+    tree = tree.resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     from gbp_ba import engine, factor_graph
 
     import workloads
 
     if Path(engine.__file__).resolve().parents[2] != tree:
-        sys.exit(f"trace_digest: imported gbp_ba from {engine.__file__}, not {tree}")
+        sys.exit(f"imported gbp_ba from {engine.__file__}, not {tree}")
     build, iterate = factor_graph.build, engine.iterate
-    if args.dtype == "float32":
+    if dtype == "float32":
         factor_graph.build = lambda *a, **k: build(*a, **k).astype(np.float32)
-    flow = {}
 
-    def hashed_iterate(graph, schedule=None):
+    def traced_iterate(graph, schedule=None):
         report = iterate(graph, schedule)
-        flow["rounds"] += 1
-        _update(flow["digest"], graph, report)
+        on_round(graph, report)
         return report
 
-    engine.iterate = hashed_iterate
-    total, rounds = hashlib.sha1(), 0
+    engine.iterate = traced_iterate
     with tempfile.TemporaryDirectory() as workdir:
         for name in FLOWS:
             workload = workloads.WORKLOADS[name]
-            flow.update(rounds=0, digest=hashlib.sha1())
             scene_dir = Path(workdir) / name
             scene_dir.mkdir()
-            inputs = workload.prepare(args.seed, scene_dir, workload.cfg)
+            inputs = workload.prepare(seed, scene_dir, workload.cfg)
             workload.run_pass(inputs, workloads.Measured(), workload.cfg)
-            print(f"{name:12} rounds {flow['rounds']:5}  sha1 {flow['digest'].hexdigest()}", flush=True)
-            total.update(flow["digest"].digest())
-            rounds += flow["rounds"]
+            yield name
+
+
+def main(argv=None) -> None:
+    args = _parse(argv)
+    flow = {"rounds": 0, "digest": hashlib.sha1()}
+
+    def hashed(graph, report):
+        flow["rounds"] += 1
+        _update(flow["digest"], graph, report)
+
+    total, rounds = hashlib.sha1(), 0
+    for name in run_flows(args.tree, args.dtype, args.seed, hashed):
+        print(f"{name:12} rounds {flow['rounds']:5}  sha1 {flow['digest'].hexdigest()}", flush=True)
+        total.update(flow["digest"].digest())
+        rounds += flow["rounds"]
+        flow.update(rounds=0, digest=hashlib.sha1())
     print(f"{'all':12} rounds {rounds:5}  sha1 {total.hexdigest()}")
 
 
