@@ -510,6 +510,8 @@ def synthesize(
     """
     if n_keyframes < 1 or n_landmarks < 1:
         raise GenerationError("need at least one keyframe and one landmark")
+    if not 0 <= pixel_sigma < np.inf:
+        raise GenerationError(f"pixel_sigma must be finite and >= 0, got {pixel_sigma}")
     rng = np.random.default_rng(seed)
     box_center = np.array([0.0, 0.0, 1.2])
     box_half = np.array([0.5, 0.4, 0.5])
@@ -601,6 +603,9 @@ def perturb(
         raise ValueError("perturb requires ground truth")
     if landmark_mode not in ("backproject", "gauss"):
         raise ValueError(f"unknown landmark mode {landmark_mode!r}")
+    for name, sigma in (("keyframe_sigma", keyframe_sigma), ("landmark_sigma", landmark_sigma)):
+        if not 0 <= sigma < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {sigma}")
     rng = np.random.default_rng(seed)
     out = problem.copy()
     out.kf_init = problem.kf_gt.copy()

@@ -31,6 +31,7 @@ from .factor_graph import (
     KINDS,
     LANDMARK,
     PRIOR_TARGET_RATIO,
+    Evaluation,
     FactorGraph,
 )
 
@@ -184,14 +185,14 @@ class LMReport:
     energy_trace: np.ndarray
 
 
-def _lm_energy(graph: FactorGraph) -> float:
-    """The objective LM accepts a step on: `FactorGraph.energy` at current
-    prior strengths, except that a behind-camera measurement's term takes
-    the ARE sentinel residual, a barrier against steps that move points
-    behind a camera, where `energy` takes its residual at its
-    linearisation point."""
-    norms, depth = graph._residual_norms()
-    return graph._objective(np.where(depth <= DEPTH_EPSILON, ARE_SENTINEL_PX, norms) / graph.f_sigma)
+def _lm_energy(graph: FactorGraph, record: Evaluation) -> float:
+    """The objective LM accepts a step on, from the graph's `record` of its
+    current states: `Evaluation.energy` at current prior strengths, except
+    that a behind-camera measurement's term takes the ARE sentinel residual,
+    a barrier against steps that move points behind a camera, where the
+    record's energy takes its residual at its linearisation point."""
+    norms = np.where(record.depths <= DEPTH_EPSILON, ARE_SENTINEL_PX, record.norms)
+    return graph._objective(norms / graph.f_sigma)
 
 
 def lm_solve(graph: FactorGraph) -> LMReport:
@@ -217,8 +218,8 @@ def lm_solve(graph: FactorGraph) -> LMReport:
     for kind in KINDS:
         work.var(kind, "prior_scale")[:] = PRIOR_TARGET_RATIO
     states = [work.var(kind, "state").copy() for kind in KINDS]
-    are_trace = [work.average_reprojection_error()]
-    energy_trace = [_lm_energy(work)]
+    record = work.evaluate()
+    are_trace, energy_trace = [record.are], [_lm_energy(work, record)]
     lam_damp = LM_INITIAL_LAMBDA
     accepted = attempts = 0
     reason = "are_target" if are_trace[-1] < LM_ARE_TARGET else "max_steps"
@@ -243,7 +244,8 @@ def lm_solve(graph: FactorGraph) -> LMReport:
             new = [retract(s, d.reshape(s.shape)) for s, d in zip(states, parts)]
             for kind, state in zip(KINDS, new):
                 work.var(kind, "state")[:] = state
-            e_new = _lm_energy(work)
+            record = work.evaluate()  # the step's energy and, if it is taken, its ARE
+            e_new = _lm_energy(work, record)
             if e_new < energy_trace[-1]:
                 break
             lam_damp *= LM_LAMBDA_UP
@@ -254,7 +256,7 @@ def lm_solve(graph: FactorGraph) -> LMReport:
         lam_damp = max(lam_damp * LM_LAMBDA_DOWN, 1e-12)
         accepted += 1
         energy_trace.append(e_new)
-        are_trace.append(work.average_reprojection_error())
+        are_trace.append(record.are)
         if are_trace[-1] < LM_ARE_TARGET:
             reason = "are_target"
         elif energy_trace[-2] - energy_trace[-1] <= 1e-14 * max(energy_trace[-2], 1.0):

@@ -63,9 +63,9 @@ arrays, dimension and columns of the factor's 9-vector:
      invertible; keyframe rotations are then wrapped to angle-axis
      magnitudes in [0, pi].
 
-`iterate` then evaluates the ARE and the energy, and counts the
-measurements behind their camera, from one shared projection, and reports
-the wall time of each phase in `IterationReport.phase_ms`.
+`iterate` then takes the ARE, the energy and the count of measurements
+behind their camera from one `FactorGraph.evaluate()`, and reports the wall
+time of each phase in `IterationReport.phase_ms`.
 
 Within a phase all reads target the pre-phase snapshot, so results do not
 depend on intra-phase execution order: phase B reads both sides' inputs
@@ -83,7 +83,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batch_linalg import _consecutive, _contract, _plan, component_major, solve_spd_masked
-from .camera import DEPTH_EPSILON, canonicalize_axis_angle
+from .camera import canonicalize_axis_angle
 from .factor_graph import FACTOR_DIM, KEYFRAME, KINDS, PRIOR_TARGET_RATIO, FactorGraph
 
 __all__ = [
@@ -127,6 +127,12 @@ class ScheduleParams:
     message_tol: float | None = None
 
     def __post_init__(self):
+        for name in ("beta", "damping", "are_target", "message_tol"):
+            value = getattr(self, name)
+            if value is None and name in ("beta", "message_tol"):  # None disables them
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 <= self.damping < 1.0:
             raise ValueError(f"damping must be in [0, 1), got {self.damping}")
         if self.beta is not None and not self.beta > 0:
@@ -528,20 +534,17 @@ def iterate(graph: FactorGraph, schedule: ScheduleParams | None = None) -> Itera
     n_frozen = _phase_beliefs(graph, plan)
     graph.iteration = t + 1
     lap("beliefs")
-    with graph.shared_projection():
-        are = graph.average_reprojection_error()
-        energy = graph.energy()
-        n_behind = int(np.count_nonzero(graph.residuals()[1] <= DEPTH_EPSILON))
+    record = graph.evaluate()
     lap("evaluate")
     return IterationReport(
         iteration=graph.iteration,
-        are=are,
-        energy=energy,
+        are=record.are,
+        energy=record.energy,
         n_relinearized=n_relin,
         n_relin_aborted=n_aborted,
         n_singular_messages=n_singular,
         n_frozen_states=n_frozen,
-        n_behind_camera=n_behind,
+        n_behind_camera=record.n_behind_camera,
         max_message_delta=max_delta,
         prior_scale=prior_scale,
         phase_ms=phase_ms,
@@ -565,13 +568,12 @@ def solve(
     Non-convergence is reported via the flag, never raised.
     """
     schedule = schedule if schedule is not None else ScheduleParams()
-    with graph.shared_projection():
-        are = graph.average_reprojection_error()
-        energy_trace = [graph.energy()]
-    are_trace = [are]
+    record = graph.evaluate()
+    are_trace, energy_trace = [record.are], [record.energy]
+    del record  # its arrays are not held through the rounds
     reports: list[IterationReport] = []
     reason = "max_iters"
-    if are < schedule.are_target:
+    if are_trace[0] < schedule.are_target:
         reason = "are_target"
     else:
         for _ in range(schedule.max_iters):

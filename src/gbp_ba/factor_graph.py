@@ -30,7 +30,8 @@ graph's one float `dtype`.
 Each array is the `(n, trailing...)` view of a contiguous node-last base
 `(trailing..., n)`: rows index as usual, `batch_linalg.component_major`
 returns the base, the layout every kernel works in, without a copy, and the
-engine updates messages, beliefs and states in these arrays in place.
+engine updates messages, beliefs and states in these arrays in place.  The
+bases of one table are views of one block (`FactorGraph._grow`).
 
 Measurement factors enter by one path, `add_measurements`, which `build`
 also takes once it has grown a problem's variables.  A factor's count of
@@ -46,7 +47,7 @@ grown graph minimises the same objective as a cold restart from its states.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +145,25 @@ TABLES = {kind.key + "_": (VARIABLE_FIELDS, kind.dim) for kind in KINDS}
 TABLES["f_"] = (FACTOR_FIELDS, None)
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """One projection of every factor at the states of one moment, from
+    `FactorGraph.evaluate`: the residuals z - h(x) (F, 2), the depths (F,)
+    and the residual norms (F,); the ARE, the mean norm with a sentinel
+    (1e6 px) for each measurement behind its camera, 0.0 with no
+    measurements; the energy, the prior Mahalanobis terms at the current
+    prior strengths plus the Huber terms of the measurements, a
+    behind-camera one taking its residual at its linearisation point; and
+    the count of measurements behind their camera."""
+
+    residuals: np.ndarray
+    depths: np.ndarray
+    norms: np.ndarray
+    are: float
+    energy: float
+    n_behind_camera: int
+
+
 class FactorGraph:
     def __init__(self, intrinsics: Intrinsics, huber_nsigma: float = DEFAULT_HUBER_NSIGMA):
         """`huber_nsigma` None, 0 or inf turns the Huber loss off; a negative
@@ -154,7 +174,6 @@ class FactorGraph:
         self.huber_nsigma = float(huber_nsigma) if huber_nsigma else np.inf
         self.iteration = 0
         self.dtype = np.dtype(np.float64)
-        self._projection = None
         for prefix in TABLES:
             self._grow(prefix, 0)
 
@@ -166,19 +185,34 @@ class FactorGraph:
     def _grow(self, prefix: str, n: int, **given) -> None:
         """Append `n` rows to every array of the `prefix` table: the `given`
         values broadcast over the rows, else each field's fill.  `birth`
-        defaults to the current iteration.  Bases grow on their last axis."""
+        defaults to the current iteration.  Bases grow on their last axis.
+
+        The bases of a table are views of one new zero-filled block, each
+        starting on a 64-byte boundary.  A large graph's block is then mapped
+        on its own (glibc serves a request of 32 MiB or more with a mapping),
+        so the temporaries of a round reuse heap space that no graph array
+        splits, and the process's peak memory does not depend on where in
+        the heap the graph happened to land.  Zero-filled pages also stay
+        untouched until first written, which keeps build's peak memory down
+        for the message arrays."""
         fields, dim = TABLES[prefix]
         given.setdefault("birth", self.iteration)
+        old = [getattr(self, prefix + f.name, None) for f in fields]
+        rows = (0 if old[0] is None else len(old[0])) + n
+        layout, size = [], 0
         for f in fields:
-            shape = tuple(dim if s == "d" else s for s in f.shape) + (n,)
-            # zero-filled blocks stay untouched pages until first written,
-            # which keeps build's peak memory down for the message arrays
-            base = np.zeros(shape, self._kind_dtype(f.kind))
+            shape = tuple(dim if s == "d" else s for s in f.shape) + (rows,)
+            dtype = np.dtype(self._kind_dtype(f.kind))
+            nbytes = dtype.itemsize * math.prod(shape)
+            layout.append((size, nbytes, shape, dtype))
+            size += -(-nbytes // 64) * 64
+        block = np.zeros(size, np.uint8)
+        for f, prev, (start, nbytes, shape, dtype) in zip(fields, old, layout):
+            base = block[start:start + nbytes].view(dtype).reshape(shape)
+            if prev is not None:
+                base[..., :len(prev)] = component_major(prev)
             if f.name in given or f.fill:
-                np.moveaxis(base, -1, 0)[...] = given.get(f.name, f.fill)
-            old = getattr(self, prefix + f.name, None)
-            if old is not None and len(old):
-                base = np.concatenate([component_major(old), base], axis=-1)
+                np.moveaxis(base[..., rows - n:], -1, 0)[...] = given.get(f.name, f.fill)
             setattr(self, prefix + f.name, np.moveaxis(base, -1, 0))
 
     # ------------------------------------------------------------------ kinds
@@ -359,26 +393,13 @@ class FactorGraph:
 
     # ------------------------------------------------------------- evaluation
 
-    @contextmanager
-    def shared_projection(self):
-        """Within the block, `residuals()` and the residual norms, and so the
-        ARE and the energy, reuse one projection of every factor taken on
-        entry.  The states must not change inside the block."""
-        residual, depth = self.residuals()
-        self._projection = residual, depth, _row_norms(residual)
-        try:
-            yield
-        finally:
-            self._projection = None
-
     def residuals(self):
         """(residuals (F,2), depths (F,)) at current states.  Read-only.
         Projected a part at a time (see `_camera_parts`) into the two arrays:
         a piece of a dense keyframe run through its keyframe's one column of
         the `camera_terms` table, formed once per keyframe, and the other
-        rows through their gathered columns."""
-        if self._projection is not None:
-            return self._projection[:2]
+        rows through their gathered columns.  `evaluate` takes this one
+        projection and derives the rest of its record from it."""
         n = self.n_measurement_factors
         residual, depth = np.empty((2, n), self.dtype), np.empty(n, self.dtype)
         z_cm = component_major(self.f_z)
@@ -387,31 +408,14 @@ class FactorGraph:
             np.subtract(z_cm[:, rows], uv_hat.T, out=residual[:, rows])
         return residual.T, depth
 
-    def _residual_norms(self):
-        """(|residual| (F,), depths (F,)) at current states; read-only, as
-        the shared projection's."""
-        if self._projection is not None:
-            return self._projection[2], self._projection[1]
+    def evaluate(self) -> Evaluation:
+        """The `Evaluation` of the current states: one projection of every
+        factor (`residuals`), from which the norms, the ARE, the energy and
+        the behind-camera count are derived.  Nothing keeps the record, so it
+        is fresh on every call."""
         residual, depth = self.residuals()
-        return _row_norms(residual), depth
-
-    def average_reprojection_error(self) -> float:
-        """Mean Euclidean pixel error over all measurements at current states.
-
-        Behind-camera measurements contribute a large sentinel (1e6 px).
-        Defined as 0.0 for a graph with no measurements.
-        """
-        if self.n_measurement_factors == 0:
-            return 0.0
-        norms, depth = self._residual_norms()
-        return float(np.mean(np.where(depth <= DEPTH_EPSILON, ARE_SENTINEL_PX, norms)))
-
-    def energy(self) -> float:
-        """The objective: prior Mahalanobis terms plus Huber-modified
-        measurement terms, at current states and current prior strengths.  A
-        behind-camera measurement's term takes its residual at its
-        linearisation point."""
-        norms, depth = self._residual_norms()
+        norms = _row_norms(residual)
+        are = float(np.mean(np.where(depth <= DEPTH_EPSILON, ARE_SENTINEL_PX, norms))) if len(norms) else 0.0
         mahal = norms / self.f_sigma
         behind = np.flatnonzero(depth <= DEPTH_EPSILON)
         if behind.size:  # the residual at the linearisation point, z - h(lin)
@@ -419,7 +423,18 @@ class FactorGraph:
             jac, lin, target = (np.take(component_major(a), behind, axis=-1)
                                 for a in (self.f_jac, self.f_lin, self.f_target))
             mahal[behind] = _row_norms((target - _jac_lin(jac, lin)).T) / self.f_sigma[behind]
-        return self._objective(mahal)
+        energy = self._objective(mahal)
+        return Evaluation(residual, depth, norms, are, energy, int(np.count_nonzero(depth <= DEPTH_EPSILON)))
+
+    def average_reprojection_error(self) -> float:
+        """Mean pixel error over all measurements at current states, the
+        `Evaluation.are` of a fresh `evaluate()`."""
+        return self.evaluate().are
+
+    def energy(self) -> float:
+        """The objective at current states and prior strengths, the
+        `Evaluation.energy` of a fresh `evaluate()`."""
+        return self.evaluate().energy
 
     def _objective(self, mahal) -> float:
         """Prior Mahalanobis terms at current states and prior strengths plus
@@ -433,8 +448,8 @@ class FactorGraph:
 
     def classify_outliers(self) -> np.ndarray:
         """Measurements currently in the linear (outlier) loss regime."""
-        norms, depth = self._residual_norms()
-        mahal = np.where(depth <= DEPTH_EPSILON, np.inf, norms / self.f_sigma)
+        record = self.evaluate()
+        mahal = np.where(record.depths <= DEPTH_EPSILON, np.inf, record.norms / self.f_sigma)
         return mahal > self.huber_nsigma
 
     # ------------------------------------------------------------ mutation
@@ -514,7 +529,7 @@ class FactorGraph:
     def astype(self, dtype) -> "FactorGraph":
         """Copy with every float array in `dtype` (e.g. float32, the paper's
         on-chip precision, for studying reduced-precision behaviour).  The
-        copies keep the node-last layout (`astype` keeps the strides' order).
+        copies are laid out as `_grow` lays out a table.
         Raises TypeError for a dtype the engine cannot run: one that is not
         a real floating type, or narrower than float32."""
         dtype = np.dtype(dtype)
@@ -524,9 +539,8 @@ class FactorGraph:
         out.iteration = self.iteration
         out.dtype = dtype
         for prefix, (fields, _) in TABLES.items():
-            for f in fields:
-                name = prefix + f.name
-                setattr(out, name, getattr(self, name).astype(out._kind_dtype(f.kind)))
+            arrays = {f.name: getattr(self, prefix + f.name) for f in fields}
+            out._grow(prefix, len(arrays["birth"]), **arrays)
         return out
 
     def to_problem(self) -> ProblemSpec:

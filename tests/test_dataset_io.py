@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gbp_ba import (
     FormatVersionError,
+    GenerationError,
     Intrinsics,
     ParseError,
     ProblemSpec,
@@ -491,6 +492,20 @@ class TestPerturb:
                 prob.kf_init, prob.meas_kf, prob.meas_lm, prob.meas_uv,
                 Intrinsics(1, 1, 0, 0), 1,
             )
+
+
+@pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("call, error, name", [
+    (lambda p, s: synthesize(4, 30, seed=42, pixel_sigma=s), GenerationError, "pixel_sigma"),
+    (lambda p, s: perturb(p, s), ValueError, "keyframe_sigma"),
+    (lambda p, s: perturb(p, 0.05, "gauss", landmark_sigma=s), ValueError, "landmark_sigma"),
+], ids=["synthesize", "perturb-keyframe", "perturb-landmark"])
+def test_negative_or_non_finite_noise_sigma_raises(small_problem, call, error, name, sigma):
+    # each added no noise, by its `> 0` guard, yet recorded the sigma in
+    # `metadata`; a sigma of 0 stays noise-free
+    with pytest.raises(error, match=name):
+        call(small_problem, sigma)
+    call(small_problem, 0.0)
 
 
 class TestInjectOutliers:

@@ -556,15 +556,11 @@ def test_whole_graph_passes_hold_bounded_temporaries():
         result = call()
         return result, tracemalloc.get_traced_memory()[1] - before
 
-    def evaluate(graph):
-        with graph.shared_projection():
-            return graph.average_reprojection_error(), graph.energy()
-
     tracemalloc.start()
     try:
         graph, build_bytes = extra_heap(lambda: build(problem))
         graph_bytes = sum(a.nbytes for a in vars(graph).values() if isinstance(a, np.ndarray))
-        _, evaluate_bytes = extra_heap(lambda: evaluate(graph))
+        _, evaluate_bytes = extra_heap(graph.evaluate)
         run(graph, n=9)
         plain, plain_bytes = extra_heap(lambda: iterate(graph))
         report, round_bytes = extra_heap(lambda: iterate(graph))
@@ -811,6 +807,40 @@ def test_lm_steps_leave_out_behind_camera_factors():
     np.testing.assert_array_equal(got.lm_states, want.lm_states)
 
 
+def test_evaluation_reads_states_written_between_rounds():
+    # evaluate() keeps nothing, so states written directly between rounds
+    # are what it and the next round's report read; a landmark mirrored
+    # behind its camera takes the energy's residual at the linearisation point
+    graph = perturbed_graph()
+    run(graph, n=3)
+    before = graph.evaluate()
+    m = 10
+    lm = graph.f_lm[m]
+    graph.lm_state[lm] = 2 * camera_center(graph.kf_state[graph.f_kf[m]]) - graph.lm_state[lm]
+    graph.kf_state[1, 3:] += 0.01
+    record = graph.evaluate()
+    uv, depth = project_many(graph.kf_state[graph.f_kf], graph.lm_state[graph.f_lm], graph.intrinsics)
+    residual = graph.f_z - uv
+    behind = depth <= DEPTH_EPSILON
+    assert behind[m] and graph.f_jac[m].any() and record.are != before.are
+    np.testing.assert_array_equal(record.residuals, residual)
+    np.testing.assert_array_equal(record.depths, depth)
+    assert record.are == np.mean(np.where(behind, 1e6, np.linalg.norm(residual, axis=1)))
+    assert record.n_behind_camera == np.count_nonzero(behind)
+    at_lin = graph.f_target - np.einsum("fij,fj->fi", graph.f_jac, graph.f_lin)
+    mahal = np.linalg.norm(np.where(behind[:, None], at_lin, residual), axis=1) / graph.f_sigma
+    priors = sum(
+        np.sum(graph.var(kind, "prior_scale")[:, None] * graph.var(kind, "prior_diag0")
+               * (graph.var(kind, "state") - graph.var(kind, "prior_mean")) ** 2)
+        for kind in factor_graph.KINDS)
+    huber = factor_graph.huber_energy(mahal, graph.huber_nsigma)
+    assert record.energy == pytest.approx(priors + np.sum(huber), rel=1e-12)
+    assert (graph.average_reprojection_error(), graph.energy()) == (record.are, record.energy)
+    report = iterate(graph)
+    after = graph.evaluate()
+    assert (report.are, report.energy, report.n_behind_camera) == (after.are, after.energy, after.n_behind_camera)
+
+
 def test_zero_undamped_window_rejected_while_relinearising():
     # damping blends the measurement-space vector v, which is exact only once
     # the relinearisation round has resent each message with the new J
@@ -823,11 +853,13 @@ def test_zero_undamped_window_rejected_while_relinearising():
     {"max_iters": 2.5}, {"max_iters": True}, {"relin_cooldown": 10.0}, {"undamped_window": True},
     {"prior_weaken_iters": np.float64(3)}, {"are_target": float("nan")},
     {"message_tol": float("nan")}, {"message_tol": 0.0}, {"message_tol": -1e-6},
+    {"beta": True}, {"are_target": True}, {"damping": False}, {"are_target": None}, {"beta": "0.1"},
 ])
 def test_bad_schedule_values_rejected(bad):
     # each was accepted: max_iters=2.5 failed only inside solve and True ran
     # one round, and with a NaN are_target or a message_tol that is NaN or
-    # not positive the stop never fires (None disables message_tol)
+    # not positive the stop never fires (None disables message_tol); a bool
+    # ran as 1.0 or 0.0, and None or a string failed with numpy's message
     with pytest.raises(ValueError, match=next(iter(bad))):
         ScheduleParams(**bad)
     ScheduleParams(max_iters=np.int64(3), are_target=0.0, message_tol=1e-10)

@@ -733,7 +733,7 @@ class TestSchema:
         assert set(float_dtypes(graph).values()) == {graph.dtype}
         # nothing but the arrays and these: no lifetime tallies
         others = {k for k, v in vars(graph).items() if not isinstance(v, np.ndarray)}
-        assert others == {"intrinsics", "huber_nsigma", "iteration", "dtype", "_projection"}
+        assert others == {"intrinsics", "huber_nsigma", "iteration", "dtype"}
 
     def test_build_add_copy_astype(self):
         from gbp_ba.engine import run
@@ -775,6 +775,23 @@ class TestSchema:
         check_layout(graph)
         check_layout(graph.copy())
         check_layout(graph.astype(np.float32))
+
+    def test_each_table_is_one_block(self):
+        # a table's arrays are views of one allocation, so a large graph's
+        # storage is mapped on its own, apart from the heap of temporaries
+        def check_blocks(graph):
+            for prefix, (fields, _) in TABLES.items():
+                owners = {id(getattr(graph, prefix + f.name).base) for f in fields}
+                assert len(owners) == 1, prefix
+                block = getattr(graph, prefix + fields[0].name).base
+                assert block.flags.owndata and block.nbytes % 64 == 0, prefix
+
+        graph = build(synthesize(3, 20, seed=18, pixel_sigma=0.5))
+        check_blocks(graph)
+        grow(graph)
+        check_blocks(graph)
+        check_blocks(graph.copy())
+        check_blocks(graph.astype(np.float32))
 
     def test_messages_store_s_and_v_only(self):
         # every message was sent with the factor's one stored J, `f_jac`:
