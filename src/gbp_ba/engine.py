@@ -198,18 +198,6 @@ def _update_prior_scales(graph: FactorGraph, schedule: ScheduleParams, t: int) -
     return float(PRIOR_TARGET_RATIO ** (min(t, window) / max(window, 1)))
 
 
-def _norms(squares):
-    """The square root of the sum of each column of `squares` (9, n), the
-    bits of `np.linalg.norm` over the rows of a contiguous (n, 9) array,
-    whose pairwise sum adds nine entries as ((s0 + s1) + (s2 + s3)) +
-    ((s4 + s5) + (s6 + s7)) + s8."""
-    s = squares
-    total = (s[0] + s[1]) + (s[2] + s[3])
-    total += (s[4] + s[5]) + (s[6] + s[7])
-    total += s[8]
-    return np.sqrt(total, out=total)
-
-
 def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int, rows: slice):
     """Relinearises the factors due among `rows`; returns the counts of those
     relinearised and aborted, the rows relinearised, ascending from
@@ -227,7 +215,7 @@ def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int, row
         states = np.take(component_major(graph.var(kind, "state")), graph.adjacent(kind)[at], axis=1)
         np.subtract(states, lin_due[kind.cols], out=squares[kind.cols])
     squares *= squares
-    due = due[_norms(squares) > schedule.beta]
+    due = due[squares.sum(axis=0) > schedule.beta**2]
     at = _consecutive(due)
     jac_sent = jac[..., at].copy() if isinstance(at, slice) else np.take(jac, due, axis=-1)
     ok = graph.linearize_factors(due) if due.size else np.zeros(0, dtype=bool)
@@ -246,11 +234,8 @@ def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int, row
 # messages as a view and writes the new ones with one assignment.
 
 def _sym_mv(a, x):
-    out = np.empty_like(x)
-    np.multiply(a[0], x[0], out=out[0])
-    out[0] += a[1] * x[1]
-    np.multiply(a[1], x[0], out=out[1])
-    out[1] += a[2] * x[1]
+    out = a[:2] * x[0]
+    out += a[1:] * x[1]
     return out
 
 
@@ -273,16 +258,10 @@ def _inverse_sum(a, b):
     del trace, cross  # freed before `out` is allocated
     if not ok.all():
         det[~ok] = 1
-    out = np.empty_like(a)
-    np.multiply(det_a, b[2], out=out[0])
-    out[0] += a[0]
-    np.multiply(det_a, b[1], out=out[1])
-    np.subtract(a[1], out[1], out=out[1])
-    np.multiply(det_a, b[0], out=out[2])
-    out[2] += a[2]
-    scale = np.reciprocal(det, out=det)
-    for row in out:
-        row *= scale
+    out = det_a * b[::-1]  # det(A) adj(B), entry 01 negated below
+    np.negative(out[1], out=out[1])
+    out += a
+    out *= np.reciprocal(det, out=det)
     return out, ok
 
 
@@ -367,24 +346,17 @@ def _side_terms(ids, parts, jac, jac_sent, belief, sent, out, stale, stale_parts
 def _new_messages(g, p, w, w_target, sent):
     """The messages (5, 2, n), S's entries and v, of each side, and where
     the conditioned block is positive definite, from `_side_terms`, the
-    factors' w and w t and their last messages `sent` (5, 2, n) to the
-    eliminated side, zero where the input leaves them out: one fold of w I
-    - S_sent and w t - v_sent."""
+    factors' w (n,) and w t (2, 1, n), alike for both sides, and their last
+    messages `sent` (5, 2, n) to the eliminated side, zero where the input
+    leaves them out: one fold of w I - S_sent and w t - v_sent."""
     m = np.negative(sent[:3])
-    m[0] += w
-    m[2] += w
+    m[::2] += w  # entries 00 and 11
     g, u, ok = _fold_in(g, p, m, w_target - sent[3:])
-    out = np.empty((5,) + w.shape, w.dtype)  # w I - w^2 g and w t - w u
-    w_sq = w * w
-    np.multiply(w_sq, g[0], out=out[0])
-    np.subtract(w, out[0], out=out[0])
-    np.multiply(w_sq, g[1], out=out[1])
-    np.negative(out[1], out=out[1])
-    np.multiply(w_sq, g[2], out=out[2])
-    np.subtract(w, out[2], out=out[2])
-    for i in range(2):
-        np.multiply(w, u[i], out=out[3 + i])
-        np.subtract(w_target[i], out[3 + i], out=out[3 + i])
+    out = np.empty(sent.shape, sent.dtype)
+    np.multiply(-w * w, g, out=out[:3])  # S = w I - w^2 g
+    out[:3:2] += w
+    np.multiply(-w, u, out=out[3:])  # v = w t - w u
+    out[3:] += w_target
     return out, ok
 
 
@@ -407,12 +379,8 @@ def _phase_factors(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old: 
         # phase B: the stale rows, counted from `start`, were relinearised
         # just now and sent their last messages with `jac_sent`
         m = stale.size
-        w = np.empty((2, n), graph.dtype)  # one row per side
-        w[0] = graph.factor_precision(rows)
-        w[1] = w[0]
-        w_target = np.empty((2, 2, n), graph.dtype)
-        np.multiply(w[0], target[:, rows], out=w_target[:, 0])
-        w_target[:, 1] = w_target[:, 0]
+        w = graph.factor_precision(rows)
+        w_target = (w * target[:, rows])[:, None]  # (2, 1, n), for both sides
         # the keyframe side's parts of the rows and of the stale rows
         parts = [(a - start, b - start, dense) for a, b, dense in parts]
         edges = np.searchsorted(stale, [a for a, _, _ in parts] + [n]).tolist() if m else [0]

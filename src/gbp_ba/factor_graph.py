@@ -48,6 +48,7 @@ grown graph minimises the same objective as a cold restart from its states.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,9 +168,11 @@ class Evaluation:
 class FactorGraph:
     def __init__(self, intrinsics: Intrinsics, huber_nsigma: float = DEFAULT_HUBER_NSIGMA):
         """`huber_nsigma` None, 0 or inf turns the Huber loss off; a negative
-        or NaN threshold raises BuildError."""
-        if huber_nsigma is not None and not huber_nsigma >= 0:
-            raise BuildError(f"huber_nsigma must be >= 0, None or inf, got {huber_nsigma}")
+        or NaN threshold, a bool or any other non-real raises BuildError."""
+        if huber_nsigma is not None and (
+            isinstance(huber_nsigma, bool) or not isinstance(huber_nsigma, numbers.Real) or not huber_nsigma >= 0
+        ):
+            raise BuildError(f"huber_nsigma must be a real >= 0, None or inf, got {huber_nsigma!r}")
         self.intrinsics = intrinsics
         self.huber_nsigma = float(huber_nsigma) if huber_nsigma else np.inf
         self.iteration = 0
@@ -467,17 +470,26 @@ class FactorGraph:
         return self._add_variable(LANDMARK, position)
 
     def _add_variable(self, kind: Kind, state: np.ndarray) -> int:
-        """Raises BuildError, before changing the graph, for a state
-        `check_state_values` rejects."""
-        state = np.reshape(state, (1, kind.dim))
-        check_state_values(kind.name, state, BuildError, first=self.size(kind))
+        """Raises BuildError, before changing the graph, for a state of a
+        shape other than (dim,) or (1, dim), or one `check_state_values`
+        rejects."""
+        state, idx = np.asarray(state), self.size(kind)
+        if state.shape not in ((kind.dim,), (1, kind.dim)):
+            raise BuildError(f"{kind.name} {idx} takes a state of size {kind.dim}, got shape {state.shape}",
+                             kind.name + "s", idx)
+        state = state.reshape(1, kind.dim)
+        check_state_values(kind.name, state, BuildError, first=idx)
         self._grow(kind.key + "_", 1, state=state)
-        idx = self.size(kind) - 1
         self._pin_priors(kind, [idx])
         return idx
 
     def add_measurement(self, kf_id: int, lm_id: int, z: np.ndarray, sigma: float = 1.0) -> int:
-        return self.add_measurements([kf_id], [lm_id], np.asarray(z, float).reshape(1, 2), [sigma])
+        """Append one measurement factor, `z` one (u, v) pair; see
+        `add_measurements`."""
+        z = np.asarray(z, float)
+        if z.size != 2:
+            raise BuildError(f"z must be one (u, v) pair, got shape {z.shape}")
+        return self.add_measurements([kf_id], [lm_id], z.reshape(1, 2), [sigma])
 
     def add_measurements(self, kf_ids, lm_ids, zs, sigmas) -> int:
         """Append measurement factors and linearise them at current states;
@@ -489,10 +501,13 @@ class FactorGraph:
         they are.  A repeated (keyframe, landmark) pair is accepted, and
         counted by `n_duplicate_measurements`.  Returns the id of the last
         factor added.  Raises BuildError, before changing the graph, for
-        arguments of different lengths, a variable id that is missing or not
-        a whole number, or a value `check_measurement_values` rejects."""
+        `zs` of a shape other than (n, 2), arguments of different lengths, a
+        variable id that is missing or not a whole number, or a value
+        `check_measurement_values` rejects."""
         ids = [check_ids(f"{k.name} id", i, BuildError) for k, i in zip(KINDS, (kf_ids, lm_ids))]
-        zs = np.asarray(zs, float).reshape(-1, 2)
+        zs = np.asarray(zs, float)
+        if zs.ndim != 2 or zs.shape[1] != 2:
+            raise BuildError(f"z must have shape (n, 2), one (u, v) row per measurement, got {zs.shape}")
         sigmas = np.asarray(sigmas, float).reshape(-1)
         lengths = [len(a) for a in (*ids, zs, sigmas)]
         if len(set(lengths)) > 1:

@@ -998,6 +998,23 @@ def test_default_cadence_relinearises_every_factor_at_rounds_11_22_33():
     assert np.all(graph.iters_since_relin(new) == 0)
 
 
+def test_due_factor_relinearises_only_past_beta():
+    # with no cooldown every factor is due; a factor relinearises only where
+    # its adjacent states lie more than beta from its linearisation point
+    schedule = ScheduleParams(relin_cooldown=0)
+    graph = build(perturb(synthesize(3, 20, seed=4, pixel_sigma=1), 0.05, "backproject", seed=5))
+    run(graph, schedule, n=3)
+    for kind in (KEYFRAME, LANDMARK):
+        graph.f_lin[:, kind.cols] = graph.var(kind, "state")[graph.adjacent(kind)]
+    near, far = 2, 7
+    graph.f_lin[near, 4] += 0.5 * schedule.beta
+    graph.f_lin[far, 7] += 2 * schedule.beta
+    t = graph.iteration
+    report = iterate(graph, schedule)
+    assert (report.n_relinearized, report.n_relin_aborted) == (1, 0)
+    np.testing.assert_array_equal(np.flatnonzero(graph.f_last_relin == t), [far])
+
+
 SOLVE_PATH = textwrap.dedent("""
     import sys
     from gbp_ba import build, load, perturb, save, solve, synthesize

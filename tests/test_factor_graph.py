@@ -24,6 +24,12 @@ from gbp_ba.factor_graph import (
 )
 
 
+def assert_graph_equal(graph, before):
+    for name, value in vars(before).items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(getattr(graph, name), value, err_msg=name)
+
+
 def one_factor_problem(z=(0.0, 0.0), sigma=1.0):
     return ProblemSpec(
         intrinsics=Intrinsics(1.0, 1.0, 0.0, 0.0),
@@ -79,7 +85,7 @@ class TestBuild:
         with pytest.raises(ValueError, match="landmark 5"):
             prob.validate()
 
-    @pytest.mark.parametrize("nsigma", [-1.0, -np.inf, np.nan])
+    @pytest.mark.parametrize("nsigma", [-1.0, -np.inf, np.nan, True, False, "2"])
     def test_bad_huber_threshold_raises(self, nsigma):
         with pytest.raises(BuildError, match="huber_nsigma"):
             build(one_factor_problem(), huber_nsigma=nsigma)
@@ -470,6 +476,10 @@ class TestIncrementalMutation:
             ("add_landmark", [0.0, np.inf, 2.0], "landmark 15"),
             ("add_keyframe", [0.0, 0.0, 0.0, 0.0, -np.inf, 0.0], "keyframe 3"),
             ("add_keyframe", [np.nan] * 6, "keyframe 3"),
+            ("add_keyframe", np.zeros(5), r"keyframe 3 takes a state of size 6, got shape \(5,\)"),
+            ("add_keyframe", np.zeros((2, 3)), r"keyframe 3 takes a state of size 6, got shape \(2, 3\)"),
+            ("add_landmark", np.zeros(2), r"landmark 15 takes a state of size 3, got shape \(2,\)"),
+            ("add_landmark", np.ones((3, 1)), r"landmark 15 takes a state of size 3, got shape \(3, 1\)"),
         ],
     )
     def test_non_finite_state_raises_and_leaves_graph(self, add, state, message):
@@ -482,6 +492,29 @@ class TestIncrementalMutation:
         for name, value in vars(before).items():
             if isinstance(value, np.ndarray):
                 np.testing.assert_array_equal(getattr(graph, name), value, err_msg=name)
+
+    @pytest.mark.parametrize(
+        "zs",
+        [
+            [[300.0, 310.0, 320.0], [200.0, 210.0, 220.0]],  # a u row and a v row
+            [300.0, 200.0, 310.0, 210.0, 320.0, 220.0],
+            np.full((3, 2, 1), 300.0),
+        ],
+    )
+    def test_pixels_not_in_rows_of_two_raise_and_leave_graph(self, zs):
+        graph = build(synthesize(3, 15, seed=13))
+        before = graph.copy()
+        with pytest.raises(BuildError, match=r"shape \(n, 2\)"):
+            graph.add_measurements([0, 1, 2], [0, 1, 2], zs, np.ones(3))
+        assert_graph_equal(graph, before)
+
+    @pytest.mark.parametrize("z", [np.zeros(1), np.zeros(3), np.zeros((2, 2))])
+    def test_one_measurement_takes_one_pixel_pair(self, z):
+        graph = build(synthesize(3, 15, seed=13))
+        before = graph.copy()
+        with pytest.raises(BuildError, match=r"one \(u, v\) pair"):
+            graph.add_measurement(0, 0, z)
+        assert_graph_equal(graph, before)
 
     def test_existing_state_untouched_by_addition(self):
         graph = build(synthesize(3, 15, seed=13))

@@ -1,20 +1,22 @@
 """Interleaved in-process A/B of one solver round between two trees.
 
     python3 tools/phase_compare.py <tree_a> <tree_b> [--scene 20x1500] [--round 13] [--reps 40] [--seed 41]
+                                   [--dtype float64]
 
 Loads the `src/gbp_ba` of each checkout into one process, each under a
 module name of its own, with one BLAS thread, as perfbench.  With tree A it
 makes `perturb(synthesize(K, L, seed=S, pixel_sigma=1), 0.05, "backproject",
 seed=S + 1)` for `--scene KxL` and `--seed S` and saves it once.  Each tree
-then loads and builds its own graph and runs it to just before `--round`:
-round 13 is a plain round, and round 11 relinearises every factor.  Each
-rep runs that round on a fresh `copy()` of each tree's graph, the two in
-random order.  Prints per tree the median and quartiles (ms) of the whole
-round and of each `IterationReport.phase_ms` entry, the reps in which tree
-B was faster, and whether the two trees' reports (without `phase_ms`) and
-graph arrays after the round are bit-identical; where they are not, the
-three largest relative differences and where they are.  About 3 s at its defaults
-and 6 s at `--scene 60x3000 --reps 10` on 2 vCPUs.
+then loads and builds its own graph, casts it to `--dtype` with `astype`
+and runs it to just before `--round`: round 13 is a plain round, and round
+11 relinearises every factor.  Each rep runs that round on a fresh `copy()`
+of each tree's graph, the two in random order.  Prints per tree the median
+and quartiles (ms) of the whole round and of each `IterationReport.phase_ms`
+entry, the reps in which tree B was faster, and whether the two trees'
+reports (without `phase_ms`) and graph arrays after the round are
+bit-identical; where they are not, the three largest relative differences
+and where they are.  About 3 s at its defaults and 6 s at `--scene 60x3000
+--reps 10` on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ def _parse(argv):
     parser.add_argument("--round", type=int, default=13, help="the round to time, from 1 (default 13)")
     parser.add_argument("--reps", type=int, default=40)
     parser.add_argument("--seed", type=int, default=41)
+    parser.add_argument("--dtype", choices=("float64", "float32"), default="float64")
     args = parser.parse_args(argv)
     try:
         args.scene = tuple(int(n) for n in args.scene.split("x"))
@@ -104,7 +107,7 @@ def main(argv=None) -> None:
         first.save(first.perturb(first.synthesize(n_kf, n_lm, seed=seed, pixel_sigma=1), 0.05, "backproject",
                                  seed=seed + 1), path)
         for package in packages:
-            graph = package.build(package.load(path))
+            graph = package.build(package.load(path)).astype(args.dtype)
             package.run(graph, n=args.round - 1)
             graphs.append(graph)
 
@@ -122,8 +125,8 @@ def main(argv=None) -> None:
 
     report = after[0][0]
     print(f"A {args.trees[0]}\nB {args.trees[1]}")
-    print(f"scene {n_kf}x{n_lm} ({graphs[0].n_measurement_factors} factors), seed {seed}, round {args.round} "
-          f"({report.n_relinearized} relinearised), {args.reps} reps; ms, median [quartiles]")
+    print(f"scene {n_kf}x{n_lm} ({graphs[0].n_measurement_factors} factors), {args.dtype}, seed {seed}, "
+          f"round {args.round} ({report.n_relinearized} relinearised), {args.reps} reps; ms, median [quartiles]")
     print(f"{'':12} {'A':>26} {'B':>26}  B faster")
     rows = [("round", *times)] + [(phase, phases[0].get(phase, []), phases[1].get(phase, []))
                                   for phase in dict.fromkeys([*phases[0], *phases[1]])]
