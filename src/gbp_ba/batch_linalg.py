@@ -62,23 +62,12 @@ def component_major(stack: np.ndarray) -> np.ndarray:
     return stack.transpose(*range(1, stack.ndim), 0)
 
 
-def _dot(pairs):
-    """Sum of a * b over `pairs`, with the even and the odd terms in two
-    accumulators that are added at the end; 0.0 if there are none."""
-    acc = [0.0, 0.0]
-    for k, (a, b) in enumerate(pairs):
-        acc[k % 2] = acc[k % 2] + a * b
-    return acc[0] + acc[1]
-
-
 def _cholesky_cm(mats: np.ndarray):
     # Only entries on and below the diagonal are read.  Each column is
-    # formed in one step for all its rows: every entry is its matrix entry
-    # minus a dot product of earlier factor entries, summed in the pairwise
-    # order of `_dot`, and the trace is summed in index order.
-    # The pivots of a rank-deficient member are pure rounding, so whether
-    # they pass the test depends on these orders; they are the ones numpy's
-    # einsum uses for such short sums.
+    # formed in one step for all its rows: its matrix entries minus one
+    # contraction over the earlier columns, each entry's sum in ascending
+    # order (see `_contract`).  The pivots of a rank-deficient member are
+    # pure rounding, so whether they pass the test depends on that order.
     # The pivot tolerance is PIVOT_RTOL in float64 and 4500 eps, about
     # 5.4e-4, in float32, where rounding leaves pivots of up to 3e-4 |trace|
     # in a rank-2 3x3 or 6x6 system such as a factor's w J'J.  The engine
@@ -86,44 +75,37 @@ def _cholesky_cm(mats: np.ndarray):
     # the float32 rule serves direct callers only.
     rtol = max(PIVOT_RTOL, 4500 * float(np.finfo(mats.dtype).eps))
     d, _, n = mats.shape
-    trace = sum(mats[i, i] for i in range(d))
-    threshold = rtol * np.maximum(np.abs(trace), 1e-100)
-    lower = np.zeros_like(mats)
-    ok = np.ones(n, dtype=bool)
+    threshold = np.abs(np.einsum("iin->n", mats))
+    np.maximum(threshold, 1e-100, out=threshold)
+    threshold *= rtol
+    # a failed pivot's diagonal entry is 1 and its column zero below it, so
+    # the garbage factor of a masked member stays within the size of its
+    # entries, and finite
+    lower, good = np.zeros(mats.shape, mats.dtype), np.empty((d, n), dtype=bool)
+    diag = _diagonal(lower)
+    diag[...] = 1.0
     for j in range(d):
-        column = mats[j:, j] - _dot((lower[j:, k], lower[j, k]) for k in range(j))
-        pivot = column[0]
-        good = pivot > threshold
-        ok &= good
-        diag = np.sqrt(np.where(good, pivot, 1.0))
-        lower[j, j] = diag
-        # a failed pivot's column is zeroed below it, so the garbage factor of
-        # a masked member stays within the size of its entries, and finite
-        divisor = diag if good.all() else np.where(good, diag, np.inf)
-        np.divide(column[1:], divisor, out=lower[j + 1 :, j])
-    return lower, ok
+        column = mats[j:, j] - _contract("ikn,kn->in", lower[j:, :j], lower[j, :j]) if j else mats[:, 0]
+        np.greater(column[0], threshold, out=good[j])
+        np.sqrt(column[0], out=diag[j], where=good[j])
+        np.divide(column[1:], diag[j], out=lower[j + 1 :, j], where=good[j])
+    return lower, good.all(axis=0)
 
 
-def _forward_cm(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """y with L y = rhs, in the common float type of the two.  Once row j is
-    solved it is subtracted from all later rows at once, so row i is still
-    rhs[i] minus its terms in ascending j, divided by L[i, i]."""
-    y = rhs.astype(np.result_type(lower, rhs, 1.0), copy=True)
-    for j in range(lower.shape[0]):
-        y[j] /= lower[j, j]
-        y[j + 1 :] -= lower[j + 1 :, j, None] * y[j]
-    return y
+def _diagonal(stack: np.ndarray) -> np.ndarray:
+    """The diagonal (d, n) of a C-contiguous (d, d, n) stack, a view."""
+    return stack.reshape(-1, stack.shape[-1])[:: stack.shape[0] + 1]
 
 
-def _back_cm(lower: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x with L' x = y, in place of y: row i of y is last read at step i."""
-    d, x = lower.shape[0], y
-    for i in range(d - 1, -1, -1):
-        acc = x[i]
-        for j in range(i + 1, d):
-            acc -= lower[j, i] * x[j]
-        acc /= lower[i, i]
-    return x
+def _inverse_lower_cm(lower: np.ndarray) -> np.ndarray:
+    """L^-1 of lower-triangular L (d, d, n), C-contiguous, a row at a time:
+    row i is minus one contraction of L's row i with the rows before it,
+    times 1 / L[i, i], its diagonal entry."""
+    inv = np.zeros_like(lower)
+    scale = -np.reciprocal(_diagonal(lower), out=_diagonal(inv))
+    for i in range(1, lower.shape[0]):
+        np.multiply(_contract("kjn,kn->jn", inv[:i, :i], lower[i, :i]), scale[i], out=inv[i, :i])
+    return inv
 
 
 def solve_spd_masked(mats: np.ndarray, rhs: np.ndarray):
@@ -133,10 +115,14 @@ def solve_spd_masked(mats: np.ndarray, rhs: np.ndarray):
 
     Returns (x, ok).  ok[n] is False where a pivot of matrix n fell below
     the dtype's pivot tolerance times its trace; those rows of x are finite
-    garbage, not solutions.
+    garbage, not solutions.  x is L^-T (L^-1 rhs), two contractions with
+    the inverse Cholesky factor, so the columns that solve for an identity
+    block, B^-1 = L^-T L^-1, are exactly symmetric.
     """
-    lower, ok = _cholesky_cm(component_major(mats))
-    x = _back_cm(lower, _forward_cm(lower, component_major(rhs)))
+    mats, rhs = (np.ascontiguousarray(component_major(a)) for a in (mats, rhs))
+    lower, ok = _cholesky_cm(mats)
+    inv = _inverse_lower_cm(lower)
+    x = _contract("kin,kjn->ijn", inv, _contract("ikn,kjn->ijn", inv, rhs))
     return x.transpose(2, 0, 1), ok
 
 

@@ -82,7 +82,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch_linalg import _consecutive, _contract, _plan, component_major, solve_spd_masked
+from .batch_linalg import _consecutive, _contract, _diagonal, _plan, component_major, solve_spd_masked
 from .camera import canonicalize_axis_angle
 from .factor_graph import FACTOR_DIM, KEYFRAME, KINDS, PRIOR_TARGET_RATIO, FactorGraph
 
@@ -465,22 +465,23 @@ def _phase_beliefs(graph: FactorGraph, plan) -> int:
         # the belief, prior added, is solved in float64 and stored in the
         # graph's dtype: float32 rounding of a well-conditioned belief can
         # leave a pivot under the float32 pivot tolerance, freezing its state
-        wide_lam = np.empty((dim, dim, n))
-        wide_lam[i, j] = wide_lam[j, i] = sums[dim:]
-        wide_lam, wide_eta = wide_lam.transpose(2, 0, 1), sums[:dim].T
         prior_eta, prior_diag = graph.prior_information(kind)
-        wide_eta += prior_eta
-        rng = np.arange(dim)
-        wide_lam[:, rng, rng] += prior_diag
-        eta[...], lam[...] = wide_eta, wide_lam
-        # [eta | I] gives the mean and B^-1, left zero where B is not invertible
-        eye = np.broadcast_to(np.eye(dim), (n, dim, dim))
-        solved, ok = solve_spd_masked(wide_lam, np.concatenate([wide_eta[:, :, None], eye], axis=2))
-        mean, inv = solved[:, :, 0], solved[:, :, 1:]
-        cov[...] = np.where(ok[:, None, None], 0.5 * (inv + np.swapaxes(inv, 1, 2)), 0.0)
+        wide_eta, wide_lam = sums[:dim], np.empty((dim, dim, n))
+        wide_eta += prior_eta.T
+        wide_lam[i, j] = wide_lam[j, i] = sums[dim:]
+        _diagonal(wide_lam)[...] += prior_diag.T
+        component_major(eta)[...], component_major(lam)[...] = wide_eta, wide_lam
+        # [I | eta] gives B^-1 and the mean, left zero where B is not invertible
+        rhs = np.zeros((dim, dim + 1, n))
+        rhs[:, :dim] = np.eye(dim)[..., None]
+        rhs[:, dim] = wide_eta
+        solved, ok = solve_spd_masked(wide_lam.transpose(2, 0, 1), rhs.transpose(2, 0, 1))
+        solved = component_major(solved)
+        component_major(cov)[...] = np.where(ok, solved[:, :dim], 0.0)  # exactly symmetric
+        mean = solved[:, dim]
         if kind is KEYFRAME:
-            mean[:, :3] = canonicalize_axis_angle(mean[:, :3])
-        np.copyto(state, mean, where=ok[:, None])
+            mean[:3] = canonicalize_axis_angle(mean[:3].T).T
+        np.copyto(component_major(state), mean, where=ok)
         frozen += int((~ok).sum())
     return frozen
 
