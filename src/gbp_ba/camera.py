@@ -69,43 +69,43 @@ def _as_float(x) -> np.ndarray:
     return x if x.dtype.kind == "f" else x.astype(float)
 
 
-# the rows of w that give the 9 entries of [w]x, before its signs and zero
-# diagonal, and the rows whose products w_i w_j give those of w w'
-_WX, _ROWS, _COLS = (np.array(x) for x in ([0, 2, 1, 2, 0, 0, 1, 0, 0], [0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 2] * 3))
+# the rows of [w, -w, 0] that give the 9 entries of [w]x, and the rows
+# whose products w_i w_j give those of w w'
+_WX, _ROWS, _COLS = (np.array(x) for x in ([6, 5, 1, 2, 6, 3, 4, 0, 6], [0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 2] * 3))
 
 
 def _so3(w, jacobian: bool):
     """R(w) and, if `jacobian`, J_l(w) for angle-axis vectors w given as
-    (3, ...) components: each as its 9 row-major entries (9, ...).  Both
-    are I + c1 [w]x + c2 [w]x^2, with [w]x^2 = w w' - |w|^2 I, and
-    c1, c2 = sin(t)/t, (1 - cos t)/t^2 for R and (1 - cos t)/t^2,
+    (3, ...) components: each as its 9 row-major entries, stacked (1 or 2,
+    9, ...).  Both are I + c1 [w]x + c2 [w]x^2, with [w]x^2 = w w' - |w|^2
+    I, and c1, c2 = sin(t)/t, (1 - cos t)/t^2 for R and (1 - cos t)/t^2,
     (t - sin t)/t^3 for J_l, t = |w|, by series below t = 1e-8."""
-    theta2 = np.add.reduce(w * w)  # (w0^2 + w1^2) + w2^2
+    squares = w * w
+    theta2 = squares[0] + squares[1]
+    theta2 += squares[2]
     theta = np.sqrt(theta2)
     sine = np.sin(theta)
+    c = np.empty((2 + jacobian,) + theta.shape, theta.dtype)
     with np.errstate(invalid="ignore", divide="ignore"):
-        c = [sine / theta, (1.0 - np.cos(theta)) / theta2]
+        np.divide(sine, theta, out=c[0, ...])
+        np.divide(1.0 - np.cos(theta), theta2, out=c[1, ...])
         if jacobian:
-            c.append((theta - sine) / (theta2 * theta))
+            np.divide(theta - sine, theta2 * theta, out=c[2, ...])
     small = theta < 1e-8
-    if np.any(small):
+    if small.any():
         series = (1.0 - theta2 / 6.0, 0.5 - theta2 / 24.0, 1.0 / 6.0 - theta2 / 120.0)
-        c = [np.where(small, s, x) for s, x in zip(series, c)]
-    coefs = [(c[0], c[1]), (c[1], c[-1])][: 1 + jacobian]
+        np.copyto(c, np.stack(series[: len(c)]), where=small)
     # the 9 row-major entries of [w]x, zero on the diagonal, and of [w]x^2:
     # w_i w_j off the diagonal and -(w_j^2 + w_k^2) on it, one array each
-    wx = w[_WX]
-    wx[[1, 5, 6]] *= -1  # -w2, -w0, -w1
-    wx[::4] = 0.0
+    wx = np.concatenate([w, -w, np.zeros_like(w[:1])])[_WX]
     wx2 = w[_ROWS] * w[_COLS]
-    wx2[::4] = -(wx2[[4, 0, 0]] + wx2[[8, 8, 4]])
-    out = []
-    for c1, c2 in coefs:
-        # a diagonal entry is 1 + c2 [w]x^2, as c1 0 + c2 [w]x^2 leaves the product
-        mat = c1 * wx
-        mat += c2 * wx2
-        mat[::4] += 1.0
-        out.append(mat)
+    squares = np.concatenate([squares, squares])
+    np.negative(squares[1:4] + squares[2:5], out=wx2[::4])
+    # a diagonal entry is 1 + c2 [w]x^2, as c1 0 + c2 [w]x^2 leaves the
+    # product; the pairs (c1, c2) are c's rows (0, 1) and (1, 2)
+    out = c[:-1, None] * wx
+    out += c[1:, None] * wx2
+    out[:, ::4] += 1.0
     return out
 
 
@@ -199,7 +199,7 @@ def camera_terms(kf_states: np.ndarray, jacobian: bool = True) -> np.ndarray:
     rows 0-8 hold R(w) row by row, 9-11 t and 12-20 J_l(w) row by row.
     Without `jacobian` only the first 12, all a projection reads, are
     formed."""
-    states = np.atleast_2d(_as_float(kf_states)).T
+    states = np.ascontiguousarray(np.atleast_2d(_as_float(kf_states)).T)
     so3 = _so3(states[:3], jacobian)
     return np.concatenate([so3[0], states[3:], *so3[1:]])
 
@@ -220,25 +220,30 @@ def _pixels(terms, points, k: Intrinsics, uv, depth, jac=None):
     xy = rl[:2] + terms[9:11]  # camera x and y, then divided by the depth
     inv = 1.0 / np.where(np.abs(depth) > DEPTH_EPSILON, depth, 1.0)
     xy *= inv
-    np.multiply(xy, np.array([[k.fx], [k.fy]], xy.dtype), out=uv)
+    focal = np.array([[k.fx], [k.fy]], xy.dtype)
+    np.multiply(xy, focal, out=uv)
     uv += np.array([[k.cx], [k.cy]], xy.dtype)
     if jac is not None:
-        # D = [[a0, 0, a2], [0, b1, b2]]
-        a0, b1 = k.fx * inv, k.fy * inv
-        a2, b2 = -a0 * xy[0], -b1 * xy[1]
-        rot, jl = terms[:9], terms[12:21]
-        m = (  # D -[R l]_x
-            (a2 * rl[1], a0 * rl[2] - a2 * rl[0], -a0 * rl[1]),
-            (b2 * rl[1] - b1 * rl[2], -b2 * rl[0], b1 * rl[0]),
-        )
-        for r, (d_diag, d_z) in enumerate(((a0, a2), (b1, b2))):
-            for j in range(3):
-                np.add(m[r][0] * jl[j], m[r][1] * jl[3 + j], out=jac[r, j])
-                jac[r, j] += m[r][2] * jl[6 + j]
-                np.add(d_diag * rot[3 * r + j], d_z * rot[6 + j], out=jac[r, 6 + j])
-            jac[r, 3 : 6] = 0.0
-            jac[r, 3 + r] = d_diag
-            jac[r, 5] = d_z
+        # row r of D is its diagonal entry (a0, b1) in column r and (a2, b2)
+        # in column 2, so each product with D is two terms per entry
+        diag = focal * inv
+        last = -diag * xy
+        (a0, b1), (a2, b2) = diag, last
+        m = np.empty((2, 3) + rl.shape[1:], rl.dtype)  # D -[R l]_x
+        np.multiply(a2, rl[1], out=m[0, 0])
+        np.multiply(a0, rl[2], out=m[0, 1])
+        m[0, 1] -= a2 * rl[0]
+        np.multiply(-a0, rl[1], out=m[0, 2])
+        np.multiply(b2, rl[1], out=m[1, 0])
+        m[1, 0] -= b1 * rl[2]
+        np.multiply(-b2, rl[0], out=m[1, 1])
+        np.multiply(b1, rl[0], out=m[1, 2])
+        _contract("rkn,kjn->rjn", m, terms[12:21].reshape((3, 3) + terms.shape[1:]), out=jac[:, :3])
+        rot = terms[:9].reshape((3, 3) + terms.shape[1:])
+        np.multiply(diag[:, None], rot[:2], out=jac[:, 6:])
+        jac[:, 6:] += np.multiply(last[:, None], rot[2], out=m)
+        jac[:, 3:5] = 0.0
+        jac[0, 3], jac[1, 4], jac[:, 5] = diag[0], diag[1], last
 
 
 def _project(kf_states, points, k: Intrinsics, jacobian: bool):

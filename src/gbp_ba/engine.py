@@ -305,42 +305,53 @@ def _cov_jac(jac, ids, belief, parts, proj):
     return cov_jac
 
 
-def _side_terms(ids, parts, jac, jac_sent, belief, sent, out, stale, stale_parts):
+def _side_terms(ids, parts, jac, jac_sent, belief, out, stale_out, stale, stale_parts):
     """The terms of E's input that the messages of factor rows need on the
     side that eliminates E, written into `out`: g = J B^-1 J' (3, n), p = J
     B^-1 eta (2, n) and where the input is singular.  `ids` are the rows'
-    E, `parts` (see `_cov_jac`) tile the rows, `jac` is J_E (2, d, n),
-    `belief` E's kind's (B^-1, mu = B^-1 eta), component-major, and `sent`
-    (5, n) the rows' last messages to E.  The input is E's belief (eta, B),
-    singular where B^-1 is zero, as where phase C could not invert B.  On
-    the ascending `stale` rows, tiled by `stale_parts`, the last message
-    was sent with the old J `jac_sent` J_b, and the input leaves it out:
-    with g_ab = J B^-1 J_b', g_bb = J_b B^-1 J_b', p_b = J_b mu and N = (I
-    - S_sent g_bb)^-1 (-S_sent), by Woodbury g - g_ab N g_ab' and p - g_ab
-    (v_sent + N (p_b - g_bb v_sent)), singular also where B - J_b'S_sent
-    J_b is not positive definite."""
+    E, `parts` (see `_cov_jac`) tile the rows, `jac` is J_E (2, d, n) and
+    `belief` E's kind's (B^-1, mu = B^-1 eta), component-major.  The input
+    is E's belief (eta, B), singular where B^-1 is zero, as where phase C
+    could not invert B.  On the ascending `stale` rows, tiled by
+    `stale_parts`, the last message was sent with the old J `jac_sent` J_b,
+    which `_leave_out` takes out of the input with the terms written into
+    `stale_out`: g_ab = J B^-1 J_b' (2, 2, m), g_bb = J_b B^-1 J_b' (3, m)
+    and p_b = J_b mu (2, m)."""
     g, p, singular = out
     _gram(jac, _cov_jac(jac, ids, belief, parts, p), g)
     np.equal(np.take(belief[0][0, 0], ids), 0, out=singular)
     if stale.size:
+        g_ab, g_bb, p_b = stale_out
         at = _consecutive(stale)  # a view where consecutive, else np.take, which keeps the rows the last axis
-        s_sent, v_sent, jac_stale = (
-            x[..., at] if isinstance(at, slice) else np.take(x, stale, axis=-1) for x in (sent[:3], sent[3:], jac))
-        p_b = np.empty((2, stale.size), p.dtype)
+        jac_stale = jac[..., at] if isinstance(at, slice) else np.take(jac, stale, axis=-1)
         cov_jac_b = _cov_jac(jac_sent, ids[at], belief, stale_parts, p_b)
-        g_ab = _contract("adm,bdm->abm", jac_stale, cov_jac_b)  # every pair
-        g_bb = np.empty((3, stale.size), p.dtype)
+        _contract("adm,bdm->abm", jac_stale, cov_jac_b, out=g_ab)  # every pair
         _gram(jac_sent, cov_jac_b, g_bb)
-        del cov_jac_b
-        n, ok = _inverse_sum(-s_sent, g_bb)
-        r = _sym_mv(g_bb, v_sent)
-        np.subtract(p_b, r, out=r)
-        r = _sym_mv(n, r)
-        r += v_sent
-        g_ab_n = _contract("adm,bdm->abm", g_ab, n[[0, 1, 1, 2]].reshape(2, 2, -1))  # N in full
-        g[:, at] -= _contract("adm,bdm->abm", g_ab_n, g_ab).reshape(4, -1)[[0, 1, 3]]  # entries 00, 01, 11
-        p[:, at] -= _contract("adm,dm->am", g_ab, r)
-        singular[at] |= ~ok
+
+
+def _leave_out(out, at, sent, g_ab, g_bb, p_b):
+    """Take the last messages `sent` (5, 2, m) of the stale rows `at` out of
+    both sides' inputs in `out`, (g (3, 2, n), p (2, 2, n), singular (2,
+    n)), from the `_side_terms` of each side, stacked on a side axis before
+    the rows: with N = (I - S_sent g_bb)^-1 (-S_sent), by Woodbury g - g_ab
+    N g_ab' and p - g_ab (v_sent + N (p_b - g_bb v_sent)), singular also
+    where B - J_b'S_sent J_b is not positive definite.  Each row's 2x2
+    algebra is its own, so the two sides' m rows are taken as 2m rows; g_bb
+    is overwritten."""
+    g, p, singular = out
+    sent, g_ab, g_bb, p_b = (x.reshape(x.shape[:-2] + (-1,)) for x in (sent, g_ab, g_bb, p_b))
+    s_sent, v_sent = sent[:3], sent[3:]
+    n, ok = _inverse_sum(-s_sent, g_bb)
+    r = _sym_mv(g_bb, v_sent)
+    np.subtract(p_b, r, out=r)
+    r = _sym_mv(n, r)
+    r += v_sent
+    g_ab_n = _contract("adm,bdm->abm", g_ab, n[[0, 1, 1, 2]].reshape(2, 2, -1))  # N in full
+    _gram(g_ab_n, g_ab, g_bb)  # g_ab N g_ab', in place of g_bb
+    del g_ab_n
+    g[..., at] -= g_bb.reshape(3, 2, -1)
+    p[..., at] -= _contract("adm,dm->am", g_ab, r).reshape(2, 2, -1)
+    singular[:, at] |= ~ok.reshape(2, -1)
 
 
 def _new_messages(g, p, w, w_target, sent):
@@ -391,18 +402,22 @@ def _phase_factors(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old: 
         stored = msg[..., rows]  # a view of `f_msg`
         g, p = np.empty((3, 2, n), graph.dtype), np.empty((2, 2, n), graph.dtype)
         singular = np.empty((2, n), dtype=bool)
+        # g_ab, g_bb and p_b of the stale rows, by eliminated kind as `f_msg`
+        stale_terms = [np.empty(shape + (2, m), graph.dtype) for shape in ((2, 2), (3,), (2,))]
         for k, elim in enumerate(KINDS[::-1]):
             side = (parts, stale_parts) if elim is KEYFRAME else ([(0, n, False)], [(0, m, False)])
             _side_terms(
                 graph.adjacent(elim)[rows], side[0], jac[:, elim.cols, rows], jac_sent[:, elim.cols], beliefs[elim],
-                stored[:, 1 - k], (g[:, k], p[:, k], singular[k]), stale, side[1],
+                (g[:, k], p[:, k], singular[k]), [x[..., 1 - k, :] for x in stale_terms], stale, side[1],
             )
-        # the stale rows' inputs left out their last messages: they fold, and
+        # the stale rows' inputs leave out their last messages: they fold, and
         # restart where singular, from zero, but their change counts from them
         if m:
             at = _consecutive(stale)
             sent_old = stored[..., at].copy()
+            _leave_out((g[:, ::-1], p[:, ::-1], singular[::-1]), at, sent_old, *stale_terms)
             stored[..., at] = 0  # in `f_msg`, whose stretch takes `new` below
+        del stale_terms  # not held through the next stretch
         new, ok = _new_messages(g, p, w, w_target, stored[:, ::-1])
         singular |= ~ok
         damp = np.where(

@@ -200,23 +200,24 @@ class FactorGraph:
         for the message arrays."""
         fields, dim = TABLES[prefix]
         given.setdefault("birth", self.iteration)
-        old = [getattr(self, prefix + f.name, None) for f in fields]
-        rows = (0 if old[0] is None else len(old[0])) + n
+        old = getattr(self, prefix + fields[0].name, None)
+        start = 0 if old is None else len(old)
         layout, size = [], 0
         for f in fields:
-            shape = tuple(dim if s == "d" else s for s in f.shape) + (rows,)
+            shape = tuple(dim if s == "d" else s for s in f.shape) + (start + n,)
             dtype = np.dtype(self._kind_dtype(f.kind))
             nbytes = dtype.itemsize * math.prod(shape)
             layout.append((size, nbytes, shape, dtype))
             size += -(-nbytes // 64) * 64
         block = np.zeros(size, np.uint8)
-        for f, prev, (start, nbytes, shape, dtype) in zip(fields, old, layout):
-            base = block[start:start + nbytes].view(dtype).reshape(shape)
-            if prev is not None:
-                base[..., :len(prev)] = component_major(prev)
+        for f, (offset, nbytes, shape, dtype) in zip(fields, layout):
+            # the (n, trailing...) view of the node-last base
+            array = block[offset:offset + nbytes].view(dtype).reshape(shape).transpose(-1, *range(len(shape) - 1))
+            if start:
+                array[:start] = getattr(self, prefix + f.name)
             if f.name in given or f.fill:
-                np.moveaxis(base[..., rows - n:], -1, 0)[...] = given.get(f.name, f.fill)
-            setattr(self, prefix + f.name, np.moveaxis(base, -1, 0))
+                array[start:] = given.get(f.name, f.fill)
+            setattr(self, prefix + f.name, array)
 
     # ------------------------------------------------------------------ kinds
 
