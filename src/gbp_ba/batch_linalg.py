@@ -22,6 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
+try:  # einsum without its Python wrapper, which costs about 1 us a call
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy before 2.0
+    _einsum = np.einsum
+
 PIVOT_RTOL = 1e-12
 
 # Per-factor work over the whole graph runs over blocks of this many rows,
@@ -75,7 +80,7 @@ def _cholesky_cm(mats: np.ndarray):
     # the float32 rule serves direct callers only.
     rtol = max(PIVOT_RTOL, 4500 * float(np.finfo(mats.dtype).eps))
     d, _, n = mats.shape
-    threshold = np.abs(np.einsum("iin->n", mats))
+    threshold = np.abs(_einsum("iin->n", mats))
     np.maximum(threshold, 1e-100, out=threshold)
     threshold *= rtol
     # a failed pivot's diagonal entry is 1 and its column zero below it, so
@@ -101,7 +106,7 @@ def _inverse_lower_cm(lower: np.ndarray) -> np.ndarray:
     """L^-1 of lower-triangular L (d, d, n), C-contiguous, a row at a time:
     row i is minus one contraction of L's row i with the rows before it,
     times 1 / L[i, i], its diagonal entry."""
-    inv = np.zeros_like(lower)
+    inv = np.zeros(lower.shape, lower.dtype)
     scale = -np.reciprocal(_diagonal(lower), out=_diagonal(inv))
     for i in range(1, lower.shape[0]):
         np.multiply(_contract("kjn,kn->jn", inv[:i, :i], lower[i, :i]), scale[i], out=inv[i, :i])
@@ -132,7 +137,7 @@ def _dense_runs(ids):
     sorted [start, stop) pieces.  They are sought only where some row
     equals the row DENSE_RUN_ROWS - 1 after it, as the first and last rows
     of a run do: a graph with no run pays that one comparison."""
-    if not np.any(ids[DENSE_RUN_ROWS - 1 :] == ids[: max(ids.size - DENSE_RUN_ROWS + 1, 0)]):
+    if not (ids[DENSE_RUN_ROWS - 1 :] == ids[: max(ids.size - DENSE_RUN_ROWS + 1, 0)]).any():
         return []
     change = ids[1:] != ids[:-1]
     bounds = np.concatenate(([0], np.flatnonzero(change) + 1, [ids.size]))
@@ -168,7 +173,7 @@ def _plan(ids):
 def _consecutive(rows):
     """Integer `rows` as a slice where they ascend one by one, so that they
     index through views, else (also where there are none) as they are."""
-    if rows.size and rows[-1] - rows[0] + 1 == rows.size and (np.diff(rows) == 1).all():
+    if rows.size and rows[-1] - rows[0] + 1 == rows.size and (rows[1:] - rows[:-1] == 1).all():
         return slice(int(rows[0]), int(rows[-1]) + 1)
     return rows
 
@@ -182,8 +187,8 @@ def _contract(spec, x, y, out=None):
     would make the sum the inner loop, in another order, so a single row is
     taken twice."""
     if x.shape[-1] != 1 or y.shape[-1] != 1:
-        return np.einsum(spec, x, y, out=out)
-    one = np.einsum(spec, *(np.concatenate((a, a), axis=-1) for a in (x, y)))[..., :1]
+        return _einsum(spec, x, y) if out is None else _einsum(spec, x, y, out=out)
+    one = _einsum(spec, *(np.concatenate((a, a), axis=-1) for a in (x, y)))[..., :1]
     if out is None:
         return one
     out[...] = one

@@ -97,7 +97,7 @@ def _so3(w, jacobian: bool):
         np.copyto(c, np.stack(series[: len(c)]), where=small)
     # the 9 row-major entries of [w]x, zero on the diagonal, and of [w]x^2:
     # w_i w_j off the diagonal and -(w_j^2 + w_k^2) on it, one array each
-    wx = np.concatenate([w, -w, np.zeros_like(w[:1])])[_WX]
+    wx = np.concatenate([w, -w, np.zeros((1,) + w.shape[1:], w.dtype)])[_WX]
     wx2 = w[_ROWS] * w[_COLS]
     squares = np.concatenate([squares, squares])
     np.negative(squares[1:4] + squares[2:5], out=wx2[::4])
@@ -166,9 +166,9 @@ def rotation_vector(rot: np.ndarray) -> np.ndarray:
 def canonicalize_axis_angle(w: np.ndarray) -> np.ndarray:
     """Wrap (..., 3) angle-axis vectors so the magnitude lies in [0, pi]."""
     w = _as_float(w)
-    theta = np.linalg.norm(w, axis=-1)
+    theta = np.sqrt(np.add.reduce(w * w, axis=-1))  # np.linalg.norm's own steps
     needs = theta > np.pi
-    if not np.any(needs):
+    if not needs.any():
         return w.copy()
     r = np.mod(theta, 2.0 * np.pi)
     r = np.where(r > np.pi, r - 2.0 * np.pi, r)  # (-pi, pi]
@@ -253,7 +253,7 @@ def _project(kf_states, points, k: Intrinsics, jacobian: bool):
     one such row shared by every point.  The kernel runs over blocks of
     BLOCK_ROWS rows, and the camera terms of states are formed there, a
     block at a time."""
-    kf_states, points = (np.atleast_2d(_as_float(x)) for x in (kf_states, points))
+    kf_states, points = np.atleast_2d(_as_float(kf_states), _as_float(points))
     widths = (6, 21) if jacobian else (6, 12, 21)
     if kf_states.shape[-1] not in widths:
         raise ValueError(f"keyframe rows (states or camera_terms rows) must be {widths} wide, "

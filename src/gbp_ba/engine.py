@@ -202,26 +202,26 @@ def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int, row
     """Relinearises the factors due among `rows`; returns the counts of those
     relinearised and aborted, the rows relinearised, ascending from
     `rows.start`, and the J their messages were sent with (2, 9, m)."""
-    due = rows.start + np.flatnonzero(graph.iters_since_relin(rows) >= schedule.relin_cooldown)
+    due = rows.start + (graph.iters_since_relin(rows) >= schedule.relin_cooldown).nonzero()[0]
     jac = component_major(graph.f_jac)
     if schedule.beta is None or due.size == 0:
         return 0, 0, due[:0], jac[..., :0]
     # the distance from the adjacent states to lin, a component at a time,
     # through views where the rows due are consecutive
     at, lin = _consecutive(due), component_major(graph.f_lin)
-    lin_due = lin[:, at] if isinstance(at, slice) else np.take(lin, due, axis=1)
+    lin_due = lin[:, at] if isinstance(at, slice) else lin.take(due, axis=1)
     squares = np.empty((FACTOR_DIM, due.size), graph.dtype)
     for kind in KINDS:
-        states = np.take(component_major(graph.var(kind, "state")), graph.adjacent(kind)[at], axis=1)
+        states = component_major(graph.var(kind, "state")).take(graph.adjacent(kind)[at], axis=1)
         np.subtract(states, lin_due[kind.cols], out=squares[kind.cols])
     squares *= squares
     due = due[squares.sum(axis=0) > schedule.beta**2]
     at = _consecutive(due)
-    jac_sent = jac[..., at].copy() if isinstance(at, slice) else np.take(jac, due, axis=-1)
+    jac_sent = jac[..., at].copy() if isinstance(at, slice) else jac.take(due, axis=-1)
     ok = graph.linearize_factors(due) if due.size else np.zeros(0, dtype=bool)
     graph.f_last_relin[due[ok]] = t
     if not ok.all():  # an aborted row keeps its J; the rows stay the last, contiguous axis
-        due, jac_sent = due[ok], np.take(jac_sent, np.flatnonzero(ok), axis=-1)
+        due, jac_sent = due[ok], jac_sent.take(ok.nonzero()[0], axis=-1)
     return int(ok.sum()), int((~ok).sum()), due - rows.start, jac_sent
 
 
@@ -300,8 +300,8 @@ def _cov_jac(jac, ids, belief, parts, proj):
             cov_jac[..., a:b] = np.ascontiguousarray(cov[..., ids[a]]) @ probe
             proj[:, a:b] = mu[:, ids[a]] @ probe
         else:
-            cov_jac[..., a:b] = _contract("ijn,ajn->ain", np.take(cov, ids[a:b], axis=-1), probe)
-            proj[:, a:b] = _contract("ajn,jn->an", probe, np.take(mu, ids[a:b], axis=-1))
+            cov_jac[..., a:b] = _contract("ijn,ajn->ain", cov.take(ids[a:b], axis=-1), probe)
+            proj[:, a:b] = _contract("ajn,jn->an", probe, mu.take(ids[a:b], axis=-1))
     return cov_jac
 
 
@@ -319,11 +319,11 @@ def _side_terms(ids, parts, jac, jac_sent, belief, out, stale_out, stale, stale_
     and p_b = J_b mu (2, m)."""
     g, p, singular = out
     _gram(jac, _cov_jac(jac, ids, belief, parts, p), g)
-    np.equal(np.take(belief[0][0, 0], ids), 0, out=singular)
+    np.equal(belief[0][0, 0].take(ids), 0, out=singular)
     if stale.size:
         g_ab, g_bb, p_b = stale_out
         at = _consecutive(stale)  # a view where consecutive, else np.take, which keeps the rows the last axis
-        jac_stale = jac[..., at] if isinstance(at, slice) else np.take(jac, stale, axis=-1)
+        jac_stale = jac[..., at] if isinstance(at, slice) else jac.take(stale, axis=-1)
         cov_jac_b = _cov_jac(jac_sent, ids[at], belief, stale_parts, p_b)
         _contract("adm,bdm->abm", jac_stale, cov_jac_b, out=g_ab)  # every pair
         _gram(jac_sent, cov_jac_b, g_bb)
@@ -420,9 +420,8 @@ def _phase_factors(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old: 
         del stale_terms  # not held through the next stretch
         new, ok = _new_messages(g, p, w, w_target, stored[:, ::-1])
         singular |= ~ok
-        damp = np.where(
-            t - graph.f_last_relin[rows] < schedule.undamped_window, 0.0, schedule.damping
-        ).astype(graph.dtype)
+        # damped (0 or d) outside the undamped window
+        damp = (graph.f_last_relin[rows] <= t - schedule.undamped_window) * graph.dtype.type(schedule.damping)
         new[3:] *= 1.0 - damp
         new[3:] += damp * stored[3:]
         if singular.any():
@@ -430,7 +429,7 @@ def _phase_factors(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old: 
         delta = new - stored
         if m:
             delta[..., at] -= sent_old
-        max_delta = max(max_delta, delta.max(), -delta.min())
+        max_delta = max(max_delta, np.abs(delta, out=delta).max())
         msg[..., rows] = new
         lap("messages")
         counts += n_relin, n_aborted, int(np.count_nonzero(singular))

@@ -301,7 +301,7 @@ class FactorGraph:
                 rows, points, uv_hat, jac = rows[good], points[:, good], uv_hat[good], jac[..., good]
             if rows.size == 0:
                 continue
-            lin = np.concatenate([np.take(kf_cm, self.f_kf[rows], axis=1), points])
+            lin = np.concatenate([kf_cm.take(self.f_kf[rows], axis=1), points])
             rows = _consecutive(rows)  # consecutive rows are written through views
             residual = z_cm[:, rows] - uv_hat.T
             jac_cm[..., rows] = jac
@@ -324,8 +324,8 @@ class FactorGraph:
             for a, b, dense in parts:
                 part = slice(a, b)
                 rows = part if idx is None else idx[part]
-                terms = table[:, kf[a], None] if dense else np.take(table, kf[part], axis=1)
-                yield part, rows, terms, np.take(lm_cm, self.f_lm[rows], axis=1)
+                terms = table[:, kf[a], None] if dense else table.take(kf[part], axis=1)
+                yield part, rows, terms, lm_cm.take(self.f_lm[rows], axis=1)
 
     def factor_precision(self, idx=slice(None)) -> np.ndarray:
         """w = weight / sigma^2 of the factors in `idx`: the Huber-weighted
@@ -369,7 +369,7 @@ class FactorGraph:
         rows = slice(np.searchsorted(self.f_birth, self.iteration), None)
         jac, sigma_sq = component_major(self.f_jac)[..., rows], self.f_sigma[rows] ** 2
         for kind in KINDS:
-            ids = np.flatnonzero(self.var(kind, "birth") == self.iteration)
+            ids = (self.var(kind, "birth") == self.iteration).nonzero()[0]
             adjacent = self.adjacent(kind)[rows]
             sums = np.empty((kind.dim, self.size(kind)), self.dtype)
             for c, col in enumerate(range(FACTOR_DIM)[kind.cols]):
@@ -419,16 +419,17 @@ class FactorGraph:
         is fresh on every call."""
         residual, depth = self.residuals()
         norms = _row_norms(residual)
-        are = float(np.mean(np.where(depth <= DEPTH_EPSILON, ARE_SENTINEL_PX, norms))) if len(norms) else 0.0
+        behind = depth <= DEPTH_EPSILON
+        are = float(np.where(behind, ARE_SENTINEL_PX, norms).mean()) if len(norms) else 0.0
         mahal = norms / self.f_sigma
-        behind = np.flatnonzero(depth <= DEPTH_EPSILON)
+        behind = behind.nonzero()[0]
         if behind.size:  # the residual at the linearisation point, z - h(lin)
             # = target - jac lin, which is zero before the first one
-            jac, lin, target = (np.take(component_major(a), behind, axis=-1)
+            jac, lin, target = (component_major(a).take(behind, axis=-1)
                                 for a in (self.f_jac, self.f_lin, self.f_target))
             mahal[behind] = _row_norms((target - _jac_lin(jac, lin)).T) / self.f_sigma[behind]
         energy = self._objective(mahal)
-        return Evaluation(residual, depth, norms, are, energy, int(np.count_nonzero(depth <= DEPTH_EPSILON)))
+        return Evaluation(residual, depth, norms, are, energy, behind.size)
 
     def average_reprojection_error(self) -> float:
         """Mean pixel error over all measurements at current states, the
@@ -445,10 +446,11 @@ class FactorGraph:
         Huber terms of the measurements' Mahalanobis distances `mahal`."""
         total = 0.0
         for kind in KINDS:
-            _, diag = self.prior_information(kind)
             delta = self.var(kind, "state") - self.var(kind, "prior_mean")
-            total += float(np.sum(diag * delta**2))
-        return total + float(np.sum(huber_energy(mahal, self.huber_nsigma)))
+            delta *= delta
+            delta *= self.prior_information(kind)[1]
+            total += float(delta.sum())
+        return total + float(huber_energy(mahal, self.huber_nsigma).sum())
 
     def classify_outliers(self) -> np.ndarray:
         """Measurements currently in the linear (outlier) loss regime."""
