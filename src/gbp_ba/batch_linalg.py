@@ -78,7 +78,7 @@ def _cholesky_cm(mats: np.ndarray):
     # in a rank-2 3x3 or 6x6 system such as a factor's w J'J.  The engine
     # solves no such system, and its one call, phase C's, is in float64, so
     # the float32 rule serves direct callers only.
-    rtol = max(PIVOT_RTOL, 4500 * float(np.finfo(mats.dtype).eps))
+    rtol = max(PIVOT_RTOL, 4500 * float(np.spacing(mats.dtype.type(1))))  # eps, without np.finfo's cost
     d, _, n = mats.shape
     threshold = np.abs(_einsum("iin->n", mats))
     np.maximum(threshold, 1e-100, out=threshold)
@@ -94,12 +94,12 @@ def _cholesky_cm(mats: np.ndarray):
         np.greater(column[0], threshold, out=good[j])
         np.sqrt(column[0], out=diag[j], where=good[j])
         np.divide(column[1:], diag[j], out=lower[j + 1 :, j], where=good[j])
-    return lower, good.all(axis=0)
+    return lower, np.logical_and.reduce(good)
 
 
 def _diagonal(stack: np.ndarray) -> np.ndarray:
-    """The diagonal (d, n) of a C-contiguous (d, d, n) stack, a view."""
-    return stack.reshape(-1, stack.shape[-1])[:: stack.shape[0] + 1]
+    """The diagonal (d, n) of a C-contiguous (d, k, n) stack, k >= d, a view."""
+    return stack.reshape(-1, stack.shape[-1])[:: stack.shape[1] + 1]
 
 
 def _inverse_lower_cm(lower: np.ndarray) -> np.ndarray:
@@ -124,7 +124,7 @@ def solve_spd_masked(mats: np.ndarray, rhs: np.ndarray):
     the inverse Cholesky factor, so the columns that solve for an identity
     block, B^-1 = L^-T L^-1, are exactly symmetric.
     """
-    mats, rhs = (np.ascontiguousarray(component_major(a)) for a in (mats, rhs))
+    mats, rhs = np.ascontiguousarray(component_major(mats)), np.ascontiguousarray(component_major(rhs))
     lower, ok = _cholesky_cm(mats)
     inv = _inverse_lower_cm(lower)
     x = _contract("kin,kjn->ijn", inv, _contract("ikn,kjn->ijn", inv, rhs))

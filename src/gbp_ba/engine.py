@@ -458,7 +458,8 @@ def _phase_beliefs(graph: FactorGraph, plan) -> int:
         # keyframe piece in one product, the other rows row by row
         sums = np.zeros((dim + dim * (dim + 1) // 2, n))
         index = np.arange(len(sums))[:, None] * n
-        msg_s, msg_v = (component_major(m) for m in graph.message(kind))
+        msg = component_major(graph.f_msg)[:, KINDS.index(kind)]  # see `FactorGraph.message`
+        msg_s, msg_v = msg[:3], msg[3:]
         for start, stop, parts in plan:
             for first, last, dense in parts if kind is KEYFRAME else [(start, stop, False)]:
                 rows = slice(first, last)
@@ -483,11 +484,12 @@ def _phase_beliefs(graph: FactorGraph, plan) -> int:
         wide_eta, wide_lam = sums[:dim], np.empty((dim, dim, n))
         wide_eta += prior_eta.T
         wide_lam[i, j] = wide_lam[j, i] = sums[dim:]
-        _diagonal(wide_lam)[...] += prior_diag.T
+        diagonal = _diagonal(wide_lam)
+        diagonal += prior_diag.T
         component_major(eta)[...], component_major(lam)[...] = wide_eta, wide_lam
         # [I | eta] gives B^-1 and the mean, left zero where B is not invertible
         rhs = np.zeros((dim, dim + 1, n))
-        rhs[:, :dim] = np.eye(dim)[..., None]
+        _diagonal(rhs)[...] = 1.0
         rhs[:, dim] = wide_eta
         solved, ok = solve_spd_masked(wide_lam.transpose(2, 0, 1), rhs.transpose(2, 0, 1))
         solved = component_major(solved)
@@ -496,7 +498,7 @@ def _phase_beliefs(graph: FactorGraph, plan) -> int:
         if kind is KEYFRAME:
             mean[:3] = canonicalize_axis_angle(mean[:3].T).T
         np.copyto(component_major(state), mean, where=ok)
-        frozen += int((~ok).sum())
+        frozen += ok.size - np.count_nonzero(ok)
     return frozen
 
 

@@ -366,18 +366,18 @@ class FactorGraph:
         from slices of `f_jac`'s component-major base and summed per
         variable at once, in ascending row order in float64, the bits of
         `np.add.at` on a zero float64 array."""
-        rows = slice(np.searchsorted(self.f_birth, self.iteration), None)
+        rows = slice(self.f_birth.searchsorted(self.iteration), None)
         jac, sigma_sq = component_major(self.f_jac)[..., rows], self.f_sigma[rows] ** 2
         for kind in KINDS:
             ids = (self.var(kind, "birth") == self.iteration).nonzero()[0]
-            adjacent = self.adjacent(kind)[rows]
-            sums = np.empty((kind.dim, self.size(kind)), self.dtype)
-            for c, col in enumerate(range(FACTOR_DIM)[kind.cols]):
-                colsq = jac[0, col] ** 2
-                colsq += jac[1, col] ** 2
-                colsq /= sigma_sq
-                sums[c] = np.bincount(adjacent, weights=colsq, minlength=self.size(kind))
-            contrib = sums[:, ids].T
+            size = self.size(kind)
+            colsq = jac[0, kind.cols] ** 2
+            colsq += jac[1, kind.cols] ** 2
+            colsq /= sigma_sq
+            # column c of variable v in bin c size + v, each column's rows in order
+            bins = self.adjacent(kind)[rows] + size * np.arange(kind.dim)[:, None]
+            sums = np.bincount(bins.reshape(-1), weights=colsq.reshape(-1), minlength=kind.dim * size)
+            contrib = sums.reshape(kind.dim, size)[:, ids].T.astype(self.dtype)
             fallback = ~np.any(contrib > 0, axis=1)
             floored = np.maximum(contrib, PRIOR_FLOOR_RTOL * contrib.max(axis=1, keepdims=True))
             self.var(kind, "prior_diag0")[ids] = np.where(fallback[:, None], 1.0, floored)
