@@ -394,7 +394,7 @@ def _phase_factors(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old: 
         w_target = (w * target[:, rows])[:, None]  # (2, 1, n), for both sides
         # the keyframe side's parts of the rows and of the stale rows
         parts = [(a - start, b - start, dense) for a, b, dense in parts]
-        edges = np.searchsorted(stale, [a for a, _, _ in parts] + [n]).tolist() if m else [0]
+        edges = stale.searchsorted([a for a, _, _ in parts] + [n]).tolist() if m else [0]
         stale_parts = [(i, j, dense) for (*_, dense), i, j in zip(parts, edges, edges[1:]) if j > i]
         # a factor joins one variable of each kind, and its message to one
         # eliminates the other: side k sends to KINDS[k], and its inputs are
@@ -513,7 +513,7 @@ def iterate(graph: FactorGraph, schedule: ScheduleParams | None = None) -> Itera
         phase_ms[phase] += 1e3 * (clock[-1] - clock[-2])
     prior_scale = _update_prior_scales(graph, schedule, t)
     lap("relinearize")
-    n_old = int(np.searchsorted(graph.f_birth, t))  # the factors born before this round
+    n_old = int(graph.f_birth.searchsorted(t))  # the factors born before this round
     plan = _plan(graph.f_kf[:n_old])
     n_relin, n_aborted, n_singular, max_delta = _phase_factors(graph, schedule, t, n_old, plan, lap)
     n_frozen = _phase_beliefs(graph, plan)
@@ -574,7 +574,7 @@ def solve(
             # the delta of a round that kept every message, or sent none from
             # a factor born in it or since, says nothing of convergence; a
             # graph without factors has no message to keep
-            n_sent = int(np.searchsorted(graph.f_birth, report.iteration - 1))
+            n_sent = int(graph.f_birth.searchsorted(report.iteration - 1))
             if schedule.message_tol is not None and n_sent == graph.n_measurement_factors and (
                 report.n_singular_messages < max(1, len(KINDS) * n_sent)
                 and report.max_message_delta < schedule.message_tol

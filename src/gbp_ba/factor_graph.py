@@ -420,7 +420,7 @@ class FactorGraph:
         residual, depth = self.residuals()
         norms = _row_norms(residual)
         behind = depth <= DEPTH_EPSILON
-        are = float(np.where(behind, ARE_SENTINEL_PX, norms).mean()) if len(norms) else 0.0
+        are = float(np.add.reduce(np.where(behind, ARE_SENTINEL_PX, norms)) / len(norms)) if len(norms) else 0.0
         mahal = norms / self.f_sigma
         behind = behind.nonzero()[0]
         if behind.size:  # the residual at the linearisation point, z - h(lin)
