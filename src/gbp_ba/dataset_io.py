@@ -92,7 +92,9 @@ class ProblemSpec:
     optional ground truth, and pixel measurements.  The array fields are
     coerced to the dtype and width `COLUMNS` gives them; ids that are not
     whole numbers and outlier labels that are not 0 or 1 raise RowError,
-    where the coercion would truncate them or make them True.
+    where the coercion would truncate them or make them True, and so do
+    values other than outlier labels given as bools, strings or objects,
+    which it would read as numbers.
 
     Keyframe and landmark ids are their row indices (unique and contiguous
     per kind).
@@ -115,6 +117,8 @@ class ProblemSpec:
             value = getattr(self, name)
             if dtype is int:
                 value = check_ids(name, value)
+            elif dtype is float and value is not None:
+                value = check_numeric(name, value)
             elif dtype is bool and value is not None:
                 value = np.asarray(value).reshape(-1)
                 bad = np.flatnonzero((value != 0) & (value != 1))
@@ -184,10 +188,21 @@ def check_state_values(what: str, states: np.ndarray, error=RowError, first: int
         raise error(f"{what} {first + i} has a non-finite state {states[i]}", what + "s", first + i)
 
 
+def check_numeric(what: str, value, error=RowError) -> np.ndarray:
+    """`value` as an array; raise `error`, a RowError class, naming `what`
+    if its dtype is bool, string or object, which numpy would read as
+    numbers (True as 1, '300' as 300)."""
+    value = np.asarray(value)
+    if value.dtype.kind in "bOSU":
+        raise error(f"{what} must be numbers, not {value.dtype} values")
+    return value
+
+
 def check_ids(what: str, ids, error=RowError) -> np.ndarray:
     """The `what` ids of the measurements as a 1-d int array; raise `error`,
-    a RowError class, at the first that is not a whole number."""
-    ids = np.asarray(ids).reshape(-1)
+    a RowError class, for ids given as bools, strings or objects (see
+    `check_numeric`) or at the first that is not a whole number."""
+    ids = check_numeric(what, ids, error).reshape(-1)
     whole = np.isfinite(ids) & (ids == np.trunc(ids)) if ids.dtype.kind == "f" else True
     if not np.all(whole):
         i = int(np.argmin(whole))

@@ -58,7 +58,7 @@ from .batch_linalg import (
 )
 from .camera import DEPTH_EPSILON, Intrinsics, camera_terms, jacobian_many, project_many
 from .dataset_io import (
-    ProblemSpec, RowError, check_ids, check_measurement_values, check_state_values,
+    ProblemSpec, RowError, check_ids, check_measurement_values, check_numeric, check_state_values,
 )
 
 PRIOR_TARGET_RATIO = 0.01
@@ -474,9 +474,10 @@ class FactorGraph:
 
     def _add_variable(self, kind: Kind, state: np.ndarray) -> int:
         """Raises BuildError, before changing the graph, for a state of a
-        shape other than (dim,) or (1, dim), or one `check_state_values`
-        rejects."""
-        state, idx = np.asarray(state), self.size(kind)
+        shape other than (dim,) or (1, dim), given as bools, strings or
+        objects (see `check_numeric`), or one `check_state_values` rejects."""
+        idx = self.size(kind)
+        state = check_numeric(f"{kind.name} {idx} state", state, BuildError)
         if state.shape not in ((kind.dim,), (1, kind.dim)):
             raise BuildError(f"{kind.name} {idx} takes a state of size {kind.dim}, got shape {state.shape}",
                              kind.name + "s", idx)
@@ -489,7 +490,7 @@ class FactorGraph:
     def add_measurement(self, kf_id: int, lm_id: int, z: np.ndarray, sigma: float = 1.0) -> int:
         """Append one measurement factor, `z` one (u, v) pair; see
         `add_measurements`."""
-        z = np.asarray(z, float)
+        z = np.asarray(check_numeric("z", z, BuildError), float)
         if z.size != 2:
             raise BuildError(f"z must be one (u, v) pair, got shape {z.shape}")
         return self.add_measurements([kf_id], [lm_id], z.reshape(1, 2), [sigma])
@@ -505,13 +506,14 @@ class FactorGraph:
         counted by `n_duplicate_measurements`.  Returns the id of the last
         factor added.  Raises BuildError, before changing the graph, for
         `zs` of a shape other than (n, 2), arguments of different lengths, a
-        variable id that is missing or not a whole number, or a value
-        `check_measurement_values` rejects."""
+        variable id that is missing or not a whole number, ids, pixels or
+        sigmas given as bools, strings or objects (see `check_numeric`), or
+        a value `check_measurement_values` rejects."""
         ids = [check_ids(f"{k.name} id", i, BuildError) for k, i in zip(KINDS, (kf_ids, lm_ids))]
-        zs = np.asarray(zs, float)
+        zs = np.asarray(check_numeric("z", zs, BuildError), float)
         if zs.ndim != 2 or zs.shape[1] != 2:
             raise BuildError(f"z must have shape (n, 2), one (u, v) row per measurement, got {zs.shape}")
-        sigmas = np.asarray(sigmas, float).reshape(-1)
+        sigmas = np.asarray(check_numeric("sigma", sigmas, BuildError), float).reshape(-1)
         lengths = [len(a) for a in (*ids, zs, sigmas)]
         if len(set(lengths)) > 1:
             raise BuildError(f"keyframe ids, landmark ids, z and sigma differ in length: {lengths}")
@@ -598,11 +600,13 @@ class FactorGraph:
         # rank <= 2 right after linearisation: third-largest eigenvalue ~ 0,
         # at most 1e-9 of the largest.  In float32, rounding leaves up to
         # 0.53 eps (six scenes, about 50k factors), so there it is 4 eps;
-        # checked in blocks, so no (F, 9, 9) stack is formed
+        # checked in blocks of an eighth of BLOCK_ROWS, so no (F, 9, 9)
+        # stack is formed and the check's heap stays under a round's
         rtol = max(1e-9, 4 * float(np.finfo(self.dtype).eps))
-        fresh = np.flatnonzero(self.iters_since_relin() == 0)
-        for start in range(0, fresh.size, BLOCK_ROWS):
-            eigs = np.linalg.eigvalsh(self.factor_information(fresh[start : start + BLOCK_ROWS])[1])
+        fresh = (self.iters_since_relin() == 0).nonzero()[0]
+        step = max(1, BLOCK_ROWS // 8)
+        for start in range(0, fresh.size, step):
+            eigs = np.linalg.eigvalsh(self.factor_information(fresh[start : start + step])[1])
             scale = np.maximum(eigs[:, -1], 1.0)
             bad["factor_rank"] += int(np.sum(eigs[:, -3] > rtol * scale))
         return bad

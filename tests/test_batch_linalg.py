@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbp_ba import build, perturb, synthesize
-from gbp_ba.batch_linalg import _cholesky_cm, component_major, solve_spd_masked
+from gbp_ba.batch_linalg import PIVOT_RTOL, _cholesky_cm, component_major, solve_spd_masked
 
 
 def random_spd_stack(rng, n, d, cond=100.0):
@@ -140,3 +141,29 @@ def test_float32_rank_deficient_systems_are_masked_and_finite():
             x, ok = solve_spd_masked(lam[:, cols, cols], rhs)
         assert not ok.any()
         assert np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_pivot_rule_at_its_threshold(dtype):
+    # a pivot passes where it exceeds rtol |trace|, rtol PIVOT_RTOL in
+    # float64 and 4500 eps in float32: members whose first or last pivot is
+    # half or twice that are masked or accepted.  The last pivot is also
+    # taken as the Schur complement of L D L' with L full of ones below its
+    # diagonal, so the earlier columns' sums reach it
+    rtol = max(PIVOT_RTOL, 4500 * float(np.finfo(dtype).eps))
+    for d in (3, 6):
+        lower = np.tril(np.ones((d, d)))
+        mats, want = [], []
+        for where in (0, d - 1):
+            pivots = np.ones(d)
+            pivots[where] = 0.0
+            for shape in [np.eye(d)] + [lower] * (where == d - 1):
+                rest = np.trace(shape @ np.diag(pivots) @ shape.T)  # the trace but for the pivot
+                for factor in (0.5, 2.0):
+                    pivots[where] = factor * rtol * rest / (1 - factor * rtol)  # factor * rtol * trace
+                    mats.append(shape @ np.diag(pivots) @ shape.T)
+                    want.append(factor > 1)
+                pivots[where] = 0.0
+        mats = np.array(mats).astype(dtype)
+        _, ok = solve_spd_masked(mats, np.ones((len(mats), d, 1), dtype))
+        np.testing.assert_array_equal(ok, want, err_msg=f"{d=}")

@@ -23,7 +23,7 @@ from gbp_ba import (
     synthesize,
 )
 from gbp_ba.camera import camera_center, rotation_matrix
-from gbp_ba.dataset_io import COLUMNS, backproject_at_unit_range
+from gbp_ba.dataset_io import COLUMNS, RowError, backproject_at_unit_range
 
 
 @pytest.fixture
@@ -322,6 +322,19 @@ class TestDegenerateValues:
         for f in ids:
             assert getattr(again, f).dtype == getattr(small_problem, f).dtype
             np.testing.assert_array_equal(getattr(again, f), getattr(small_problem, f))
+
+    @pytest.mark.parametrize(
+        "field, dtype",
+        [("meas_kf", str), ("meas_lm", bool), ("meas_uv", str), ("meas_sigma", bool), ("kf_init", str),
+         ("lm_init", object), ("kf_gt", bool)],
+    )
+    def test_problem_spec_rejects_bools_strings_and_objects(self, small_problem, field, dtype):
+        # numpy would read True as 1 and "0" as 0, so string ids were accepted
+        fields = ("kf_init", "lm_init", "meas_kf", "meas_lm", "meas_uv", "meas_sigma")
+        values = {f: getattr(small_problem, f) for f in fields}
+        values[field] = (values.get(field, small_problem.kf_init)).astype(dtype)
+        with pytest.raises(RowError, match=f"{field} must be numbers, not"):
+            ProblemSpec(intrinsics=small_problem.intrinsics, **values)
 
     @pytest.mark.parametrize(
         "metadata, key",

@@ -564,12 +564,15 @@ def test_whole_graph_passes_hold_bounded_temporaries():
         run(graph, n=9)
         plain, plain_bytes = extra_heap(lambda: iterate(graph))
         report, round_bytes = extra_heap(lambda: iterate(graph))
+        bad, validate_bytes = extra_heap(graph.validate)  # every relinearised factor's rank
     finally:
         tracemalloc.stop()
     n = graph.n_measurement_factors
     assert n > 29000 and plain.n_relinearized == 0 and report.n_relinearized > n // 2
+    assert not any(bad.values())
     assert (build_bytes - graph_bytes) / n <= 256
     assert evaluate_bytes / n <= 96
+    assert validate_bytes / n <= 96
     assert round_bytes / n <= 400
     assert round_bytes / n <= plain_bytes / n + 96
 

@@ -427,15 +427,24 @@ class TestIncrementalMutation:
             graph.add_measurement(0, 99, np.zeros(2))
 
     @pytest.mark.parametrize(
-        "kf_ids, lm_ids, message",
-        [([0.7], [1.9], "measurement 0 has a non-integral keyframe id 0.7"),
-         ([0, 1], [2, 1.5], "measurement 1 has a non-integral landmark id 1.5"),
-         ([np.nan], [0], "non-integral keyframe id nan")],
+        "kf_ids, lm_ids, message, zs, sigmas",
+        [([0.7], [1.9], "measurement 0 has a non-integral keyframe id 0.7", None, None),
+         ([0, 1], [2, 1.5], "measurement 1 has a non-integral landmark id 1.5", None, None),
+         ([np.nan], [0], "non-integral keyframe id nan", None, None),
+         # bools and strings, which numpy reads as numbers: True stored
+         # keyframe 1 and False landmark 0
+         ([True], [False], "keyframe id must be numbers, not bool", None, None),
+         ([1], [False], "landmark id must be numbers, not bool", None, None),
+         (["1"], [0], "keyframe id must be numbers, not <U1", None, None),
+         ([1], [0], "z must be numbers, not <U3", [["300", "200"]], None),
+         ([1], [0], "sigma must be numbers, not <U1", None, ["1"]),
+         ([1], [0], "sigma must be numbers, not bool", None, [True])],
     )
-    def test_fractional_id_raises_and_leaves_graph(self, kf_ids, lm_ids, message):
+    def test_fractional_id_raises_and_leaves_graph(self, kf_ids, lm_ids, message, zs, sigmas):
         graph = build(synthesize(3, 15, seed=13))
         before = graph.copy()
-        zs, sigmas = np.full((len(kf_ids), 2), 300.0), np.ones(len(kf_ids))
+        zs = np.full((len(kf_ids), 2), 300.0) if zs is None else zs
+        sigmas = np.ones(len(kf_ids)) if sigmas is None else sigmas
         with pytest.raises(BuildError, match=message):
             graph.add_measurements(kf_ids, lm_ids, zs, sigmas)
         for name, value in vars(before).items():
@@ -480,6 +489,10 @@ class TestIncrementalMutation:
             ("add_keyframe", np.zeros((2, 3)), r"keyframe 3 takes a state of size 6, got shape \(2, 3\)"),
             ("add_landmark", np.zeros(2), r"landmark 15 takes a state of size 3, got shape \(2,\)"),
             ("add_landmark", np.ones((3, 1)), r"landmark 15 takes a state of size 3, got shape \(3, 1\)"),
+            # numpy reads bools as numbers, and fails on strings in isfinite
+            ("add_keyframe", [True] * 6, "keyframe 3 state must be numbers, not bool"),
+            ("add_keyframe", ["0"] * 6, "keyframe 3 state must be numbers, not <U1"),
+            ("add_landmark", np.array([0.0, None, 2.0], dtype=object), "landmark 15 state must be numbers, not object"),
         ],
     )
     def test_non_finite_state_raises_and_leaves_graph(self, add, state, message):
