@@ -4,14 +4,15 @@ The belief phase needs one 3x3 or 6x6 factorisation per variable and
 iteration, with numerically singular members masked out instead of
 aborting the batch (numpy's batched solve raises on the whole stack).  The
 kernels work component-major: entry (i, j) of every matrix in the stack is
-one contiguous length-N vector, and the factorisation and the substitutions
-are loops unrolled over the tiny dimension, so every step is one vector
-operation over the stack.  The factorisation reads only the lower triangle
-of each matrix.  The public functions take and return the usual (N, d, d) /
-(N, d, k) shapes and read their inputs through the view `component_major`:
-a stack that is the (N, ...) view of a contiguous component-major array
-(every factor-graph array is one) costs no copy and is read as contiguous
-vectors.  The results are views of component-major arrays.
+one contiguous length-N vector.  The factorisation and the inverse of its
+factor are loops over the tiny dimension, a column or a row at a time, so
+every step is one contraction or vector operation over the stack; the
+factorisation reads only the lower triangle of each matrix.  The public
+functions take and return the usual (N, d, d) / (N, d, k) shapes and read
+their inputs through the view `component_major`: a stack that is the (N,
+...) view of a contiguous component-major array (every factor-graph array
+is one) costs no copy and is read as contiguous vectors, and any other is
+copied to one.  The results are views of component-major arrays.
 
 It also holds what the passes over every factor row share: `BLOCK_ROWS`,
 `_plan`, their stretches cut into dense keyframe runs' pieces and the rows

@@ -194,7 +194,7 @@ def _update_prior_scales(graph: FactorGraph, schedule: ScheduleParams, t: int) -
     window = schedule.prior_weaken_iters
     for kind in KINDS:
         age = np.minimum(t - graph.var(kind, "birth"), window)
-        graph.var(kind, "prior_scale")[:] = PRIOR_TARGET_RATIO ** (age / max(window, 1))
+        np.power(PRIOR_TARGET_RATIO, age / max(window, 1), out=graph.var(kind, "prior_scale"))
     return float(PRIOR_TARGET_RATIO ** (min(t, window) / max(window, 1)))
 
 
@@ -322,7 +322,7 @@ def _side_terms(ids, parts, jac, jac_sent, belief, out, stale_out, stale, stale_
     np.equal(belief[0][0, 0].take(ids), 0, out=singular)
     if stale.size:
         g_ab, g_bb, p_b = stale_out
-        at = _consecutive(stale)  # a view where consecutive, else np.take, which keeps the rows the last axis
+        at = _consecutive(stale)  # a view where consecutive, else a take, which keeps the rows the last axis
         jac_stale = jac[..., at] if isinstance(at, slice) else jac.take(stale, axis=-1)
         cov_jac_b = _cov_jac(jac_sent, ids[at], belief, stale_parts, p_b)
         _contract("adm,bdm->abm", jac_stale, cov_jac_b, out=g_ab)  # every pair
@@ -420,7 +420,7 @@ def _phase_factors(graph: FactorGraph, schedule: ScheduleParams, t: int, n_old: 
         del stale_terms  # not held through the next stretch
         new, ok = _new_messages(g, p, w, w_target, stored[:, ::-1])
         singular |= ~ok
-        # damped (0 or d) outside the undamped window
+        # d outside the undamped window, 0 inside it
         damp = (graph.f_last_relin[rows] <= t - schedule.undamped_window) * graph.dtype.type(schedule.damping)
         new[3:] *= 1.0 - damp
         new[3:] += damp * stored[3:]

@@ -362,10 +362,10 @@ class FactorGraph:
         PRIOR_FLOOR_RTOL of the row's largest entry, or a flagged unit
         fallback where the row has no positive entry.  Every factor adjacent
         to such a variable was born in this iteration too, so only the last
-        rows, those born in it, are read.  Each squared column is formed
-        from slices of `f_jac`'s component-major base and summed per
-        variable at once, in ascending row order in float64, the bits of
-        `np.add.at` on a zero float64 array."""
+        rows, those born in it, are read.  A kind's squared columns are
+        formed from `f_jac`'s component-major base at once and summed per
+        variable and column in one `np.bincount`, each in ascending row
+        order in float64, the bits of `np.add.at` on a zero float64 array."""
         rows = slice(self.f_birth.searchsorted(self.iteration), None)
         jac, sigma_sq = component_major(self.f_jac)[..., rows], self.f_sigma[rows] ** 2
         for kind in KINDS:
