@@ -362,22 +362,22 @@ class FactorGraph:
         PRIOR_FLOOR_RTOL of the row's largest entry, or a flagged unit
         fallback where the row has no positive entry.  Every factor adjacent
         to such a variable was born in this iteration too, so only the last
-        rows, those born in it, are read.  A kind's squared columns are
-        formed from `f_jac`'s component-major base at once and summed per
-        variable and column in one `np.bincount`, each in ascending row
-        order in float64, the bits of `np.add.at` on a zero float64 array."""
+        rows, those born in it, are read.  Each squared column is formed
+        from slices of `f_jac`'s component-major base and summed per
+        variable at once, in ascending row order in float64, the bits of
+        `np.add.at` on a zero float64 array."""
         rows = slice(self.f_birth.searchsorted(self.iteration), None)
         jac, sigma_sq = component_major(self.f_jac)[..., rows], self.f_sigma[rows] ** 2
         for kind in KINDS:
             ids = (self.var(kind, "birth") == self.iteration).nonzero()[0]
-            size = self.size(kind)
-            colsq = jac[0, kind.cols] ** 2
-            colsq += jac[1, kind.cols] ** 2
-            colsq /= sigma_sq
-            # column c of variable v in bin c size + v, each column's rows in order
-            bins = self.adjacent(kind)[rows] + size * np.arange(kind.dim)[:, None]
-            sums = np.bincount(bins.reshape(-1), weights=colsq.reshape(-1), minlength=kind.dim * size)
-            contrib = sums.reshape(kind.dim, size)[:, ids].T.astype(self.dtype)
+            adjacent = self.adjacent(kind)[rows]
+            sums = np.empty((kind.dim, self.size(kind)), self.dtype)
+            for c, col in enumerate(range(FACTOR_DIM)[kind.cols]):
+                colsq = jac[0, col] ** 2
+                colsq += jac[1, col] ** 2
+                colsq /= sigma_sq
+                sums[c] = np.bincount(adjacent, weights=colsq, minlength=self.size(kind))
+            contrib = sums[:, ids].T
             fallback = ~np.any(contrib > 0, axis=1)
             floored = np.maximum(contrib, PRIOR_FLOOR_RTOL * contrib.max(axis=1, keepdims=True))
             self.var(kind, "prior_diag0")[ids] = np.where(fallback[:, None], 1.0, floored)
