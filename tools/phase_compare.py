@@ -17,15 +17,16 @@ workload instead, on its scene size (44x30) unless `--scene` is given.  The
 scene is ordered by first sight, and each tree builds its first keyframes
 and adds the others up to K one at a time, each followed by a capped solve,
 with the helpers and settings of its own `perfbench/workloads.py` (read
-only).  Each rep then times, on a fresh `copy()`, the arrival of keyframe K:
-`add_keyframe`, its new landmarks, `add_measurements` and the capped solve.
+only), and casts the grown graph to `--dtype`.  Each rep then times, on a
+fresh `copy()`, the arrival of keyframe K: `add_keyframe`, its new
+landmarks, `add_measurements` and the capped solve.
 
 Prints per tree the median and quartiles (ms) of the whole step and of each
 `IterationReport.phase_ms` entry, summed over the step's rounds, the reps in
 which tree B was faster, and whether the two trees' reports (without
 `phase_ms`) and graph arrays after the step are bit-identical; where they
 are not, the three largest relative differences and where they are.  About
-3 s at its defaults, 6 s at `--scene 60x3000 --reps 10` and 4 s at `--grow
+3 s at its defaults, 6 s at `--scene 60x3000 --reps 10` and 3 s at `--grow
 24` on 2 vCPUs.
 """
 
