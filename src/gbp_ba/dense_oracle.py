@@ -24,13 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import DEPTH_EPSILON, retract
+from .engine import ScheduleParams
 from .factor_graph import (
     ARE_SENTINEL_PX,
     FACTOR_DIM,
     KEYFRAME,
     KINDS,
     LANDMARK,
-    PRIOR_TARGET_RATIO,
     Evaluation,
     FactorGraph,
 )
@@ -195,14 +195,15 @@ def _lm_energy(graph: FactorGraph, record: Evaluation) -> float:
     return graph._objective(norms / graph.f_sigma)
 
 
-def lm_solve(graph: FactorGraph) -> LMReport:
+def lm_solve(graph: FactorGraph, schedule: ScheduleParams | None = None) -> LMReport:
     """Levenberg-Marquardt baseline on the graph objective.
 
     Minimises the Huberised reprojection objective plus the graph priors at
-    their target (weakened) strength, which is the long-run objective the
-    message-passing solver settles on, so final-error comparisons are
-    like-for-like.  Each step relinearises every factor at the current
-    states with `linearize_factors`, which re-evaluates the Huber weights
+    the `prior_floor` of `schedule` (the default `ScheduleParams` when None),
+    the long-run objective the message-passing solver settles on under that
+    schedule, so final-error comparisons are like-for-like.  Each step
+    relinearises every factor at the current states with
+    `linearize_factors`, which re-evaluates the Huber weights
     (iteratively reweighted), and zeroes the J and target of the
     behind-camera factors that could not be relinearised, so they drop out
     of the step.  It takes the normal equations H dx = g from `assemble`,
@@ -214,9 +215,10 @@ def lm_solve(graph: FactorGraph) -> LMReport:
     """
     from scipy.linalg import cho_factor, cho_solve
 
+    floor = (schedule if schedule is not None else ScheduleParams()).prior_floor
     work = graph.astype(np.float64)
     for kind in KINDS:
-        work.var(kind, "prior_scale")[:] = PRIOR_TARGET_RATIO
+        work.var(kind, "prior_scale")[:] = floor
     states = [work.var(kind, "state").copy() for kind in KINDS]
     record = work.evaluate()
     are_trace, energy_trace = [record.are], [_lm_energy(work, record)]

@@ -65,7 +65,16 @@ arrays, dimension and columns of the factor's 9-vector:
 
 `iterate` then takes the ARE, the energy and the count of measurements
 behind their camera from one `FactorGraph.evaluate()`, and reports the wall
-time of each phase in `IterationReport.phase_ms`.
+time of each phase in `IterationReport.phase_ms`.  Where that record counts
+measurements behind their camera, a chirality guard follows, the barrier
+that `dense_oracle.lm_solve` puts on its steps (Hartley, "Chirality", IJCV
+1998): the rows behind their camera now that were in front of it at the
+states before the round, found by projecting only those rows at those
+states, keep their landmarks' states of before the round, and where such a
+row is still behind its camera at the next evaluation, its keyframe's too;
+the round's record is that of the last evaluation.  A row already behind its
+camera before the round is left to the solver, so that a landmark built
+behind a camera can still move.
 
 Within a phase all reads target the pre-phase snapshot, so results do not
 depend on intra-phase execution order: phase B reads both sides' inputs
@@ -83,8 +92,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batch_linalg import _consecutive, _contract, _diagonal, _plan, component_major, solve_spd_masked
-from .camera import canonicalize_axis_angle
-from .factor_graph import FACTOR_DIM, KEYFRAME, KINDS, PRIOR_TARGET_RATIO, FactorGraph
+from .camera import DEPTH_EPSILON, canonicalize_axis_angle, project_many
+from .factor_graph import FACTOR_DIM, KEYFRAME, KINDS, LANDMARK, Evaluation, FactorGraph
 
 __all__ = [
     "ScheduleParams",
@@ -108,8 +117,11 @@ class ScheduleParams:
     damping: convex blend factor d applied to message information vectors.
     undamped_window: iterations after a relinearisation with damping off,
         at least 1 (the relinearisation round) while beta is set.
-    prior_weaken_iters: iterations over which priors decay to 1/100 of their
-        initial strength (0 keeps priors at full strength).
+    prior_weaken_iters: iterations over which priors decay to `prior_floor`
+        of their initial strength (0 keeps priors at full strength).
+    prior_floor: the fraction of its initial strength a prior weakens to and
+        stays at, in (0, 1]; `dense_oracle.lm_solve` minimises the objective
+        with every prior at this strength.
     message_tol: optional early stop when the largest change of a stored
         message entry (of S or v) falls below this (pure linear runs),
         checked after a round that sent every factor's messages and did not
@@ -122,12 +134,13 @@ class ScheduleParams:
     damping: float = 0.4
     undamped_window: int = 8
     prior_weaken_iters: int = 10
+    prior_floor: float = 5e-3
     max_iters: int = 500
     are_target: float = 1.5
     message_tol: float | None = None
 
     def __post_init__(self):
-        for name in ("beta", "damping", "are_target", "message_tol"):
+        for name in ("beta", "damping", "prior_floor", "are_target", "message_tol"):
             value = getattr(self, name)
             if value is None and name in ("beta", "message_tol"):  # None disables them
                 continue
@@ -137,6 +150,8 @@ class ScheduleParams:
             raise ValueError(f"damping must be in [0, 1), got {self.damping}")
         if self.beta is not None and not self.beta > 0:
             raise ValueError(f"beta must be positive or None, got {self.beta}")
+        if not 0.0 < self.prior_floor <= 1.0:
+            raise ValueError(f"prior_floor must be in (0, 1], got {self.prior_floor}")
         for name in ("relin_cooldown", "undamped_window", "prior_weaken_iters", "max_iters"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
@@ -157,9 +172,13 @@ class IterationReport:
     """Diagnostics of one round; every count is of this round alone.
     `n_behind_camera` counts the measurements behind their camera after the
     round, the rows of the ARE's sentinel and of the energy's residual at the
-    linearisation point.  `phase_ms` holds the wall milliseconds of each of
-    `PHASES`: A (with the prior weakening), B, C, and the ARE and energy
-    evaluation; A and B are each summed over their steps of the walk."""
+    linearisation point.  `n_frozen_states` counts the variables whose state
+    the round left where it was against a move of their belief's mean: where
+    phase C could not invert the belief, and where the chirality guard kept
+    it (see the module docstring).  `phase_ms` holds the wall milliseconds
+    of each of `PHASES`: A (with the prior weakening), B, C, and the ARE and
+    energy evaluation, the guard's included; A and B are each summed over
+    their steps of the walk."""
 
     iteration: int
     are: float
@@ -189,13 +208,13 @@ class SolveReport:
 
 def _update_prior_scales(graph: FactorGraph, schedule: ScheduleParams, t: int) -> float:
     """Set every prior's strength for round `t`, 1 at its variable's birth
-    down to PRIOR_TARGET_RATIO `prior_weaken_iters` rounds later (a window of
-    0 keeps 1); returns the scale of a variable born in round 0."""
-    window = schedule.prior_weaken_iters
+    down to `prior_floor` `prior_weaken_iters` rounds later (a window of 0
+    keeps 1); returns the scale of a variable born in round 0."""
+    window, floor = schedule.prior_weaken_iters, schedule.prior_floor
     for kind in KINDS:
         age = np.minimum(t - graph.var(kind, "birth"), window)
-        np.power(PRIOR_TARGET_RATIO, age / max(window, 1), out=graph.var(kind, "prior_scale"))
-    return float(PRIOR_TARGET_RATIO ** (min(t, window) / max(window, 1)))
+        np.power(floor, age / max(window, 1), out=graph.var(kind, "prior_scale"))
+    return float(floor ** (min(t, window) / max(window, 1)))
 
 
 def _phase_relinearize(graph: FactorGraph, schedule: ScheduleParams, t: int, rows: slice):
@@ -502,6 +521,25 @@ def _phase_beliefs(graph: FactorGraph, plan) -> int:
     return frozen
 
 
+def _guard_chirality(graph: FactorGraph, record: Evaluation, old: dict) -> tuple:
+    """The chirality guard (see the module docstring) after a round whose
+    `record` counts measurements behind their camera, `old` the states of
+    each kind before the round; returns the record of the states it leaves
+    and the count of variables it kept from moving."""
+    rows = (record.depths <= DEPTH_EPSILON).nonzero()[0]
+    _, depth = project_many(*(old[kind][graph.adjacent(kind)[rows]] for kind in KINDS), graph.intrinsics)
+    rows, kept = rows[depth > DEPTH_EPSILON], 0
+    for kind in (LANDMARK, KEYFRAME):
+        if rows.size == 0:
+            break
+        ids, state = np.unique(graph.adjacent(kind)[rows]), graph.var(kind, "state")
+        kept += int(np.count_nonzero((state[ids] != old[kind][ids]).any(axis=1)))
+        state[ids] = old[kind][ids]
+        record = graph.evaluate()
+        rows = rows[record.depths[rows] <= DEPTH_EPSILON]
+    return record, kept
+
+
 def iterate(graph: FactorGraph, schedule: ScheduleParams | None = None) -> IterationReport:
     """One bulk-synchronous GBP round (phases A-C); advances the prior
     weakening and the iteration counter and reports per-phase diagnostics."""
@@ -516,10 +554,14 @@ def iterate(graph: FactorGraph, schedule: ScheduleParams | None = None) -> Itera
     n_old = int(graph.f_birth.searchsorted(t))  # the factors born before this round
     plan = _plan(graph.f_kf[:n_old])
     n_relin, n_aborted, n_singular, max_delta = _phase_factors(graph, schedule, t, n_old, plan, lap)
+    before = {kind: graph.var(kind, "state").copy() for kind in KINDS}
     n_frozen = _phase_beliefs(graph, plan)
     graph.iteration = t + 1
     lap("beliefs")
     record = graph.evaluate()
+    if record.n_behind_camera:
+        record, n_kept = _guard_chirality(graph, record, before)
+        n_frozen += n_kept
     lap("evaluate")
     return IterationReport(
         iteration=graph.iteration,

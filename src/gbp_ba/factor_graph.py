@@ -38,16 +38,18 @@ also takes once it has grown a problem's variables.  A factor's count of
 rounds since its last relinearisation is derived (`iters_since_relin`).
 
 Priors are born at the same per-coordinate scale as the summed adjacent
-measurement information and are weakened geometrically to 1/100 of that
-over the first iterations of a variable's life.  A prior's mean is pinned at
-the variable's state when the prior is made, and is re-anchored at the
-current state of every older variable whenever measurements are added, so a
-grown graph minimises the same objective as a cold restart from its states.
+measurement information and are weakened geometrically over the first
+iterations of a variable's life to the schedule's `prior_floor` of that
+(`engine.ScheduleParams`).  A prior's mean is pinned at the variable's
+state when the prior is made, and is re-anchored at the current state of
+every older variable whenever measurements are added, so a grown graph
+minimises the same objective as a cold restart from its states.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
 from dataclasses import dataclass
 
@@ -61,9 +63,10 @@ from .dataset_io import (
     ProblemSpec, RowError, check_ids, check_measurement_values, check_numeric, check_state_values,
 )
 
-PRIOR_TARGET_RATIO = 0.01
 PRIOR_FLOOR_RTOL = 1e-12
 ARE_SENTINEL_PX = 1e6
+MAPPED_BLOCK_BYTES = 4 << 20  # numpy advises huge pages for arrays from this size on
+GLIBC_MAPPED_BYTES = 32 << 20  # glibc's malloc maps a request of this size or more on its own
 DEFAULT_HUBER_NSIGMA = 2.0
 PSD_RTOL = 1e-8
 
@@ -191,13 +194,12 @@ class FactorGraph:
         defaults to the current iteration.  Bases grow on their last axis.
 
         The bases of a table are views of one new zero-filled block, each
-        starting on a 64-byte boundary.  A large graph's block is then mapped
-        on its own (glibc serves a request of 32 MiB or more with a mapping),
-        so the temporaries of a round reuse heap space that no graph array
-        splits, and the process's peak memory does not depend on where in
-        the heap the graph happened to land.  Zero-filled pages also stay
-        untouched until first written, which keeps build's peak memory down
-        for the message arrays."""
+        starting on a 64-byte boundary (`_zeroed_block`).  A large table's
+        block is mapped on its own, so the temporaries of a round reuse heap
+        space that no graph array splits, and the process's peak memory does
+        not depend on where in the heap the graph happened to land.
+        Zero-filled pages also stay untouched until first written, which
+        keeps build's peak memory down for the message arrays."""
         fields, dim = TABLES[prefix]
         given.setdefault("birth", self.iteration)
         old = getattr(self, prefix + fields[0].name, None)
@@ -209,7 +211,7 @@ class FactorGraph:
             nbytes = dtype.itemsize * math.prod(shape)
             layout.append((size, nbytes, shape, dtype))
             size += -(-nbytes // 64) * 64
-        block = np.zeros(size, np.uint8)
+        block = _zeroed_block(size)
         for f, (offset, nbytes, shape, dtype) in zip(fields, layout):
             # the (n, trailing...) view of the node-last base
             array = block[offset:offset + nbytes].view(dtype).reshape(shape).transpose(-1, *range(len(shape) - 1))
@@ -610,6 +612,23 @@ class FactorGraph:
             scale = np.maximum(eigs[:, -1], 1.0)
             bad["factor_rank"] += int(np.sum(eigs[:, -3] > rtol * scale))
         return bad
+
+
+def _zeroed_block(nbytes: int) -> np.ndarray:
+    """`nbytes` zero bytes.  From MAPPED_BLOCK_BYTES up to the size that
+    glibc maps on its own, where the platform has huge-page advice, they are
+    an anonymous mapping of their own with that advice, as numpy gives its
+    large arrays: such a block from glibc's heap lands among the freed
+    blocks of earlier graphs, and batch-30k's peak memory read about 64 or
+    71 MB by where its 11 MiB factor table happened to land."""
+    if not MAPPED_BLOCK_BYTES <= nbytes < GLIBC_MAPPED_BYTES or not hasattr(mmap, "MADV_HUGEPAGE"):
+        return np.zeros(nbytes, np.uint8)
+    mapping = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    try:
+        mapping.madvise(mmap.MADV_HUGEPAGE)
+    except OSError:  # a kernel built without transparent huge pages; numpy ignores it too
+        pass
+    return np.frombuffer(mapping, np.uint8)
 
 
 def _row_norms(residual):

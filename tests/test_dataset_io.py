@@ -13,6 +13,7 @@ from gbp_ba import (
     Intrinsics,
     ParseError,
     ProblemSpec,
+    ScheduleParams,
     build,
     import_bal,
     inject_outliers,
@@ -426,7 +427,7 @@ class TestSynthesize:
         prob = synthesize(10, 100, seed=3, pixel_sigma=1.0)
         start = perturb(prob, 0.05, "backproject", seed=3) if perturbed else prob
         graph = build(start)
-        report = lm_solve(graph)
+        report = lm_solve(graph, ScheduleParams(prior_floor=0.01))
         assert (report.steps, report.reason) == (steps, "are_target")
         assert np.all(np.diff(report.energy_trace) < 0)
         np.testing.assert_array_equal(graph.kf_state, start.kf_init)  # not mutated

@@ -1,4 +1,5 @@
 import dataclasses
+import mmap
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gbp_ba import (
     synthesize,
 )
 from gbp_ba.camera import DEPTH_EPSILON, camera_center, jacobian_many, project_many, rotation_matrix
+from gbp_ba import factor_graph
 from gbp_ba.dense_oracle import stack_states
 from gbp_ba.factor_graph import (
     FACTOR_FIELDS, KEYFRAME, KINDS, PRIOR_FLOOR_RTOL, TABLES, huber_energy, huber_weight,
@@ -218,7 +220,7 @@ class TestPriors:
         graph = build(synthesize(2, 15, seed=6))
         scales = []
         for _ in range(14):
-            rep = iterate(graph, ScheduleParams())
+            rep = iterate(graph, ScheduleParams(prior_floor=0.01))
             scales.append(rep.prior_scale)
         expect = [0.01 ** (min(t, 10) / 10) for t in range(14)]
         np.testing.assert_allclose(scales, expect, rtol=1e-12)
@@ -838,6 +840,29 @@ class TestSchema:
         check_blocks(graph)
         check_blocks(graph.copy())
         check_blocks(graph.astype(np.float32))
+
+    @pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="no huge-page advice on this platform")
+    def test_large_table_blocks_are_mapped_on_their_own(self, monkeypatch):
+        # from MAPPED_BLOCK_BYTES on, a table's block is an anonymous mapping
+        # of its own, never heap among the freed blocks of earlier graphs;
+        # the graph runs as one whose blocks all come from numpy
+        problem = perturb(synthesize(4, 100, seed=18, pixel_sigma=0.5), 0.05, "backproject", seed=19)
+        want = build(problem)
+        # every factor block, float32 too, but no variable block
+        monkeypatch.setattr(factor_graph, "MAPPED_BLOCK_BYTES", want.f_z.base.nbytes // 2)
+        graph = build(problem)
+
+        def owner(array):  # what holds the array's memory: None for numpy's own
+            base = array.base
+            while isinstance(base, (np.ndarray, memoryview)):
+                base = base.base if isinstance(base, np.ndarray) else base.obj
+            return base
+
+        for g in (graph, graph.copy(), graph.astype(np.float32)):
+            assert isinstance(owner(g.f_z), mmap.mmap) and owner(g.kf_state) is None
+        run(want, n=3)
+        run(graph, n=3)
+        assert_graph_equal(graph, want)
 
     def test_messages_store_s_and_v_only(self):
         # every message was sent with the factor's one stored J, `f_jac`:
